@@ -11,16 +11,24 @@ wall time, independent of solver speed.
 property_net)`` pair *and* the :class:`~repro.encode.unroll.Unroller`
 holding the frame encodings.  All strategies of a row then share one
 build: the first engine to reach depth ``k`` pays for encoding frames
-``0..k``, every later engine re-assembles its instances from the cached
-clause tuples.
+``0..k``, and every later engine gets the same depth-``k`` instance.
+The unroller is created with ``memoize_instances=True``, but what it
+memoizes is small: an instance is an O(1) view over the unroller's
+append-only clause log (a shared log, a length bound and a one-clause
+private tail for the property), not a copy of its clause prefix.  So a
+cached row costs one log of literal tuples, however many depths and
+strategies read it.
 
 Sharing is sound because every consumer is read-only or monotone:
 
 * ``Unroller.instance(k)`` is deterministic and independent of which
-  frames were built before (it slices by per-frame watermarks), so a
-  warm unroller yields byte-identical formulas to a cold one;
+  frames were built before (it bounds its view by per-frame
+  watermarks), so a warm unroller yields byte-identical formulas to a
+  cold one, even after another engine has encoded frames beyond ``k``;
 * clause literals are immutable tuples — the CDCL solver copies them
-  into its own arena (see ``repro.cnf.formula``);
+  into its own arena, and clauses added to an instance's formula go to
+  that formula's private tail, never into the shared log (see
+  ``repro.cnf.formula``);
 * engines never mutate the circuit (trace verification simulates on a
   private value array).
 

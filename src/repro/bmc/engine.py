@@ -10,10 +10,11 @@ variables back into the next instance's ordering.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from dataclasses import replace as dc_replace
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.encode.unroll import BmcInstance, Unroller
@@ -29,6 +30,12 @@ StrategyFactory = Callable[[BmcInstance, int], DecisionStrategy]
 def vsids_factory(instance: BmcInstance, k: int) -> DecisionStrategy:
     """The baseline: Chaff's default VSIDS on every instance."""
     return VsidsStrategy()
+
+
+def _gc_counts() -> List[Tuple[int, int]]:
+    """``(collections, collected)`` per cyclic-collector generation —
+    process-wide counts, no clock read."""
+    return [(gen["collections"], gen["collected"]) for gen in gc.get_stats()]
 
 
 def resolve_unroller(
@@ -73,6 +80,9 @@ class BmcEngine:
         Completeness threshold analogue: the last depth checked.
     strategy_factory:
         Decision-ordering choice per instance (default: VSIDS).
+        Subclasses that derive the ordering from their own state
+        override :meth:`make_strategy` instead of passing a bound
+        method here, which would make the engine reference itself.
     solver_config:
         Per-instance solver configuration, including budgets.
     use_coi:
@@ -135,6 +145,12 @@ class BmcEngine:
         #: subclassing every engine flavour (RefineOrderBmc, Shtrichman
         #: and BerkMin runs all inherit this ``_solve_depth``).
         self.solver_hook = None
+        # Collector counts at the last depth boundary (metrics only).
+        self._gc_seen: List[Tuple[int, int]] = []
+
+    def make_strategy(self, instance: BmcInstance, k: int) -> DecisionStrategy:
+        """The decision strategy for depth ``k`` (default: the factory)."""
+        return self.strategy_factory(instance, k)
 
     # Subclass hook: called after each UNSAT depth with its outcome.
     def on_unsat(self, k: int, instance: BmcInstance, outcome: SolveOutcome) -> None:
@@ -150,7 +166,7 @@ class BmcEngine:
         strategies per depth — while the depth loop, budgets, statistics
         and trace handling in :meth:`run` stay shared.
         """
-        strategy = self.strategy_factory(instance, k)
+        strategy = self.make_strategy(instance, k)
         config = self.solver_config
         if self.trace_dir is not None:
             stem = os.path.join(self.trace_dir, f"{self.trace_name}_d{k:03d}")
@@ -174,6 +190,8 @@ class BmcEngine:
     def run(self) -> BmcResult:
         """Execute the depth loop; see :class:`BmcResult`."""
         start = time.perf_counter()
+        if self.solver_config.metrics is not None:
+            self._gc_seen = _gc_counts()
         result = BmcResult(status=BmcStatus.PASSED_BOUNDED, depth_reached=self.start_depth - 1)
         for k in range(self.start_depth, self.max_depth + 1):
             if (
@@ -226,9 +244,18 @@ class BmcEngine:
         ``CdclSolver._publish_metrics`` (the registry rides
         ``solver_config.metrics`` into every depth's solver); this adds
         the depth-loop view: current depth, instance size, and
-        per-status depth counts.  Status is the only extra label — depth
-        ``k`` is a gauge value, not a label, to keep series cardinality
-        bounded.
+        per-status depth counts.  Status is the only extra label of the
+        ``bmc_*`` series — depth ``k`` is a gauge value, not a label, to
+        keep series cardinality bounded.
+
+        It also publishes the cyclic garbage collector's activity since
+        the previous boundary (run start for the first depth), per
+        generation: ``python_gc_collections_total`` and
+        ``python_gc_collected_total``.  Counts only, like every other
+        epoch-boundary publish.  Nothing in the depth loop should need
+        the collector, so a generation-2 ``collected`` that stays near
+        0 is the sign that no solver is left behind in a reference
+        cycle.
         """
         registry = self.solver_config.metrics
         if registry is None:
@@ -248,6 +275,23 @@ class BmcEngine:
         status_labels = dict(labels)
         status_labels["status"] = depth_stats.status
         registry.counter("bmc_depth_status_total", labels=status_labels).inc()
+        seen = _gc_counts()
+        for generation, ((collections, collected), (old_c, old_k)) in enumerate(
+            zip(seen, self._gc_seen)
+        ):
+            gen_labels = dict(labels)
+            gen_labels["generation"] = str(generation)
+            registry.counter(
+                "python_gc_collections_total",
+                help="Cyclic garbage collector runs, per generation.",
+                labels=gen_labels,
+            ).inc(collections - old_c)
+            registry.counter(
+                "python_gc_collected_total",
+                help="Objects the cyclic garbage collector freed, per generation.",
+                labels=gen_labels,
+            ).inc(collected - old_k)
+        self._gc_seen = seen
 
     def _build_trace(self, instance: BmcInstance, outcome: SolveOutcome) -> Trace:
         trace = Trace(

@@ -86,7 +86,7 @@ class MultiPropertyBmc:
     def _feed_frames(self, k: int) -> None:
         self.unroller.ensure_frames(k)
         self._solver.ensure_num_vars(self.unroller.num_encoded_vars)
-        for lits, _origin in self.unroller.clauses_since(self._clauses_fed):
+        for lits in self.unroller.clauses_since(self._clauses_fed).literals():
             self._solver.add_clause(lits)
         self._clauses_fed = self.unroller.num_encoded_clauses
 

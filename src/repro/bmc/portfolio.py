@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import time
+import weakref
 from dataclasses import replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -591,9 +592,12 @@ def _row_race_worker(
             # bus-retirement frontier even if this member never hits a
             # restart/sharing point within the depth.
             export_q.put((index, k, (), 0))
+            # Weak: the solver holds the hook, so a strong reference
+            # here would keep every depth's solver for the collector.
+            solver_ref = weakref.ref(solver)
 
             def hook(batch):
-                export_q.put((index, k, batch, solver.stats.conflicts))
+                export_q.put((index, k, batch, solver_ref().stats.conflicts))
                 while True:
                     try:
                         tag, clauses = import_q.get_nowait()

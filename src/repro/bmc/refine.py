@@ -115,7 +115,6 @@ class RefineOrderBmc(BmcEngine):
             circuit,
             property_net,
             max_depth,
-            strategy_factory=self._make_strategy,
             solver_config=config,
             use_coi=use_coi,
             start_depth=start_depth,
@@ -126,7 +125,7 @@ class RefineOrderBmc(BmcEngine):
             trace_name=trace_name,
         )
 
-    def _make_strategy(self, instance: BmcInstance, k: int) -> DecisionStrategy:
+    def make_strategy(self, instance: BmcInstance, k: int) -> DecisionStrategy:
         return RankedStrategy(
             self.var_rank,
             dynamic=(self.mode == "dynamic"),

@@ -6,12 +6,22 @@ tuples of packed literals: the solver copies them into its own mutable
 arena, so the formula object stays a faithful, reusable description of the
 problem (the "original clauses" of the paper, whose indices double as
 unsat-core clause IDs).
+
+Those tuples are the *only* stored form.  Exact tuples of ints are the
+one container CPython's cyclic garbage collector untracks, so a formula
+of any size costs a full collection nothing; :class:`Clause` values are
+built on demand by the public accessors.  A formula may also be a
+read-only prefix of an append-only clause log it shares with the
+encoder that wrote it (:meth:`CnfFormula.over_log`) — the BMC unroller
+hands out every depth-k instance that way, in O(1) instead of copying
+the prefix the instances share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.cnf.literals import lit_str, lit_var
 
@@ -55,13 +65,40 @@ class CnfFormula:
     Clause indices are stable: the ``i``-th added clause keeps index ``i``
     forever.  The unsat-core machinery reports cores as sets of these
     indices.
+
+    Storage: clauses ``0 .. log_len - 1`` are the first entries of a
+    clause log (empty for a formula built clause by clause; shared with
+    the encoder for one made by :meth:`over_log`), later clauses live in
+    a private tail.  The formula only ever appends to its tail, so a
+    shared log is never written through it.
     """
 
     def __init__(self, num_vars: int = 0) -> None:
         if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
         self._num_vars = num_vars
-        self._clauses: List[Clause] = []
+        self._log: Sequence[Tuple[int, ...]] = ()
+        self._log_len = 0
+        self._tail: List[Tuple[int, ...]] = []
+
+    @classmethod
+    def over_log(
+        cls, log: Sequence[Tuple[int, ...]], length: int, num_vars: int
+    ) -> "CnfFormula":
+        """A formula whose clauses are ``log[:length]``, without copying.
+
+        ``log`` must be append-only — entries below ``length`` never
+        change — and hold exact tuples of valid packed literals over
+        variables below ``num_vars`` (they are not re-validated).  The
+        view stays fixed when the log grows past ``length``; clauses
+        added to it go to its own tail.
+        """
+        if not 0 <= length <= len(log):
+            raise ValueError(f"length {length} outside 0..{len(log)}")
+        formula = cls(num_vars)
+        formula._log = log
+        formula._log_len = length
+        return formula
 
     @property
     def num_vars(self) -> int:
@@ -70,11 +107,30 @@ class CnfFormula:
 
     @property
     def num_clauses(self) -> int:
-        return len(self._clauses)
+        return self._log_len + len(self._tail)
 
     @property
     def clauses(self) -> Sequence[Clause]:
-        return tuple(self._clauses)
+        return tuple(Clause(lits) for lits in self.iter_literals())
+
+    def iter_literals(self) -> Iterator[Tuple[int, ...]]:
+        """Every clause's literal tuple, in index order — the stored
+        form, without building :class:`Clause` values (the solver's
+        install and model check read this)."""
+        log = self._log
+        if self._log_len == len(log):
+            return chain(log, self._tail)
+        return chain(islice(log, self._log_len), self._tail)
+
+    def literals(self, index: int) -> Tuple[int, ...]:
+        """The literal tuple of the clause at a stable index."""
+        if index < 0:
+            index += self.num_clauses
+        if 0 <= index < self._log_len:
+            return self._log[index]
+        if index < 0:
+            raise IndexError("clause index out of range")
+        return self._tail[index - self._log_len]
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable index."""
@@ -93,18 +149,22 @@ class CnfFormula:
     def add_clause(self, literals: Iterable[int]) -> int:
         """Append a clause; returns its stable index.
 
-        Raises ``ValueError`` if a literal references a variable beyond the
-        current watermark — grow the formula with ``new_var`` first.
+        Raises ``ValueError`` for a negative literal, or if a literal
+        references a variable beyond the current watermark — grow the
+        formula with ``new_var`` first.
         """
-        clause = literals if isinstance(literals, Clause) else Clause(tuple(literals))
-        for lit in clause:
-            if lit_var(lit) >= self._num_vars:
+        lits = literals.literals if isinstance(literals, Clause) else tuple(literals)
+        num_vars = self._num_vars
+        for lit in lits:
+            if lit < 0:
+                raise ValueError(f"bad packed literal {lit}")
+            if lit_var(lit) >= num_vars:
                 raise ValueError(
                     f"literal {lit_str(lit)} references variable {lit_var(lit)} "
-                    f">= num_vars {self._num_vars}"
+                    f">= num_vars {num_vars}"
                 )
-        self._clauses.append(clause)
-        return len(self._clauses) - 1
+        self._tail.append(lits)
+        return self._log_len + len(self._tail) - 1
 
     def extend(self, clauses: Iterable[Iterable[int]]) -> List[int]:
         """Add many clauses; returns their indices."""
@@ -112,12 +172,12 @@ class CnfFormula:
 
     def clause(self, index: int) -> Clause:
         """The clause at a stable index."""
-        return self._clauses[index]
+        return Clause(self.literals(index))
 
     def num_literals(self) -> int:
         """Total literal count over all clauses (the paper's "original
         literals", used by the dynamic strategy's 1/64 switch threshold)."""
-        return sum(len(c) for c in self._clauses)
+        return sum(map(len, self.iter_literals()))
 
     def subformula(self, clause_indices: Iterable[int]) -> "CnfFormula":
         """A new formula over the same variables with only the given clauses.
@@ -125,17 +185,16 @@ class CnfFormula:
         Used to check that an extracted unsat core is itself unsatisfiable.
         """
         sub = CnfFormula(self._num_vars)
-        for idx in clause_indices:
-            sub.add_clause(self._clauses[idx])
+        sub._tail = [self.literals(idx) for idx in clause_indices]
         return sub
 
     def evaluate(self, assignment: Sequence[int]) -> bool:
         """Evaluate under a full assignment (``assignment[var]`` in {0, 1})."""
         if len(assignment) < self._num_vars:
             raise ValueError("assignment shorter than num_vars")
-        for clause in self._clauses:
+        for lits in self.iter_literals():
             satisfied = False
-            for lit in clause:
+            for lit in lits:
                 value = assignment[lit >> 1]
                 if value not in (0, 1):
                     raise ValueError(f"assignment[{lit >> 1}] = {value} not in {{0,1}}")
@@ -154,18 +213,21 @@ class CnfFormula:
         """
         var_set: set = set()
         for idx in clause_indices:
-            var_set.update(lit >> 1 for lit in self._clauses[idx])
+            var_set.update(lit >> 1 for lit in self.literals(idx))
         return var_set
 
     def copy(self) -> "CnfFormula":
-        """An independent shallow copy (clauses are immutable)."""
+        """An independent copy: shares the (read-only) log prefix and the
+        immutable clause tuples, copies the tail."""
         dup = CnfFormula(self._num_vars)
-        dup._clauses = list(self._clauses)
+        dup._log = self._log
+        dup._log_len = self._log_len
+        dup._tail = list(self._tail)
         return dup
 
     def __str__(self) -> str:
         return (
-            f"CnfFormula(vars={self._num_vars}, clauses={len(self._clauses)})"
+            f"CnfFormula(vars={self._num_vars}, clauses={self.num_clauses})"
         )
 
     __repr__ = __str__

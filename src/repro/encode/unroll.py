@@ -18,12 +18,24 @@ Encoding choices (standard for circuit BMC):
 * Latch variables are shared across the frame boundary:
   ``lit(latch, f+1) = lit(next_state_net, f)``.
 * Variable 0 is a global constant-true anchored by a unit clause.
+
+Storage: encoded clauses go into an append-only *log* of plain literal
+tuples, with a parallel log of compact ``(kind, net, frame)`` origin
+records — exact tuples, which CPython's cyclic garbage collector
+untracks, so a cached encoding costs a full collection nothing.  Every
+depth-``k`` instance, :meth:`Unroller.formula_up_to` and
+:meth:`Unroller.clauses_since` are O(1) views over a bounded prefix or
+slice of the log (see :meth:`~repro.cnf.formula.CnfFormula.over_log`):
+nothing is copied per depth, and a view stays fixed when a shared
+unroller later encodes frames beyond it.  :class:`Clause` and
+:class:`ClauseOrigin` values are built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.circuit.netlist import Circuit, GateOp
 from repro.circuit.ops import cone_of_influence
@@ -47,6 +59,104 @@ class ClauseOrigin:
     frame: int
 
 
+#: The stored form of a :class:`ClauseOrigin`: ``(kind, net, frame)``.
+OriginRecord = Tuple[str, int, int]
+
+
+class _LogView(Sequence):
+    """Read-only sequence over entries ``start .. stop - 1`` of an
+    append-only log; items are built from the stored records on access
+    (:meth:`_make`)."""
+
+    __slots__ = ("_log", "_start", "_stop")
+
+    def __init__(self, log: Sequence, start: int, stop: int) -> None:
+        self._log = log
+        self._start = start
+        self._stop = stop
+
+    def _make(self, index: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("log view index out of range")
+        return self._make(index)
+
+    def __iter__(self) -> Iterator:
+        make = self._make
+        return (make(i) for i in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, tuple, _LogView)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class OriginView(_LogView):
+    """The :class:`ClauseOrigin` of every clause of a formula view: the
+    origin log's first ``stop`` records, then the view's own ``tail``
+    (an instance's property clause)."""
+
+    __slots__ = ("_tail",)
+
+    def __init__(
+        self, records: Sequence[OriginRecord], stop: int,
+        tail: Sequence[OriginRecord] = (),
+    ) -> None:
+        super().__init__(records, 0, stop)
+        self._tail = tail
+
+    def __len__(self) -> int:
+        return self._stop + len(self._tail)
+
+    def _make(self, index: int) -> ClauseOrigin:
+        stop = self._stop
+        record = self._log[index] if index < stop else self._tail[index - stop]
+        return ClauseOrigin(*record)
+
+
+class ClauseSlice(_LogView):
+    """``(Clause, ClauseOrigin)`` pairs over a slice of the unroller's
+    clause log (what :meth:`Unroller.clauses_since` returns)."""
+
+    __slots__ = ("_origins",)
+
+    def __init__(
+        self,
+        clauses: Sequence[Tuple[int, ...]],
+        origins: Sequence[OriginRecord],
+        start: int,
+        stop: int,
+    ) -> None:
+        super().__init__(clauses, start, stop)
+        self._origins = origins
+
+    def _make(self, index: int) -> Tuple[Clause, ClauseOrigin]:
+        at = self._start + index
+        return Clause(self._log[at]), ClauseOrigin(*self._origins[at])
+
+    def literals(self) -> Iterator[Tuple[int, ...]]:
+        """The slice's literal tuples as stored (no value objects) — the
+        incremental feed's path into ``CdclSolver.add_clause``."""
+        return islice(self._log, self._start, self._stop)
+
+
 class BmcInstance:
     """One depth-``k`` BMC SAT instance with provenance and decoding."""
 
@@ -55,7 +165,7 @@ class BmcInstance:
         unroller: "Unroller",
         k: int,
         formula: CnfFormula,
-        origins: List[ClauseOrigin],
+        origins: Sequence[ClauseOrigin],
         property_clause_index: int,
     ) -> None:
         self.unroller = unroller
@@ -131,20 +241,18 @@ class Unroller:
         self.nets_inputs = tuple(n for n in circuit.inputs if n in net_set)
         self.nets_latches = tuple(n for n in circuit.latches if n in net_set)
 
-        # Variable 0 is constant-true; clause 0 asserts it.  Clauses are
-        # stored as ready-made immutable Clause objects so that every
-        # depth-k instance assembly shares them (CnfFormula.add_clause
-        # stores Clause inputs as-is) instead of re-wrapping each tuple
-        # per depth.
+        # Variable 0 is constant-true; clause 0 asserts it.  The clause
+        # and origin logs are append-only (see the module docstring):
+        # instance views rely on entries never changing once written.
         self._num_vars = 1
-        self._clauses: List[Clause] = [Clause((mk_lit(0),))]
-        self._origins: List[ClauseOrigin] = [ClauseOrigin("const", -1, -1)]
+        self._clauses: List[Tuple[int, ...]] = [(mk_lit(0),)]
+        self._origins: List[OriginRecord] = [("const", -1, -1)]
         self._lit_cache: Dict[Tuple[int, int], int] = {}
         self._var_frame: List[int] = [-1]  # allocation frame per variable
         self._frames_built = 0
         self._vars_after_frame: List[int] = []
         self._clauses_after_frame: List[int] = []
-        # With memoize_instances, assembled BmcInstance objects are kept
+        # With memoize_instances, assembled BmcInstance views are kept
         # per depth and handed out shared.  Safe because instance(k) is
         # deterministic and consumers treat instances as read-only (the
         # solver copies clause literals into its own arena) — the basis
@@ -180,8 +288,8 @@ class Unroller:
 
     # -- frame construction ----------------------------------------------
 
-    def _add_clause(self, lits: Sequence[int], origin: ClauseOrigin) -> None:
-        self._clauses.append(Clause(tuple(lits)))
+    def _add_clause(self, lits: Sequence[int], origin: OriginRecord) -> None:
+        self._clauses.append(tuple(lits))
         self._origins.append(origin)
 
     def ensure_frames(self, k: int) -> None:
@@ -212,7 +320,7 @@ class Unroller:
                     if init is not None and self.constrain_init:
                         self._add_clause(
                             [lit if init == 1 else lit_neg(lit)],
-                            ClauseOrigin("init", net, 0),
+                            ("init", net, 0),
                         )
                 else:
                     cache[(net, frame)] = cache[(circuit.next_of(net), frame - 1)]
@@ -224,7 +332,7 @@ class Unroller:
                 base_op, negate = _ALIAS[op]
                 fanin_lits = [cache[(f, frame)] for f in circuit.fanins_of(net)]
                 out_var = self._new_var(frame)
-                origin = ClauseOrigin("gate", net, frame)
+                origin = ("gate", net, frame)
                 for clause in gate_clauses(base_op, out_var, fanin_lits):
                     self._add_clause(clause, origin)
                 lit = mk_lit(out_var)
@@ -242,16 +350,18 @@ class Unroller:
         """Variable watermark over all built frames."""
         return self._num_vars
 
-    def clauses_since(
-        self, index: int, stop: Optional[int] = None
-    ) -> List[Tuple[Tuple[int, ...], ClauseOrigin]]:
+    def clauses_since(self, index: int, stop: Optional[int] = None) -> ClauseSlice:
         """Clauses (with provenance) added at or after cumulative index
         ``index`` — the delta an incremental solver must ingest after
         ``ensure_frames`` advanced.  ``stop`` bounds the delta at a
         cumulative index (e.g. a frame watermark): a *shared* unroller
         may hold frames beyond the consumer's current depth, and feeding
-        those early would change search behaviour."""
-        return list(zip(self._clauses[index:stop], self._origins[index:stop]))
+        those early would change search behaviour.  An O(1) view of
+        ``(Clause, ClauseOrigin)`` pairs, fixed at the slice bounds of
+        the call (``stop=None`` means the clauses encoded so far)."""
+        end = len(self._clauses)
+        start, stop, _ = slice(index, stop).indices(end)
+        return ClauseSlice(self._clauses, self._origins, start, max(start, stop))
 
     def clause_watermark(self, k: int) -> int:
         """Cumulative clause count covering exactly frames ``0..k``
@@ -269,26 +379,29 @@ class Unroller:
     def origin_of_clause(self, index: int) -> ClauseOrigin:
         """Provenance of a cumulative clause index (identical to the
         incremental solver's original-clause ID)."""
-        return self._origins[index]
+        return ClauseOrigin(*self._origins[index])
 
-    def formula_up_to(self, k: int) -> Tuple[CnfFormula, List[ClauseOrigin]]:
+    def formula_up_to(self, k: int) -> Tuple[CnfFormula, OriginView]:
         """The transition formula for frames 0..k *without* any property
         clause (the k-induction engine asserts properties via
-        assumptions instead)."""
+        assumptions instead) — a view over the clause log."""
         self.ensure_frames(k)
-        num_vars = self._vars_after_frame[k]
         num_clauses = self._clauses_after_frame[k]
-        formula = CnfFormula(num_vars)
-        for lits in self._clauses[:num_clauses]:
-            formula.add_clause(lits)
-        return formula, list(self._origins[:num_clauses])
+        formula = CnfFormula.over_log(
+            self._clauses, num_clauses, self._vars_after_frame[k]
+        )
+        return formula, OriginView(self._origins, num_clauses)
 
     # -- instance assembly -------------------------------------------------
 
     def instance(self, k: int) -> BmcInstance:
         """The depth-``k`` BMC instance (deterministic for every ``k``,
         independent of what was built before; memoized when the unroller
-        was created with ``memoize_instances=True``)."""
+        was created with ``memoize_instances=True``).
+
+        O(1) after the frames exist: the formula is a view over the
+        clause log's frame-``k`` prefix, plus the property clause in the
+        view's private tail."""
         if k < 0:
             raise ValueError("depth must be non-negative")
         if self._instance_memo is not None:
@@ -296,15 +409,15 @@ class Unroller:
             if memo is not None:
                 return memo
         self.ensure_frames(k)
-        num_vars = self._vars_after_frame[k]
         num_clauses = self._clauses_after_frame[k]
-        formula = CnfFormula(num_vars)
-        for lits in self._clauses[:num_clauses]:
-            formula.add_clause(lits)
-        origins = list(self._origins[:num_clauses])
+        formula = CnfFormula.over_log(
+            self._clauses, num_clauses, self._vars_after_frame[k]
+        )
         property_lit = self.lit_of(self.property_net, k)
-        property_index = formula.add_clause([lit_neg(property_lit)])
-        origins.append(ClauseOrigin("property", self.property_net, k))
+        property_index = formula.add_clause((lit_neg(property_lit),))
+        origins = OriginView(
+            self._origins, num_clauses, (("property", self.property_net, k),)
+        )
         built = BmcInstance(self, k, formula, origins, property_index)
         if self._instance_memo is not None:
             self._instance_memo[k] = built

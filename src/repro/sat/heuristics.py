@@ -52,11 +52,16 @@ they are not wired into the experiment layer.
 
 Protocol note: the solver tells strategies which literals a backtrack
 unassigned (:meth:`DecisionStrategy.on_unassigned`) so heap strategies
-can re-insert popped variables; scan strategies ignore it.
+can re-insert popped variables; scan strategies ignore it.  A strategy
+is bound to its solver only for the length of one ``solve()`` call
+(:meth:`DecisionStrategy.attach` at search entry,
+:meth:`DecisionStrategy.detach` at exit), so strategy and solver never
+form a reference cycle.
 """
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence
 
@@ -117,10 +122,38 @@ class DecisionStrategy(ABC):
 
     def __init__(self) -> None:
         self._solver: Optional["CdclSolver"] = None
+        # Weak reference to the solver of the last detach: lets a warm
+        # re-attach recognise the same solver without keeping it alive
+        # (a dead reference never matches a newer solver, even one that
+        # reuses the freed one's address).
+        self._detached_from: Optional["weakref.ref[CdclSolver]"] = None
 
     def attach(self, solver: "CdclSolver") -> None:
-        """Bind to a solver; called once before solving starts."""
+        """Bind to a solver at the start of one search.
+
+        The solver calls this at every :meth:`CdclSolver.solve` entry
+        that reaches the search loop, and :meth:`detach` when that call
+        returns, so a strategy references its solver only while a
+        ``solve()`` runs.  The solver owns the strategy, so a binding
+        kept past ``solve()`` would be a reference cycle, leaving every
+        finished solver to the cyclic garbage collector.
+        """
         self._solver = solver
+
+    def detach(self) -> None:
+        """Release the solver bound by :meth:`attach` (solve() exit)."""
+        solver = self._solver
+        if solver is not None:
+            self._detached_from = weakref.ref(solver)
+            self._solver = None
+
+    def _rebinds(self, solver: "CdclSolver") -> bool:
+        """True when ``solver`` is the one this strategy is (or was
+        last) bound to — the warm re-attach test."""
+        if self._solver is not None:
+            return self._solver is solver
+        ref = self._detached_from
+        return ref is not None and ref() is solver
 
     @abstractmethod
     def decide(self) -> int:
@@ -158,7 +191,7 @@ class _HeapOrderStrategy(DecisionStrategy):
     def attach(self, solver: "CdclSolver") -> None:
         if (
             self.persist_activity
-            and self._solver is solver
+            and self._rebinds(solver)
             and self._heap is not None
             and len(self._kscore) == 2 * solver.num_vars
         ):
@@ -167,6 +200,7 @@ class _HeapOrderStrategy(DecisionStrategy):
             # be rebuilt (assignments changed since the last detach),
             # and the key arrays re-installed — subclasses may have
             # rebuilt theirs (ranked keys) against the same solver.
+            self._solver = solver
             truth = solver.lit_truth
             self._heap.set_key_arrays(self._key_arrays())
             self._heap.rebuild(

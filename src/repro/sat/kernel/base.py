@@ -37,6 +37,7 @@ same doubling policy).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sat.kernel.columns import ClauseLitMirror, WatchColumns
@@ -45,14 +46,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sat.solver import CdclSolver
 
 
-class BcpKernelBase:
+class _SolverBound:
+    """A kernel's back-reference to the solver that owns it.
+
+    Weak on purpose: the solver holds its kernels, so a strong
+    reference back would put every solver in a reference cycle and
+    leave its watch columns, arena and trail to the cyclic garbage
+    collector instead of freeing them when the solver is dropped.
+    """
+
+    def __init__(self, solver: "CdclSolver") -> None:
+        self._solver_ref = weakref.ref(solver)
+
+    @property
+    def solver(self) -> "CdclSolver":
+        return self._solver_ref()
+
+
+class BcpKernelBase(_SolverBound):
     """Watch-state owner and propagation seam shared by both kernels."""
 
     #: Config value selecting this kernel (subclasses override).
     name = "base"
 
     def __init__(self, solver: "CdclSolver") -> None:
-        self.solver = solver
+        super().__init__(solver)
         self.long = WatchColumns(2)
         self.bin = WatchColumns(2)
         self.tern = WatchColumns(3)
@@ -137,7 +155,7 @@ class BcpKernelBase:
         }
 
 
-class AnalyzeKernelBase:
+class AnalyzeKernelBase(_SolverBound):
     """The conflict-analysis seam: what an analysis backend owes the solver.
 
     An *analysis kernel* runs the first-UIP resolution loop — and only
@@ -191,7 +209,7 @@ class AnalyzeKernelBase:
     name = "base"
 
     def __init__(self, solver: "CdclSolver") -> None:
-        self.solver = solver
+        super().__init__(solver)
         self.mirror = ClauseLitMirror()
 
     # -- mirror bookkeeping (no-ops for the pure-Python kernel) ------------

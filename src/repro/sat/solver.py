@@ -101,6 +101,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -601,9 +602,6 @@ class CdclSolver:
         # hot path.
         self._trace = None
         self._trace_mark = 0
-        # Lazy index of the constructor formula's literal tuples (model
-        # checking); references the formula's own immutable tuples.
-        self._formula_literal_index: Optional[List[Tuple[int, ...]]] = None
         self._assumptions: List[int] = []
         self.failed_assumptions: Optional[frozenset] = None
         # Implications derived while installing clauses (eager level-0
@@ -836,8 +834,7 @@ class CdclSolver:
         # hoisted limit keeps the guard O(1) per clause.
         word_limit = arena.word_limit
         words = len(adata)
-        for clause in self._formula.clauses:
-            lits = clause.literals
+        for lits in self._formula.iter_literals():
             n = len(lits)
             taut = False
             if n == 2:
@@ -2121,6 +2118,10 @@ class CdclSolver:
                 trace.end(_TRACE_STATUS[outcome.status])
         finally:
             self._solving = False
+            # The strategy holds the solver only inside solve(): a
+            # binding kept past it would be a strategy <-> solver cycle,
+            # freed by the cyclic collector instead of by refcount.
+            self.strategy.detach()
             if self._akernel is not None:
                 # Release cached fused-step views so between-solve
                 # mutations (ensure_num_vars, add_clause) never hit a
@@ -2636,21 +2637,16 @@ class CdclSolver:
 
     def _model_check(self, model: List[int]) -> bool:
         # Constructor clauses are checked against the formula's own
-        # immutable literal tuples: iterating cached tuple refs with an
+        # immutable literal tuples: iterating stored tuple refs with an
         # early break is markedly faster in CPython than re-boxing the
         # same literals out of the arena, and the raw formula is
         # exactly what the model must satisfy (tautologies hold both
         # phases of a var, so any model passes them; an empty clause
-        # falls through its loop and fails).  The tuple index is built
-        # on the first SAT answer and holds references the formula
-        # already owns.  Only originals added through the incremental
-        # interface live solely in the arena.
-        index = self._formula_literal_index
-        if index is None:
-            index = self._formula_literal_index = [
-                clause.literals for clause in self._formula.clauses
-            ]
-        for lits in index:
+        # falls through its loop and fails).  Bounded at the install
+        # count: clauses added to the formula after construction are
+        # not the solver's.  Only originals added through the
+        # incremental interface live solely in the arena.
+        for lits in islice(self._formula.iter_literals(), self._num_initial):
             for lit in lits:
                 if model[lit >> 1] ^ (lit & 1):
                     break

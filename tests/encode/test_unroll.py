@@ -5,8 +5,11 @@ import itertools
 import pytest
 
 from repro.circuit import Circuit, GateOp, words
+from repro.cnf import CnfFormula
 from repro.encode import Unroller
+from repro.encode.unroll import ClauseOrigin
 from repro.sat import CdclSolver
+from repro.workloads import instance_by_name
 from tests.conftest import brute_force_sat
 
 
@@ -211,3 +214,124 @@ class TestVarFrames:
         instance = Unroller(c, prop).instance(1)
         with pytest.raises(ValueError):
             instance.lit_of(en, 5)
+
+
+def _copied(cold: Unroller, k: int):
+    """The copy path instances used to take: a fresh formula filled one
+    validated clause at a time from an unroller that has encoded exactly
+    frames ``0..k``, the property clause appended last, and a plain list
+    of origins."""
+    cold.ensure_frames(k)
+    assert cold.clause_watermark(k) == cold.num_encoded_clauses
+    formula = CnfFormula(cold.var_watermark(k))
+    origins = []
+    for clause, origin in cold.clauses_since(0):
+        formula.add_clause(list(clause.literals))
+        origins.append(origin)
+    prop_lit = cold.lit_of(cold.property_net, k)
+    prop_index = formula.add_clause([prop_lit ^ 1])
+    origins.append(ClauseOrigin("property", cold.property_net, k))
+    return formula, origins, prop_index
+
+
+def _literal_lists(formula):
+    return [tuple(c.literals) for c in formula.clauses]
+
+
+class TestInstanceViews:
+    """Depth instances are O(1) views over the unroller's append-only
+    clause log; they must equal the copy path clause for clause, even on
+    a shared unroller that has already encoded frames beyond ``k``."""
+
+    MAX_DEPTH = 7
+
+    @pytest.fixture(params=[False, True], ids=["full", "coi"])
+    def circuit_and_prop(self, request):
+        circuit, prop = instance_by_name("01_b").build()
+        return circuit, prop, request.param
+
+    def _shared(self, circuit, prop, coi):
+        shared = Unroller(circuit, prop, use_coi=coi, memoize_instances=True)
+        shared.ensure_frames(self.MAX_DEPTH)
+        return shared
+
+    def test_instance_equals_copy_path_at_every_depth(self, circuit_and_prop):
+        circuit, prop, coi = circuit_and_prop
+        shared = self._shared(circuit, prop, coi)
+        for k in range(self.MAX_DEPTH + 1):
+            view = shared.instance(k)
+            formula, origins, prop_index = _copied(
+                Unroller(circuit, prop, use_coi=coi), k
+            )
+            assert view.formula.num_vars == formula.num_vars
+            assert view.formula.num_clauses == formula.num_clauses
+            assert _literal_lists(view.formula) == _literal_lists(formula)
+            assert [
+                view.formula.clause(i) for i in range(formula.num_clauses)
+            ] == list(formula.clauses)
+            assert view.property_clause_index == prop_index
+            assert view.formula.num_literals() == formula.num_literals()
+            assert list(view.origins) == origins
+            assert view.origins == origins
+            assert [
+                view.origin_of(i) for i in range(formula.num_clauses)
+            ] == origins
+            assert view.origins[-1] == origins[-1]
+            assert view.origins[2:5] == origins[2:5]
+
+    def test_formula_up_to_and_clauses_since_equal_copy_path(
+        self, circuit_and_prop
+    ):
+        circuit, prop, coi = circuit_and_prop
+        shared = self._shared(circuit, prop, coi)
+        for k in range(self.MAX_DEPTH + 1):
+            formula, origins, _ = _copied(Unroller(circuit, prop, use_coi=coi), k)
+            up_to, up_to_origins = shared.formula_up_to(k)
+            assert up_to.num_vars == formula.num_vars
+            assert _literal_lists(up_to) == _literal_lists(formula)[:-1]
+            assert list(up_to_origins) == origins[:-1]
+            stop = shared.clause_watermark(k)
+            start = shared.clause_watermark(k - 1) if k else 0
+            delta = shared.clauses_since(start, stop)
+            expected = [
+                (formula.clause(i), origins[i]) for i in range(start, stop)
+            ]
+            assert list(delta) == expected
+            assert delta == expected
+            assert list(delta.literals()) == [c.literals for c, _ in expected]
+            assert [
+                shared.origin_of_clause(i) for i in range(stop)
+            ] == origins[:-1]
+
+    def test_clauses_since_is_fixed_at_call_time(self):
+        circuit, prop = instance_by_name("01_b").build()
+        unroller = Unroller(circuit, prop)
+        unroller.ensure_frames(1)
+        delta = unroller.clauses_since(0)
+        size = len(delta)
+        unroller.ensure_frames(3)
+        assert len(delta) == size
+        assert len(list(delta.literals())) == size
+        assert len(unroller.clauses_since(0)) > size
+
+    def test_views_never_write_into_the_shared_log(self):
+        circuit, prop = instance_by_name("01_b").build()
+        shared = Unroller(circuit, prop)
+        shared.ensure_frames(self.MAX_DEPTH)
+        encoded = shared.num_encoded_clauses
+        before = _literal_lists(shared.instance(2).formula)
+        instance = shared.instance(2)
+        dup = instance.formula.copy()
+        up_to, _ = shared.formula_up_to(2)
+        for formula in (instance.formula, dup, up_to):
+            formula.add_clause([2])
+            formula.add_clause([formula.new_var() * 2])
+        assert shared.num_encoded_clauses == encoded
+        assert _literal_lists(shared.instance(2).formula) == before
+        assert shared.formula_up_to(2)[0].num_clauses == len(before) - 1
+        assert instance.formula.num_clauses == len(before) + 2
+        assert dup.num_clauses == len(before) + 2
+        # the copy and the original no longer see each other's tails
+        instance.formula.add_clause([3])
+        assert dup.num_clauses == len(before) + 2
+        assert instance.formula.literals(-1) == (3,)

@@ -100,3 +100,61 @@ def test_json_indent_round_trips():
     assert json.loads(render_json(reg, indent=2)) == json.loads(
         render_json(reg)
     )
+
+
+#: The collector series one two-depth BMC run publishes at its depth
+#: boundaries, from scripted ``gc.get_stats()`` counts: run start, then
+#: one read per depth.  Deltas only — generation 2 ran once and freed
+#: nothing.
+GC_COUNTS = [
+    [(100, 4000), (9, 50), (1, 0)],
+    [(130, 4000), (11, 58), (1, 0)],
+    [(131, 4002), (11, 58), (2, 0)],
+]
+
+GC_PROMETHEUS_GOLDEN = """\
+# HELP python_gc_collected_total Objects the cyclic garbage collector freed, per generation.
+# TYPE python_gc_collected_total counter
+python_gc_collected_total{generation="0",row="toy"} 2
+python_gc_collected_total{generation="1",row="toy"} 8
+python_gc_collected_total{generation="2",row="toy"} 0
+# HELP python_gc_collections_total Cyclic garbage collector runs, per generation.
+# TYPE python_gc_collections_total counter
+python_gc_collections_total{generation="0",row="toy"} 31
+python_gc_collections_total{generation="1",row="toy"} 2
+python_gc_collections_total{generation="2",row="toy"} 1
+"""
+
+
+def _gc_series(text: str) -> str:
+    return "".join(
+        line for line in text.splitlines(keepends=True) if "python_gc_" in line
+    )
+
+
+def test_depth_boundary_collector_golden(monkeypatch):
+    from repro.bmc import engine as engine_module
+    from repro.bmc.engine import BmcEngine
+    from repro.circuit import Circuit
+    from repro.sat import SolverConfig
+
+    circuit = Circuit("toggle")
+    en = circuit.add_input("en")
+    q = circuit.add_latch("q", init=0)
+    circuit.set_next(q, circuit.g_xor(q, en))
+    prop = circuit.g_not(circuit.g_and(q, en), name="prop")
+
+    scripted = iter(GC_COUNTS)
+    monkeypatch.setattr(engine_module, "_gc_counts", lambda: next(scripted))
+    reg = MetricsRegistry()
+    config = SolverConfig(metrics=reg, metrics_labels={"row": "toy"})
+    result = BmcEngine(circuit, prop, max_depth=1, solver_config=config).run()
+    assert [d.status for d in result.per_depth] == ["unsat", "sat"]
+    assert next(scripted, None) is None  # one read per boundary, no more
+    assert _gc_series(render_prometheus(reg)) == GC_PROMETHEUS_GOLDEN
+    doc = json.loads(render_json(reg))
+    assert doc["python_gc_collections_total"]["samples"] == [
+        {"labels": {"generation": "0", "row": "toy"}, "value": 31},
+        {"labels": {"generation": "1", "row": "toy"}, "value": 2},
+        {"labels": {"generation": "2", "row": "toy"}, "value": 1},
+    ]

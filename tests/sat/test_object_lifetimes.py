@@ -1,0 +1,191 @@
+"""Object lifetimes on the BMC depth loop: nothing leaks into cycles.
+
+Every depth builds a fresh solver, and a solver that sits in a reference
+cycle survives its depth until a full (generation-2) collection frees
+it — with its watch lists, arena and heap.  These tests run each engine
+flavour with the cyclic collector off and ``gc.DEBUG_SAVEALL`` on, then
+collect once: anything the collector finds unreachable lands in
+``gc.garbage``, and no solver, strategy, kernel, watch column or engine
+may be among it.  The native plane runs when the C kernel can be built.
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+from contextlib import contextmanager
+
+import pytest
+
+from repro.bmc.cnf_cache import EncodingCache
+from repro.bmc.engine import BmcEngine
+from repro.bmc.incremental import IncrementalBmcEngine
+from repro.bmc.portfolio import IncrementalPortfolioBmc
+from repro.experiments.runner import make_engine
+from repro.sat.heuristics import DecisionStrategy, RankedStrategy, VsidsStrategy
+from repro.sat.kernel import (
+    AnalyzeKernelBase,
+    BcpKernelBase,
+    WatchColumns,
+    native_available,
+)
+from repro.sat.solver import CdclSolver, SolverConfig
+from repro.sat.types import SolveResult
+from repro.workloads import instance_by_name
+from repro.workloads.cnf_families import pigeonhole
+
+PLANES = ["legacy", "python"] + (["native"] if native_available() else [])
+
+#: Engine flavours: the one-shot strategies through ``make_engine``, the
+#: incremental engine, and the deterministic epoch-barrier portfolio.
+FLAVOURS = [
+    "bmc",
+    "static",
+    "dynamic",
+    "shtrichman",
+    "berkmin",
+    "incremental",
+    "portfolio",
+]
+
+#: A failing row (counterexample at depth 7): every flavour runs UNSAT
+#: depths, a SAT depth and the trace decode.
+ROW = "01_b"
+
+FORBIDDEN = (
+    CdclSolver,
+    DecisionStrategy,
+    BcpKernelBase,
+    AnalyzeKernelBase,
+    WatchColumns,
+    BmcEngine,
+    IncrementalBmcEngine,
+    IncrementalPortfolioBmc,
+)
+
+
+@contextmanager
+def saved_cyclic_garbage():
+    """Run the body with the collector off and DEBUG_SAVEALL on; yields
+    a list that, on exit, holds what one collection found unreachable."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    del gc.garbage[:]
+    found = []
+    try:
+        yield found
+        gc.collect()
+        found.extend(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+        if was_enabled:
+            gc.enable()
+
+
+def _run(flavour: str, plane: str) -> None:
+    row = instance_by_name(ROW)
+    config = SolverConfig(bcp_backend=plane, analyze_backend=plane)
+    cache = EncodingCache()
+    if flavour == "incremental":
+        circuit, prop, unroller = cache.unroller_for(row)
+        engine = IncrementalBmcEngine(
+            circuit, prop, max_depth=row.max_depth, mode="dynamic",
+            solver_config=config, unroller=unroller,
+        )
+    else:
+        engine = make_engine(
+            row, flavour, solver_config=config, encoding_cache=cache,
+            portfolio_opts={"deterministic": True},
+        )
+    result = engine.run()
+    assert result.status.value == "failed"
+    assert result.trace.depth == row.cex_depth
+
+
+def _leaked(found):
+    return sorted({type(obj).__name__ for obj in found if isinstance(obj, FORBIDDEN)})
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_KERNEL_NATIVE_REQUIRED"),
+    reason="the native plane is optional outside the kernel CI job",
+)
+def test_native_plane_is_covered():
+    assert "native" in PLANES
+
+
+@pytest.mark.parametrize("plane", PLANES)
+@pytest.mark.parametrize("flavour", FLAVOURS)
+def test_no_solver_strategy_kernel_or_engine_in_cyclic_garbage(flavour, plane):
+    with saved_cyclic_garbage() as found:
+        _run(flavour, plane)
+    assert _leaked(found) == []
+
+
+@pytest.mark.parametrize("plane", PLANES)
+def test_standalone_solver_is_freed_by_refcount(plane):
+    config = SolverConfig(bcp_backend=plane, analyze_backend=plane)
+    with saved_cyclic_garbage() as found:
+        strategy = RankedStrategy({0: 1.0}, dynamic=True)
+        solver = CdclSolver(pigeonhole(4), strategy=strategy, config=config)
+        assert solver.solve().status is SolveResult.UNSAT
+        del solver
+        del strategy
+    assert _leaked(found) == []
+
+
+class TestWarmReattach:
+    """``persist_activity`` keeps scores across solves on one solver,
+    recognised through a weak reference once ``solve()`` has released
+    the solver."""
+
+    @staticmethod
+    def _solved(strategy: VsidsStrategy, solver: CdclSolver) -> None:
+        solver.solve(strategy=strategy)
+        assert strategy._solver is None  # released at solve() exit
+
+    @staticmethod
+    def _bump(strategy: VsidsStrategy) -> None:
+        # A marker the warm path keeps and the cold path re-seeds away.
+        strategy._kinc = 64.0
+
+    def test_same_solver_takes_the_warm_path(self):
+        strategy = VsidsStrategy()
+        strategy.persist_activity = True
+        solver = CdclSolver(pigeonhole(3))
+        self._solved(strategy, solver)
+        heap = strategy._heap
+        self._bump(strategy)
+        strategy.attach(solver)
+        assert strategy._heap is heap
+        assert strategy._kinc == 64.0
+
+    def test_other_solver_takes_the_cold_path(self):
+        strategy = VsidsStrategy()
+        strategy.persist_activity = True
+        first = CdclSolver(pigeonhole(3))
+        second = CdclSolver(pigeonhole(3))
+        self._solved(strategy, first)
+        heap = strategy._heap
+        self._bump(strategy)
+        strategy.attach(second)
+        assert strategy._heap is not heap
+        assert strategy._kinc == 1.0
+
+    def test_solver_created_after_the_first_was_freed_is_cold(self):
+        strategy = VsidsStrategy()
+        strategy.persist_activity = True
+        first = CdclSolver(pigeonhole(3))
+        self._solved(strategy, first)
+        ref = strategy._detached_from
+        del first
+        assert ref() is None  # freed by refcount, not kept by the strategy
+        heap = strategy._heap
+        self._bump(strategy)
+        second = CdclSolver(pigeonhole(3))
+        strategy.attach(second)
+        assert strategy._heap is not heap
+        assert strategy._kinc == 1.0
