@@ -13,14 +13,17 @@ inner loops from the BMC layer:
 * ``pigeonhole`` — PHP(8) under a conflict budget: conflict-analysis and
   learned-clause-DB heavy, exercising clause deletion and activity
   bookkeeping over fixed work.
-* ``decision_overhead`` — PR 3's decision-engine microbenchmark, see
+* ``decision_overhead`` — the decision-engine microbenchmark, see
   below.
-* ``kernel_bcp`` / ``kernel_analyze`` — the pluggable-kernel planes
-  (PR 7 / PR 9) measured across every available backend side by side:
-  the pure-BCP ladder per propagation backend, and the conflict-heavy
-  PHP kernel per conflict-analysis backend (with the fused native
-  propagate-then-analyze step), each reporting throughput ratios
-  against the legacy in-solver loops of the same run.
+* ``kernel_bcp`` / ``kernel_analyze`` — the two kernels (python and
+  native) measured side by side: the pure-BCP ladder, and the
+  conflict-heavy PHP kernel (native runs the fused
+  propagate-then-analyze step), each reporting the native/python
+  throughput ratio of the same run.
+
+Every other workload runs under one kernel, ``--kernel`` (default
+``python``: the reference, available on every host, and the kernel the
+checked-in smoke baseline is calibrated on).
 
 Each sample also reports conflict-analysis quality: learned-clause
 counts, mean learned-clause length (pre- and post-minimization), and how
@@ -39,21 +42,10 @@ propagation work — is embedded in a large padding variable space
 (75 000 extra variables in a binary chain that never propagates, since
 its variables are never decided).  Per conflict, the only cost that
 *scales with instance size* is order maintenance, so the measured
-decision rate tracks the decision engine's complexity: the scan-order
-machinery pays an O(n) pointer rescan and, on every periodic score
-update, a full stable sort over the ``2n`` literal space, while the
-activity heap pays O(log n) per decision and re-keys only bumped
-literals.  ``update_period=32`` amplifies the decay frequency so the
-order-maintenance term dominates the (deliberately tiny) kernel cost —
-the ordering semantics are unchanged (heap and scan run byte-identical
-searches, see ``tests/properties/test_solver_differential.py``).
-
-The workload is measured twice — once with the production
-:class:`~repro.sat.heuristics.VsidsStrategy` (heap) and once with the
-retained :class:`~repro.sat.heuristics.ScanOrderVsidsStrategy`
-reference — and the emitted JSON carries the heap/scan decision-rate
-ratio as ``decision_overhead_vs_scan`` (the PR 3 acceptance bar is
->= 2x).
+decision rate tracks the decision engine's complexity: the activity
+heap pays O(log n) per decision and re-keys only bumped literals.
+``update_period=32`` amplifies the decay frequency so the
+order-maintenance term dominates the (deliberately tiny) kernel cost.
 
 Fuzzer seeds
 ------------
@@ -90,7 +82,10 @@ does not compare absolute rates: both sides are normalized by the
 ``bcp_ladder`` throughput of the *same* run (pure BCP, no conflict
 analysis), so host speed cancels and only the conflict-analysis cost
 relative to raw BCP is guarded.  A uniform slowdown that hits BCP and
-conflict analysis equally is out of this gate's scope by design.
+conflict analysis equally is out of this gate's scope by design.  The
+calibration and every gated workload run on the python kernel
+(``--kernel python``, the default), so the gate means the same thing on
+hosts with and without a C compiler.
 """
 
 from __future__ import annotations
@@ -110,25 +105,14 @@ from repro.sat import (
     CdclSolver,
     PortfolioMember,
     PortfolioSolver,
-    ScanOrderVsidsStrategy,
     SolverConfig,
     VsidsStrategy,
 )
 
-#: Clause-arena element store applied to every workload config
-#: (``--arena-storage``; see ``SolverConfig.arena_storage``).
-ARENA_STORAGE = "fast"
-
-#: BCP backend applied to every workload config (``--bcp-backend``;
-#: see ``SolverConfig.bcp_backend``).  The ``kernel_bcp`` workload
-#: ignores this and measures all backends side by side.
-BCP_BACKEND = "legacy"
-
-#: Conflict-analysis backend applied to every workload config
-#: (``--analyze-backend``; see ``SolverConfig.analyze_backend``).  The
-#: ``kernel_analyze`` workload ignores this and measures all backends
-#: side by side.
-ANALYZE_BACKEND = "legacy"
+#: Kernel applied to every workload config (``--kernel``; see
+#: ``SolverConfig.kernel``).  The ``kernel_bcp``/``kernel_analyze``
+#: workloads ignore this and measure both kernels side by side.
+KERNEL = "python"
 
 
 def implication_ladder(length: int) -> CnfFormula:
@@ -180,7 +164,7 @@ DECISION_OVERHEAD_PERIOD = 32
 #: name -> (formula builder, solver config[, strategy factory]).
 #: Conflict budgets make the random workload fixed-work so rates are
 #: comparable across solvers.  The optional third element selects a
-#: non-default decision strategy (used by the decision_overhead pair).
+#: non-default decision strategy (used by decision_overhead).
 WORKLOADS: Dict[str, Callable[[], tuple]] = {
     "bcp_ladder": lambda: (implication_ladder(60000), SolverConfig(record_cdg=False)),
     "random_3cnf": lambda: (
@@ -195,11 +179,6 @@ WORKLOADS: Dict[str, Callable[[], tuple]] = {
         kernel_in_padding(7, 75000),
         SolverConfig(record_cdg=False, max_conflicts=3000),
         lambda: VsidsStrategy(update_period=DECISION_OVERHEAD_PERIOD),
-    ),
-    "decision_overhead_scanorder": lambda: (
-        kernel_in_padding(7, 75000),
-        SolverConfig(record_cdg=False, max_conflicts=3000),
-        lambda: ScanOrderVsidsStrategy(update_period=DECISION_OVERHEAD_PERIOD),
     ),
 }
 
@@ -218,10 +197,7 @@ def measure_workload(name: str, repeat: int) -> Dict[str, float]:
     for _ in range(repeat):
         spec = WORKLOADS[name]()
         formula, config = spec[0], spec[1]
-        config = replace(
-            config, arena_storage=ARENA_STORAGE, bcp_backend=BCP_BACKEND,
-            analyze_backend=ANALYZE_BACKEND,
-        )
+        config = replace(config, kernel=KERNEL)
         strategy = spec[2]() if len(spec) > 2 else None
         solver = CdclSolver(formula, strategy=strategy, config=config)
         gc.collect()
@@ -321,9 +297,7 @@ def measure_portfolio_race(repeat: int) -> Dict[str, float]:
     def formula():
         return pigeonhole(PORTFOLIO_HOLES)
 
-    base = replace(
-        SolverConfig(record_cdg=False), arena_storage=ARENA_STORAGE
-    )
+    base = SolverConfig(record_cdg=False, kernel=KERNEL)
     solo_best = None
     for member in PORTFOLIO_MEMBERS:
         for _ in range(repeat):
@@ -402,27 +376,26 @@ def measure_portfolio_race(repeat: int) -> Dict[str, float]:
 
 
 def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
-    """The ``kernel_bcp`` workload: the pure-BCP ladder under every
-    available propagation backend, side by side.
+    """The ``kernel_bcp`` workload: the pure-BCP ladder under both
+    kernels, side by side.
 
     The searches are byte-identical (pinned by the differential
-    fuzzer's backend legs), so the per-backend rates are the same work
-    at different data-plane costs and their ratios are
+    fuzzer's kernel legs), so the per-kernel rates are the same work
+    at different data-plane costs and their ratio is
     hardware-independent.  Reported:
 
-    * ``propagations_per_sec`` — the *python* kernel's rate.  This is
-      the smoke-gated metric: normalized by the same run's legacy
-      ``bcp_ladder`` rate it guards the flat-column kernel staying
-      within a constant factor of the tuple-table loop.
-    * ``python_vs_legacy`` / ``native_vs_legacy`` — throughput ratios
-      against the legacy loop measured in this same run (the PR 7
-      acceptance bars: python >= 0.9x, native >= 2.0x).
-      ``native_vs_legacy`` is 0.0 on hosts that cannot build the
-      native kernel (no cffi / no C compiler) — reported, not failed.
+    * ``propagations_per_sec`` — the *python* kernel's rate with
+      ``check_model`` off (the smoke-gated metric; normalized by the
+      same run's ``bcp_ladder`` rate it guards the ladder's fixed
+      install and model-check costs staying small next to the scan).
+    * ``native_vs_python`` — the native kernel's throughput over the
+      python kernel's in this same run.  0.0 on hosts that cannot
+      build the native kernel (no cffi / no C compiler) — reported,
+      not failed.
     * ``trace_on_propagations_per_sec`` / ``trace_overhead`` — the same
       python-kernel workload with binary trace telemetry
-      (``SolverConfig.trace_path``, PR 8) writing to a temp file, and
-      its throughput as a fraction of the tracing-off rate.  Reported
+      (``SolverConfig.trace_path``) writing to a temp file, and its
+      throughput as a fraction of the tracing-off rate.  Reported
       only; the *gated* metric is the tracing-off rate, so the smoke
       gate prices the disabled path (one ``is not None`` per event
       site) staying within noise of the pre-trace baseline.
@@ -430,11 +403,9 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
       throughput and trace density for the tracing-on leg.
     * ``metrics_on_propagations_per_sec`` / ``metrics_overhead`` — the
       same python-kernel workload with the full observability plane on
-      (a live ``MetricsRegistry`` plus ``profile_access`` counting,
-      PR 10), and its throughput as a fraction of the plain rate.
-      Reported only, like the trace leg: the gated metric is the
-      observability-off rate, so the gate prices the disabled path
-      (``self._profile is None`` checks at the flush sites).
+      (a live ``MetricsRegistry`` plus ``profile_access`` counting),
+      and its throughput as a fraction of the plain rate.  Reported
+      only, like the trace leg.
     """
     import gc
     import os
@@ -443,29 +414,27 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
     from repro.metrics import MetricsRegistry
     from repro.sat.kernel import native_available
 
-    backends = ["legacy", "python"]
-    if native_available():
-        backends.append("native")
-    legs = backends + ["trace", "metrics"]
+    kernels = ["python"] + (["native"] if native_available() else [])
+    legs = kernels + ["trace", "metrics"]
     tmp = tempfile.NamedTemporaryFile(suffix=".rtrc", delete=False)
     tmp.close()
     rates: Dict[str, Dict[str, float]] = {}
     try:
         # One solve is only ~tens of ms, so rounds are cheap; run the
-        # backends back to back inside each round (instead of a block per
-        # backend) so load drift on a busy machine hits every backend of a
+        # kernels back to back inside each round (instead of a block per
+        # kernel) so load drift on a busy machine hits every kernel of a
         # round alike and the best-of ratios stay stable.
         for _ in range(max(repeat, 5)):
             for leg in legs:
-                backend = "python" if leg in ("trace", "metrics") else leg
+                kernel = "python" if leg in ("trace", "metrics") else leg
                 formula = implication_ladder(60000)
                 # check_model=False: the workload isolates the propagation
                 # data plane, and the O(formula) model sweep would dilute
-                # every backend's rate by the same additive constant.
-                config = replace(
-                    SolverConfig(record_cdg=False, check_model=False),
-                    arena_storage=ARENA_STORAGE,
-                    bcp_backend=backend,
+                # every kernel's rate by the same additive constant.
+                config = SolverConfig(
+                    record_cdg=False,
+                    check_model=False,
+                    kernel=kernel,
                     trace_path=tmp.name if leg == "trace" else None,
                     metrics=MetricsRegistry() if leg == "metrics" else None,
                     profile_access=(leg == "metrics"),
@@ -496,7 +465,6 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
     finally:
         trace_bytes = rates.get("trace", {}).get("trace_bytes", 0.0)
         os.unlink(tmp.name)
-    legacy_rate = rates["legacy"]["propagations_per_sec"]
     python_rate = rates["python"]["propagations_per_sec"]
     native_rate = rates.get("native", {}).get("propagations_per_sec", 0.0)
     trace_rate = rates["trace"]["propagations_per_sec"]
@@ -511,10 +479,8 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
         "propagations": rates["python"]["propagations"],
         "decisions_per_sec": 0.0,
         "propagations_per_sec": python_rate,
-        "legacy_propagations_per_sec": legacy_rate,
         "native_propagations_per_sec": native_rate,
-        "python_vs_legacy": python_rate / legacy_rate if legacy_rate else 0.0,
-        "native_vs_legacy": native_rate / legacy_rate if legacy_rate else 0.0,
+        "native_vs_python": native_rate / python_rate if python_rate else 0.0,
         "native_available": float(native_rate > 0.0),
         "trace_on_propagations_per_sec": trace_rate,
         "trace_overhead": trace_rate / python_rate if python_rate else 0.0,
@@ -541,26 +507,32 @@ ANALYZE_HOLES = 10
 ANALYZE_CONFLICTS = 8000
 
 
+def _analyze_config(kernel: str) -> SolverConfig:
+    # check_model=False: the budget-capped solve ends UNKNOWN and the
+    # workload isolates the conflict pipeline anyway.
+    return SolverConfig(
+        record_cdg=False, check_model=False,
+        max_conflicts=ANALYZE_CONFLICTS, kernel=kernel,
+    )
+
+
 def _measure_analyze_split() -> Dict[str, float]:
-    """One instrumented legacy solve of the ``kernel_analyze`` instance:
-    wrap ``_propagate`` and ``_analyze`` with wall-clock accumulators to
-    report how the solve splits between propagation, first-UIP analysis
-    and everything else (decide / backtrack / install).  The per-call
+    """One instrumented python-kernel solve of the ``kernel_analyze``
+    instance: wrap the kernels' ``propagate`` and ``analyze`` with
+    wall-clock accumulators to report how the solve splits between
+    propagation, the first-UIP walk and everything else (analysis
+    tail / decide / backtrack / install).  The per-call
     ``perf_counter`` overhead inflates the instrumented wall time, so
     the fractions are reported from this solve while the throughput
     legs time clean solves."""
-    formula = pigeonhole(ANALYZE_HOLES)
-    config = replace(
-        SolverConfig(
-            record_cdg=False, check_model=False,
-            max_conflicts=ANALYZE_CONFLICTS,
-        ),
-        arena_storage=ARENA_STORAGE,
+    solver = CdclSolver(
+        pigeonhole(ANALYZE_HOLES), config=_analyze_config("python")
     )
-    solver = CdclSolver(formula, config=config)
     acc = {"propagate": 0.0, "analyze": 0.0}
-    orig_propagate = solver._propagate
-    orig_analyze = solver._analyze
+    kernel = solver._kernel
+    akernel = solver._akernel
+    orig_propagate = kernel.propagate
+    orig_analyze = akernel.analyze
 
     def timed_propagate():
         start = time.perf_counter()
@@ -574,8 +546,10 @@ def _measure_analyze_split() -> Dict[str, float]:
         acc["analyze"] += time.perf_counter() - start
         return result
 
-    solver._propagate = timed_propagate
-    solver._analyze = timed_analyze
+    # Instance attributes shadow the methods; the search loop binds
+    # them at solve() entry.
+    kernel.propagate = timed_propagate
+    akernel.analyze = timed_analyze
     start = time.perf_counter()
     solver.solve()
     total = time.perf_counter() - start
@@ -587,53 +561,37 @@ def _measure_analyze_split() -> Dict[str, float]:
 
 def measure_kernel_analyze(repeat: int) -> Dict[str, float]:
     """The ``kernel_analyze`` workload: the conflict-heavy PHP kernel
-    under every available conflict-analysis backend, side by side.
+    under both kernels, side by side.
 
     The searches are byte-identical (pinned by the differential
-    fuzzer's analysis legs), so the per-backend *conflict* rates are
-    the same first-UIP work at different plane costs.  Three legs:
+    fuzzer's kernel legs), so the per-kernel *conflict* rates are the
+    same first-UIP work at different plane costs.  Two legs:
 
-    * ``legacy`` — the in-solver ``_propagate``/``_analyze`` loops.
-    * ``python`` — ``analyze_backend="python"`` over the legacy data
-      plane: the seam's pure-Python kernel.  Its conflict throughput is
-      the smoke-gated metric (bar: >= 0.9x legacy, BCP-normalized).
-    * ``native`` — the fused plane (``bcp_backend="native"`` +
-      ``analyze_backend="native"``): one FFI call propagates and, on
+    * ``python`` — the pure-Python BCP and analysis kernels.  Its
+      conflict throughput is the smoke-gated metric (BCP-normalized).
+    * ``native`` — the fused step: one FFI call propagates and, on
       conflict, runs first-UIP without re-crossing the boundary.
-      ``native_vs_legacy`` is the PR acceptance bar (>= 2.0x conflict
-      throughput), reported-not-gated so CI hosts without a C compiler
-      pass cleanly (0.0 when the kernel cannot build).
+      ``native_vs_python`` is reported, not gated, so CI hosts
+      without a C compiler pass cleanly (0.0 when the kernel cannot
+      build).
 
     ``propagate_wall_fraction`` / ``analyze_wall_fraction`` report the
-    legacy solve's propagate-vs-analyze wall split (from one
-    instrumented solve; see :func:`_measure_analyze_split`) — the
-    ceiling on what any analysis-plane-only speedup can deliver.
+    python solve's propagate-vs-walk wall split (from one instrumented
+    solve; see :func:`_measure_analyze_split`).
     """
     import gc
 
     from repro.sat.kernel import native_available
 
-    legs = [("legacy", "legacy", "legacy"), ("python", "legacy", "python")]
-    if native_available():
-        legs.append(("native", "native", "native"))
+    legs = ["python"] + (["native"] if native_available() else [])
     rates: Dict[str, Dict[str, float]] = {}
     # Back-to-back legs per round (same rationale as kernel_bcp): load
-    # drift hits every backend of a round alike.
+    # drift hits every kernel of a round alike.
     for _ in range(max(repeat, 5)):
-        for leg, bcp, analyze in legs:
-            formula = pigeonhole(ANALYZE_HOLES)
-            # check_model=False: the budget-capped solve ends UNKNOWN
-            # and the workload isolates the conflict pipeline anyway.
-            config = replace(
-                SolverConfig(
-                    record_cdg=False, check_model=False,
-                    max_conflicts=ANALYZE_CONFLICTS,
-                ),
-                arena_storage=ARENA_STORAGE,
-                bcp_backend=bcp,
-                analyze_backend=analyze,
+        for leg in legs:
+            solver = CdclSolver(
+                pigeonhole(ANALYZE_HOLES), config=_analyze_config(leg)
             )
-            solver = CdclSolver(formula, config=config)
             gc.collect()
             gc_was_enabled = gc.isenabled()
             gc.disable()
@@ -660,7 +618,7 @@ def measure_kernel_analyze(repeat: int) -> Dict[str, float]:
          r["learned_clauses"])
         for r in rates.values()
     }
-    assert len(work) == 1, f"analysis backends diverged: {rates}"
+    assert len(work) == 1, f"kernels diverged: {rates}"
     split = _measure_analyze_split()
 
     def conflict_rate(leg: str) -> float:
@@ -669,7 +627,6 @@ def measure_kernel_analyze(repeat: int) -> Dict[str, float]:
             return 0.0
         return sample["conflicts"] / sample["time_s"]
 
-    legacy_rate = conflict_rate("legacy")
     python_rate = conflict_rate("python")
     native_rate = conflict_rate("native")
     python_sample = rates["python"]
@@ -687,10 +644,8 @@ def measure_kernel_analyze(repeat: int) -> Dict[str, float]:
             if python_sample["time_s"] else 0.0
         ),
         "conflicts_per_sec": python_rate,
-        "legacy_conflicts_per_sec": legacy_rate,
         "native_conflicts_per_sec": native_rate,
-        "python_vs_legacy": python_rate / legacy_rate if legacy_rate else 0.0,
-        "native_vs_legacy": native_rate / legacy_rate if legacy_rate else 0.0,
+        "native_vs_python": native_rate / python_rate if python_rate else 0.0,
         "native_available": float(native_rate > 0.0),
         "propagate_wall_fraction": split["propagate"],
         "analyze_wall_fraction": split["analyze"],
@@ -737,10 +692,9 @@ def run_bench(repeat: int) -> Dict[str, Dict[str, float]]:
             line += (f"  race x{sample['race_speedup']:.2f} vs best single  "
                      f"hit-rate {sample['sharing_hit_rate']:.2f}  "
                      f"winner {sample['winner']}")
-        if "python_vs_legacy" in sample:
-            line += f"  python x{sample['python_vs_legacy']:.2f} vs legacy"
+        if "native_vs_python" in sample:
             if sample.get("native_available"):
-                line += f"  native x{sample['native_vs_legacy']:.2f} vs legacy"
+                line += f"  native x{sample['native_vs_python']:.2f} vs python"
             else:
                 line += "  (native kernel unavailable here)"
         if "trace_overhead" in sample:
@@ -770,19 +724,17 @@ SMOKE_WORKLOADS = (
     # re-entry, clause bus, import installation), so a regression in
     # any of those shows up here even though the verdict stays right.
     ("portfolio_race", "propagations_per_sec"),
-    # The flat-column python BCP kernel on the pure-BCP ladder (PR 7):
-    # normalized by the legacy ``bcp_ladder`` rate of the same run,
-    # this guards the kernel data plane staying within a constant
-    # factor of the tuple-table loop.  The native kernel's ratio is
-    # reported in the JSON but not gated — CI hosts without a C
-    # compiler must pass cleanly.
+    # The python kernel on the pure-BCP ladder without the model
+    # check: normalized by the same run's ``bcp_ladder`` rate (the same
+    # scan plus install and model check), it guards the fixed costs
+    # around the scan.  The native kernel's ratio is reported in the
+    # JSON but not gated — CI hosts without a C compiler must pass
+    # cleanly.
     ("kernel_bcp", "propagations_per_sec"),
-    # The seam's python conflict-analysis kernel on the conflict-heavy
-    # PHP kernel (PR 9): BCP-normalized conflict throughput guards the
-    # analysis seam (mirror sync, kernel dispatch, bump replay) staying
-    # within a constant factor of the inline legacy loop.  The fused
-    # native ratio is reported in the JSON but not gated — CI hosts
-    # without a C compiler must pass cleanly.
+    # The python kernels on the conflict-heavy PHP kernel:
+    # BCP-normalized conflict throughput guards the analysis seam
+    # (kernel dispatch, bump replay, the Python tail).  The fused
+    # native ratio is reported in the JSON but not gated.
     ("kernel_analyze", "conflicts_per_sec"),
 )
 
@@ -857,8 +809,7 @@ DEFAULT_HISTORY = os.path.join(
 _HISTORY_RATIO_METRICS = (
     "trace_overhead",
     "metrics_overhead",
-    "python_vs_legacy",
-    "native_vs_legacy",
+    "native_vs_python",
     "race_speedup",
     "sharing_hit_rate",
     "trace_bytes_per_event",
@@ -943,29 +894,15 @@ def main(argv=None) -> int:
         help="allowed fractional regression in smoke mode (default 0.20)",
     )
     parser.add_argument(
-        "--arena-storage", choices=("fast", "compact"), default="fast",
-        help="clause-arena element store for every workload "
-             "(search-identical; 'compact' is array('i') words)",
-    )
-    parser.add_argument(
-        "--bcp-backend", choices=("legacy", "python", "native"),
-        default="legacy",
-        help="BCP backend for every workload (search-identical; "
-             "'native' needs cffi + a C compiler).  The kernel_bcp "
-             "workload always measures all available backends.",
-    )
-    parser.add_argument(
-        "--analyze-backend", choices=("legacy", "python", "native"),
-        default="legacy",
-        help="conflict-analysis backend for every workload "
-             "(search-identical).  The kernel_analyze workload always "
-             "measures all available backends.",
+        "--kernel", choices=("python", "native"), default="python",
+        help="solver kernel for every workload (search-identical; "
+             "'native' needs cffi + a C compiler; the smoke baseline is "
+             "calibrated on 'python').  The kernel_bcp and "
+             "kernel_analyze workloads always measure both kernels.",
     )
     args = parser.parse_args(argv)
-    global ARENA_STORAGE, BCP_BACKEND, ANALYZE_BACKEND
-    ARENA_STORAGE = args.arena_storage
-    BCP_BACKEND = args.bcp_backend
-    ANALYZE_BACKEND = args.analyze_backend
+    global KERNEL
+    KERNEL = args.kernel
 
     if args.smoke:
         return run_smoke(args.baseline or args.output, args.smoke_threshold,
@@ -973,11 +910,6 @@ def main(argv=None) -> int:
 
     after = run_bench(args.repeat)
     payload = {"after": after}
-    scan_rate = after.get("decision_overhead_scanorder", {}).get("decisions_per_sec")
-    if scan_rate:
-        ratio = after["decision_overhead"]["decisions_per_sec"] / scan_rate
-        payload["decision_overhead_vs_scan"] = ratio
-        print(f"decision_overhead heap vs scan-order: x{ratio:.2f} decision throughput")
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as handle:
             before_doc = json.load(handle)

@@ -24,12 +24,8 @@ from repro.experiments.fig6 import fig6_csv, render_fig6
 from repro.experiments.fig7 import fig7_csv, render_fig7, run_fig7
 from repro.experiments.overhead import run_overhead
 from repro.experiments.table1 import run_table1
-from repro.sat.solver import (
-    ARENA_STORAGE_MODES,
-    PHASE_MODES,
-    SOLVER_ANALYZE_BACKENDS,
-    SOLVER_BCP_BACKENDS,
-)
+from repro.sat.kernel import KERNELS
+from repro.sat.solver import PHASE_MODES
 from repro.workloads.suite import small_suite, table1_suite
 
 
@@ -63,25 +59,11 @@ def main(argv=None) -> int:
         "solver default, phase saving)",
     )
     parser.add_argument(
-        "--arena-storage", choices=ARENA_STORAGE_MODES, default=None,
-        help="clause-arena element store for Table-1 runs: 'fast' "
-        "(Python-list words, the default) or 'compact' (array('i') "
-        "words — half the memory, identical search)",
-    )
-    parser.add_argument(
-        "--bcp-backend", choices=SOLVER_BCP_BACKENDS, default=None,
-        help="BCP propagation backend for Table-1 runs: 'legacy' "
-        "(in-solver tuple tables, the default), 'python' (flat "
-        "array('i') watch columns) or 'native' (the same scan compiled "
-        "via cffi; requires a C compiler — search-identical either way)",
-    )
-    parser.add_argument(
-        "--analyze-backend", choices=SOLVER_ANALYZE_BACKENDS, default=None,
-        help="conflict-analysis backend for Table-1 runs: 'legacy' "
-        "(in-solver first-UIP loop, the default), 'python' (the same "
-        "loop behind the kernel seam) or 'native' (compiled via cffi; "
-        "with --bcp-backend native the two fuse into one "
-        "propagate-then-analyze FFI call — search-identical either way)",
+        "--kernel", choices=KERNELS, default=None,
+        help="solver data-plane kernel for Table-1 runs: 'native' (BCP "
+        "and conflict analysis compiled via cffi; needs a C compiler) or "
+        "'python' (the pure-Python reference).  Default: native when it "
+        "builds, python otherwise — search-identical either way",
     )
     parser.add_argument(
         "--trace", metavar="DIR", default=None,
@@ -143,9 +125,7 @@ def main(argv=None) -> int:
             verbose=True,
             jobs=args.jobs,
             phase_mode=args.phase_mode,
-            arena_storage=args.arena_storage,
-            bcp_backend=args.bcp_backend,
-            analyze_backend=args.analyze_backend,
+            kernel=args.kernel,
             portfolio=args.portfolio,
             portfolio_opts=(
                 {"deterministic": True} if args.portfolio_deterministic else None

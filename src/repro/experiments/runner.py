@@ -144,9 +144,7 @@ def make_engine(
     use_coi: bool = False,
     encoding_cache=_DEFAULT_CACHE,
     phase_mode: Optional[str] = None,
-    arena_storage: Optional[str] = None,
-    bcp_backend: Optional[str] = None,
-    analyze_backend: Optional[str] = None,
+    kernel: Optional[str] = None,
     portfolio_opts: Optional[Dict] = None,
     trace_dir: Optional[str] = None,
     progress: Optional[int] = None,
@@ -155,15 +153,14 @@ def make_engine(
     """Build the BMC engine for a suite row under a named strategy.
 
     ``encoding_cache`` defaults to the per-process cache (see module
-    docstring); pass ``None`` to force a private build.  ``phase_mode``,
-    ``arena_storage``, ``bcp_backend`` and ``analyze_backend`` overlay
-    the matching :class:`SolverConfig` fields on whatever configuration
-    is in effect (the experiment CLI's ``--phase-mode``/
-    ``--arena-storage``/``--bcp-backend``/``--analyze-backend`` land
-    here).  ``portfolio_opts`` are extra keyword
-    arguments for :class:`~repro.bmc.portfolio.PortfolioBmcEngine` when
-    ``strategy`` is ``"portfolio"`` (e.g. ``deterministic=True``),
-    ignored otherwise.  ``trace_dir`` enables binary solver-trace
+    docstring); pass ``None`` to force a private build.  ``phase_mode``
+    and ``kernel`` overlay the matching :class:`SolverConfig` fields on
+    whatever configuration is in effect (the experiment CLI's
+    ``--phase-mode``/``--kernel`` land here).  ``portfolio_opts`` are
+    extra keyword arguments for
+    :class:`~repro.bmc.portfolio.PortfolioBmcEngine` when ``strategy``
+    is ``"portfolio"`` (e.g. ``deterministic=True``), ignored
+    otherwise.  ``trace_dir`` enables binary solver-trace
     telemetry (``repro.sat.trace``): each depth's solve writes
     ``{instance}_{strategy}_d{k:03d}.rtrc`` into that directory.  The
     portfolio engines route the same seam with one caveat — in the row
@@ -182,12 +179,8 @@ def make_engine(
     overlay = {}
     if phase_mode is not None:
         overlay["phase_mode"] = phase_mode
-    if arena_storage is not None:
-        overlay["arena_storage"] = arena_storage
-    if bcp_backend is not None:
-        overlay["bcp_backend"] = bcp_backend
-    if analyze_backend is not None:
-        overlay["analyze_backend"] = analyze_backend
+    if kernel is not None:
+        overlay["kernel"] = kernel
     if profile_access:
         overlay["profile_access"] = True
     if progress is not None:

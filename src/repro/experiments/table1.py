@@ -186,9 +186,7 @@ def run_table1(
     verbose: bool = False,
     jobs: Optional[int] = None,
     phase_mode: Optional[str] = None,
-    arena_storage: Optional[str] = None,
-    bcp_backend: Optional[str] = None,
-    analyze_backend: Optional[str] = None,
+    kernel: Optional[str] = None,
     portfolio: bool = False,
     portfolio_opts: Optional[dict] = None,
     trace_dir: Optional[str] = None,
@@ -200,9 +198,9 @@ def run_table1(
     ``jobs`` > 1 spreads the (instance, method) grid over a process
     pool (0 = one worker per CPU); the report's rows and every
     search-derived number are identical to a serial run.
-    ``phase_mode``/``arena_storage``/``bcp_backend``/``analyze_backend``
-    override the matching solver configuration fields for every run
-    (default: the :class:`SolverConfig` defaults).  ``portfolio=True`` appends a
+    ``phase_mode``/``kernel`` override the matching solver
+    configuration fields for every run (default: the
+    :class:`SolverConfig` defaults).  ``portfolio=True`` appends a
     ``portfolio`` column — the strategy race with clause sharing
     (``repro.bmc.portfolio``) — whose verdicts are checked against the
     same row expectations; with ``jobs`` > 1 the pool switches to
@@ -225,12 +223,8 @@ def run_table1(
     extra = {}
     if phase_mode is not None:
         extra["phase_mode"] = phase_mode
-    if arena_storage is not None:
-        extra["arena_storage"] = arena_storage
-    if bcp_backend is not None:
-        extra["bcp_backend"] = bcp_backend
-    if analyze_backend is not None:
-        extra["analyze_backend"] = analyze_backend
+    if kernel is not None:
+        extra["kernel"] = kernel
     if portfolio_opts is not None:
         extra["portfolio_opts"] = portfolio_opts
     if trace_dir is not None:

@@ -7,10 +7,7 @@ Public surface:
 * :class:`SolveOutcome`, :class:`SolveResult` — results.
 * Strategies: :class:`VsidsStrategy`, :class:`RankedStrategy`,
   :class:`BerkMinStrategy`, :class:`FixedOrderStrategy` — heap-backed
-  via :class:`VariableActivityHeap` — plus the scan-order reference
-  implementations :class:`ScanOrderVsidsStrategy` /
-  :class:`ScanOrderRankedStrategy` used by the differential fuzzer
-  (see ``repro.sat.heuristics``).
+  via :class:`VariableActivityHeap` (see ``repro.sat.heuristics``).
 * :class:`ConflictDependencyGraph` — the paper's §3.1 structure.
 * :func:`check_proof` / :class:`ResolutionProof` — independent UNSAT
   verification.
@@ -32,8 +29,6 @@ from repro.sat.heuristics import (
     DecisionStrategy,
     FixedOrderStrategy,
     RankedStrategy,
-    ScanOrderRankedStrategy,
-    ScanOrderVsidsStrategy,
     VsidsStrategy,
 )
 from repro.sat.portfolio import (
@@ -83,8 +78,6 @@ __all__ = [
     "MINIMIZE_MODES",
     "PHASE_MODES",
     "VariableActivityHeap",
-    "ScanOrderVsidsStrategy",
-    "ScanOrderRankedStrategy",
     "solve_formula",
     "luby",
     "SolveOutcome",

@@ -29,24 +29,16 @@ ones (the literal block stays until :meth:`compact` reclaims it),
 ``INACTIVE`` marks clauses that were never attached (tautologies, and
 the empty clause once the solver is root-UNSAT).
 
-Backing stores: the block layout, compaction and ID stability are
-identical under two element stores, chosen at construction.
-``storage="fast"`` (the default) keeps the words in a Python list —
-measured ~14% faster on the conflict-bound benchmark kernels, because
-reading a literal out of a list is a pointer fetch while every read
-from a typed array re-boxes a Python int.  ``storage="compact"`` keeps
-them in an ``array('i')`` — 4 bytes per word instead of 8 plus shared
-int objects, and the layout a future memoryview/C propagation backend
-would consume zero-copy.  The solver exposes the choice as
-``SolverConfig.arena_storage``; the equivalence of the two modes is
-pinned by tests (identical search statistics on fixed workloads).
+The word store is an ``array('i')`` — 4 bytes per word, and the layout
+the kernels alias zero-copy.  (A Python-list store used to be offered
+too; it was faster only under in-solver tuple-table loops that no longer
+exist.)
 
 Why flat memory in pure Python: clause *headers* stop costing a Python
 object each (PHP(8) after a bounded solve drops from ~1.9 MB of clause
 lists to ~0.3 MB of arena words); deletion becomes a flag write plus a
 deferred in-place compaction instead of leaving dead lists pinned; and
-the representation is the prerequisite for a future memoryview/C
-propagation backend, which needs contiguous int memory to work on.
+the representation is what the C kernels need: contiguous int memory.
 The hot loops read ``data``/``refs`` directly as locals — the class is
 the allocator and bookkeeper, not an abstraction layer in the inner
 loop.
@@ -64,7 +56,7 @@ footprint report stays honest.
 from __future__ import annotations
 
 from array import array
-from typing import ClassVar, Dict, List, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Sequence, Tuple
 
 #: Flag bits of the per-clause header word / flags column.
 LEARNED = 1
@@ -73,9 +65,6 @@ INACTIVE = 4
 
 #: Words a clause block occupies beyond its literals (flags + length).
 HEADER_WORDS = 2
-
-#: Valid values of the ``storage`` constructor argument.
-STORAGE_MODES = ("fast", "compact")
 
 #: Ceiling on the literal store, in words.  Clause offsets ride in
 #: 32-bit lanes on the native-kernel side (``refs`` is ``int64`` but
@@ -97,36 +86,21 @@ class ClauseArenaFullError(MemoryError):
 class ClauseArena:
     """Allocator and bookkeeper of the flat clause store."""
 
-    __slots__ = ("data", "refs", "flags", "activity", "dead_words", "storage")
+    __slots__ = ("data", "refs", "flags", "activity", "dead_words")
 
-    # Both word columns carry the same layout under either element
-    # store; the union is resolved once, at construction.
-    data: Union[array[int], List[int]]
-    refs: Union[array[int], List[int]]
+    data: array[int]
+    refs: array[int]
     flags: bytearray
     activity: array[float]
     dead_words: int
-    storage: str
 
     #: Word ceiling enforced by :meth:`add` (class attribute so tests
     #: can lower it without constructing a 2-billion-word store).
     word_limit: ClassVar[int] = WORD_LIMIT
 
-    def __init__(self, storage: str = "fast") -> None:
-        if storage not in STORAGE_MODES:
-            raise ValueError(
-                f"storage must be one of {STORAGE_MODES}, got {storage!r}"
-            )
-        self.storage = storage
-        # In fast mode both word columns are lists: reading an offset
-        # out of an array('q') re-boxes a fresh int every time, and
-        # refs is touched once per clause visit on the hottest paths.
-        if storage == "compact":
-            self.data = array("i")
-            self.refs = array("q")
-        else:
-            self.data = []
-            self.refs = []
+    def __init__(self) -> None:
+        self.data = array("i")
+        self.refs = array("q")
         self.flags = bytearray()
         self.activity = array("d")
         self.dead_words = 0
@@ -245,9 +219,7 @@ class ClauseArena:
                 continue
             src = base - HEADER_WORDS
             if src != write:
-                # Self-slice copy: both sides are the same store, but
-                # the union type cannot express that.
-                data[write:write + HEADER_WORDS + n] = (  # type: ignore
+                data[write:write + HEADER_WORDS + n] = (
                     data[src:src + HEADER_WORDS + n]
                 )
             refs[cid] = write + HEADER_WORDS
@@ -262,14 +234,10 @@ class ClauseArena:
     def footprint(self) -> Dict[str, float]:
         """Memory accounting for the benchmark harness.
 
-        ``bytes`` counts the word store (4 bytes/word compact, 8
-        bytes/word of pointers fast — boxed small ints are shared and
-        not attributed) plus the header columns.
+        ``bytes`` counts the word store plus the header columns.
         """
         total = len(self.data)
-        word_bytes = (
-            8 if isinstance(self.data, list) else self.data.itemsize
-        )
+        word_bytes = self.data.itemsize
         return {
             "literal_words": total,
             "dead_words": self.dead_words,

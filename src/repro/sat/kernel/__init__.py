@@ -1,26 +1,25 @@
-"""Pluggable BCP and conflict-analysis kernels over the flat data plane.
+"""The solver's data-plane kernels: BCP and first-UIP analysis.
 
-``SolverConfig.bcp_backend`` selects the propagation data plane and
-``SolverConfig.analyze_backend`` the conflict-analysis plane; the two
-compose.  Each offers three backends sharing one search behaviour,
-byte for byte:
+The solver has one data plane — flat typed arrays for the assignment
+state, the trail, the clause arena and the watch columns — with two
+implementations of the loops that run over it, selected by
+``SolverConfig.kernel``.  Both search byte-identically:
 
-``"legacy"``
-    The in-solver loops (``CdclSolver._propagate`` / ``_analyze``) —
-    the pre-kernel paths.  No kernel object is constructed.
-``"python"``
-    :class:`~repro.sat.kernel.pykernel.PythonBcpKernel` /
-    :class:`~repro.sat.kernel.pykernel.PythonAnalyzeKernel`: the same
-    loops over flat ``array('i')`` columns and typed solver state.
-    Always available; the semantics references for the native kernels.
 ``"native"``
     :class:`~repro.sat.kernel.native.NativeBcpKernel` /
     :class:`~repro.sat.kernel.native.NativeAnalyzeKernel`: the loops
-    compiled to C (cffi, built on demand, cached), aliasing the same
-    arrays zero-copy.  When *both* planes are native the solver routes
-    through the fused ``search_step`` (propagate, then analyze the
-    conflict without re-crossing the FFI boundary).  Requires cffi and
-    a C compiler; probe with :func:`native_available` first.
+    compiled to C (cffi, built on demand, cached), aliasing the solver's
+    arrays zero-copy.  The search loop runs them as one fused
+    ``search_step`` (propagate, then analyze the conflict without
+    re-crossing the FFI boundary).  Needs cffi and a C compiler.
+``"python"``
+    :class:`~repro.sat.kernel.pykernel.PythonBcpKernel` /
+    :class:`~repro.sat.kernel.pykernel.PythonAnalyzeKernel`: the same
+    loops in pure Python.  Always available; the reference the native
+    kernels and the tests are checked against.
+
+``kernel=None`` (the default) picks ``"native"`` when
+:func:`native_available` is true and ``"python"`` otherwise.
 
 See :mod:`repro.sat.kernel.base` for the seam contracts and
 ``docs/architecture.md`` ("Propagation data plane" / "Conflict-analysis
@@ -29,7 +28,7 @@ plane") for the layouts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.sat.kernel.base import AnalyzeKernelBase, BcpKernelBase
 from repro.sat.kernel.columns import ClauseLitMirror, WatchColumns
@@ -44,54 +43,46 @@ from repro.sat.kernel.pykernel import PythonAnalyzeKernel, PythonBcpKernel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sat.solver import CdclSolver
 
-#: Valid values of ``SolverConfig.bcp_backend``.
-BCP_BACKENDS = ("legacy", "python", "native")
-
-#: Valid values of ``SolverConfig.analyze_backend``.
-ANALYZE_BACKENDS = ("legacy", "python", "native")
+#: Explicit values of ``SolverConfig.kernel`` (``None`` also allowed).
+KERNELS = ("python", "native")
 
 
-def create_kernel(solver: "CdclSolver", backend: str) -> BcpKernelBase:
-    """Instantiate the BCP kernel for ``backend`` (not ``"legacy"``).
+def resolve_kernel(kernel: Optional[str]) -> str:
+    """The kernel a ``SolverConfig.kernel`` value selects: ``None``
+    means native when it builds on this host, python otherwise."""
+    if kernel is None:
+        return "native" if native_available() else "python"
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS} or None, got {kernel!r}")
+    return kernel
+
+
+def create_kernels(
+    solver: "CdclSolver", kernel: str
+) -> Tuple[BcpKernelBase, AnalyzeKernelBase]:
+    """The ``(bcp, analysis)`` kernel pair for a resolved kernel name.
 
     ``"native"`` raises :class:`RuntimeError` with the build failure
-    when the compiled kernel cannot be had on this host.
+    when the compiled kernels cannot be had on this host.
     """
-    if backend == "python":
-        return PythonBcpKernel(solver)
-    if backend == "native":
-        return NativeBcpKernel(solver)
-    raise ValueError(f"no kernel for bcp_backend {backend!r}")
-
-
-def create_analyze_kernel(
-    solver: "CdclSolver", backend: str
-) -> AnalyzeKernelBase:
-    """Instantiate the analysis kernel for ``backend`` (not ``"legacy"``).
-
-    Same degradation contract as :func:`create_kernel`: ``"native"``
-    raises :class:`RuntimeError` when the extension cannot be built.
-    """
-    if backend == "python":
-        return PythonAnalyzeKernel(solver)
-    if backend == "native":
-        return NativeAnalyzeKernel(solver)
-    raise ValueError(f"no kernel for analyze_backend {backend!r}")
+    if kernel == "native":
+        bcp = NativeBcpKernel(solver)
+        return bcp, NativeAnalyzeKernel(solver, bcp)
+    return PythonBcpKernel(solver), PythonAnalyzeKernel(solver)
 
 
 __all__ = [
-    "ANALYZE_BACKENDS",
     "AnalyzeKernelBase",
-    "BCP_BACKENDS",
     "BcpKernelBase",
     "ClauseLitMirror",
+    "KERNELS",
     "NativeAnalyzeKernel",
     "NativeBcpKernel",
     "PythonAnalyzeKernel",
     "PythonBcpKernel",
     "WatchColumns",
-    "create_analyze_kernel",
-    "create_kernel",
+    "create_kernels",
     "native_available",
     "native_unavailable_reason",
+    "resolve_kernel",
 ]

@@ -1,4 +1,4 @@
-"""The BCP-kernel seam: what a propagation backend owes the solver.
+"""The kernel seams: what a BCP or analysis kernel owes the solver.
 
 A *kernel* owns the watch state (three :class:`~repro.sat.kernel
 .columns.WatchColumns`) and implements boolean constraint propagation
@@ -14,14 +14,14 @@ seam:
     implied literals (truth/levels/reasons/trail), advance
     ``solver._qhead``/``solver._trail_len``, add the propagation count
     to ``solver.stats``, and return the conflicting clause ID or -1.
-    Exactly the contract of the legacy ``CdclSolver._propagate``.
 
-``attach(cid, lits)`` / ``detach(cid)`` / ``drop_clauses(dropped)``
-    The watch bookkeeping hooks: clause install, single-clause detach
+``attach(cid, lits)`` / ``attach_all(...)`` / ``detach(cid)`` /
+``drop_clauses(dropped)``
+    The watch bookkeeping hooks: clause install (one clause, or the
+    constructor's whole formula at once), single-clause detach
     (swap-with-last, learned-DB reduction) and bulk order-preserving
-    removal (root-satisfied pruning).  Each replicates the legacy
-    tuple-table operation so watch-list order — and therefore search
-    behaviour — is byte-identical across backends.
+    removal (root-satisfied pruning).  Watch-list order is part of
+    search behaviour, so both kernels share these operations verbatim.
 
 ``grow(lit_capacity)``
     Called from ``ensure_num_vars`` when the literal space grows;
@@ -30,9 +30,11 @@ seam:
 
 The base class implements every hook except :meth:`propagate` — watch
 mutation is not hot and shared verbatim by both kernels, which also
-guarantees the python and native backends grow byte-identical watch
+guarantees the python and native kernels grow byte-identical watch
 layouts (the native kernel defers its in-propagate appends through the
-same doubling policy).
+same doubling policy).  The one override is the native
+:meth:`attach_all`, which lays the same entries out in C, in exactly
+sized blocks.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class BcpKernelBase(_SolverBound):
         self.bin.grow_lits(lit_capacity)
         self.tern.grow_lits(lit_capacity)
 
-    # -- watch bookkeeping (legacy-equivalent, not hot) --------------------
+    # -- watch bookkeeping (not hot) ---------------------------------------
 
     def attach(self, cid: int, lits: Sequence[int]) -> None:
         n = len(lits)
@@ -99,6 +101,21 @@ class BcpKernelBase(_SolverBound):
             a, b = lits[0], lits[1]
             self.long.append2(a, cid, b)
             self.long.append2(b, cid, a)
+
+    def attach_all(
+        self, bin_ids: List[int], tern_ids: List[int], long_ids: List[int]
+    ) -> None:
+        """Bulk install: watch the binary, ternary and long clauses
+        ``*_ids`` (each list in clause order) in *empty* tables, reading
+        each clause's watch-ordered literals from the arena.  The
+        per-literal entry order is exactly that of one :meth:`attach`
+        per clause in clause order; the native kernel lays the same
+        entries out in C."""
+        literals = self.solver._arena.literals
+        attach = self.attach
+        for ids in (bin_ids, tern_ids, long_ids):
+            for cid in ids:
+                attach(cid, literals(cid))
 
     def detach(self, cid: int) -> None:
         arena = self.solver._arena
@@ -129,21 +146,12 @@ class BcpKernelBase(_SolverBound):
     # -- introspection -----------------------------------------------------
 
     def watch_snapshot(self) -> Dict[str, List[List[Tuple[int, ...]]]]:
-        """Per-literal entry tuples in legacy table shape — the
-        white-box surface the cross-backend watch tests compare.
-        Binary entries are expanded back to the legacy 4-tuple
-        ``(cid, implied, ~implied, var)`` (the columns store 2 words
-        and recompute the rest)."""
+        """Per-literal entry tuples of the three tables — the white-box
+        surface the cross-kernel watch tests compare."""
         num_lits = 2 * self.solver.num_vars
         return {
             "long": [self.long.entries(lit) for lit in range(num_lits)],
-            "bin": [
-                [
-                    (cid, implied, implied ^ 1, implied >> 1)
-                    for cid, implied in self.bin.entries(lit)
-                ]
-                for lit in range(num_lits)
-            ],
+            "bin": [self.bin.entries(lit) for lit in range(num_lits)],
             "tern": [self.tern.entries(lit) for lit in range(num_lits)],
         }
 
@@ -156,7 +164,7 @@ class BcpKernelBase(_SolverBound):
 
 
 class AnalyzeKernelBase(_SolverBound):
-    """The conflict-analysis seam: what an analysis backend owes the solver.
+    """The conflict-analysis seam: what an analysis kernel owes the solver.
 
     An *analysis kernel* runs the first-UIP resolution loop — and only
     that loop — over the solver's flat state.  Everything downstream of
@@ -169,22 +177,21 @@ class AnalyzeKernelBase(_SolverBound):
         Run first-UIP from the conflicting clause.  On return:
 
         * ``learned`` is the raw (pre-minimization) clause with the
-          asserting literal at position 0, remaining literals in legacy
+          asserting literal at position 0, remaining literals in
           discovery order;
         * ``antecedents`` is the ordered resolvent list —
           ``antecedents[0]`` the conflict clause, then each reason
           clause in resolution order (the CDG/proof derivation prefix,
-          and the bump-replay worklist: legacy bumps exactly
+          and the bump-replay worklist: the solver bumps exactly
           ``antecedents[1:]`` in this order);
         * the solver's ``_seen`` marks are LEFT SET, with the marked
           variables appended to ``solver._touched_scratch`` and the
           level-0 subset to ``solver._zero_scratch`` (discovery order)
           — minimization and the reason closure consume the marks, and
-          ``_finish_analysis`` clears them, exactly as after the legacy
-          loop.
+          ``_finish_analysis`` clears them.
 
     ``search_step(num_assumptions) -> (conflict, analysis_or_none)``
-        The fused fast path (native only): propagate, and when a
+        The fused fast path (the native kernels): propagate, and when a
         conflict lands at an analyzable level (``decision_level >
         num_assumptions``) run the resolution loop before returning to
         Python — one FFI crossing per conflict instead of two.
@@ -252,11 +259,11 @@ class AnalyzeKernelBase(_SolverBound):
     ) -> Tuple[int, Optional[Tuple[List[int], List[int]]]]:
         """Propagate, then analyze in place when the conflict is
         analyzable.  This Python composition exists for completeness
-        and tests; the solver only routes through ``search_step`` when
-        both kernels are native (where the override fuses the two loops
-        into one C call)."""
+        and tests; the solver only routes through ``search_step`` under
+        the native kernels (where the override fuses the two loops into
+        one C call)."""
         solver = self.solver
-        conflict = solver._propagate()
+        conflict = solver._kernel.propagate()
         if conflict < 0 or solver._decision_level <= num_assumptions:
             return conflict, None
         return conflict, self.analyze(conflict)

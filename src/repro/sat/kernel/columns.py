@@ -1,12 +1,9 @@
-"""Flat per-literal watch columns: the kernel side of the watch tables.
+"""Flat per-literal watch columns: the kernels' watch tables.
 
-The legacy data plane keeps one Python list of packed tuples per
-literal (``CdclSolver._watches`` / ``_watches_bin`` / ``_watches_tern``).
-A C kernel cannot walk Python lists, so the kernel backends replace all
-three tables with instances of :class:`WatchColumns`: one pooled
-``array('i')`` holding every literal's entries back to back, addressed
-by per-literal ``offs``/``size``/``caps`` columns (a CSR layout with
-per-row headroom).
+A C kernel cannot walk Python lists, so each watch table (long, binary,
+ternary) is a :class:`WatchColumns`: one pooled ``array('i')`` holding
+every literal's entries back to back, addressed by per-literal
+``offs``/``size``/``caps`` columns (a CSR layout with per-row headroom).
 
 Entry layouts (32-bit words each)::
 
@@ -14,11 +11,9 @@ Entry layouts (32-bit words each)::
     ternary clauses  [cid, other_a, other_b]  3 words
     binary clauses   [cid, implied]           2 words
 
-The long and ternary layouts mirror the legacy tuples word for word.
-Binary entries drop the legacy tuples' precomputed ``~implied``/``var``
-words: recomputing them is one int op each, cheaper in both kernels
-than the extra subscripts (Python) or memory traffic (C) of reading
-them back.
+Binary entries carry no precomputed ``~implied``/``var`` words:
+recomputing them is one int op each, cheaper in both kernels than the
+extra subscripts (Python) or memory traffic (C) of reading them back.
 
 Growth discipline: a literal's block holds ``caps[lit]`` entries; an
 append into a full block *relocates* it to the pool tail with doubled
@@ -31,11 +26,10 @@ for zero-copy ``ffi.from_buffer`` aliasing by the native kernel (the
 buffer is re-acquired per propagate call, so growth between calls is
 safe).
 
-Mutation entry points mirror the legacy list operations exactly —
-append (attach / watch move), swap-with-last removal (:meth:`detach`),
-and order-preserving filtering (:meth:`drop_clauses`) — so a kernel
-backend's watch-list order evolves byte-identically to the legacy
-tables' and search behaviour is preserved.
+The mutations — append (attach / watch move), swap-with-last removal
+(:meth:`detach`) and order-preserving filtering (:meth:`drop_clauses`)
+— are shared by both kernels, so watch-list order, and with it the
+search, evolves identically under either.
 """
 
 from __future__ import annotations
@@ -111,7 +105,7 @@ class WatchColumns:
         self.used = need
         return used
 
-    # -- legacy-equivalent mutations ---------------------------------------
+    # -- mutations ---------------------------------------------------------
 
     def append2(self, lit: int, w0: int, w1: int) -> None:
         """Append a 2-word entry (the long-table watch move / attach)."""
@@ -138,9 +132,8 @@ class WatchColumns:
         self.size[lit] = sz + 1
 
     def detach(self, lit: int, cid: int) -> None:
-        """Remove the entry watching ``cid`` by swap-with-last — the
-        legacy ``watch_list[i] = watch_list[-1]; pop()`` move (order
-        destroying, exactly like the original)."""
+        """Remove the entry watching ``cid`` by swap-with-last (order
+        destroying: the last entry takes the removed slot)."""
         words = self.words
         data = self.data
         base = self.offs[lit]
@@ -156,7 +149,7 @@ class WatchColumns:
 
     def drop_clauses(self, dropped: Set[int]) -> None:
         """Remove every entry whose clause ID is in ``dropped``,
-        preserving survivor order — the legacy ``_compact_watches``."""
+        preserving survivor order (root-satisfied pruning)."""
         words = self.words
         data = self.data
         offs = self.offs
@@ -180,7 +173,7 @@ class WatchColumns:
     # -- introspection (tests, footprint) ----------------------------------
 
     def entries(self, lit: int) -> List[Tuple[int, ...]]:
-        """The literal's entries as packed tuples (legacy table shape)."""
+        """The literal's entries as packed tuples."""
         words = self.words
         data = self.data
         base = self.offs[lit]

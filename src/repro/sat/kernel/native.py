@@ -40,10 +40,10 @@ codes handle that:
 Build: cffi out-of-line API mode, compiled on demand into a cache
 directory (``REPRO_KERNEL_CACHE``, default ``~/.cache/repro-bcp-
 kernel``) keyed by a hash of the C source, so each source revision
-compiles once per machine.  Hosts without cffi or a C compiler get a
-:class:`RuntimeError` from the constructor and a ``False`` from
-:func:`native_available` — callers (config validation, tests, the
-benchmark harness) degrade to the python kernel.
+compiles once per machine.  Hosts without cffi or a C compiler — or
+with an unloadable cached build — get a :class:`RuntimeError` from the
+constructor and a ``False`` from :func:`native_available`; the solver's
+default ``kernel=None`` then runs the python kernels.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import sys
 import sysconfig
 from array import array
 from typing import TYPE_CHECKING, Optional
@@ -117,6 +118,10 @@ int analyze_first_uip(const int32_t *levels, const int32_t *reasons,
                       int32_t *learned, int32_t *ants,
                       int32_t *touched, int32_t *zero, int32_t *st,
                       int64_t *prof);
+void fill_columns(const int32_t *adata, const int64_t *arefs,
+                  const int32_t *cids, int32_t ncids, int32_t k,
+                  int32_t *off, int32_t *size, int32_t *cap,
+                  int32_t *data, int32_t nlits);
 int search_step(unsigned char *truth,
                 int32_t *levels, int32_t *reasons, int32_t *trail,
                 int32_t *adata, int64_t *arefs,
@@ -176,6 +181,44 @@ _SOURCE = r"""
 #define PROF_ARENA 4
 #define PROF_AWORDS 7
 #define PROF_ATRAIL 8
+
+/* Bulk install: lay out the watch entries of clauses `cids` (clause
+   order) in EMPTY columns (size[] all zero), k watched literals per
+   clause read from the arena block: k = 2 for the binary and long
+   tables (entry [cid, other]), 3 for the ternary table (entry [cid,
+   the other two in clause order]).  Each literal's entries land in
+   clause order — what k WatchColumns appends per clause produce — in
+   an exactly sized block; the pool needs k * k * ncids words. */
+void fill_columns(const int32_t *adata, const int64_t *arefs,
+                  const int32_t *cids, int32_t ncids, int32_t k,
+                  int32_t *off, int32_t *size, int32_t *cap,
+                  int32_t *data, int32_t nlits)
+{
+    int32_t i, j, m, lit, pos = 0;
+    for (i = 0; i < ncids; i++) {
+        const int32_t *c = adata + arefs[cids[i]];
+        for (j = 0; j < k; j++)
+            size[c[j]]++;
+    }
+    for (lit = 0; lit < nlits; lit++) {
+        off[lit] = pos;
+        cap[lit] = size[lit];
+        pos += size[lit] * k;
+        size[lit] = 0;
+    }
+    for (i = 0; i < ncids; i++) {
+        int32_t cid = cids[i];
+        const int32_t *c = adata + arefs[cid];
+        for (j = 0; j < k; j++) {
+            int32_t *e = data + off[c[j]] + size[c[j]] * k;
+            *e++ = cid;
+            for (m = 0; m < k; m++)
+                if (m != j)
+                    *e++ = c[m];
+            size[c[j]]++;
+        }
+    }
+}
 
 /* Append the recorded watch moves through the same doubling/relocation
    policy WatchColumns.append2 uses; resumable across NEED_GROW. */
@@ -325,7 +368,7 @@ static int bcp_scan(unsigned char *truth,
             }
         }
 
-        /* Long: two-phase scan, j < 0 = read-only phase (legacy loop). */
+        /* Long: two-phase scan, j < 0 = read-only phase. */
         n = l_size[false_lit];
         conflict = -1;
         if (n) {
@@ -692,6 +735,61 @@ def _cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-bcp-kernel")
 
 
+def _module_paths() -> "Tuple[str, str]":
+    """The extension's module name and cached shared-object path for
+    this C source revision."""
+    digest = hashlib.sha1((_CDEF + _SOURCE).encode()).hexdigest()[:12]
+    modname = f"_repro_bcp_{digest}"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    return modname, os.path.join(_cache_dir(), modname + suffix)
+
+
+#: Compiles the extension in a child process: reads ``[cdef, module
+#: name, source, build dir]`` as JSON on stdin, prints the built path.
+_BUILD_SCRIPT = """
+import json, sys
+from cffi import FFI
+cdef, modname, source, tmpdir = json.load(sys.stdin)
+ffi = FFI()
+ffi.cdef(cdef)
+ffi.set_source(modname, source)
+print(ffi.compile(tmpdir=tmpdir, verbose=False))
+"""
+
+
+def _build(modname: str, so_path: str) -> None:
+    """Compile the extension to ``so_path``.
+
+    The compile runs in a child process so the toolchain's imports
+    (setuptools, distutils) never inflate this process's memory.  It
+    builds in a per-process directory, then publishes the shared
+    object atomically: concurrent builders (portfolio race workers,
+    parallel pytest) never trample each other.
+    """
+    # Imported here: only a cache miss needs them, and every process
+    # that imports the solver would otherwise pay for them.
+    import json
+    import subprocess
+
+    build_dir = os.path.join(
+        os.path.dirname(so_path), f"build-{os.getpid()}"
+    )
+    os.makedirs(build_dir, exist_ok=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD_SCRIPT],
+            input=json.dumps([_CDEF, modname, _SOURCE, build_dir]),
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines()
+            raise RuntimeError(lines[-1] if lines else "build failed")
+        os.replace(proc.stdout.strip().splitlines()[-1], so_path)
+    finally:
+        shutil.rmtree(build_dir, ignore_errors=True)
+
+
 def _load_module():
     """Build (once per source revision per machine) and import the
     extension; raises on hosts without cffi or a C compiler."""
@@ -703,28 +801,12 @@ def _load_module():
     try:
         import importlib.util
 
-        from cffi import FFI
-
-        digest = hashlib.sha1((_CDEF + _SOURCE).encode()).hexdigest()[:12]
-        modname = f"_repro_bcp_{digest}"
-        suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-        cache = _cache_dir()
-        so_path = os.path.join(cache, modname + suffix)
+        if importlib.util.find_spec("cffi") is None:
+            raise ImportError("No module named 'cffi'")
+        modname, so_path = _module_paths()
         if not os.path.exists(so_path):
-            os.makedirs(cache, exist_ok=True)
-            # Compile in a per-process scratch dir, then publish the
-            # shared object atomically: concurrent builders (portfolio
-            # race workers, parallel pytest) never trample each other.
-            build_dir = os.path.join(cache, f"build-{os.getpid()}")
-            os.makedirs(build_dir, exist_ok=True)
-            try:
-                ffibuilder = FFI()
-                ffibuilder.cdef(_CDEF)
-                ffibuilder.set_source(modname, _SOURCE)
-                built = ffibuilder.compile(tmpdir=build_dir, verbose=False)
-                os.replace(built, so_path)
-            finally:
-                shutil.rmtree(build_dir, ignore_errors=True)
+            os.makedirs(os.path.dirname(so_path), exist_ok=True)
+            _build(modname, so_path)
         spec = importlib.util.spec_from_file_location(modname, so_path)
         if spec is None or spec.loader is None:
             raise ImportError(f"cannot load {so_path}")
@@ -734,8 +816,9 @@ def _load_module():
         return module
     except Exception as exc:  # cffi missing, no compiler, bad toolchain
         _BUILD_ERROR = (
-            f"native BCP kernel unavailable ({type(exc).__name__}: {exc}); "
-            f"use bcp_backend='python' or install cffi + a C compiler"
+            f"native kernel unavailable ({type(exc).__name__}: {exc}); "
+            f"use kernel='python' (kernel=None falls back to it "
+            f"automatically) or install cffi + a C compiler"
         )
         raise RuntimeError(_BUILD_ERROR) from exc
 
@@ -781,6 +864,38 @@ class NativeBcpKernel(BcpKernelBase):
             if solver._profile is not None
             else new_profile_buffer()
         )
+
+    def attach_all(
+        self, bin_ids: "List[int]", tern_ids: "List[int]", long_ids: "List[int]"
+    ) -> None:
+        arena = self.solver._arena
+        from_buffer = self._ffi.from_buffer
+        release = self._ffi.release
+        fill = self._lib.fill_columns
+        for cols, ids, k in (
+            (self.bin, bin_ids, 2),
+            (self.tern, tern_ids, 3),
+            (self.long, long_ids, 2),
+        ):
+            if not ids:
+                continue
+            need = k * k * len(ids)
+            cols.reserve(need)
+            views = (
+                from_buffer("int32_t[]", arena.data),
+                from_buffer("int64_t[]", arena.refs),
+                from_buffer("int32_t[]", array("i", ids)),
+            )
+            columns = (
+                from_buffer("int32_t[]", cols.offs),
+                from_buffer("int32_t[]", cols.size),
+                from_buffer("int32_t[]", cols.caps),
+                from_buffer("int32_t[]", cols.data),
+            )
+            fill(*views, len(ids), k, *columns, len(cols.offs))
+            for view in views + columns:
+                release(view)
+            cols.used = need
 
     def propagate(self) -> int:
         solver = self.solver
@@ -828,12 +943,10 @@ class NativeBcpKernel(BcpKernelBase):
             for view in views:
                 release(view)  # un-export before any Python-side resize
             if result == RET_NEED_GROW:
-                akernel = solver._akernel
-                if akernel is not None:
-                    # The fused step's cached views pin long_cols.data
-                    # too (root/assumption propagation runs here even
-                    # when search uses the fused path).
-                    akernel.invalidate_views()
+                # The fused step's cached views pin long_cols.data too
+                # (root/assumption propagation runs here even when
+                # search uses the fused path).
+                solver._akernel.invalidate_views()
                 long_cols.used = state[ST_LONG_USED]
                 long_cols.reserve(state[ST_LONG_USED] + state[ST_GROW])
                 continue
@@ -874,7 +987,7 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
 
     name = "native"
 
-    def __init__(self, solver: "CdclSolver") -> None:
+    def __init__(self, solver: "CdclSolver", bcp: NativeBcpKernel) -> None:
         module = _load_module()  # raises RuntimeError when unavailable
         super().__init__(solver)
         self._ffi = module.ffi
@@ -910,10 +1023,8 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
         # The resize paths inside the watch columns (relocation /
         # attach growth) fire this hook themselves, which is what lets
         # _add_learned get away with the soft invalidation.
-        kernel = solver._kernel
-        if kernel is not None:
-            for cols in (kernel.bin, kernel.tern, kernel.long):
-                cols.on_resize = self.invalidate_views
+        for cols in (bcp.bin, bcp.tern, bcp.long):
+            cols.on_resize = self.invalidate_views
 
     #: Call-list slots re-exported per conflict (the only arrays that
     #: resize on every learned clause): arena.data, arena.refs,

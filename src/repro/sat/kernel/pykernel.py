@@ -1,21 +1,17 @@
 """The pure-Python kernels: always available, the semantics reference.
 
-:class:`PythonBcpKernel` is a line-for-line port of the legacy
-``CdclSolver._propagate`` onto the flat data plane — binary scan,
-ternary scan, then the two-phase long scan (read-only until the first
-watch move, compacting after) with the same blocker handling, the same
-in-place arena watch-position swaps and the same conflict exits.
-:class:`PythonAnalyzeKernel` is the same treatment of the legacy
-``CdclSolver._analyze`` main loop: the first-UIP resolution walk,
-verbatim, minus the pieces the seam keeps in the solver (clause-
-activity bumps — replayed from the antecedent list — minimization and
-everything after).  Search behaviour is byte-identical to the legacy
-backends by construction; the differential fuzzer's backend legs pin
-both.
+:class:`PythonBcpKernel` runs BCP over the flat data plane — binary
+scan, ternary scan, then the two-phase long scan (read-only until the
+first watch move, compacting after) with blocker handling, in-place
+arena watch-position swaps and early conflict exits.
+:class:`PythonAnalyzeKernel` runs the first-UIP resolution walk; the
+solver keeps everything after it (clause-activity bumps — replayed from
+the antecedent list — minimization, LBD, the level-0 closure).
 
-These are also the references the native kernels are validated
-against: the C code is the same algorithm over the same memory, so any
-divergence is a kernel bug, never an ambiguity.
+These are the references the native kernels are validated against: the
+C code is the same algorithm over the same memory, so any divergence is
+a kernel bug, never an ambiguity.  The differential fuzzer and the
+Table-1 pins hold the two byte-identical.
 """
 
 from __future__ import annotations
@@ -43,9 +39,9 @@ class PythonBcpKernel(BcpKernelBase):
 
     def propagate(self) -> int:  # solcheck: hot
         """Exhaust the implication queue; returns a conflicting clause
-        ID or -1.  Same hot-path discipline as the legacy loop: every
-        name in the inner loops is a local, every literal test one
-        subscript, propagation counts flushed to stats once on exit.
+        ID or -1.  Hot-path discipline: every name in the inner loops
+        is a local, every literal test one subscript, propagation
+        counts flushed to stats once on exit.
         """
         solver = self.solver
         truth = solver.lit_truth
@@ -79,7 +75,7 @@ class PythonBcpKernel(BcpKernelBase):
         props = 0
         # Access profiling (repro.sat.profile): raw aggregates in
         # locals, flushed at the exit sites — same conventions as the
-        # legacy loop and the C kernel.
+        # C kernel.
         profile = solver._profile
         qhead0 = qhead
         acc_bin = 0
@@ -201,9 +197,12 @@ class PythonBcpKernel(BcpKernelBase):
                 continue
             acc_long += n
             wbase = l_off[false_lit]
-            # Phase 1 — read-only until the first watch move (see the
-            # legacy loop); the flat twist is that entries are 2-word
-            # groups at wbase + 2*i instead of tuples.
+            # Phase 1 — read-only: until a watch actually *moves* the
+            # list needs no compaction, so kept entries cost no stores
+            # and a conflict returns with the list untouched.  Only the
+            # first removal switches to the copying loop below, where j
+            # trails i from the removed slot on.  Entries are 2-word
+            # groups at wbase + 2*i.
             i = 0
             while i < n:
                 eoff = wbase + 2 * i
@@ -348,15 +347,12 @@ class PythonBcpKernel(BcpKernelBase):
 class PythonAnalyzeKernel(AnalyzeKernelBase):
     """First-UIP analysis over the flat state, in pure Python.
 
-    The legacy ``_analyze`` main loop verbatim — same seen-marking
-    order over the same install-order literal views, so the learned
-    clause and every scratch-list side effect are byte-identical —
-    minus the inlined clause-activity bumps, which the solver replays
-    from the returned antecedent order (``antecedents[1:]`` is exactly
-    the legacy visit order: ``antecedents[0]``, the conflict clause, is
-    falsified and can never be a reason, so legacy never bumped it).
-    Iterates ``_lits_view`` directly; the install-order mirror stays
-    empty (it exists for the C kernel, which cannot walk tuples).
+    Walks clause literals in install order (``_lits_view``), which
+    decides seen-marking order and so the learned clause.  Clause-
+    activity bumps are left to the solver, which replays them from the
+    returned antecedent order.  Iterates ``_lits_view`` directly; the
+    install-order mirror stays empty (it exists for the C kernel, which
+    cannot walk tuples).
     """
 
     name = "python"
@@ -373,10 +369,10 @@ class PythonAnalyzeKernel(AnalyzeKernelBase):
         """The first-UIP resolution walk; returns ``(learned,
         antecedents)`` with the asserting literal at ``learned[0]``,
         seen marks left set and the touched/zero scratch lists filled —
-        the seam contract (see :class:`AnalyzeKernelBase`).  Same
-        hot-path discipline as the legacy loop: every name in the inner
-        loop is a local, the only marker structure is the persistent
-        ``_seen`` bytearray.
+        the seam contract (see :class:`AnalyzeKernelBase`).  Hot-path
+        discipline: every name in the inner loop is a local, the only
+        marker structure is the persistent ``_seen`` bytearray, so a
+        conflict allocates no sets.
         """
         solver = self.solver
         seen = solver._seen

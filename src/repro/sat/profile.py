@@ -1,8 +1,7 @@
 """Per-structure access profiling: the raw counter seam.
 
-All three data-plane backends (the legacy loop in
-``CdclSolver._propagate`` / ``_analyze``, the python kernels, and the
-compiled C kernels) account their memory traffic into **one flat
+Both kernels (the python reference and the compiled C kernels) account
+their memory traffic into **one flat
 ``array('q')`` of raw aggregates** — ``CdclSolver._profile`` —
 allocated only when ``SolverConfig.profile_access`` is on.  The slots
 below are the seam contract: the C source mirrors them by index, and
@@ -20,7 +19,7 @@ Raw slots are *event* counts at natural loop granularity; the
 per-structure totals users see (arena words, watch-column entries,
 ``lit_truth`` subscripts, trail, reasons/levels, heap ops) are derived
 from them by the fixed formulas in :func:`structure_counts`.  Counting
-conventions, identical in every backend:
+conventions, identical in both kernels:
 
 * Watch columns are counted whole at scan start (a conflict abandons
   the remainder of a column, but the column was loaded).
@@ -33,7 +32,7 @@ conventions, identical in every backend:
   opened clause, one per scanned word, plus two writes per enqueue.
 * Native growth re-entries (``NEED_GROW``/``NEED_PEND``/``NEED_ABUF``)
   do not flush their aborted pass, so only the completed pass counts —
-  the same totals the pure-Python backends produce, up to a dropped
+  the same totals the pure-Python kernels produce, up to a dropped
   partial column around a mid-scan pool growth.
 """
 

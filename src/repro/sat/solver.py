@@ -31,12 +31,12 @@ Clause IDs: the initial formula's clauses keep their ``CnfFormula``
 indices ``0 .. m-1``; later ``add_clause`` calls and learned clauses share
 the tail of the ID space (the CDG distinguishes leaves from derivations).
 
-Flat-memory data plane (PR 4)
------------------------------
+Data plane
+----------
 
-The clause database and the watch tables no longer hold per-clause
-Python lists and wide tuples; see ``docs/architecture.md`` for the
-memory layout and the measured CPython tradeoffs.
+The clause database, the assignment state and the watch tables are flat
+typed memory shared with the kernels (``repro.sat.kernel``); see
+``docs/architecture.md`` for the layouts and the measured tradeoffs.
 
 * Every clause's literals live in one :class:`~repro.sat.arena
   .ClauseArena` — a single ``array('i')`` of blocks addressed by
@@ -44,43 +44,37 @@ memory layout and the measured CPython tradeoffs.
   tombstone bit and the length, plus parallel ``refs``/``activity``
   header columns.  Learned-DB reduction tombstones blocks and (when no
   CDG pins deleted clauses for proof export) an in-place compaction
-  slides live blocks left, so dead clauses stop costing memory instead
-  of lingering as unreachable lists.
+  slides live blocks left, so dead clauses stop costing memory.
 * Assignments are kept **per literal**: ``lit_truth[lit]`` is 1/0/2
   (true/false/unassigned — 2, not -1, so the ternary scan's dominant
   "neither companion is false" case collapses to one truthiness test)
   for every packed literal, maintained in pairs as the trail grows and
-  shrinks.  Every watch test in BCP is then a single subscript — no
-  variable-index shift, no phase xor — which is what let the watch
-  entries shrink.
-* Watch entries are packed pairs/triples: long clauses ``(cid,
-  blocker)``, binary clauses ``(cid, implied)``, ternary clauses
-  ``(cid, other_a, other_b)``.  The ``(var, want)`` columns PR 1 baked
-  into each entry are subsumed by the ``lit_truth`` column, which is
-  shared across every entry instead of copied into each.
+  shrinks.  Every watch test in BCP is then a single subscript.
+* Watches live in the BCP kernel's flat per-literal columns: long
+  clauses ``[cid, blocker]``, binary clauses ``[cid, implied]``,
+  ternary clauses ``[cid, other_a, other_b]``.  Binary and ternary
+  watches are *static* (BCP on them is one ``lit_truth`` subscript per
+  test, no clause access, no watch moves); a long clause's satisfied
+  blocker skips it without touching the arena.
+* BCP and the first-UIP walk run in the kernel pair chosen by
+  ``SolverConfig.kernel``: compiled (``"native"``, fused into one call
+  per search step) or pure Python (``"python"``, the reference).  The
+  analysis tail — clause-activity bumps, learned-clause
+  self-subsumption minimization (one-step ``local`` by default,
+  budgeted-recursive via ``SolverConfig.minimize_learned``), LBD and
+  the level-0 reason closure — stays here, citing every reason clause
+  a removal proof consumed as an extra CDG antecedent so proof replay
+  stays complete.
 
 Hot-path invariants (the experiment layer's throughput depends on
 these; see ``benchmarks/solver_bench.py`` for the tracking numbers):
 
-* Binary and ternary clauses live in dedicated, *static* watch lists
-  (binary: the implied literal; ternary: both other literals) — BCP on
-  them is one ``lit_truth`` subscript per test, no clause access, no
-  watch moves.
-* Long-clause watch entries carry a *blocker* literal whose
-  satisfaction (``lit_truth[blocker] == 1``) skips the clause without
-  touching the arena.
-* ``_propagate`` hoists every attribute into locals and assigns
-  inline; learned-vs-original queries in ``_analyze`` are one arena
-  flag-byte read; tautological originals are excluded from literal
-  counts so ``cha_score`` seeds and the dynamic 1/64 switch threshold
-  reflect only installed literals.
-* ``_analyze`` reuses persistent scratch arrays (``_seen`` plus the
-  touched/zero lists) — no per-conflict set allocations — and runs
-  learned-clause self-subsumption minimization (one-step ``local`` by
-  default, budgeted-recursive via ``SolverConfig.minimize_learned``)
-  before installing the clause, citing every reason clause a removal
-  proof consumed as an extra CDG antecedent so proof replay stays
-  complete.
+* Learned-vs-original queries are one arena flag-byte read;
+  tautological originals are excluded from literal counts so
+  ``cha_score`` seeds and the dynamic 1/64 switch threshold reflect
+  only installed literals.
+* Analysis reuses persistent scratch arrays (``_seen`` plus the
+  touched/zero lists) — no per-conflict set allocations.
 * Decisions come from an indexed activity heap
   (``repro.sat.activity_heap``) — O(log n) per decision and score
   bump, no periodic order rebuilds; ``_backtrack`` reports the undone
@@ -126,29 +120,14 @@ from repro.sat.arena import (
     ClauseArenaFullError,
     INACTIVE,
     LEARNED,
-    STORAGE_MODES,
     TOMBSTONE,
 )
 from repro.sat.cdg import ConflictDependencyGraph
 from repro.sat.heuristics import DecisionStrategy, VsidsStrategy
-from repro.sat.kernel import (
-    ANALYZE_BACKENDS,
-    BCP_BACKENDS,
-    create_analyze_kernel,
-    create_kernel,
-)
+from repro.sat.kernel import create_kernels, resolve_kernel
 from repro.sat.profile import (
     NPROF,
-    PROF_ARENA,
-    PROF_ATRAIL,
-    PROF_AWORDS,
-    PROF_BIN,
-    PROF_DEQ,
     PROF_HEAP,
-    PROF_LONG,
-    PROF_OPEN,
-    PROF_PROPS,
-    PROF_TERN,
     new_profile_buffer,
     profile_as_dict,
     structure_counts,
@@ -223,36 +202,16 @@ class SolverConfig:
     #: extraction and proof replay are unaffected; the count is recorded
     #: in ``stats.root_pruned_clauses``.
     prune_root_satisfied: bool = True
-    #: Element store of the clause arena: ``"fast"`` (Python-list words
-    #: — the CPython-speed default) or ``"compact"`` (``array('i')``
-    #: words — half the memory per literal and the layout a C/memoryview
-    #: propagation backend consumes zero-copy).  Search behaviour is
-    #: identical in both modes; see ``repro.sat.arena``.
-    arena_storage: str = "fast"
-    #: Propagation backend (the BCP data plane; see
-    #: ``repro.sat.kernel``): ``"legacy"`` (the in-solver tuple-list
-    #: loop — the default), ``"python"`` (the flat-array kernel, pure
-    #: Python, always available) or ``"native"`` (the same scan
-    #: compiled via cffi — requires a C compiler on first use; probe
-    #: ``repro.sat.kernel.native_available()`` before requesting it).
-    #: Search behaviour is byte-identical across all three; the kernel
-    #: backends force ``arena_storage="compact"`` internally (the
-    #: zero-copy layout they alias).
-    bcp_backend: str = "legacy"
-    #: Conflict-analysis backend (the first-UIP resolution loop; see
-    #: ``repro.sat.kernel``), composing with :attr:`bcp_backend`:
-    #: ``"legacy"`` (the in-solver ``_analyze`` main loop — the
-    #: default), ``"python"`` (the same loop behind the kernel seam,
-    #: always available) or ``"native"`` (the walk compiled via cffi).
-    #: Search behaviour is byte-identical across all three — identical
-    #: literal iteration order means identical learned clauses.  When
-    #: both planes are ``"native"`` the search loop runs the *fused*
-    #: ``search_step`` (propagate, then analyze the conflict without
-    #: re-crossing the FFI boundary).  ``"native"`` analysis over a
-    #: ``"legacy"`` BCP plane silently upgrades the data plane to the
-    #: python BCP kernel (the C walk needs the typed arrays; search is
-    #: identical either way).
-    analyze_backend: str = "legacy"
+    #: Data-plane kernel (BCP and first-UIP analysis; see
+    #: ``repro.sat.kernel``): ``"native"`` (the loops compiled via
+    #: cffi, run as one fused propagate-then-analyze call per search
+    #: step) or ``"python"`` (the same loops in pure Python — the
+    #: reference the tests compare against).  ``None`` (the default)
+    #: picks ``"native"`` when ``repro.sat.kernel.native_available()``
+    #: and ``"python"`` otherwise.  An explicit ``"native"`` raises
+    #: :class:`RuntimeError` on hosts that cannot build it.  Search
+    #: behaviour is byte-identical under both.
+    kernel: Optional[str] = None
     #: Learned-clause export cap for portfolio solving
     #: (``repro.sat.portfolio``): learned clauses of at most this many
     #: literals are buffered for sharing with peer solvers — short
@@ -267,8 +226,8 @@ class SolverConfig:
     #: ASSUME / END) to this path as a versioned varint-packed binary
     #: trace.  Repeated ``solve()`` calls on one solver re-open the
     #: path, so the file holds the *last* call's trace.  The stream
-    #: sees only search-level state, which PR 7 pinned byte-identical
-    #: across BCP backends — traces are therefore backend-invariant.
+    #: sees only search-level state, which is byte-identical across
+    #: kernels — traces are therefore kernel-invariant.
     #: Disabled (``None``) the entire feature costs one ``is not None``
     #: test per event site.
     trace_path: Optional[str] = None
@@ -289,8 +248,8 @@ class SolverConfig:
     #: Label set attached to every series this solver publishes (e.g.
     #: the portfolio member name); ``None`` for unlabeled series.
     metrics_labels: Optional[Dict[str, str]] = None
-    #: Per-structure access profiling (``repro.sat.profile``): every
-    #: BCP/analysis backend accounts its memory traffic — arena words,
+    #: Per-structure access profiling (``repro.sat.profile``): both
+    #: kernels account their memory traffic — arena words,
     #: watch-column entries, ``lit_truth``/trail/reasons/levels
     #: subscripts, heap ops — into the flat raw-counter array exposed
     #: as :meth:`CdclSolver.access_profile`.  Aggregation happens at
@@ -338,21 +297,9 @@ _TRACE_STATUS = {
 #: Valid values of :attr:`SolverConfig.phase_mode`.
 PHASE_MODES = ("default", "save", "inverted")
 
-#: Valid values of :attr:`SolverConfig.arena_storage` (re-exported from
-#: the arena module).
-ARENA_STORAGE_MODES = STORAGE_MODES
-
-#: Valid values of :attr:`SolverConfig.bcp_backend` (re-exported from
-#: the kernel package).
-SOLVER_BCP_BACKENDS = BCP_BACKENDS
-
-#: Valid values of :attr:`SolverConfig.analyze_backend` (re-exported
-#: from the kernel package).
-SOLVER_ANALYZE_BACKENDS = ANALYZE_BACKENDS
-
 #: Clause-activity magnitude that triggers a rescale.  Single source of
-#: truth for both the inlined bump in ``_analyze`` and the out-of-line
-#: :meth:`CdclSolver._bump_clause_activity`.
+#: truth for both the bump replay in ``_replay_clause_bumps`` and the
+#: out-of-line :meth:`CdclSolver._bump_clause_activity`.
 ACTIVITY_RESCALE_LIMIT = 1e20
 
 #: Minimum number of new level-0 facts before a root-satisfied watch
@@ -413,36 +360,29 @@ class CdclSolver:
                 f"phase_mode must be one of {PHASE_MODES}, "
                 f"got {self.config.phase_mode!r}"
             )
-        if self.config.arena_storage not in STORAGE_MODES:
+        if self.config.restart_base < 1:
+            # Zero or negative gives every restart epoch a limit of at
+            # most zero conflicts: the search restarts forever.
             raise ValueError(
-                f"arena_storage must be one of {STORAGE_MODES}, "
-                f"got {self.config.arena_storage!r}"
+                f"restart_base must be >= 1, got {self.config.restart_base!r}"
             )
-        if self.config.bcp_backend not in BCP_BACKENDS:
+        if self.config.on_progress is not None and self.config.progress_every < 1:
             raise ValueError(
-                f"bcp_backend must be one of {BCP_BACKENDS}, "
-                f"got {self.config.bcp_backend!r}"
+                f"progress_every must be >= 1 when on_progress is set, "
+                f"got {self.config.progress_every!r}"
             )
-        if self.config.analyze_backend not in ANALYZE_BACKENDS:
+        if (
+            self.config.access_stream_path is not None
+            and self.config.access_sample_every < 1
+        ):
             raise ValueError(
-                f"analyze_backend must be one of {ANALYZE_BACKENDS}, "
-                f"got {self.config.analyze_backend!r}"
+                f"access_sample_every must be >= 1 when access_stream_path "
+                f"is set, got {self.config.access_sample_every!r}"
             )
+        kernel_name = resolve_kernel(self.config.kernel)
         self.strategy = strategy or VsidsStrategy()
         self.num_vars = 0
         self.stats = SolverStats()
-        # The kernel backends alias the assignment state across the FFI
-        # boundary, so it must live in typed arrays; the legacy backend
-        # keeps the measured-faster Python lists.  Search behaviour is
-        # identical either way (both are subscripted int sequences).
-        # Native conflict analysis also needs the typed plane (the C
-        # walk reads levels/reasons/trail/seen zero-copy), so it forces
-        # kernel mode even over bcp_backend="legacy" — the data plane
-        # is then the python BCP kernel.
-        kernel_mode = (
-            self.config.bcp_backend != "legacy"
-            or self.config.analyze_backend == "native"
-        )
 
         #: Per-*literal* truth values: 1 true, 0 false, 2 unassigned
         #: (2 rather than -1 so "not false" is plain truthiness).  The
@@ -450,13 +390,13 @@ class CdclSolver:
         #: trail grows or shrinks, so every literal test anywhere in
         #: the solver (and in the decision strategies) is one subscript.
         #: Public accessors (``value_of``, ``assigns``) translate the
-        #: internal 2 back to the conventional -1.  A ``List[int]``
-        #: under the legacy backend, a ``bytearray`` under the kernel
-        #: backends (faster Python subscripting than ``array('b')``;
-        #: the C scan reads it as ``unsigned char``).
-        self.lit_truth: Sequence[int] = bytearray() if kernel_mode else []
-        self._levels: Sequence[int] = array("i") if kernel_mode else []
-        self._reasons: Sequence[int] = array("i") if kernel_mode else []
+        #: internal 2 back to the conventional -1.  A ``bytearray``
+        #: (faster Python subscripting than ``array('b')``; the C
+        #: kernels read it as ``unsigned char``).  Like every array
+        #: below, the kernels alias it zero-copy.
+        self.lit_truth = bytearray()
+        self._levels = array("i")
+        self._reasons = array("i")
         # Last value each variable held before it was unassigned
         # (-1 = never assigned); the phase_mode="save" source.
         self._saved_phase: List[int] = []
@@ -465,27 +405,12 @@ class CdclSolver:
         #: geometrically by :meth:`ensure_num_vars`; ``num_vars`` is the
         #: logical size).
         self._var_capacity = 0
-        # Watch tables, one list per packed literal.  Entries are packed
-        # tuples: long clauses (clause_id, blocker) — a satisfied
-        # blocker skips the clause without touching the arena; ternary
-        # clauses (clause_id, other_a, other_b) — watched statically on
-        # all three literals.  Binary clauses — whose watches never
-        # move and whose every scan may propagate — keep the implied
-        # literal's complement and variable precomputed,
-        # (clause_id, implied, ~implied, var): pure BCP chains assign
-        # on almost every scanned entry, and the two extra tuple fields
-        # are cheaper there than an xor+shift per assignment.
-        self._watches: List[List[Tuple[int, int]]] = []
-        self._watches_bin: List[List[Tuple[int, int, int, int]]] = []
-        self._watches_tern: List[List[Tuple[int, int, int]]] = []
         self._lit_counts: List[int] = []  # original-clause literal counts
-        #: The trail: a dynamically grown list under the legacy
-        #: backend; under the kernel backends a *preallocated*
-        #: ``array('i')`` of ``_var_capacity`` slots whose live prefix
-        #: is ``_trail_len`` (the C scan appends by subscript, it
-        #: cannot grow a Python list).  ``_trail_len`` is maintained in
-        #: both modes; legacy keeps ``len(_trail) == _trail_len``.
-        self._trail: Sequence[int] = array("i") if kernel_mode else []
+        #: The trail: a *preallocated* ``array('i')`` of
+        #: ``_var_capacity`` slots whose live prefix is ``_trail_len``
+        #: (the C scan appends by subscript, it cannot grow a Python
+        #: list).
+        self._trail = array("i")
         self._trail_len = 0
         self._trail_lim: List[int] = []
         self._qhead = 0
@@ -495,13 +420,7 @@ class CdclSolver:
         #: The flat clause store: every clause's literals live here as
         #: one block; ``_arena.refs[cid]`` addresses them and
         #: ``_arena.activity`` is the per-clause activity column.
-        #: The kernel backends force the compact (``array('i')``)
-        #: store — the clause memory they alias zero-copy; fast-vs-
-        #: compact search identity is pinned by the differential
-        #: fuzzer, so this changes no behaviour.
-        self._arena = ClauseArena(
-            "compact" if kernel_mode else self.config.arena_storage
-        )
+        self._arena = ClauseArena()
         #: Raw access-counter buffer (repro.sat.profile), or None when
         #: profiling is off.  Allocated *before* the kernels: the
         #: native wrappers capture it at construction and alias it from
@@ -509,38 +428,16 @@ class CdclSolver:
         self._profile = (
             new_profile_buffer() if self.config.profile_access else None
         )
-        #: The propagation kernel (None under the legacy backend).  Its
-        #: construction must precede ``ensure_num_vars`` (which grows
-        #: the kernel's watch columns alongside the per-var arrays);
-        #: ``bcp_backend="native"`` raises here, cleanly, on hosts
-        #: without cffi or a C compiler.
-        self._kernel = (
-            create_kernel(
-                self,
-                self.config.bcp_backend
-                if self.config.bcp_backend != "legacy"
-                else "python",
-            )
-            if kernel_mode
-            else None
-        )
-        #: The conflict-analysis kernel (None under the legacy
-        #: backend); ``analyze_backend="native"`` raises here, cleanly,
-        #: on hosts without cffi or a C compiler.
-        self._akernel = (
-            create_analyze_kernel(self, self.config.analyze_backend)
-            if self.config.analyze_backend != "legacy"
-            else None
-        )
-        #: True when both planes are native: the search loop then runs
-        #: the fused propagate->analyze step (one FFI crossing per
-        #: conflict) instead of two seam calls.
-        self._fused = (
-            self._kernel is not None
-            and self._kernel.name == "native"
-            and self._akernel is not None
-            and self._akernel.name == "native"
-        )
+        #: The data-plane kernels: ``_kernel`` owns the watch columns
+        #: and runs BCP, ``_akernel`` runs the first-UIP walk.  Built
+        #: before ``ensure_num_vars`` (which grows the watch columns
+        #: alongside the per-var arrays); an explicit
+        #: ``kernel="native"`` raises here, cleanly, on hosts without
+        #: cffi or a C compiler.
+        self._kernel, self._akernel = create_kernels(self, kernel_name)
+        #: Native search runs the fused propagate->analyze step (one
+        #: FFI crossing per conflict) instead of two seam calls.
+        self._fused = kernel_name == "native"
         # Analysis-side literal views, one immutable tuple per clause.
         # Conflict analysis is literal-ORDER-blind (seen-marking makes
         # duplicates and permutations irrelevant), and a clause's
@@ -679,20 +576,10 @@ class CdclSolver:
             self._seen.extend(bytes(grow))
             self._lbd_stamp.extend([0] * grow)
             self._lit_counts.extend([0] * (2 * grow))
-            if self._kernel is None:
-                watches = self._watches
-                watches_bin = self._watches_bin
-                watches_tern = self._watches_tern
-                for _ in range(2 * grow):
-                    watches.append([])
-                    watches_bin.append([])
-                    watches_tern.append([])
-            else:
-                # Preallocate trail slots to physical capacity (the
-                # kernels append by subscript) and size the flat watch
-                # columns; the legacy tuple tables stay empty.
-                self._trail.extend([0] * grow)
-                self._kernel.grow(2 * new_cap)
+            # Preallocate trail slots to physical capacity (the kernels
+            # append by subscript) and size the flat watch columns.
+            self._trail.extend([0] * grow)
+            self._kernel.grow(2 * new_cap)
             self._var_capacity = new_cap
         self.num_vars = count
 
@@ -803,37 +690,38 @@ class CdclSolver:
         times per Table-1 row.  Compared to the generic
         :meth:`_install_clause` it hoists every per-clause attribute
         access and specializes dedupe/tautology checks for the 2-3
-        literal clauses Tseitin encodings consist of.  Clause literals
-        go straight into the arena (one ``extend`` per clause); only
-        clauses that meet pre-assigned variables take the slow
-        classification path.
+        literal clauses Tseitin encodings consist of.  Arena words and
+        offsets are gathered in Python lists and copied into the typed
+        store once at the end (a typed-array append costs several list
+        appends; nothing reads the arena during install).  Only clauses
+        that meet pre-assigned variables take the slow classification
+        path.
         """
         arena = self._arena
-        adata = arena.data
-        adata_append = adata.append
-        adata_extend = adata.extend
-        arefs = arena.refs
-        arefs_append = arefs.append
+        word_buf: List[int] = []
+        buf_append = word_buf.append
+        buf_extend = word_buf.extend
+        ref_buf: List[int] = []
+        ref_append = ref_buf.append
         aflags_append = arena.flags.append
-        activity_append = arena.activity.append
         view_append = self._lits_view.append
         original_append = self._original_ids.append
         original_add = self._original_id_set.add
         lit_counts = self._lit_counts
         truth = self.lit_truth
-        watches_bin = self._watches_bin
-        watches_tern = self._watches_tern
-        watches = self._watches
-        kernel = self._kernel
-        kernel_attach = None if kernel is None else kernel.attach
+        # Clauses to watch, per table, in clause order: the kernel lays
+        # their entries out in one pass once the arena is written
+        # (nothing reads the watches during install).
+        bin_ids: List[int] = []
+        tern_ids: List[int] = []
+        long_ids: List[int] = []
         num_literals = 0
-        next_cid = len(arefs)
-        # This loop appends to the arena word store directly (no
-        # per-clause ``arena.add`` call), so it must also enforce the
+        next_cid = len(arena.refs)
+        # This loop bypasses ``arena.add``, so it must also enforce the
         # arena's word ceiling itself — a running count against the
         # hoisted limit keeps the guard O(1) per clause.
         word_limit = arena.word_limit
-        words = len(adata)
+        words = len(arena.data)
         for lits in self._formula.iter_literals():
             n = len(lits)
             taut = False
@@ -863,59 +751,54 @@ class CdclSolver:
             next_cid += 1
             original_append(cid)
             original_add(cid)
-            flags = INACTIVE if taut else 0
-            adata_append(flags)
-            adata_append(n)
-            arefs_append(len(adata))
-            adata_extend(lits)
-            aflags_append(flags)
-            activity_append(0.0)
             view_append(lits)
-            if taut:
+            flags = INACTIVE if taut else 0
+            aflags_append(flags)
+            buf_append(flags)
+            buf_append(n)
+            ref_append(words - n)
+            attach = False
+            if not taut:
+                for lit in lits:
+                    lit_counts[lit] += 1
+                num_literals += n
+                if not self._ok:
+                    pass
+                elif n >= 2:
+                    attach = True
+                    for lit in lits:
+                        if truth[lit] != 2:
+                            # The arena stores the watch-ordered form;
+                            # the view keeps install order.
+                            lits = list(lits)
+                            attach = self._classify_assigned(cid, lits)
+                            break
+                elif n == 1:
+                    self._load_unit(cid, lits[0])
+                else:
+                    self._mark_root_unsat([cid])
+            buf_extend(lits)
+            if not attach:
                 continue
-            for lit in lits:
-                lit_counts[lit] += 1
-            num_literals += n
-            if not self._ok or n <= 1:
-                if self._ok:
-                    if n == 0:
-                        self._mark_root_unsat([cid])
-                    else:
-                        self._load_unit(cid, lits[0])
-                continue
-            clean = True
-            for lit in lits:
-                if truth[lit] != 2:
-                    clean = False
-                    break
-            if not clean:
-                self._install_assigned(cid, list(lits))
-                continue
-            if kernel_attach is not None:
-                kernel_attach(cid, lits)
-            elif n == 2:
-                a, b = lits
-                watches_bin[a].append((cid, b, b ^ 1, b >> 1))
-                watches_bin[b].append((cid, a, a ^ 1, a >> 1))
+            if n == 2:
+                bin_ids.append(cid)
             elif n == 3:
-                a, b, c = lits
-                watches_tern[a].append((cid, b, c))
-                watches_tern[b].append((cid, a, c))
-                watches_tern[c].append((cid, a, b))
+                tern_ids.append(cid)
             else:
-                watches[lits[0]].append((cid, lits[1]))
-                watches[lits[1]].append((cid, lits[0]))
+                long_ids.append(cid)
+        arena.data.fromlist(word_buf)
+        arena.refs.fromlist(ref_buf)
+        arena.activity.frombytes(bytes(8 * len(ref_buf)))
+        self._kernel.attach_all(bin_ids, tern_ids, long_ids)
         self._num_original_literals += num_literals
 
     def _install_clause(
         self, lits: List[int], initial: bool, count_literals: bool = True
     ) -> int:
-        akernel = self._akernel
-        if akernel is not None:
-            # The arena and watch pools may grow below; the fused
-            # native step caches FFI views of them across calls
-            # (mid-solve path: shared-clause import at level 0).
-            akernel.invalidate_views()
+        # The arena and watch pools may grow below; the fused native
+        # step caches FFI views of them across calls (mid-solve path:
+        # shared-clause import at level 0).
+        self._akernel.invalidate_views()
         lits = list(dict.fromkeys(lits))  # dedupe, keep order
         taut = _is_tautology(lits)
         cid = self._arena.add(lits, INACTIVE if taut else 0)
@@ -951,22 +834,26 @@ class CdclSolver:
             truth = self.lit_truth
             for lit in lits:
                 if truth[lit] != 2:
-                    self._install_assigned(cid, lits)
+                    if self._classify_assigned(cid, lits):
+                        self._rewrite_block(cid, lits)
+                        self._kernel.attach(cid, lits)
                     return cid
-            self._attach_clause(cid, lits)
+            self._kernel.attach(cid, lits)
         return cid
 
-    def _install_assigned(self, cid: int, lits: List[int]) -> None:
-        """Install a clause some of whose literals are already assigned
+    def _classify_assigned(self, cid: int, lits: List[int]) -> bool:
+        """Classify a clause some of whose literals are already assigned
         (level-0 facts): it may be satisfied, effectively unit, or
-        falsified; one pass classifies it.  Long clauses get two
-        non-false literals moved to the watch positions (the arena block
-        is rewritten to the reordered form); a clause already
-        *satisfied* at level 0 stays satisfied forever, so under
-        ``config.prune_root_satisfied`` it is never attached at all
-        (pruned at birth — recorded so introspection agrees with the
-        restart-time sweep).  Installation always happens at decision
-        level 0, so every assigned literal seen here is a root fact."""
+        falsified; one pass decides.  Returns True when the clause must
+        be attached, with ``lits`` reordered in place into the form the
+        arena must hold: long clauses get two non-false literals moved
+        to the watch positions, a unit gets its free literal first (and
+        is enqueued).  A clause already *satisfied* at level 0 stays
+        satisfied forever, so under ``config.prune_root_satisfied`` it
+        is never attached at all (pruned at birth — recorded so
+        introspection agrees with the restart-time sweep).  Installation
+        always happens at decision level 0, so every assigned literal
+        seen here is a root fact."""
         truth = self.lit_truth
         satisfied = False
         first_un = -1
@@ -985,51 +872,32 @@ class CdclSolver:
             if self.config.prune_root_satisfied:
                 self._root_pruned.add(cid)
                 self._pending_root_pruned += 1
-                return
+                return False
         else:
             if first_un == -1:  # every literal false at level 0
                 antecedents = [cid]
                 self._reason_closure([lit >> 1 for lit in lits], antecedents)
                 self._mark_root_unsat(antecedents)
-                return
+                return False
             if second_un == -1:  # effectively unit at level 0
                 lits.remove(first_un)
                 lits.insert(0, first_un)
-                self._rewrite_block(cid, lits)
                 self._enqueue(first_un, cid)
                 self._pending_load_propagations += 1
             elif len(lits) > 3:
                 lits.remove(first_un)
                 lits.remove(second_un)
                 lits[:0] = (first_un, second_un)
-                self._rewrite_block(cid, lits)
-        self._attach_clause(cid, lits)
+        return True
 
     def _rewrite_block(self, cid: int, lits: Sequence[int]) -> None:
-        """Write a reordered literal sequence back over the clause's
-        arena block (same length — install-time watch positioning)."""
+        """Write a (possibly reordered) literal sequence back over the
+        clause's arena block (same length — install-time watch
+        positioning)."""
         data = self._arena.data
         base = self._arena.refs[cid]
         for i, lit in enumerate(lits):
             data[base + i] = lit
-
-    def _attach_clause(self, cid: int, lits: Sequence[int]) -> None:
-        if self._kernel is not None:
-            self._kernel.attach(cid, lits)
-            return
-        if len(lits) == 2:
-            a, b = lits
-            self._watches_bin[a].append((cid, b, b ^ 1, b >> 1))
-            self._watches_bin[b].append((cid, a, a ^ 1, a >> 1))
-        elif len(lits) == 3:
-            a, b, c = lits
-            self._watches_tern[a].append((cid, b, c))
-            self._watches_tern[b].append((cid, a, c))
-            self._watches_tern[c].append((cid, a, b))
-        else:
-            a, b = lits[0], lits[1]
-            self._watches[a].append((cid, b))
-            self._watches[b].append((cid, a))
 
     def _load_unit(self, clause_id: int, lit: int) -> None:
         self._root_unit_of.setdefault(lit >> 1, (lit, clause_id))
@@ -1125,10 +993,7 @@ class CdclSolver:
         var = lit >> 1
         self._levels[var] = self._decision_level
         self._reasons[var] = reason
-        if self._kernel is None:
-            self._trail.append(lit)
-        else:
-            self._trail[self._trail_len] = lit
+        self._trail[self._trail_len] = lit
         self._trail_len += 1
 
     def _backtrack(self, level: int) -> None:
@@ -1149,11 +1014,8 @@ class CdclSolver:
         # learned-DB lock test guards on lit_truth first), and both are
         # overwritten by the next assignment.  Level-0 entries are
         # never undone, so a stale level is always >= 1 and can never
-        # masquerade as a root fact.
-        if self._kernel is None:
-            del trail[limit:]
-        # Kernel mode: entries past _trail_len are dead capacity, the
-        # next assignments overwrite them in place.
+        # masquerade as a root fact.  Trail entries past _trail_len
+        # are dead capacity, the next assignments overwrite them.
         self._trail_len = limit
         del self._trail_lim[level:]
         self._qhead = limit
@@ -1165,273 +1027,6 @@ class CdclSolver:
             # Heap reinserts: every unassigned variable is offered back
             # to the decision heap (pops are counted at decision sites).
             profile[PROF_HEAP] += len(undone)
-
-    # ------------------------------------------------------------------
-    # Boolean constraint propagation (two watched literals).
-    # ------------------------------------------------------------------
-
-    def _propagate(self) -> int:  # solcheck: hot
-        """Exhaust the implication queue; returns a conflicting clause ID
-        or -1.
-
-        Hot-path invariants: every name used in the inner loop is a
-        local (attribute lookups are hoisted once per call — the
-        decision level is constant for the call's duration, and
-        assignments are written inline rather than via
-        :meth:`_enqueue`); every literal test is one ``lit_truth``
-        subscript; each long-clause watch entry carries a *blocker*
-        literal whose satisfaction skips the clause without touching
-        the arena; propagation counts accumulate locally and are
-        flushed to ``stats`` once on exit.
-
-        Under a kernel backend (``config.bcp_backend != "legacy"``)
-        the whole call is delegated across the seam — same contract,
-        flat data plane (see ``repro.sat.kernel``).
-        """
-        kernel = self._kernel
-        if kernel is not None:
-            return kernel.propagate()
-        truth = self.lit_truth
-        adata = self._arena.data
-        arefs = self._arena.refs
-        watches = self._watches
-        watches_bin = self._watches_bin
-        watches_tern = self._watches_tern
-        trail = self._trail
-        trail_append = trail.append
-        levels = self._levels
-        reasons = self._reasons
-        level = self._decision_level
-        qhead = self._qhead
-        props = 0
-        trail_len = len(trail)
-        # Access profiling (repro.sat.profile): raw aggregates in plain
-        # locals, flushed at the exit sites below — never a buffer write
-        # inside the loop.
-        profile = self._profile
-        qhead0 = qhead
-        acc_bin = 0
-        acc_tern = 0
-        acc_long = 0
-        acc_open = 0
-        acc_arena = 0
-        while qhead < trail_len:
-            lit = trail[qhead]
-            qhead += 1
-            false_lit = lit ^ 1
-            entries = watches_bin[false_lit]
-            if entries:
-                acc_bin += len(entries)
-                for cid, implied, neg, var in entries:
-                    value = truth[implied]
-                    if value == 2:
-                        props += 1
-                        truth[implied] = 1
-                        truth[neg] = 0
-                        levels[var] = level
-                        reasons[var] = cid
-                        trail_append(implied)
-                        trail_len += 1
-                    elif value == 0:
-                        self._qhead = qhead
-                        self._trail_len = trail_len
-                        self.stats.propagations += props
-                        if profile is not None:
-                            profile[PROF_BIN] += acc_bin
-                            profile[PROF_TERN] += acc_tern
-                            profile[PROF_LONG] += acc_long
-                            profile[PROF_OPEN] += acc_open
-                            profile[PROF_ARENA] += acc_arena
-                            profile[PROF_PROPS] += props
-                            profile[PROF_DEQ] += qhead - qhead0
-                        return cid
-            entries = watches_tern[false_lit]
-            if entries:
-                acc_tern += len(entries)
-                for cid, lit_a, lit_b in entries:
-                    value_a = truth[lit_a]
-                    value_b = truth[lit_b]
-                    if value_a and value_b:
-                        # Neither companion is false (any mix of true
-                        # and unassigned): nothing can happen here.
-                        # The dominant case, and the 0/1/2 encoding
-                        # makes it a single truthiness test.
-                        continue
-                    if value_a == 0:  # a is false
-                        if value_b == 2:
-                            props += 1
-                            truth[lit_b] = 1
-                            truth[lit_b ^ 1] = 0
-                            var = lit_b >> 1
-                            levels[var] = level
-                            reasons[var] = cid
-                            trail_append(lit_b)
-                            trail_len += 1
-                        elif value_b == 0:
-                            self._qhead = qhead
-                            self._trail_len = trail_len
-                            self.stats.propagations += props
-                            if profile is not None:
-                                profile[PROF_BIN] += acc_bin
-                                profile[PROF_TERN] += acc_tern
-                                profile[PROF_LONG] += acc_long
-                                profile[PROF_OPEN] += acc_open
-                                profile[PROF_ARENA] += acc_arena
-                                profile[PROF_PROPS] += props
-                                profile[PROF_DEQ] += qhead - qhead0
-                            return cid
-                        # else: b is true — clause satisfied
-                    elif value_a == 2:  # b is false, a unassigned
-                        props += 1
-                        truth[lit_a] = 1
-                        truth[lit_a ^ 1] = 0
-                        var = lit_a >> 1
-                        levels[var] = level
-                        reasons[var] = cid
-                        trail_append(lit_a)
-                        trail_len += 1
-                    # else: a is true — clause satisfied
-            watch_list = watches[false_lit]
-            if not watch_list:
-                continue
-            n = len(watch_list)
-            acc_long += n
-            # Phase 1 — read-only: until a watch actually *moves* the
-            # list needs no compaction, so kept entries cost no stores
-            # (satisfied blockers, refreshed blockers and unit
-            # propagations all update in place or not at all), and a
-            # conflict returns with the list untouched.  Only the first
-            # removal switches to the copying loop below, where j
-            # trails i from the removed slot on.
-            i = 0
-            while i < n:
-                entry = watch_list[i]
-                if truth[entry[1]] == 1:
-                    i += 1
-                    continue
-                cid = entry[0]
-                acc_open += 1
-                base = arefs[cid]
-                first = adata[base]
-                if first == false_lit:
-                    first = adata[base + 1]
-                    adata[base] = first
-                    adata[base + 1] = false_lit
-                first_truth = truth[first]
-                if first_truth == 1:
-                    watch_list[i] = (cid, first)
-                    i += 1
-                    continue
-                end = base + adata[base - 1]
-                acc_arena += end - base - 2
-                for k in range(base + 2, end):
-                    other = adata[k]
-                    if truth[other] != 0:
-                        adata[k] = adata[base + 1]
-                        adata[base + 1] = other
-                        watches[other].append((cid, first))
-                        break
-                else:
-                    if first_truth == 2:
-                        props += 1
-                        truth[first] = 1
-                        truth[first ^ 1] = 0
-                        var = first >> 1
-                        levels[var] = level
-                        reasons[var] = cid
-                        trail_append(first)
-                        trail_len += 1
-                        i += 1
-                        continue
-                    self._qhead = qhead
-                    self._trail_len = trail_len
-                    self.stats.propagations += props
-                    if profile is not None:
-                        profile[PROF_BIN] += acc_bin
-                        profile[PROF_TERN] += acc_tern
-                        profile[PROF_LONG] += acc_long
-                        profile[PROF_OPEN] += acc_open
-                        profile[PROF_ARENA] += acc_arena
-                        profile[PROF_PROPS] += props
-                        profile[PROF_DEQ] += qhead - qhead0
-                    return cid
-                # Watch moved: slot i is dropped — compact from here on.
-                j = i
-                i += 1
-                while i < n:
-                    entry = watch_list[i]
-                    i += 1
-                    if truth[entry[1]] == 1:
-                        watch_list[j] = entry
-                        j += 1
-                        continue
-                    cid = entry[0]
-                    acc_open += 1
-                    base = arefs[cid]
-                    first = adata[base]
-                    if first == false_lit:
-                        first = adata[base + 1]
-                        adata[base] = first
-                        adata[base + 1] = false_lit
-                    first_truth = truth[first]
-                    if first_truth == 1:
-                        watch_list[j] = (cid, first)
-                        j += 1
-                        continue
-                    end = base + adata[base - 1]
-                    acc_arena += end - base - 2
-                    for k in range(base + 2, end):
-                        other = adata[k]
-                        if truth[other] != 0:
-                            adata[k] = adata[base + 1]
-                            adata[base + 1] = other
-                            watches[other].append((cid, first))
-                            break
-                    else:
-                        watch_list[j] = entry
-                        j += 1
-                        if first_truth == 2:
-                            props += 1
-                            truth[first] = 1
-                            truth[first ^ 1] = 0
-                            var = first >> 1
-                            levels[var] = level
-                            reasons[var] = cid
-                            trail_append(first)
-                            trail_len += 1
-                        else:
-                            # Conflict: keep the untouched tail.
-                            while i < n:
-                                watch_list[j] = watch_list[i]
-                                j += 1
-                                i += 1
-                            del watch_list[j:]
-                            self._qhead = qhead
-                            self._trail_len = trail_len
-                            self.stats.propagations += props
-                            if profile is not None:
-                                profile[PROF_BIN] += acc_bin
-                                profile[PROF_TERN] += acc_tern
-                                profile[PROF_LONG] += acc_long
-                                profile[PROF_OPEN] += acc_open
-                                profile[PROF_ARENA] += acc_arena
-                                profile[PROF_PROPS] += props
-                                profile[PROF_DEQ] += qhead - qhead0
-                            return cid
-                del watch_list[j:]
-                break
-        self._qhead = qhead
-        self._trail_len = trail_len
-        self.stats.propagations += props
-        if profile is not None:
-            profile[PROF_BIN] += acc_bin
-            profile[PROF_TERN] += acc_tern
-            profile[PROF_LONG] += acc_long
-            profile[PROF_OPEN] += acc_open
-            profile[PROF_ARENA] += acc_arena
-            profile[PROF_PROPS] += props
-            profile[PROF_DEQ] += qhead - qhead0
-        return -1
 
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP) with complete antecedent recording.
@@ -1484,123 +1079,15 @@ class CdclSolver:
             return entry[1]
         return -1
 
-    def _analyze(self, conflict_cid: int) -> AnalysisResult:  # solcheck: hot
-        """First-UIP analysis with learned-clause minimization.
-
-        The legacy analysis backend: the resolution main loop inline
-        (``analyze_backend="python"``/``"native"`` route the same loop
-        through the kernel seam instead — see :meth:`_analyze_kernel`),
-        then the shared Python tail (:meth:`_finish_analysis`).  The
-        returned :class:`AnalysisResult` carries the asserting literal
-        at ``learned[0]`` and (when the clause is not unit) a literal
-        of the backjump level at position 1.
-
-        Hot-path invariants: the only marker structure is the persistent
-        ``_seen`` bytearray; level-0 variables and marked variables are
-        recorded in the reusable ``_zero_scratch`` / ``_touched_scratch``
-        lists, so a conflict allocates no sets.  Clause literals are
-        read as one arena slice per visited clause; the learned-clause
-        test is one flag-byte read.  Clause-activity bumps are inlined
-        (the rescale path is the out-of-line rarity).
-
-        After the first-UIP clause is formed, redundant literals are
-        removed by self-subsumption over reason chains (see
-        :meth:`_minimize_learned`); every reason clause consumed by a
-        removal proof is appended to ``antecedents`` so the CDG entry
-        remains a complete resolution derivation that
-        ``repro.sat.proof`` can replay.
-        """
-        seen = self._seen
-        levels = self._levels
-        reasons = self._reasons
-        view = self._lits_view
-        aflags = self._arena.flags
-        trail = self._trail
-        activity = self._activity
-        inc = self._activity_inc
-        current = self._decision_level
-        learned: List[int] = [0]
-        antecedents: List[int] = [conflict_cid]
-        zero = self._zero_scratch
-        touched = self._touched_scratch
-        touched_append = touched.append
-        learned_append = learned.append
-        counter = 0
-        p = -1
-        cid = conflict_cid
-        idx = self._trail_len - 1
-        rescale_limit = ACTIVITY_RESCALE_LIMIT
-        profile = self._profile
-        idx0 = idx
-        acc_words = 0
-
-        while True:
-            if cid != conflict_cid and aflags[cid] & 1:  # LEARNED
-                bumped = activity[cid] + inc
-                activity[cid] = bumped
-                if bumped > rescale_limit:
-                    # solcheck: ignore[HOT02] rescale fires ~once per 1e20
-                    # activity bumps; hoisting would cost every iteration
-                    self._rescale_clause_activity()
-                    # solcheck: ignore[HOT02] must re-read: the rescale
-                    # just rewrote _activity_inc under our feet
-                    inc = self._activity_inc
-            lits = view[cid]
-            acc_words += len(lits)
-            for q in lits:
-                if q == p:
-                    continue
-                var = q >> 1
-                if seen[var]:
-                    continue
-                level = levels[var]
-                if level == 0:
-                    seen[var] = 1
-                    touched_append(var)
-                    zero.append(var)
-                    continue
-                seen[var] = 1
-                touched_append(var)
-                if level >= current:
-                    counter += 1
-                else:
-                    learned_append(q)
-            while not seen[trail[idx] >> 1]:
-                idx -= 1
-            p = trail[idx]
-            idx -= 1
-            counter -= 1
-            if counter == 0:
-                break
-            cid = reasons[p >> 1]
-            antecedents.append(cid)
-
-        learned[0] = p ^ 1
-        if profile is not None:
-            profile[PROF_AWORDS] += acc_words
-            profile[PROF_ATRAIL] += idx0 - idx
-        return self._finish_analysis(learned, antecedents)
-
-    def _analyze_kernel(self, conflict_cid: int) -> AnalysisResult:
-        """Analysis via the kernel seam (``analyze_backend`` not
-        ``"legacy"``): the kernel runs the resolution main loop, the
-        solver replays the clause-activity bumps its legacy twin
-        inlines (from the antecedent order, before minimization can
-        extend the list) and runs the shared tail."""
-        learned, antecedents = self._akernel.analyze(conflict_cid)
-        self._replay_clause_bumps(antecedents)
-        return self._finish_analysis(learned, antecedents)
-
     def _replay_clause_bumps(self, antecedents: List[int]) -> None:
-        """Replay the bumps ``_analyze`` inlines, float-identically.
+        """Bump every learned clause the first-UIP walk resolved over.
 
-        Legacy bumps each learned clause visited by the resolution main
-        loop, in visit order — which is exactly ``antecedents[1:]`` as
-        a kernel hands it back (``antecedents[0]``, the conflict
-        clause, is falsified and can never be a reason, so the legacy
-        ``cid != conflict_cid`` guard never bumped it).  Must run
-        before :meth:`_finish_analysis`: minimization and the level-0
-        closure append further antecedents legacy does not bump.
+        The kernels leave clause activity alone; the walk's visit order
+        is ``antecedents[1:]`` as a kernel hands it back
+        (``antecedents[0]``, the conflict clause, is falsified and is
+        never bumped).  Must run before :meth:`_finish_analysis`:
+        minimization and the level-0 closure append further
+        antecedents that are not bumped.
         """
         aflags = self._arena.flags
         activity = self._activity
@@ -1618,11 +1105,14 @@ class CdclSolver:
     def _finish_analysis(
         self, learned: List[int], antecedents: List[int]
     ) -> AnalysisResult:
-        """The analysis tail every backend funnels through: learned-
+        """The analysis tail after the kernel's first-UIP walk: learned-
         clause minimization, LBD, the level-0 reason closure, seen-mark
         clearing and the backjump-literal swap.  Expects the seam state
-        the main loop leaves behind — asserting literal at
-        ``learned[0]``, seen marks set, touched/zero scratch filled."""
+        the walk leaves behind — asserting literal at ``learned[0]``,
+        seen marks set, touched/zero scratch filled.  The returned
+        :class:`AnalysisResult` carries the asserting literal at
+        ``learned[0]`` and (when the clause is not unit) a literal of
+        the backjump level at position 1."""
         levels = self._levels
         seen = self._seen
         zero = self._zero_scratch
@@ -1636,8 +1126,7 @@ class CdclSolver:
 
         # LBD of the final (minimized) clause: distinct decision levels
         # among its literals, counted with the generation-stamped array
-        # (no set, no clearing).  Identical across backends because the
-        # clause itself is.
+        # (no set, no clearing).
         gen = self._lbd_gen + 1
         self._lbd_gen = gen
         stamp = self._lbd_stamp
@@ -1833,9 +1322,8 @@ class CdclSolver:
         return cid in self._original_id_set
 
     def _bump_clause_activity(self, cid: int) -> None:
-        # Out-of-line form of the bump inlined in _analyze (same
-        # threshold constant); kept as the maintained utility entry
-        # point for tests and future non-hot-path callers.
+        # Single-clause form of _replay_clause_bumps (same threshold
+        # constant); the utility entry point for tests.
         self._activity[cid] += self._activity_inc
         if self._activity[cid] > ACTIVITY_RESCALE_LIMIT:
             self._rescale_clause_activity()
@@ -1856,13 +1344,10 @@ class CdclSolver:
         self._activity_inc *= scale
 
     def _add_learned(self, learned: List[int], antecedents: List[int]) -> int:
-        akernel = self._akernel
-        if akernel is not None:
-            # The arena append always resizes arrays the fused native
-            # step holds cached FFI views of; watch-pool growth during
-            # the attach (rare) invalidates itself via the columns'
-            # on_resize hook.
-            akernel.invalidate_arena_views()
+        # The arena append always resizes arrays the fused native step
+        # holds cached FFI views of; watch-pool growth during the attach
+        # (rare) invalidates itself via the columns' on_resize hook.
+        self._akernel.invalidate_arena_views()
         cid = self._arena.add(learned, LEARNED, self._activity_inc)
         self._lits_view.append(tuple(learned))
         self._learned_ids.append(cid)
@@ -1872,7 +1357,7 @@ class CdclSolver:
             self._cdg.add(cid, antecedents)
             self.stats.cdg_entries += 1
         if len(learned) >= 2:
-            self._attach_clause(cid, learned)
+            self._kernel.attach(cid, learned)
         return cid
 
     # ------------------------------------------------------------------
@@ -1923,18 +1408,17 @@ class CdclSolver:
         root_pruned = self._root_pruned
         arena = self._arena
         view = self._lits_view
+        kernel = self._kernel
         akernel = self._akernel
-        if akernel is not None:
-            # Arena compaction below resizes the word store the fused
-            # native step holds cached FFI views of.
-            akernel.invalidate_views()
+        # Arena compaction below resizes the word store the fused
+        # native step holds cached FFI views of.
+        akernel.invalidate_views()
         for cid in candidates[: len(candidates) // 2]:
             if cid not in root_pruned:  # pruned clauses are already detached
-                self._detach_clause(cid)
+                kernel.detach(cid)
             arena.tombstone(cid)
             view[cid] = ()  # free the analysis view; reasons stay live
-            if akernel is not None:
-                akernel.free_clause(cid)  # and its install-order mirror block
+            akernel.free_clause(cid)  # and its install-order mirror block
             self._num_live_learned -= 1
             self.stats.deleted_clauses += 1
         self._maybe_compact_arena()
@@ -2011,57 +1495,13 @@ class CdclSolver:
             return
         pruned.update(newly)
         self.stats.root_pruned_clauses += len(newly)
-        self._compact_watches(pruned)
-
-    def _compact_watches(self, dropped: Set[int]) -> None:
-        """Remove every watch entry whose clause ID is in ``dropped``,
-        compacting each list in place (surviving order preserved — the
-        propagation order of the remaining entries is untouched)."""
-        if self._kernel is not None:
-            self._kernel.drop_clauses(dropped)
-            return
-        for table in (self._watches, self._watches_bin, self._watches_tern):
-            for watch_list in table:
-                if watch_list:
-                    n = len(watch_list)
-                    j = 0
-                    for i in range(n):
-                        entry = watch_list[i]
-                        if entry[0] not in dropped:
-                            watch_list[j] = entry
-                            j += 1
-                    if j != n:
-                        del watch_list[j:]
+        self._kernel.drop_clauses(pruned)
 
     @property
     def root_pruned_clauses(self) -> int:
         """Total clauses detached as root-satisfied over the solver's
         lifetime (install-time skips included)."""
         return len(self._root_pruned)
-
-    def _detach_clause(self, cid: int) -> None:
-        if self._kernel is not None:
-            self._kernel.detach(cid)
-            return
-        adata = self._arena.data
-        base = self._arena.refs[cid]
-        n = adata[base - 1]
-        if n == 2:
-            table = self._watches_bin
-            watched = (adata[base], adata[base + 1])
-        elif n == 3:
-            table = self._watches_tern
-            watched = (adata[base], adata[base + 1], adata[base + 2])
-        else:
-            table = self._watches
-            watched = (adata[base], adata[base + 1])
-        for lit in watched:
-            watch_list = table[lit]
-            for i, entry in enumerate(watch_list):
-                if entry[0] == cid:
-                    watch_list[i] = watch_list[-1]
-                    watch_list.pop()
-                    break
 
     # ------------------------------------------------------------------
     # Main search loop (the paper's Fig. 1, plus restarts and deletion).
@@ -2122,11 +1562,9 @@ class CdclSolver:
             # binding kept past it would be a strategy <-> solver cycle,
             # freed by the cyclic collector instead of by refcount.
             self.strategy.detach()
-            if self._akernel is not None:
-                # Release cached fused-step views so between-solve
-                # mutations (ensure_num_vars, add_clause) never hit a
-                # pinned buffer.
-                self._akernel.invalidate_views()
+            # Release cached fused-step views so between-solve mutations
+            # (ensure_num_vars, add_clause) never hit a pinned buffer.
+            self._akernel.invalidate_views()
             if trace is not None:
                 self._trace = None
                 trace.close()
@@ -2331,23 +1769,23 @@ class CdclSolver:
         metrics_on = config.metrics is not None
         # Trace sink (None when disabled — every event site below is
         # then a single `is not None` test).  Event capture lives here
-        # at search level, never inside _propagate: the native kernel
+        # at search level, never inside the kernels: the native kernel
         # runs the BCP loop opaquely in C, and search-level state is
-        # what PR 7 pinned byte-identical across backends.
+        # what the trace pins hold byte-identical across kernels.
         trace = self._trace
-        # Conflict-analysis dispatch: the fused native step (propagate
-        # and analyze in one FFI crossing), the kernel seam, or the
-        # legacy inline loop.  All three produce identical
-        # AnalysisResults — the fuzzer and the Table-1 pin hold the
-        # grid byte-identical.
-        akernel = self._akernel
-        fused_step = akernel.search_step if self._fused else None
+        # Data-plane dispatch: the fused native step (propagate, then
+        # analyze the conflict in the same FFI crossing) or the python
+        # kernels' two seam calls.  Both produce identical analyses —
+        # the fuzzer and the Table-1 pin hold them byte-identical.
+        propagate = self._kernel.propagate
+        analyze = self._akernel.analyze
+        fused_step = self._akernel.search_step if self._fused else None
 
         while True:
             if fused_step is not None:
                 conflict, analysis = fused_step(num_assumptions)
             else:
-                conflict = self._propagate()
+                conflict = propagate()
                 analysis = None
             if conflict != -1:
                 stats.conflicts += 1
@@ -2363,19 +1801,12 @@ class CdclSolver:
                     # The conflict is entirely above assumption decisions:
                     # UNSAT under the current assumptions.
                     return self._assumption_conflict_outcome(conflict)
-                if analysis is not None:
-                    # Fused path: the C walk already ran; replay the
-                    # bumps and run the shared Python tail.
-                    self._replay_clause_bumps(analysis[1])
-                    learned, btlevel, _, antecedents = self._finish_analysis(
-                        analysis[0], analysis[1]
-                    )
-                elif akernel is not None:
-                    learned, btlevel, _, antecedents = self._analyze_kernel(
-                        conflict
-                    )
-                else:
-                    learned, btlevel, _, antecedents = self._analyze(conflict)
+                if analysis is None:  # not fused: walk now
+                    analysis = analyze(conflict)
+                self._replay_clause_bumps(analysis[1])
+                learned, btlevel, _, antecedents = self._finish_analysis(
+                    analysis[0], analysis[1]
+                )
                 self._activity_inc /= activity_decay
                 # Backjumping below the assumption prefix is fine: the
                 # decision loop re-establishes assumptions level by level.
@@ -2445,7 +1876,7 @@ class CdclSolver:
                     # The hook receives this solver's drained exports
                     # and returns the peers' clauses to import; a root
                     # falsification surfaces as UNSAT right here, a
-                    # root unit is picked up by the next _propagate().
+                    # root unit is picked up by the next propagation.
                     batch = export_buffer[:]
                     del export_buffer[:]
                     imports = on_learned(batch)
@@ -2626,8 +2057,8 @@ class CdclSolver:
         # The model is the positive-literal column of the truth table
         # (one stride-2 slice, not a per-variable subscript loop);
         # unassigned variables default to 0.  ``list(...)`` normalizes
-        # the kernel backends' ``bytearray`` slice to the list the
-        # SolveOutcome contract promises.
+        # the ``bytearray`` slice to the list the SolveOutcome contract
+        # promises.
         model = list(self.lit_truth[0:2 * self.num_vars:2])
         if 2 in model:  # C-speed scan; all-assigned is the common case
             model = [0 if value == 2 else value for value in model]

@@ -31,8 +31,8 @@ class SolverStats:
     minimized_literals: int = 0
     # Sum of learned-clause LBDs (distinct decision levels per clause,
     # post-minimization); with learned_clauses this gives the mean glue
-    # — the conflict-analysis quality metric the analyze backends must
-    # agree on exactly.
+    # — the conflict-analysis quality metric the kernels must agree on
+    # exactly.
     learned_lbd_sum: int = 0
     # Clauses detached by root-level watch pruning during this solve
     # (satisfied forever by a level-0 assignment; see

@@ -2,12 +2,11 @@
 
 A trace is the solver's search path serialized as a compact stream of
 *search-level* events — the algorithm steps of the paper's Fig. 1, not
-the data-plane details below them.  Because PR 7 pinned all three BCP
-backends (``legacy`` / ``python`` / ``native``) to byte-identical
-searches, a trace is backend-invariant by construction: the strongest
-cross-backend correctness statement the repo can make ("same search
-path, event by event") is literally ``bytes_a == bytes_b`` on two trace
-files.  The same stream doubles as a replay artifact: feeding the
+the data-plane details below them.  Because both kernels
+(``python`` / ``native``) run byte-identical searches, a trace is
+kernel-invariant by construction: the strongest cross-kernel
+correctness statement the repo can make ("same search path, event by
+event") is literally ``bytes_a == bytes_b`` on two trace files.  The same stream doubles as a replay artifact: feeding the
 recorded DECIDE literals back into a fresh solver on the same formula
 reproduces the run (see ``repro.sat.replay``).
 

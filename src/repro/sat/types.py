@@ -20,8 +20,8 @@ class SolveResult(enum.Enum):
 class AnalysisResult(NamedTuple):
     """One conflict analysis, finalized (post-minimization).
 
-    Produced by ``CdclSolver._finish_analysis`` — the Python tail every
-    analysis backend (legacy / python / native, fused or not) funnels
+    Produced by ``CdclSolver._finish_analysis`` — the Python tail both
+    kernels' first-UIP walks (python, or the fused native step) funnel
     through — and consumed by the search loop's conflict block.
     """
 

@@ -1,5 +1,5 @@
 """Experiment-layer portfolio wiring: the Table-1 portfolio column,
-the ``--portfolio``/``--arena-storage`` CLI flags, and nested
+the ``--portfolio``/``--kernel`` CLI flags, and nested
 (non-daemonic) pool dispatch."""
 
 from __future__ import annotations
@@ -59,14 +59,14 @@ class TestTable1PortfolioColumn:
             "model,tf,bmc_s,static_s,dynamic_s,bmc_decisions"
         )
 
-    def test_arena_storage_overlay_matches_default(self):
+    def test_kernel_overlay_matches_default(self):
         rows = [instance_by_name("17_1_b2")]
-        fast = run_table1(rows=rows)
-        compact = run_table1(rows=rows, arena_storage="compact")
-        for row_fast, row_compact in zip(fast.rows, compact.rows):
-            for method in fast.methods:
-                a = row_fast.results[method]
-                b = row_compact.results[method]
+        default = run_table1(rows=rows)
+        python = run_table1(rows=rows, kernel="python")
+        for row_default, row_python in zip(default.rows, python.rows):
+            for method in default.methods:
+                a = row_default.results[method]
+                b = row_python.results[method]
                 assert (a.status, a.depth_reached, a.decisions, a.conflicts) \
                     == (b.status, b.depth_reached, b.decisions, b.conflicts)
 
@@ -129,9 +129,9 @@ class TestCli:
             "portfolio"
         ) == 2
 
-    def test_main_arena_storage_flag(self, capsys):
+    def test_main_kernel_flag(self, capsys):
         from repro.experiments.__main__ import main
 
-        code = main(["table1", "--small", "--arena-storage", "compact"])
+        code = main(["table1", "--small", "--kernel", "python"])
         assert code == 0
         assert "TOTAL" in capsys.readouterr().out

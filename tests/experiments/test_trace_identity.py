@@ -1,22 +1,26 @@
-"""Cross-backend trace byte-identity pins (PR 8).
+"""Cross-kernel trace byte-identity pins.
 
 The trace stream records search-level events only (decisions,
 conflicts, learned lengths, backtracks, restarts, reductions, trail
-batches) — nothing from inside the propagation data plane.  Since the
-BCP backends (PR 7) are search-identical by contract, the traces they
-emit must be **byte-identical**, not merely equivalent.  Two pins:
+batches) — nothing from inside the kernels.  Since the python and
+native kernels are search-identical by contract, the traces they emit
+must be **byte-identical**, not merely equivalent.  Two pins:
 
 * the Table-1 identity subset (the same 4 rows
-  ``test_kernel_identity.py`` uses) traced under every backend
-  produces identical per-depth trace files, and
+  ``test_kernel_identity.py`` uses) traced under every kernel produces
+  identical per-depth trace files, and
 * a slice of the differential fuzzer's seeded instances produces
-  identical trace bytes across backends on plain solver runs.
+  identical trace bytes across kernels on plain solver runs.
+
+Both are also anchored on SHA-256 digests captured from the in-solver
+tuple-table plane the kernels replaced, so neither kernel can drift,
+even in lockstep with the other.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,9 +37,31 @@ from tests.properties.test_solver_differential import (
 
 BASELINE = Path(__file__).resolve().parent.parent / "data" / "table1_pr5_baseline.json"
 
+#: SHA-256 over the Table-1 subset's trace files (sorted by name; each
+#: file contributes ``name NUL bytes``), captured from the replaced
+#: tuple-table plane: 111 files.
+TABLE1_TRACE_DIGEST = (
+    "245d5095e20b02551499700414152c7131c3de946ecef1945b87763b6658592d"
+)
+
+#: SHA-256 over the first 40 fuzzer instances' encoded traces, in
+#: index order, captured from the same plane.
+FUZZ_TRACE_DIGEST = (
+    "cc18a0afee1aa22f4160e1b306c6baf7f680db590fbf6fb9ff98efe13f6c7762"
+)
+
 
 def _backends():
-    return ["legacy", "python"] + (["native"] if native_available() else [])
+    return ["python"] + (["native"] if native_available() else [])
+
+
+def _table1_digest(capture):
+    digest = hashlib.sha256()
+    for name in sorted(capture):
+        digest.update(name.encode())
+        digest.update(b"\0")
+        digest.update(capture[name])
+    return digest.hexdigest()
 
 
 @pytest.mark.slow
@@ -47,79 +73,82 @@ def test_table1_subset_traces_byte_identical_across_backends(tmp_path):
     captures = {}
     for backend in _backends():
         trace_dir = tmp_path / backend
-        run_table1(rows=rows, bcp_backend=backend, trace_dir=str(trace_dir))
+        run_table1(rows=rows, kernel=backend, trace_dir=str(trace_dir))
         captures[backend] = {
             p.name: p.read_bytes() for p in sorted(trace_dir.iterdir())
         }
         assert captures[backend], f"{backend}: no traces written"
 
-    reference = captures.pop("legacy")
+    reference = captures.pop("python")
     # One file per (row, method, depth); every method of every row
     # traced at least one depth.
     assert len(reference) >= len(rows) * 3
+    assert _table1_digest(reference) == TABLE1_TRACE_DIGEST, (
+        "python kernel traces drifted from the pinned digest"
+    )
     for backend, capture in captures.items():
         assert capture.keys() == reference.keys(), (
             f"{backend}: trace file set differs"
         )
         for name, blob in reference.items():
             assert capture[name] == blob, (
-                f"{backend}: trace {name} is not byte-identical to legacy"
+                f"{backend}: trace {name} is not byte-identical to python"
             )
 
 
 def test_fuzzer_kernel_traces_byte_identical_across_backends():
+    """Every kernel — the native one through its fused step, where the
+    trace's conflict/learned events come from the C-produced analysis
+    — emits the pinned trace bytes."""
     import random
 
     from tests.properties.test_solver_differential import FUZZ_SEED
 
-    backends = _backends()
-    if len(backends) < 2:
-        pytest.skip("only one backend available")
-    for index in range(40):
-        formula, _ = make_instance(index)
-        blobs = {}
-        for backend in backends:
+    for backend in _backends():
+        digest = hashlib.sha256()
+        for index in range(40):
+            formula, _ = make_instance(index)
             rng = random.Random(FUZZ_SEED + index + 1_000_000)
             production, _ = _strategy_pairs(rng, formula.num_vars, index % 4)
             events = []
-            config = SolverConfig(bcp_backend=backend, trace_events=events)
+            config = SolverConfig(kernel=backend, trace_events=events)
             CdclSolver(formula, strategy=production, config=config).solve()
-            blobs[backend] = encode_events(events, formula.num_vars)
-        reference = blobs[backends[0]]
-        assert reference, f"instance {index}: empty trace"
-        for backend in backends[1:]:
-            assert blobs[backend] == reference, (
-                f"instance {index}: {backend} trace differs from "
-                f"{backends[0]}"
-            )
+            blob = encode_events(events, formula.num_vars)
+            assert blob, f"instance {index}: empty trace"
+            digest.update(blob)
+        assert digest.hexdigest() == FUZZ_TRACE_DIGEST, (
+            f"{backend} kernel traces drifted from the pinned digest"
+        )
 
 
-def test_fuzzer_analyze_traces_byte_identical_across_planes():
-    """PR 9: (bcp_backend, analyze_backend) cells — including the fused
-    native step, where the trace's conflict/learned events are emitted
-    from the C-produced analysis — must emit byte-identical traces."""
+def test_fuzzer_analyze_traces_byte_identical_across_planes(monkeypatch):
+    """The analysis plane three ways — the python walk, the fused native
+    step (the conflict/learned events come from C analysis run inside
+    the propagate call) and the native kernels composed as two seam
+    calls — emits the pinned trace bytes."""
     import random
 
+    from repro.sat.kernel import AnalyzeKernelBase, NativeAnalyzeKernel
     from tests.properties.test_solver_differential import FUZZ_SEED
 
-    cells = [("legacy", "legacy"), ("python", "python"), ("legacy", "python")]
-    if native_available():
-        cells.append(("native", "native"))
-    for index in range(40):
-        formula, _ = make_instance(index)
-        blobs = {}
-        for bcp, analyze in cells:
+    def digest(kernel):
+        digest = hashlib.sha256()
+        for index in range(40):
+            formula, _ = make_instance(index)
             rng = random.Random(FUZZ_SEED + index + 1_000_000)
             production, _ = _strategy_pairs(rng, formula.num_vars, index % 4)
             events = []
-            config = SolverConfig(
-                bcp_backend=bcp, analyze_backend=analyze, trace_events=events
-            )
+            config = SolverConfig(kernel=kernel, trace_events=events)
             CdclSolver(formula, strategy=production, config=config).solve()
-            blobs[(bcp, analyze)] = encode_events(events, formula.num_vars)
-        reference = blobs[cells[0]]
-        assert reference, f"instance {index}: empty trace"
-        for cell in cells[1:]:
-            assert blobs[cell] == reference, (
-                f"instance {index}: {cell} trace differs from {cells[0]}"
-            )
+            digest.update(encode_events(events, formula.num_vars))
+        return digest.hexdigest()
+
+    assert digest("python") == FUZZ_TRACE_DIGEST
+    if not native_available():
+        pytest.skip("native kernel not buildable here")
+    assert digest("native") == FUZZ_TRACE_DIGEST
+    monkeypatch.setattr(
+        NativeAnalyzeKernel, "search_step", AnalyzeKernelBase.search_step
+    )
+    assert digest("native") == FUZZ_TRACE_DIGEST, "unfused native diverged"
+

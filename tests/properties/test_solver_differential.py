@@ -1,4 +1,4 @@
-"""Differential fuzzing of the CDCL solver (PR 3 test subsystem).
+"""Differential fuzzing of the CDCL solver.
 
 Every configuration cell — (strategy x phase_mode x minimize_learned) —
 is exercised on a stream of seeded random instances drawn from three
@@ -11,12 +11,11 @@ implication/xor chains), and each result is cross-checked three ways:
   family's constructed verdict, and must export a resolution proof
   that replays through ``repro.sat.proof.check_proof``;
 * the production heap strategies must return the same verdict as the
-  retained seed scan-order reference strategies
-  (``ScanOrderVsidsStrategy`` / ``ScanOrderRankedStrategy``) under the
+  scan-order oracle strategies (``tests/sat/scan_order.py``) under the
   same solver configuration;
-* the two clause-arena element stores (``arena_storage="fast"`` vs
-  ``"compact"``) must run *search-identical* solves: same verdict,
-  same decisions/propagations/conflicts/learned counts, same model.
+* the native kernel must run *search-identical* solves to the python
+  reference kernel: same verdict, same decisions/propagations/
+  conflicts/learned counts, same model.
 
 Seed derivation (documented in ``benchmarks/solver_bench.py``): the
 instance with index ``i`` is generated from
@@ -30,24 +29,15 @@ counterexample can be regenerated in isolation.  The environment knobs:
 ``FUZZ_SEED``
     Base seed (default 20040607).
 ``FUZZ_BACKENDS``
-    Comma-separated BCP backends to leg against the legacy loop
-    (default ``python,native``).  Each named backend re-runs every
-    instance under ``SolverConfig(bcp_backend=...)`` and must be
-    *search-identical* — same verdict, same
-    decisions/propagations/conflicts/learned counts, same model.  The
-    ``native`` leg is silently dropped on hosts where the compiled
-    kernel cannot be built (no cffi / no C compiler); set
-    ``FUZZ_BACKENDS=python`` (or ``""``) to trim the run.
-``FUZZ_ANALYZE_BACKENDS``
-    Comma-separated conflict-analysis backends to leg against the
-    legacy in-solver first-UIP loop (default ``python,native``).  The
-    ``python`` leg runs ``analyze_backend="python"`` over the python
-    data plane; the ``native`` leg runs the fully fused plane
-    (``bcp_backend="native"`` + ``analyze_backend="native"``, one FFI
-    crossing per conflict).  Each must be *search-identical* to the
-    legacy run — same verdict, same decisions/propagations/conflicts/
-    learned counts, same model.  ``native`` is silently dropped where
-    the compiled kernel cannot be built; set it to ``""`` to trim.
+    Comma-separated kernels to leg against the python reference kernel
+    every instance is first solved with (default ``native``; naming
+    ``python`` adds nothing).  Each named kernel re-runs every instance
+    under ``SolverConfig(kernel=...)`` and must be *search-identical* —
+    same verdict, same decisions/propagations/conflicts/learned counts,
+    same model.  The ``native`` leg runs the fused propagate-then-
+    analyze step, one FFI crossing per conflict.  It is silently
+    dropped on hosts where the compiled kernel cannot be built (no
+    cffi / no C compiler); set ``FUZZ_BACKENDS=""`` to trim the run.
 ``FUZZ_TRACE``
     Set to ``1`` to add the replay-oracle leg (default off): each
     instance is re-solved with in-memory trace telemetry
@@ -56,7 +46,7 @@ counterexample can be regenerated in isolation.  The environment knobs:
     replay must reproduce the original verdict, final trail, and event
     stream byte-for-byte.
 ``FUZZ_METRICS``
-    Set to ``1`` to add the observability leg (PR 10, default off):
+    Set to ``1`` to add the observability leg (default off):
     each instance is re-solved with the full observability plane on — a
     live ``MetricsRegistry`` plus per-structure access profiling
     (``SolverConfig.profile_access``) — and the instrumented search
@@ -87,8 +77,6 @@ from repro.sat import (
     MINIMIZE_MODES,
     PHASE_MODES,
     RankedStrategy,
-    ScanOrderRankedStrategy,
-    ScanOrderVsidsStrategy,
     SolverConfig,
     VsidsStrategy,
     check_proof,
@@ -96,41 +84,24 @@ from repro.sat import (
 from repro.sat.kernel import native_available
 from repro.sat.replay import replay_trace
 from repro.sat.types import SolveResult
+from tests.sat.scan_order import ScanOrderRankedStrategy, ScanOrderVsidsStrategy
 
 FUZZ_INSTANCES = int(os.environ.get("FUZZ_INSTANCES", "2000"))
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "20040607"))
 
-#: BCP backends legged against the legacy loop on every instance
-#: (``native`` is dropped, not failed, when it cannot be built here).
+#: Kernels legged against the python reference kernel on every
+#: instance (``native`` is dropped, not failed, when it cannot be built
+#: here; ``python`` is the reference itself).
 FUZZ_BACKENDS = tuple(
     backend
     for backend in (
         name.strip()
-        for name in os.environ.get("FUZZ_BACKENDS", "python,native").split(",")
+        for name in os.environ.get("FUZZ_BACKENDS", "native").split(",")
     )
-    if backend and (backend != "native" or native_available())
+    if backend
+    and backend != "python"
+    and (backend != "native" or native_available())
 )
-
-#: Conflict-analysis backends legged against the legacy first-UIP loop
-#: on every instance (PR 9).  ``python`` exercises the seam's Python
-#: kernel over the python data plane; ``native`` the fused
-#: propagate-then-analyze C step.  (``native`` is dropped, not failed,
-#: when it cannot be built here.)
-FUZZ_ANALYZE_BACKENDS = tuple(
-    backend
-    for backend in (
-        name.strip()
-        for name in os.environ.get(
-            "FUZZ_ANALYZE_BACKENDS", "python,native"
-        ).split(",")
-    )
-    if backend and (backend != "native" or native_available())
-)
-
-#: The backend pair each analysis leg runs under (data plane, analysis
-#: plane): the native analysis kernel only fuses over the native BCP
-#: kernel, and the python leg keeps the whole pipeline pure-Python.
-_ANALYZE_LEG_PLANES = {"python": ("python", "python"), "native": ("native", "native")}
 
 #: ``FUZZ_TRACE=1`` adds the replay-oracle leg (PR 8): every instance is
 #: re-solved with in-memory tracing and the trace is replayed through
@@ -282,7 +253,9 @@ def run_one(index: int):
     strategy_kind, phase_mode, minimize = CELLS[index % len(CELLS)]
     rng = random.Random(FUZZ_SEED + index + 1_000_000)
     production, reference = _strategy_pairs(rng, formula.num_vars, strategy_kind)
-    config = SolverConfig(phase_mode=phase_mode, minimize_learned=minimize)
+    config = SolverConfig(
+        phase_mode=phase_mode, minimize_learned=minimize, kernel="python"
+    )
 
     solver = CdclSolver(formula, strategy=production, config=config)
     outcome = solver.solve()
@@ -291,40 +264,9 @@ def run_one(index: int):
         f"{(production.name, phase_mode, minimize)})"
     )
 
-    # Storage leg: the compact (array('i')) arena must run the exact
-    # same search as the fast (list-word) default — identical verdict
-    # and identical search-derived counters, not just agreement.
-    rng_compact = random.Random(FUZZ_SEED + index + 1_000_000)
-    production_compact, _ = _strategy_pairs(
-        rng_compact, formula.num_vars, strategy_kind
-    )
-    compact_outcome = CdclSolver(
-        formula,
-        strategy=production_compact,
-        config=replace(config, arena_storage="compact"),
-    ).solve()
-    assert compact_outcome.status is outcome.status, (
-        f"{ctx}: compact arena verdict differs"
-    )
-    assert (
-        compact_outcome.stats.decisions,
-        compact_outcome.stats.propagations,
-        compact_outcome.stats.conflicts,
-        compact_outcome.stats.learned_clauses,
-    ) == (
-        outcome.stats.decisions,
-        outcome.stats.propagations,
-        outcome.stats.conflicts,
-        outcome.stats.learned_clauses,
-    ), f"{ctx}: compact arena search diverged from fast"
-    if outcome.status is SolveResult.SAT:
-        assert compact_outcome.model == outcome.model, (
-            f"{ctx}: compact arena model differs"
-        )
-
-    # Backend legs (PR 7): every enabled BCP kernel must run the exact
-    # same search as the legacy tuple-table loop — the kernels are a
-    # data-plane swap, never a heuristic change.
+    # Kernel legs: every enabled kernel must run the exact same search
+    # as the python reference — a kernel is a data-plane swap, never a
+    # heuristic change.
     for backend in FUZZ_BACKENDS:
         rng_kernel = random.Random(FUZZ_SEED + index + 1_000_000)
         production_kernel, _ = _strategy_pairs(
@@ -333,7 +275,7 @@ def run_one(index: int):
         kernel_outcome = CdclSolver(
             formula,
             strategy=production_kernel,
-            config=replace(config, bcp_backend=backend),
+            config=replace(config, kernel=backend),
         ).solve()
         assert kernel_outcome.status is outcome.status, (
             f"{ctx}: {backend} kernel verdict differs"
@@ -348,46 +290,10 @@ def run_one(index: int):
             outcome.stats.propagations,
             outcome.stats.conflicts,
             outcome.stats.learned_clauses,
-        ), f"{ctx}: {backend} kernel search diverged from legacy"
+        ), f"{ctx}: {backend} kernel search diverged from python"
         if outcome.status is SolveResult.SAT:
             assert kernel_outcome.model == outcome.model, (
                 f"{ctx}: {backend} kernel model differs"
-            )
-
-    # Analysis legs (PR 9): every enabled conflict-analysis backend
-    # must run the exact same search as the legacy in-solver first-UIP
-    # loop — the analysis kernels (and the fused native step) are a
-    # plane swap, never a heuristic change.
-    for analyze_leg in FUZZ_ANALYZE_BACKENDS:
-        bcp_plane, analyze_plane = _ANALYZE_LEG_PLANES[analyze_leg]
-        rng_analyze = random.Random(FUZZ_SEED + index + 1_000_000)
-        production_analyze, _ = _strategy_pairs(
-            rng_analyze, formula.num_vars, strategy_kind
-        )
-        analyze_outcome = CdclSolver(
-            formula,
-            strategy=production_analyze,
-            config=replace(
-                config, bcp_backend=bcp_plane, analyze_backend=analyze_plane
-            ),
-        ).solve()
-        assert analyze_outcome.status is outcome.status, (
-            f"{ctx}: {analyze_leg} analysis verdict differs"
-        )
-        assert (
-            analyze_outcome.stats.decisions,
-            analyze_outcome.stats.propagations,
-            analyze_outcome.stats.conflicts,
-            analyze_outcome.stats.learned_clauses,
-        ) == (
-            outcome.stats.decisions,
-            outcome.stats.propagations,
-            outcome.stats.conflicts,
-            outcome.stats.learned_clauses,
-        ), f"{ctx}: {analyze_leg} analysis search diverged from legacy"
-        if outcome.status is SolveResult.SAT:
-            assert analyze_outcome.model == outcome.model, (
-                f"{ctx}: {analyze_leg} analysis model differs"
             )
 
     # Replay-oracle leg (PR 8, FUZZ_TRACE=1): re-run the instance with
@@ -572,7 +478,9 @@ def run_one_incremental(index: int) -> None:
     """
     rng = random.Random(FUZZ_SEED + 5_000_000 + index)
     _strategy_kind, phase_mode, minimize = CELLS[index % len(CELLS)]
-    config = SolverConfig(phase_mode=phase_mode, minimize_learned=minimize)
+    config = SolverConfig(
+        phase_mode=phase_mode, minimize_learned=minimize, kernel="python"
+    )
     num_vars = rng.randint(4, 10)
     incremental = CdclSolver(CnfFormula(num_vars), config=config)
     # Kernel twins driven through the identical call sequence: this is
@@ -581,7 +489,7 @@ def run_one_incremental(index: int) -> None:
     kernel_twins = {
         backend: CdclSolver(
             CnfFormula(num_vars),
-            config=replace(config, bcp_backend=backend),
+            config=replace(config, kernel=backend),
         )
         for backend in FUZZ_BACKENDS
     }

@@ -14,14 +14,9 @@ import pytest
 
 from repro.cnf import CnfFormula, mk_lit
 from repro.sat import CdclSolver, SolverConfig, VariableActivityHeap
-from repro.sat.heuristics import (
-    BerkMinStrategy,
-    RankedStrategy,
-    ScanOrderRankedStrategy,
-    ScanOrderVsidsStrategy,
-    VsidsStrategy,
-)
+from repro.sat.heuristics import BerkMinStrategy, RankedStrategy, VsidsStrategy
 from tests.conftest import random_formula
+from tests.sat.scan_order import ScanOrderRankedStrategy, ScanOrderVsidsStrategy
 
 
 def best_entry(keys_stack, var):

@@ -123,3 +123,44 @@ class TestGeometricGrowth:
         assert solver._var_capacity >= 1000
         solver.ensure_num_vars(10)  # shrink requests are no-ops
         assert solver.num_vars == 1000
+
+
+class TestConfigValidation:
+    """Settings that used to hang the search or divide by zero at the
+    first conflict are rejected at construction, next to the kernel
+    check."""
+
+    @pytest.mark.parametrize("restart_base", [0, -5])
+    def test_non_positive_restart_base_rejected(self, restart_base):
+        # Both values restarted forever on pigeonhole(4), even under
+        # max_conflicts=100.
+        with pytest.raises(ValueError, match="restart_base"):
+            CdclSolver(
+                CnfFormula(1),
+                config=SolverConfig(restart_base=restart_base, max_conflicts=100),
+            )
+
+    def test_zero_progress_interval_rejected_with_hook(self):
+        with pytest.raises(ValueError, match="progress_every"):
+            CdclSolver(
+                CnfFormula(1),
+                config=SolverConfig(on_progress=lambda _: None, progress_every=0),
+            )
+
+    def test_zero_progress_interval_ignored_without_hook(self):
+        solver = CdclSolver(CnfFormula(1), config=SolverConfig(progress_every=0))
+        assert solver.solve().status.value == "sat"
+
+    def test_zero_access_sample_interval_rejected_with_stream(self, tmp_path):
+        with pytest.raises(ValueError, match="access_sample_every"):
+            CdclSolver(
+                CnfFormula(1),
+                config=SolverConfig(
+                    access_stream_path=str(tmp_path / "s.racc"),
+                    access_sample_every=0,
+                ),
+            )
+
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ValueError, match="kernel"):
+            CdclSolver(CnfFormula(1), config=SolverConfig(kernel="legacy"))

@@ -4,8 +4,9 @@ Three families:
 
 * unit — block layout, flags, tombstones and in-place compaction of
   :class:`repro.sat.arena.ClauseArena` itself;
-* equivalence — the ``fast`` (list words) and ``compact``
-  (``array('i')`` words) backing stores drive bit-identical searches;
+* equivalence — the python and native kernels, both aliasing the same
+  ``array('i')`` store, drive bit-identical searches and leave
+  byte-identical storage;
 * solver integration — footprint reporting, literal retention for
   proofs, and compaction during learned-DB reduction without a CDG.
 """
@@ -21,8 +22,13 @@ from repro.sat.arena import (
     TOMBSTONE,
     ClauseArenaFullError,
 )
+from repro.sat.kernel import native_available
 from repro.workloads.cnf_families import pigeonhole
 from tests.conftest import random_formula
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="native kernel cannot be built here"
+)
 
 
 class TestArenaUnit:
@@ -56,9 +62,8 @@ class TestArenaUnit:
         arena.tombstone(cid)
         assert arena.dead_words == HEADER_WORDS + 4
 
-    @pytest.mark.parametrize("storage", ["fast", "compact"])
-    def test_compact_slides_live_blocks_and_keeps_ids(self, storage):
-        arena = ClauseArena(storage)
+    def test_compact_slides_live_blocks_and_keeps_ids(self):
+        arena = ClauseArena()
         kept_a = arena.add((0, 2))
         doomed = arena.add((4, 6, 8))
         kept_b = arena.add((1, 3, 5, 7))
@@ -88,20 +93,18 @@ class TestArenaUnit:
         assert fp["clauses"] == 2
         assert fp["bytes"] > 0
 
-    def test_rejects_unknown_storage(self):
-        with pytest.raises(ValueError):
-            ClauseArena("mmap")
 
-
+@needs_native
 class TestStorageEquivalence:
-    """fast and compact stores must walk identical searches."""
+    """The python and native kernels both mutate the shared arena (long
+    clauses' watch positions are swapped in place during BCP); they must
+    walk identical searches *and* leave byte-identical clause storage."""
 
-    def _stats(self, formula, storage):
-        solver = CdclSolver(
-            formula, config=SolverConfig(arena_storage=storage)
-        )
+    def _stats(self, formula, kernel):
+        solver = CdclSolver(formula, config=SolverConfig(kernel=kernel))
         outcome = solver.solve()
         stats = outcome.stats
+        arena = solver._arena
         return (
             outcome.status,
             stats.decisions,
@@ -109,22 +112,21 @@ class TestStorageEquivalence:
             stats.propagations,
             stats.learned_literals,
             outcome.core_clauses,
+            arena.data.tobytes(),
+            arena.refs.tobytes(),
+            bytes(arena.flags),
         )
 
     def test_pigeonhole_identical(self):
         formula = pigeonhole(5)
-        assert self._stats(formula, "fast") == self._stats(formula, "compact")
+        assert self._stats(formula, "python") == self._stats(formula, "native")
 
     def test_random_instances_identical(self, rng):
         for _ in range(25):
             formula = random_formula(rng, rng.randint(3, 10), rng.randint(4, 40))
-            assert self._stats(formula, "fast") == self._stats(
-                formula, "compact"
+            assert self._stats(formula, "python") == self._stats(
+                formula, "native"
             )
-
-    def test_bad_storage_config_rejected(self):
-        with pytest.raises(ValueError):
-            CdclSolver(CnfFormula(1), config=SolverConfig(arena_storage="x"))
 
 
 class TestSolverIntegration:
@@ -202,14 +204,6 @@ class TestArenaCapacity:
         cid = arena.add((8,))  # 14 words: still fits
         assert arena.literals(cid) == (8,)
 
-    @pytest.mark.parametrize("storage", ["fast", "compact"])
-    def test_ceiling_enforced_under_both_stores(self, storage, monkeypatch):
-        monkeypatch.setattr(ClauseArena, "word_limit", 8)
-        arena = ClauseArena(storage)
-        arena.add((0, 2))
-        with pytest.raises(MemoryError):
-            arena.add((4, 6, 8))
-
     def test_solver_bulk_install_hits_ceiling(self, monkeypatch):
         # The constructor's bulk install bypasses arena.add for speed;
         # it must enforce the same ceiling with the same error.
@@ -222,13 +216,11 @@ class TestArenaCapacity:
             CdclSolver(formula).solve()
 
     @pytest.mark.parametrize(
-        "backend", ["legacy", "python"]
+        "kernel", ["python", pytest.param("native", marks=needs_native)]
     )
-    def test_incremental_add_clause_hits_ceiling(self, backend, monkeypatch):
+    def test_incremental_add_clause_hits_ceiling(self, kernel, monkeypatch):
         monkeypatch.setattr(ClauseArena, "word_limit", 10)
-        solver = CdclSolver(
-            CnfFormula(3), config=SolverConfig(bcp_backend=backend)
-        )
+        solver = CdclSolver(CnfFormula(3), config=SolverConfig(kernel=kernel))
         solver.add_clause([0, 2, 4])  # 5 words
         with pytest.raises(MemoryError, match="clause arena full"):
             solver.add_clause([1, 3, 5, 0])  # would be 11 > 10

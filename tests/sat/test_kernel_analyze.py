@@ -1,8 +1,8 @@
-"""The conflict-analysis kernel seam (PR 9): white-box and oracle tests.
+"""The conflict-analysis kernel seam: white-box and oracle tests.
 
-The analysis kernels replace the solver's first-UIP loop — and with the
-fused native step, the propagate-then-analyze crossing — but hand back
-exactly what the legacy Python tail consumes (raw learned clause,
+The analysis kernels run the solver's first-UIP walk — and with the
+fused native step, the propagate-then-analyze crossing — and hand back
+exactly what the solver's Python tail consumes (raw learned clause,
 ordered antecedents, scratch side effects).  Beyond the differential
 fuzzer's search-identity legs, these tests pin:
 
@@ -27,22 +27,14 @@ import pytest
 
 from repro.cnf import CnfFormula
 from repro.sat import CdclSolver, SolverConfig, check_proof
-from repro.sat.kernel import (
-    ANALYZE_BACKENDS,
-    create_analyze_kernel,
-    native_available,
-)
+from repro.sat.kernel import KERNELS, native_available, resolve_kernel
 from repro.sat.types import SolveResult
 from repro.workloads.cnf_families import pigeonhole, xor_chain
 from tests.conftest import random_formula
 
-#: Every (bcp_backend, analyze_backend) cell the host can run; the
-#: legacy/legacy cell is the reference.
-def _cells():
-    cells = [("legacy", "legacy"), ("legacy", "python"), ("python", "python")]
-    if native_available():
-        cells += [("python", "native"), ("native", "python"), ("native", "native")]
-    return cells
+#: Every kernel the host can run; python is the reference.
+def _kernels():
+    return ["python"] + (["native"] if native_available() else [])
 
 
 def _search_signature(solver, outcome):
@@ -60,30 +52,39 @@ def _search_signature(solver, outcome):
 
 
 def test_analyze_backends_registry():
-    assert ANALYZE_BACKENDS == ("legacy", "python", "native")
+    """One kernel setting names both planes: each analysis kernel is
+    registered under a ``KERNELS`` name and always paired with the BCP
+    kernel of the same name."""
+    assert KERNELS == ("python", "native")
+    assert resolve_kernel(None) == (
+        "native" if native_available() else "python"
+    )
+    assert resolve_kernel("python") == "python"
     with pytest.raises(ValueError):
-        create_analyze_kernel(
-            CdclSolver(CnfFormula(1)), "no-such-backend"
-        )
+        resolve_kernel("no-such-kernel")
+    for kernel in _kernels():
+        solver = CdclSolver(CnfFormula(1), config=SolverConfig(kernel=kernel))
+        assert solver._kernel.name == solver._akernel.name == kernel
+    solver = CdclSolver(CnfFormula(1))
+    assert solver._akernel.name == resolve_kernel(None)
 
 
 def test_grid_search_identical_with_lbd(rng):
-    """All runnable plane cells produce the same search — including the
-    LBD tally, which the kernel path computes in ``_finish_analysis``
-    from the C-built learned clause."""
+    """Every runnable kernel produces the same search — including the
+    LBD tally, which the solver computes in ``_finish_analysis`` from
+    the kernel-built learned clause."""
     formulas = [pigeonhole(5), xor_chain(12, False)]
     for _ in range(6):
         formulas.append(random_formula(rng, rng.randint(6, 12), 40))
     for formula in formulas:
         reference = None
-        for bcp, analyze in _cells():
-            config = SolverConfig(bcp_backend=bcp, analyze_backend=analyze)
-            solver = CdclSolver(formula, config=config)
+        for kernel in _kernels():
+            solver = CdclSolver(formula, config=SolverConfig(kernel=kernel))
             sig = _search_signature(solver, solver.solve())
             if reference is None:
                 reference = sig
             else:
-                assert sig == reference, f"cell ({bcp}, {analyze}) diverged"
+                assert sig == reference, f"kernel {kernel} diverged"
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_mirror_matches_lits_view_install_order():
     """After a solve, every live long clause's mirror block equals its
     ``_lits_view`` tuple (install order), and short clauses have no
     block — arena order serves them."""
-    config = SolverConfig(bcp_backend="native", analyze_backend="native")
+    config = SolverConfig(kernel="native")
     solver = CdclSolver(pigeonhole(6), config=config)
     solver.solve()
     akernel = solver._akernel
@@ -125,9 +126,7 @@ def test_mirror_matches_lits_view_install_order():
 def test_mirror_frees_deleted_clauses():
     """Learned-DB reduction frees mirror blocks; a freed cid's ref is
     dead and the dead words are eventually compacted away by sync."""
-    config = SolverConfig(
-        bcp_backend="native", analyze_backend="native", record_cdg=False
-    )
+    config = SolverConfig(kernel="native", record_cdg=False)
     solver = CdclSolver(pigeonhole(7), config=config)
     outcome = solver.solve()
     assert outcome.stats.deleted_clauses > 0
@@ -149,12 +148,12 @@ def test_mirror_frees_deleted_clauses():
 def test_need_abuf_reentry_is_search_identical():
     """Tiny analysis scratch buffers force the C walk to bail out and
     restart (seen-marks unwound) several times per conflict; the search
-    must be byte-identical to legacy anyway."""
+    must be byte-identical to the python kernel anyway."""
     formula = pigeonhole(6)
-    legacy = CdclSolver(formula, config=SolverConfig())
-    reference = _search_signature(legacy, legacy.solve())
+    python = CdclSolver(formula, config=SolverConfig(kernel="python"))
+    reference = _search_signature(python, python.solve())
 
-    config = SolverConfig(bcp_backend="native", analyze_backend="native")
+    config = SolverConfig(kernel="native")
     solver = CdclSolver(formula, config=config)
     akernel = solver._akernel
     # Minimum viable capacities (doubling still reaches any size).
@@ -174,12 +173,10 @@ def test_need_abuf_reentry_is_search_identical():
 
 
 @pytest.mark.parametrize(
-    "bcp,analyze",
+    "kernel",
     [
-        ("legacy", "python"),
-        ("python", "python"),
+        "python",
         pytest.param(
-            "native",
             "native",
             marks=pytest.mark.skipif(
                 not native_available(), reason="native kernel not buildable here"
@@ -187,7 +184,7 @@ def test_need_abuf_reentry_is_search_identical():
         ),
     ],
 )
-def test_kernel_proofs_replay_and_cores_reprove(rng, bcp, analyze):
+def test_kernel_proofs_replay_and_cores_reprove(rng, kernel):
     """UNSAT verdicts whose learned clauses were built by an analysis
     kernel must export a replayable resolution proof, and the extracted
     core must itself be UNSAT."""
@@ -196,7 +193,7 @@ def test_kernel_proofs_replay_and_cores_reprove(rng, bcp, analyze):
     for _ in range(12):
         formulas.append(random_formula(rng, rng.randint(5, 10), 44))
     for formula in formulas:
-        config = SolverConfig(bcp_backend=bcp, analyze_backend=analyze)
+        config = SolverConfig(kernel=kernel)
         solver = CdclSolver(formula, config=config)
         outcome = solver.solve()
         if outcome.status is not SolveResult.UNSAT:
@@ -204,9 +201,7 @@ def test_kernel_proofs_replay_and_cores_reprove(rng, bcp, analyze):
         unsat_seen += 1
         check_proof(formula, solver.export_proof())
         core = formula.subformula(outcome.core_clauses)
-        recheck = CdclSolver(
-            core, config=SolverConfig(bcp_backend=bcp, analyze_backend=analyze)
-        ).solve()
+        recheck = CdclSolver(core, config=config).solve()
         assert recheck.status is SolveResult.UNSAT, "core does not re-prove"
     assert unsat_seen >= 2, "workload produced too few UNSAT instances"
 
@@ -222,7 +217,7 @@ def test_view_cache_released_between_solves():
     ``solve()`` teardown must release them so between-solve resizes
     (variable growth, clause addition) find unpinned arrays."""
     formula = pigeonhole(5)
-    config = SolverConfig(bcp_backend="native", analyze_backend="native")
+    config = SolverConfig(kernel="native")
     solver = CdclSolver(formula, config=config)
     solver.solve()
     assert solver._akernel._views is None, "cached views leaked past solve()"
@@ -234,10 +229,10 @@ def test_view_cache_released_between_solves():
 
 
 @pytest.mark.skipif(not native_available(), reason="needs the native kernel")
-def test_incremental_fused_sequence_matches_legacy(rng):
+def test_incremental_fused_sequence_matches_python(rng):
     """Interleaved solve / grow / add_clause sequences under the fused
-    plane match legacy verdict-for-verdict and counter-for-counter (and
-    never trip a pinned cached view)."""
+    native step match the python kernel verdict-for-verdict and
+    counter-for-counter (and never trip a pinned cached view)."""
     import random
 
     for trial in range(8):
@@ -245,11 +240,8 @@ def test_incremental_fused_sequence_matches_legacy(rng):
         formula = random_formula(rng, base_vars, 3 * base_vars)
         script_seed = rng.randint(0, 10**9)
         signatures = []
-        for bcp, analyze in (("legacy", "legacy"), ("native", "native")):
-            solver = CdclSolver(
-                formula,
-                config=SolverConfig(bcp_backend=bcp, analyze_backend=analyze),
-            )
+        for kernel in ("python", "native"):
+            solver = CdclSolver(formula, config=SolverConfig(kernel=kernel))
             script = random.Random(script_seed)
             trace = []
             for _ in range(4):

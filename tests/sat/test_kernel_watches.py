@@ -1,14 +1,16 @@
-"""White-box watch-table equivalence across BCP backends (PR 7).
+"""White-box watch-table equivalence across kernels and install paths.
 
-The kernels replace three per-literal tuple-list tables with packed
-CSR-style ``array('i')`` columns.  Every mutation — install attach,
-in-propagation watch moves, swap-with-last detach (learned-DB
-reduction), order-preserving bulk drop (root-satisfied pruning) — is
-defined to replicate the legacy list operation exactly, so after any
-identical operation sequence the *reachable watch sets must be
-identical*, entry for entry and in the same order.  These tests drive a
-legacy solver and a kernel twin through the same script and compare the
-raw tables, not just search statistics.
+Watch-list order is part of search behaviour, so every watch mutation
+— install attach, in-propagation watch moves, swap-with-last detach
+(learned-DB reduction), order-preserving bulk drop (root-satisfied
+pruning) — must evolve the packed ``array('i')`` columns identically
+whichever kernel runs the search and whichever path installed the
+clauses.  The reference twin is a python-kernel solver fed clause by
+clause through ``add_clause`` (the generic ``kernel.attach`` path); the
+twin under test is built by the constructor's bulk install, whose
+binary/ternary appends are inlined, on the kernel under test.  Both are
+driven through the same script and the raw tables compared entry for
+entry, not just search statistics.
 """
 
 import os
@@ -46,35 +48,33 @@ def test_native_kernel_builds_in_ci():
     assert native_available(), native_unavailable_reason()
 
 
-def _legacy_snapshot(solver):
-    """The legacy tuple tables in the kernel snapshot's shape."""
-    num_lits = 2 * solver.num_vars
-    return {
-        "long": [list(solver._watches[lit]) for lit in range(num_lits)],
-        "bin": [list(solver._watches_bin[lit]) for lit in range(num_lits)],
-        "tern": [list(solver._watches_tern[lit]) for lit in range(num_lits)],
-    }
-
-
-def _assert_watches_match(legacy_solver, kernel_solver, ctx):
-    expected = _legacy_snapshot(legacy_solver)
+def _assert_watches_match(reference_solver, kernel_solver, ctx):
+    expected = reference_solver._kernel.watch_snapshot()
     actual = kernel_solver._kernel.watch_snapshot()
     for table in ("long", "bin", "tern"):
+        assert len(actual[table]) == len(expected[table])
         for lit, (want, got) in enumerate(
             zip(expected[table], actual[table])
         ):
             assert got == want, (
                 f"{ctx}: {table} watches of literal {lit} diverged: "
-                f"kernel {got} vs legacy {want}"
+                f"bulk-installed {got} vs add_clause reference {want}"
             )
 
 
 def _twins(formula, backend, **config_kw):
-    legacy = CdclSolver(formula, config=SolverConfig(**config_kw))
-    kernel = CdclSolver(
-        formula, config=SolverConfig(bcp_backend=backend, **config_kw)
+    """(python kernel fed through add_clause, ``backend`` kernel built
+    by the constructor's bulk install) over the same formula."""
+    reference = CdclSolver(
+        CnfFormula(formula.num_vars),
+        config=SolverConfig(kernel="python", **config_kw),
     )
-    return legacy, kernel
+    for clause in formula.clauses:
+        reference.add_clause(clause.literals)
+    kernel = CdclSolver(
+        formula, config=SolverConfig(kernel=backend, **config_kw)
+    )
+    return reference, kernel
 
 
 def _mixed_formula():
@@ -116,7 +116,7 @@ class TestWatchTableEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_tables_match_after_root_pruning(self, backend):
         # Root units satisfy clauses at level 0: the pruning pass drops
-        # their watches through _compact_watches / kernel.drop_clauses.
+        # their watches through kernel.drop_clauses.
         from repro.sat.solver import _PRUNE_MIN_NEW_FACTS
 
         num_units = _PRUNE_MIN_NEW_FACTS + 4

@@ -34,7 +34,7 @@ from repro.sat.types import SolveResult
 from repro.workloads import instance_by_name
 from repro.workloads.cnf_families import pigeonhole
 
-PLANES = ["legacy", "python"] + (["native"] if native_available() else [])
+PLANES = ["python"] + (["native"] if native_available() else [])
 
 #: Engine flavours: the one-shot strategies through ``make_engine``, the
 #: incremental engine, and the deterministic epoch-barrier portfolio.
@@ -87,7 +87,7 @@ def saved_cyclic_garbage():
 
 def _run(flavour: str, plane: str) -> None:
     row = instance_by_name(ROW)
-    config = SolverConfig(bcp_backend=plane, analyze_backend=plane)
+    config = SolverConfig(kernel=plane)
     cache = EncodingCache()
     if flavour == "incremental":
         circuit, prop, unroller = cache.unroller_for(row)
@@ -127,7 +127,7 @@ def test_no_solver_strategy_kernel_or_engine_in_cyclic_garbage(flavour, plane):
 
 @pytest.mark.parametrize("plane", PLANES)
 def test_standalone_solver_is_freed_by_refcount(plane):
-    config = SolverConfig(bcp_backend=plane, analyze_backend=plane)
+    config = SolverConfig(kernel=plane)
     with saved_cyclic_garbage() as found:
         strategy = RankedStrategy({0: 1.0}, dynamic=True)
         solver = CdclSolver(pigeonhole(4), strategy=strategy, config=config)

@@ -29,10 +29,11 @@ from repro.sat.types import SolveResult
 #: (CI runs 24 via the env knob; locally 60).
 PORTFOLIO_FUZZ_INSTANCES = int(os.environ.get("PORTFOLIO_FUZZ_INSTANCES", "60"))
 
-#: BCP backend the verdict-agreement race runs under (the CI
-#: portfolio-smoke job sets this per matrix leg; searches are
-#: byte-identical across backends, so the expectations never change).
-PORTFOLIO_BCP_BACKEND = os.environ.get("PORTFOLIO_BCP_BACKEND", "legacy")
+#: Kernel (``SolverConfig.kernel``) the verdict-agreement race runs
+#: under; unset means the default choice (the CI portfolio-smoke job
+#: sets it per matrix leg; searches are byte-identical across kernels,
+#: so the expectations never change).
+PORTFOLIO_BCP_BACKEND = os.environ.get("PORTFOLIO_BCP_BACKEND") or None
 
 TWO_MEMBERS = [
     PortfolioMember(name="vsids/save", strategy="vsids"),
@@ -362,7 +363,7 @@ def test_portfolio_verdicts_agree_with_serial():
         portfolio = PortfolioSolver(
             formula,
             members=list(TWO_MEMBERS),
-            base_config=SolverConfig(bcp_backend=PORTFOLIO_BCP_BACKEND),
+            base_config=SolverConfig(kernel=PORTFOLIO_BCP_BACKEND),
             deterministic=True,
             epoch_conflicts=64,
         ).solve()

@@ -65,7 +65,7 @@ class TestPrunedClauseStaysSound:
         for cid in pruned:
             lits = solver.clause_literals(cid)
             assert lits  # literal list retained
-            for table in (solver._watches, solver._watches_bin, solver._watches_tern):
+            for table in solver._kernel.watch_snapshot().values():
                 for watch_list in table:
                     assert all(entry[0] != cid for entry in watch_list)
 
