@@ -22,7 +22,11 @@ def _default_det_modules() -> List[str]:
 
 
 def _default_sharing_modules() -> List[str]:
-    return ["repro/sat/portfolio.py", "repro/bmc/portfolio.py"]
+    return [
+        "repro/sat/portfolio.py",
+        "repro/sat/race.py",
+        "repro/bmc/portfolio.py",
+    ]
 
 
 def _default_strict_modules() -> List[str]:

@@ -32,14 +32,13 @@ from repro.sat.heuristics import (
     VsidsStrategy,
 )
 from repro.sat.portfolio import (
-    MemberReport,
     PortfolioMember,
     PortfolioOutcome,
     PortfolioSolver,
-    SharedClauseBus,
     default_members,
     solve_portfolio,
 )
+from repro.sat.race import MemberReport, PortfolioWorkerError, SharedClauseBus
 from repro.sat.proof import ProofError, ResolutionProof, check_proof
 from repro.sat.solver import (
     MINIMIZE_MODES,
@@ -105,6 +104,7 @@ __all__ = [
     "PortfolioMember",
     "PortfolioOutcome",
     "MemberReport",
+    "PortfolioWorkerError",
     "SharedClauseBus",
     "default_members",
     "solve_portfolio",

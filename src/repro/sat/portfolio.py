@@ -8,32 +8,30 @@ solver configurations attack one formula concurrently, the first to
 finish decides the answer, and short learned clauses flow between the
 solvers so one configuration's conflicts prune the others' search.
 
-Two execution modes, one result type:
+Two execution modes, one result type, both run by the race driver in
+:mod:`repro.sat.race` (this module supplies the member children, the
+epoch step and the :class:`PortfolioOutcome` assembly):
 
-**Race mode** (``deterministic=False``) — one OS process per member
-(``multiprocessing``).  Each member's solver exports learned clauses up
-to ``share_max_len`` literals through the
-:attr:`~repro.sat.solver.CdclSolver.on_learned` restart hook; the
-parent pumps them across a deduplicating :class:`SharedClauseBus` into
-the peers' import queues, and peers install them at decision level 0
-(the solver's root-level import path).  The first finisher wins, the
-losers are cancelled.  Which clauses crossed the bus — and therefore
-the winner's exact statistics — depends on OS scheduling; the *verdict*
-never does (every member solves the same formula, and imported clauses
-are logical consequences of it).
+**Race mode** (``deterministic=False``) — one forked child per member,
+at most :func:`~repro.sat.race.race_width` of them.  Members export
+learned clauses of up to ``share_max_len`` literals at restart points
+(the :attr:`~repro.sat.solver.CdclSolver.on_learned` hook); the parent
+routes them over a deduplicating :class:`SharedClauseBus` to the peers,
+which install them at decision level 0.  The first member with a
+verdict wins and the losers are cancelled.  Which clauses crossed the
+bus — and therefore the winner's exact statistics — depends on OS
+scheduling; the *verdict* never does (imported clauses are logical
+consequences of the shared formula).
 
 **Deterministic mode** (``deterministic=True``) — search is sliced into
-*epochs* of ``epoch_conflicts`` conflicts (the solver's per-call
-``max_conflicts`` budget).  All members run epoch ``e`` to its conflict
-barrier; their exports are merged in member-index order and delivered
-at the start of epoch ``e + 1``; the winner is the member finishing in
-the earliest epoch, ties broken toward the lowest member index.  Every
-search-derived result — verdict, winning member, per-member statistics,
-the imported-clause sets — is a pure function of (formula, members,
-``epoch_conflicts``, ``share_max_len``), so repeated runs and different
-``jobs`` values are byte-identical: worker processes are only a
-placement vehicle (members are partitioned round-robin across ``jobs``
-persistent workers; the epoch barrier makes placement invisible).
+*epochs* of ``epoch_conflicts`` conflicts.  All members run epoch ``e``
+to its conflict barrier; their exports are merged in member-index order
+and delivered at the start of epoch ``e + 1``; the winner is the member
+finishing in the earliest epoch, ties broken toward the lowest member
+index.  Every search-derived result is a pure function of (formula,
+members, ``epoch_conflicts``, ``share_max_len``), so repeated runs and
+different ``jobs`` values are byte-identical: ``jobs`` only places the
+members round-robin on persistent worker processes.
 
 Soundness: imported clauses enter through
 :meth:`~repro.sat.solver.CdclSolver.add_shared_clause`, which installs
@@ -45,20 +43,17 @@ and remain unsatisfiable as clause *sets*, and
 ``tests/sat/test_portfolio.py`` re-proves such cores standalone.
 
 Nested use: a portfolio inside a daemonic pool worker (the experiment
-layer's ``--jobs`` pool) cannot fork children, so both modes detect the
-daemon flag and fall back to the in-process deterministic path — same
-verdict, no child processes.  ``repro.experiments.parallel`` offers
-``nested=True`` pools (non-daemonic workers) when true nesting is
-wanted.
+layer's ``--jobs`` pool) cannot fork children, so both modes fall back
+to the in-process epoch path — same verdict, no child processes.
+``repro.experiments.parallel`` offers ``nested=True`` pools
+(non-daemonic workers) when true nesting is wanted.
 """
 
 from __future__ import annotations
 
-import os
-import queue as queue_module
-import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,7 +70,16 @@ from repro.sat.solver import (
     PHASE_MODES,
     SolverConfig,
 )
-from repro.sat.stats import SolverStats
+from repro.sat.race import (
+    MemberReport,
+    SharedClauseBus,
+    epoch_step,
+    epoch_workers,
+    race,
+    race_width,
+    run_epochs,
+    run_member_epoch,
+)
 from repro.sat.types import SolveOutcome, SolveResult
 
 #: Strategy kinds a :class:`PortfolioMember` may name.
@@ -191,114 +195,6 @@ def default_members(count: int = 4) -> List[PortfolioMember]:
     return members
 
 
-class SharedClauseBus:
-    """Deduplicating broadcast fabric between portfolio members.
-
-    Clauses are keyed by their canonical form (sorted deduplicated
-    literal tuple).  A member never receives a clause it already knows —
-    its own exports included — and each distinct clause is counted once
-    in :attr:`shared`.  Determinism is inherited from the caller: given
-    the same ``publish`` call sequence, the pending queues are
-    identical (the deterministic mode publishes in member-index order
-    at epoch barriers).
-    """
-
-    def __init__(self, num_members: int) -> None:
-        self._known: List[set] = [set() for _ in range(num_members)]
-        self._pending: List[List[Tuple[int, ...]]] = [
-            [] for _ in range(num_members)
-        ]
-        self._published: set = set()
-        #: Distinct clauses ever published on the bus.
-        self.shared = 0
-        #: Clause deliveries queued so far (one per (clause, receiver)).
-        self.deliveries = 0
-
-    def publish(self, member: int, clauses: Sequence[Sequence[int]]) -> None:
-        """Queue ``member``'s exported clauses for every other member."""
-        known = self._known
-        pending = self._pending
-        for lits in clauses:
-            key = tuple(sorted(set(lits)))
-            known[member].add(key)
-            if key not in self._published:
-                self._published.add(key)
-                self.shared += 1
-            for other in range(len(known)):
-                if other != member and key not in known[other]:
-                    known[other].add(key)
-                    pending[other].append(key)
-                    self.deliveries += 1
-
-    def collect(self, member: int) -> List[Tuple[int, ...]]:
-        """Drain the clauses queued for ``member`` (arrival order)."""
-        batch = self._pending[member]
-        self._pending[member] = []
-        return batch
-
-
-@dataclass
-class MemberReport:
-    """What one portfolio member did.
-
-    ``status`` is ``"sat"``/``"unsat"`` for a finisher, ``"unknown"``
-    for a deterministic member that never reached a verdict before the
-    race ended, and ``"cancelled"`` for a raced loser (its counters are
-    then the last sharing-point snapshot, not final values).
-    """
-
-    name: str
-    status: str = "unknown"
-    winner: bool = False
-    epochs: int = 0
-    #: Row-race engines only: the deepest BMC depth the member had
-    #: reached at its last message (None elsewhere).
-    depth: Optional[int] = None
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    restarts: int = 0
-    exported: int = 0
-    imported: int = 0
-    solve_time: float = 0.0
-    #: Full accumulated :class:`SolverStats` when known — deterministic
-    #: members (merged across epochs) and race finishers.  ``None`` for
-    #: cancelled racers, whose only record is the sharing-point
-    #: snapshot scalars above.
-    stats: Optional[SolverStats] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready member report.
-
-        The ``stats`` sub-dict routes through
-        :meth:`SolverStats.as_dict` whenever the member's full counters
-        are known, so every solver counter (LBD sums, arena
-        compactions, ...) reaches the metrics/bench consumers without
-        this report having to enumerate them; cancelled racers fall
-        back to the snapshot scalars.
-        """
-        if self.stats is not None:
-            stats: Dict[str, object] = dict(self.stats.as_dict())
-        else:
-            stats = {
-                "conflicts": self.conflicts,
-                "decisions": self.decisions,
-                "propagations": self.propagations,
-                "restarts": self.restarts,
-                "exported_clauses": self.exported,
-                "imported_clauses": self.imported,
-            }
-        return {
-            "name": self.name,
-            "status": self.status,
-            "winner": self.winner,
-            "epochs": self.epochs,
-            "depth": self.depth,
-            "solve_time": self.solve_time,
-            "stats": stats,
-        }
-
-
 @dataclass
 class PortfolioOutcome:
     """Everything a portfolio solve produces.
@@ -347,33 +243,6 @@ class PortfolioOutcome:
         return self.outcome.core_vars if self.outcome is not None else None
 
 
-def _resolve_jobs(jobs: Optional[int], num_members: int) -> int:
-    if jobs is None:
-        return 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    return min(jobs, num_members)
-
-
-def _in_daemon() -> bool:
-    """True inside a daemonic process (a plain ``multiprocessing.Pool``
-    worker), where spawning children raises."""
-    import multiprocessing
-
-    return bool(multiprocessing.current_process().daemon)
-
-
-def _available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware: a race
-    wider than this only time-slices, it cannot win wall time)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
 def _build_solver(
     formula: CnfFormula,
     member: PortfolioMember,
@@ -402,216 +271,51 @@ def _build_solver(
     return CdclSolver(formula, strategy=strategy, config=config)
 
 
-def _run_member_epoch(
-    solver: CdclSolver,
-    budgets: Tuple[int, Optional[int], Optional[int]],
-    imports: Sequence[Sequence[int]],
-) -> Tuple[str, List[Tuple[int, ...]], SolverStats, Optional[SolveOutcome]]:
-    """One deterministic epoch of one member: import the barrier batch,
-    search under this epoch's ``(conflicts, propagations, decisions)``
-    budgets — the latter two are the member's *remaining* shares of a
-    caller-supplied cumulative cap — and drain the exports."""
-    conflicts, propagations, decisions = budgets
-    for lits in imports:
-        solver.add_shared_clause(lits)
-    solver.config.max_conflicts = conflicts
-    solver.config.max_propagations = propagations
-    solver.config.max_decisions = decisions
-    outcome = solver.solve()
-    exported = solver.drain_exported()
-    finished = outcome.status is not SolveResult.UNKNOWN
-    return (
-        outcome.status.value,
-        exported,
-        outcome.stats,
-        outcome if finished else None,
-    )
-
-
-def carve_epoch_budgets(
-    epoch_conflicts: int,
-    caps: Tuple[Optional[int], Optional[int], Optional[int]],
-    used: Tuple[int, int, int],
-) -> Optional[Tuple[int, Optional[int], Optional[int]]]:
-    """Next-epoch ``(max_conflicts, max_propagations, max_decisions)``
-    for a member that has already spent ``used`` of the cumulative
-    ``caps`` (each cap may be None = unbounded), or ``None`` when any
-    cap is exhausted.  Shared by the deterministic portfolio and the
-    incremental portfolio engine so the budget-laundering rules cannot
-    drift apart.
-    """
-    conflict_cap, prop_cap, decision_cap = caps
-    used_conflicts, used_props, used_decisions = used
-    budget = epoch_conflicts
-    if conflict_cap is not None:
-        remaining = conflict_cap - used_conflicts
-        if remaining <= 0:
-            return None
-        budget = min(budget, remaining)
-    remaining_props = None
-    if prop_cap is not None:
-        remaining_props = prop_cap - used_props
-        if remaining_props <= 0:
-            return None
-    remaining_decisions = None
-    if decision_cap is not None:
-        remaining_decisions = decision_cap - used_decisions
-        if remaining_decisions <= 0:
-            return None
-    return (budget, remaining_props, remaining_decisions)
-
-
-def _group_worker(formula, member_specs, base_config, share_max_len,
-                  warm_activity, cmd_q, reply_q):
-    """Persistent deterministic-mode worker: owns a fixed subset of the
-    members' solvers across all epochs (solver state must live where the
-    member does)."""
+def _member_steps(formula, members, base_config, share_max_len,
+                  warm_activity, indices):
+    """The epoch step of members ``indices``; their solvers live
+    wherever this is called (see :func:`repro.sat.race.epoch_step`)."""
     solvers = {
         index: _build_solver(
-            formula, member, base_config, share_max_len, warm_activity
+            formula, members[index], base_config, share_max_len,
+            warm_activity,
         )
-        for index, member in member_specs
+        for index in indices
     }
-    while True:
-        message = cmd_q.get()
-        if message[0] != "epoch":
-            break
-        _tag, work = message
-        replies = []
-        for index, budgets, imports in work:
-            replies.append(
-                (index,) + _run_member_epoch(solvers[index], budgets, imports)
-            )
-        reply_q.put(replies)
 
-
-class _InProcessGroup:
-    """Deterministic-mode group living in the coordinating process."""
-
-    def __init__(self, indices, formula, members, base_config, share_max_len,
-                 warm_activity):
-        self.indices = list(indices)
-        self._solvers = {
-            index: _build_solver(
-                formula, members[index], base_config, share_max_len,
-                warm_activity,
-            )
-            for index in self.indices
-        }
-        self._replies: Optional[list] = None
-
-    def dispatch(self, work) -> None:
-        self._replies = [
-            (index,) + _run_member_epoch(self._solvers[index], budgets, imports)
+    def step(work):
+        return [
+            (index,) + run_member_epoch(solvers[index], budgets, imports)
             for index, budgets, imports in work
         ]
 
-    def gather(self) -> list:
-        replies, self._replies = self._replies, None
-        return replies
-
-    def stop(self) -> None:  # symmetry with _ProcessGroup
-        pass
+    return step
 
 
-class _ProcessGroup:
-    """Deterministic-mode group hosted in a persistent child process."""
-
-    def __init__(self, context, indices, formula, members, base_config,
-                 share_max_len, warm_activity):
-        self.indices = list(indices)
-        self._cmd = context.Queue()
-        self._reply = context.Queue()
-        self._process = context.Process(
-            target=_group_worker,
-            args=(
-                formula,
-                [(index, members[index]) for index in self.indices],
-                base_config,
-                share_max_len,
-                warm_activity,
-                self._cmd,
-                self._reply,
-            ),
-            daemon=True,
-        )
-        self._process.start()
-
-    def dispatch(self, work) -> None:
-        self._cmd.put(("epoch", work))
-
-    def gather(self) -> list:
-        while True:
-            try:
-                return self._reply.get(timeout=1.0)
-            except queue_module.Empty:
-                if not self._process.is_alive():
-                    raise RuntimeError(
-                        "portfolio epoch worker died "
-                        f"(exit code {self._process.exitcode})"
-                    )
-
-    def stop(self) -> None:
-        try:
-            self._cmd.put(("stop",))
-        except (OSError, ValueError):
-            pass
-        self._process.join(timeout=5)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout=1)
-
-
-def _stats_snapshot(
-    stats: SolverStats, elapsed: Optional[float] = None
-) -> Tuple[int, int, int, int, int, int, float]:
-    # stats.solve_time is only written when solve() returns; mid-solve
-    # snapshots (the race's sharing points) pass the live wall clock so
-    # a cancelled loser's report still shows how long it searched.
-    return (
-        stats.conflicts,
-        stats.decisions,
-        stats.propagations,
-        stats.restarts,
-        stats.exported_clauses,
-        stats.imported_clauses,
-        stats.solve_time if elapsed is None else elapsed,
-    )
-
-
-def _race_worker(
-    index, formula, member, base_config, share_max_len, warm_activity,
-    export_q, import_q, result_q,
-):
-    """Race-mode child: solve to completion, trading clauses at every
+def _race_member(formula, member, base_config, share_max_len,
+                 warm_activity, channel):
+    """Race child: solve to completion, trading clauses at every
     restart through the on_learned hook."""
-    try:
-        solver = _build_solver(
-            formula, member, base_config, share_max_len, warm_activity
-        )
-        started = time.perf_counter()
+    solver = _build_solver(
+        formula, member, base_config, share_max_len, warm_activity
+    )
+    started = time.perf_counter()
 
-        def hook(batch):
-            export_q.put((
-                index,
-                batch,
-                _stats_snapshot(
-                    solver.stats, time.perf_counter() - started
-                ),
-            ))
-            imports: List[Tuple[int, ...]] = []
-            while True:
-                try:
-                    imports.extend(import_q.get_nowait())
-                except queue_module.Empty:
-                    break
-            return imports
+    def hook(batch):
+        # A live snapshot for the report of a member that ends up
+        # cancelled (stats.solve_time is only written when solve()
+        # returns, so the wall clock stands in).
+        stats = solver.stats
+        channel.export(None, batch, dict(
+            conflicts=stats.conflicts, decisions=stats.decisions,
+            propagations=stats.propagations, restarts=stats.restarts,
+            exported=stats.exported_clauses, imported=stats.imported_clauses,
+            solve_time=time.perf_counter() - started,
+        ))
+        return [lits for routed in channel.receive() for lits in routed]
 
-        solver.on_learned = hook
-        outcome = solver.solve()
-        result_q.put((index, "done", outcome, _stats_snapshot(outcome.stats)))
-    except Exception as exc:  # pragma: no cover - surfaced by the parent
-        result_q.put((index, "error", f"{type(exc).__name__}: {exc}", None))
+    solver.on_learned = hook
+    yield solver.solve()
 
 
 class PortfolioSolver:
@@ -633,11 +337,10 @@ class PortfolioSolver:
         results); ``False`` the wall-clock race.
     jobs:
         Deterministic mode: worker processes to spread members over
-        (``None``/1 = in-process serial, 0 = one per CPU, capped at the
-        member count; results are identical for every value).  Race
-        mode always runs one process per member and treats ``jobs=1``
-        as "no parallelism available" — it falls back to the
-        deterministic in-process path.
+        (:func:`~repro.sat.race.epoch_workers`; results are identical
+        for every value).  Race mode: a cap on the race width
+        (:func:`~repro.sat.race.race_width`); at width 1 it falls back
+        to the in-process epoch path.
     share_max_len:
         Learned-clause export cap in literals (``None`` disables
         sharing entirely).
@@ -697,26 +400,24 @@ class PortfolioSolver:
         #: epoch — a diversification restart with high variance.
         self.warm_activity = warm_activity
 
-    # ------------------------------------------------------------------
-
     def solve(self) -> PortfolioOutcome:
         """Run the portfolio; see :class:`PortfolioOutcome`."""
-        if self.deterministic:
-            result = self._solve_deterministic()
+        width = 0 if self.deterministic else race_width(
+            len(self.members), self.jobs
+        )
+        if width > 1:
+            result = self._solve_race(width)
+        elif self.deterministic:
+            result = self._solve_epochs(
+                epoch_workers(len(self.members), self.jobs)
+            )
         else:
-            width = min(len(self.members), _available_cpus())
-            if self.jobs is not None and self.jobs > 0:
-                width = min(width, self.jobs)
-            if width <= 1 or _in_daemon():
-                # No real parallelism available (single member or CPU,
-                # nested inside a daemonic pool worker, or explicitly
-                # jobs=1): a wider race would only time-slice, so run
-                # the epoch-interleaved deterministic path in-process
-                # instead — same verdict, and the sharing still prunes
-                # the search.
-                result = self._solve_deterministic(force_serial=True)
-            else:
-                result = self._solve_race(width)
+            # No real parallelism available (single member or CPU,
+            # nested inside a daemonic pool worker, or explicitly
+            # jobs=1): a wider race would only time-slice, so run the
+            # epoch-interleaved path in-process instead — same verdict,
+            # and the sharing still prunes the search.
+            result = self._solve_epochs(1)
         self._publish_metrics(result)
         return result
 
@@ -745,21 +446,19 @@ class PortfolioSolver:
         if registry is None:
             return
         labels = dict(config.metrics_labels or {})
-        registry.counter("portfolio_solves_total", labels=labels).inc()
-        registry.counter("portfolio_epochs_total", labels=labels).inc(
-            result.epochs
-        )
-        registry.counter("portfolio_bus_shared_total", labels=labels).inc(
-            result.shared_clauses
-        )
-        registry.counter("portfolio_bus_deliveries_total", labels=labels).inc(
-            result.deliveries
-        )
-        exported = 0
-        imported = 0
+        exported = sum(report.exported for report in result.reports)
+        imported = sum(report.imported for report in result.reports)
+        for name, value in (
+            ("portfolio_solves_total", 1),
+            ("portfolio_epochs_total", result.epochs),
+            ("portfolio_bus_shared_total", result.shared_clauses),
+            ("portfolio_bus_deliveries_total", result.deliveries),
+            ("portfolio_exported_clauses_total", exported),
+            ("portfolio_imported_clauses_total", imported),
+        ):
+            registry.counter(name, labels=labels).inc(value)
         for report in result.reports:
-            member_labels = dict(labels)
-            member_labels["member"] = report.name
+            member_labels = dict(labels, member=report.name)
             stats = report.as_dict()["stats"]
             for key in self._MEMBER_COUNTER_KEYS:
                 value = stats.get(key, 0)  # type: ignore[union-attr]
@@ -767,329 +466,83 @@ class PortfolioSolver:
                     registry.counter(
                         f"portfolio_member_{key}_total", labels=member_labels
                     ).inc(value)
-            exported += report.exported
-            imported += report.imported
-        registry.counter(
-            "portfolio_exported_clauses_total", labels=labels
-        ).inc(exported)
-        registry.counter(
-            "portfolio_imported_clauses_total", labels=labels
-        ).inc(imported)
         registry.gauge("portfolio_bus_hit_rate", labels=labels).set(
             imported / result.deliveries if result.deliveries else 0.0
         )
 
-    # ------------------------------------------------------------------
-    # Deterministic epoch-barrier mode.
-    # ------------------------------------------------------------------
-
-    def _solve_deterministic(self, force_serial: bool = False) -> PortfolioOutcome:
+    def _solve_epochs(self, workers: int) -> PortfolioOutcome:
         start = time.perf_counter()
-        members = self.members
-        num = len(members)
-        jobs = 1 if force_serial else _resolve_jobs(self.jobs, num)
-        if jobs > 1 and _in_daemon():
-            jobs = 1  # daemonic pool workers cannot fork epoch workers
-        groups = self._make_groups(jobs)
-        bus = SharedClauseBus(num)
-        reports = [MemberReport(name=member.name) for member in members]
-        active = set(range(num))
-        finished: Dict[int, SolveOutcome] = {}
-        epoch = 0
-        # Caller-supplied max_conflicts/max_propagations/max_decisions
-        # budgets cap each member's *cumulative* work across epochs
-        # (per-epoch budgets are carved out of what remains), exactly
-        # as they cap a single solve() call — the epoch slicing must
-        # not launder any of them away.
-        base = self.base_config
-        caps = (
-            base.max_conflicts if base is not None else None,
-            base.max_propagations if base is not None else None,
-            base.max_decisions if base is not None else None,
-        )
+        bus = SharedClauseBus(len(self.members))
+        reports = [MemberReport(name=member.name) for member in self.members]
         # time_budget only reaches this path as the race fallback
         # (deterministic=True rejects it in the constructor): enforce
         # it at epoch boundaries, like the race enforces its deadline.
         deadline = (
             start + self.time_budget if self.time_budget is not None else None
         )
-        try:
-            while active and (self.max_epochs is None or epoch < self.max_epochs):
-                if deadline is not None and time.perf_counter() > deadline:
-                    break
-                dispatched = []
-                for group in groups:
-                    work = []
-                    for index in group.indices:
-                        if index not in active:
-                            continue
-                        report = reports[index]
-                        budgets = carve_epoch_budgets(
-                            self.epoch_conflicts,
-                            caps,
-                            (
-                                report.conflicts,
-                                report.propagations,
-                                report.decisions,
-                            ),
-                        )
-                        if budgets is None:
-                            active.discard(index)
-                            continue
-                        work.append((index, budgets, bus.collect(index)))
-                    if work:
-                        group.dispatch(work)
-                        dispatched.append(group)
-                if not dispatched:
-                    break  # every member exhausted its conflict cap
-                replies = []
-                for group in dispatched:
-                    replies.extend(group.gather())
-                # Member-index order makes the bus state — and therefore
-                # the next epoch's import batches — placement-invariant.
-                replies.sort(key=lambda reply: reply[0])
-                finishers = []
-                for index, status, exported, stats, outcome in replies:
-                    report = reports[index]
-                    report.epochs += 1
-                    report.conflicts += stats.conflicts
-                    report.decisions += stats.decisions
-                    report.propagations += stats.propagations
-                    report.restarts += stats.restarts
-                    report.exported += stats.exported_clauses
-                    report.imported += stats.imported_clauses
-                    report.solve_time += stats.solve_time
-                    if report.stats is None:
-                        report.stats = SolverStats()
-                    report.stats.merge(stats)
-                    bus.publish(index, exported)
-                    if outcome is not None:
-                        report.status = status
-                        finishers.append(index)
-                        finished[index] = outcome
-                epoch += 1
-                if finishers:
-                    active.difference_update(finishers)
-                    break
-        finally:
-            for group in groups:
-                group.stop()
-        return self._deterministic_outcome(
-            bus, reports, finished, epoch, time.perf_counter() - start
+        make_step = partial(
+            _member_steps, self.formula, self.members, self.base_config,
+            self.share_max_len, self.warm_activity,
+        )
+        with epoch_step(make_step, len(self.members), workers) as step:
+            winner, outcome, epochs = run_epochs(
+                step, bus, reports, self.epoch_conflicts, self.base_config,
+                self.max_epochs, deadline,
+            )
+        return self._outcome(
+            winner, outcome, reports, bus, epochs, True, start
         )
 
-    def _make_groups(self, jobs: int) -> list:
-        members = self.members
-        num = len(members)
-        if jobs <= 1:
-            return [
-                _InProcessGroup(
-                    range(num), self.formula, members, self.base_config,
-                    self.share_max_len, self.warm_activity,
-                )
-            ]
-        from multiprocessing import get_context
+    def _solve_race(self, width: int) -> PortfolioOutcome:
+        start = time.perf_counter()
+        # Racing more members than cores only time-slices them; the
+        # leading (most diverse) cells run.
+        members = self.members[:width]
+        bus = SharedClauseBus(width)
+        deadline = None if self.time_budget is None else start + self.time_budget
+        winner, results, snapshots = race(
+            _race_member,
+            [
+                (self.formula, member, self.base_config,
+                 self.share_max_len, self.warm_activity)
+                for member in members
+            ],
+            bus, SolveResult.UNKNOWN, deadline,
+        )
+        reports = []
+        for index, member in enumerate(members):
+            outcome = results.get(index)
+            if outcome is None:
+                reports.append(MemberReport(
+                    name=member.name, status="cancelled",
+                    **snapshots.get(index, {}),
+                ))
+                continue
+            report = MemberReport(name=member.name, status=outcome.status.value)
+            report.absorb(outcome.stats, epochs=0)
+            reports.append(report)
+        if winner is not None:
+            reports[winner].winner = True
+        reports.extend(
+            MemberReport(name=member.name, status="skipped")
+            for member in self.members[width:]
+        )
+        return self._outcome(
+            winner, results.get(winner), reports, bus, 0, False, start
+        )
 
-        method = "fork" if sys.platform == "linux" else "spawn"
-        context = get_context(method)
-        partitions = [
-            [index for index in range(num) if index % jobs == slot]
-            for slot in range(jobs)
-        ]
-        return [
-            _ProcessGroup(
-                context, indices, self.formula, members, self.base_config,
-                self.share_max_len, self.warm_activity,
-            )
-            for indices in partitions
-            if indices
-        ]
-
-    def _deterministic_outcome(
-        self, bus, reports, finished, epochs, wall_time
+    def _outcome(
+        self, winner, outcome, reports, bus, epochs, deterministic, start
     ) -> PortfolioOutcome:
-        if finished:
-            verdicts = {outcome.status for outcome in finished.values()}
-            if len(verdicts) > 1:  # pragma: no cover - soundness backstop
-                raise RuntimeError(
-                    f"portfolio members disagree on the verdict: {verdicts} "
-                    f"(an imported clause was not a consequence of the formula?)"
-                )
-            winner_index = min(finished)
-            reports[winner_index].winner = True
-            outcome = finished[winner_index]
-            status = outcome.status
-            winner = self.members[winner_index].name
-        else:
-            outcome = None
-            status = SolveResult.UNKNOWN
-            winner = None
         return PortfolioOutcome(
-            status=status,
-            winner=winner,
+            status=outcome.status if outcome is not None else SolveResult.UNKNOWN,
+            winner=self.members[winner].name if winner is not None else None,
             outcome=outcome,
             reports=reports,
             epochs=epochs,
             shared_clauses=bus.shared,
             deliveries=bus.deliveries,
-            deterministic=True,
-            wall_time=wall_time,
-        )
-
-    # ------------------------------------------------------------------
-    # Wall-clock race mode.
-    # ------------------------------------------------------------------
-
-    def _solve_race(self, width: Optional[int] = None) -> PortfolioOutcome:
-        from multiprocessing import get_context
-
-        start = time.perf_counter()
-        members = self.members
-        if width is not None and width < len(members):
-            # Adaptive width: racing more members than cores only
-            # time-slices them; the leading (most diverse) cells run.
-            members = members[:width]
-        num = len(members)
-        method = "fork" if sys.platform == "linux" else "spawn"
-        context = get_context(method)
-        result_q = context.Queue()
-        export_q = context.Queue()
-        import_qs = [context.Queue() for _ in range(num)]
-        processes = []
-        for index, member in enumerate(members):
-            process = context.Process(
-                target=_race_worker,
-                args=(
-                    index, self.formula, member, self.base_config,
-                    self.share_max_len, self.warm_activity,
-                    export_q, import_qs[index], result_q,
-                ),
-                daemon=True,
-            )
-            process.start()
-            processes.append(process)
-
-        bus = SharedClauseBus(num)
-        snapshots: Dict[int, tuple] = {}
-        reports = [MemberReport(name=member.name) for member in members]
-        winner_index: Optional[int] = None
-        winner_outcome: Optional[SolveOutcome] = None
-        extra_outcomes: Dict[int, SolveOutcome] = {}
-        deadline = None if self.time_budget is None else start + self.time_budget
-        try:
-            while winner_index is None:
-                # Pump the bus: forward every export batch to the peers
-                # that have not seen those clauses yet.
-                while True:
-                    try:
-                        index, batch, snapshot = export_q.get_nowait()
-                    except queue_module.Empty:
-                        break
-                    snapshots[index] = snapshot
-                    bus.publish(index, batch)
-                    for other in range(num):
-                        if other != index:
-                            pending = bus.collect(other)
-                            if pending:
-                                import_qs[other].put(pending)
-                try:
-                    index, kind, payload, snapshot = result_q.get(timeout=0.02)
-                except queue_module.Empty:
-                    if deadline is not None and time.perf_counter() > deadline:
-                        break
-                    if all(not process.is_alive() for process in processes):
-                        if len(extra_outcomes) == num:
-                            break  # every member reported UNKNOWN
-                        raise RuntimeError(
-                            "a portfolio race worker died without a result "
-                            f"({len(extra_outcomes)}/{num} members reported)"
-                        )
-                    continue
-                if kind == "error":
-                    raise RuntimeError(f"portfolio race worker failed: {payload}")
-                snapshots[index] = snapshot
-                if payload.status is SolveResult.UNKNOWN:
-                    # A member that merely exhausted a base_config
-                    # budget does not decide the race — peers still
-                    # searching may yet return a verdict.  Only when
-                    # every member has reported UNKNOWN is the race
-                    # itself UNKNOWN.
-                    extra_outcomes[index] = payload
-                    if len(extra_outcomes) == num:
-                        break
-                    continue
-                winner_index = index
-                winner_outcome = payload
-                # Co-finishers already queued beat the cancellation:
-                # record their real verdicts, don't mislabel them.
-                while True:
-                    try:
-                        other, okind, opayload, osnap = result_q.get_nowait()
-                    except queue_module.Empty:
-                        break
-                    if okind == "done":
-                        extra_outcomes[other] = opayload
-                        snapshots[other] = osnap
-        finally:
-            for index, process in enumerate(processes):
-                if index != winner_index and process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join(timeout=2)
-                if process.is_alive():  # pragma: no cover - hard kill backstop
-                    process.kill()
-                    process.join(timeout=1)
-            for q in [result_q, export_q, *import_qs]:
-                q.cancel_join_thread()
-
-        for index, report in enumerate(reports):
-            snapshot = snapshots.get(index)
-            if snapshot is not None:
-                (
-                    report.conflicts, report.decisions, report.propagations,
-                    report.restarts, report.exported, report.imported,
-                    report.solve_time,
-                ) = snapshot
-            if index in extra_outcomes:
-                report.status = extra_outcomes[index].status.value
-                report.stats = extra_outcomes[index].stats
-            else:
-                report.status = "cancelled"
-        if winner_index is None:
-            status = SolveResult.UNKNOWN
-            winner = None
-        else:
-            report = reports[winner_index]
-            report.winner = True
-            report.status = winner_outcome.status.value
-            report.stats = winner_outcome.stats
-            status = winner_outcome.status
-            winner = members[winner_index].name
-            # Same soundness backstop as the deterministic mode: any
-            # co-finisher that reached a *verdict* must agree with the
-            # winner (an UNKNOWN co-finisher merely ran out of budget).
-            disagreeing = {
-                outcome.status
-                for outcome in extra_outcomes.values()
-                if outcome.status is not SolveResult.UNKNOWN
-                and outcome.status is not status
-            }
-            if disagreeing:  # pragma: no cover - soundness backstop
-                raise RuntimeError(
-                    f"portfolio members disagree on the verdict: "
-                    f"{disagreeing | {status}} (an imported clause was "
-                    f"not a consequence of the formula?)"
-                )
-        for member in self.members[num:]:
-            reports.append(MemberReport(name=member.name, status="skipped"))
-        return PortfolioOutcome(
-            status=status,
-            winner=winner,
-            outcome=winner_outcome,
-            reports=reports,
-            shared_clauses=bus.shared,
-            deliveries=bus.deliveries,
-            deterministic=False,
+            deterministic=deterministic,
             wall_time=time.perf_counter() - start,
         )
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.bmc import BmcEngine, IncrementalPortfolioBmc, PortfolioBmcEngine
 from repro.bmc.result import BmcStatus
+from repro.sat import race as race_module
 from repro.workloads import instance_by_name
 
 
@@ -114,9 +115,7 @@ class TestDepthGranularity:
 
 class TestRowGranularity:
     def test_serial_width_one_fallback(self, passing_row, baseline, monkeypatch):
-        import repro.bmc.portfolio as module
-
-        monkeypatch.setattr(module, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 1)
         instance, circuit, prop = passing_row
         engine = PortfolioBmcEngine(
             circuit, prop, max_depth=instance.max_depth,
@@ -129,9 +128,7 @@ class TestRowGranularity:
         assert {r.status for r in engine.reports[1:]} == {"skipped"}
 
     def test_process_row_race(self, passing_row, baseline, monkeypatch):
-        import repro.bmc.portfolio as module
-
-        monkeypatch.setattr(module, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 2)
         instance, circuit, prop = passing_row
         engine = PortfolioBmcEngine(
             circuit, prop, max_depth=instance.max_depth,
@@ -143,9 +140,7 @@ class TestRowGranularity:
         assert all(d.winner == engine.row_winner for d in result.per_depth)
 
     def test_counterexample_row_race(self, failing_row, monkeypatch):
-        import repro.bmc.portfolio as module
-
-        monkeypatch.setattr(module, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 2)
         instance, circuit, prop = failing_row
         result = PortfolioBmcEngine(
             circuit, prop, max_depth=instance.max_depth,
@@ -213,12 +208,8 @@ class TestIncrementalPortfolio:
 
 class TestExperimentIntegration:
     def test_make_engine_and_run_instance(self, monkeypatch):
-        import repro.sat.portfolio as sat_module
-        import repro.bmc.portfolio as bmc_module
-
         # Pin to the in-process serial paths so the test is hermetic.
-        monkeypatch.setattr(sat_module, "_available_cpus", lambda: 1)
-        monkeypatch.setattr(bmc_module, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 1)
         from repro.experiments.runner import make_engine, run_instance
 
         instance = instance_by_name("17_1_b2")
@@ -243,14 +234,21 @@ class TestExperimentIntegration:
         assert overlaid.phase_mode == "inverted"
         assert overlaid.minimize_learned == "off"
 
-    def test_portfolio_opts_deterministic(self):
+    def test_portfolio_opts_deterministic(self, monkeypatch):
         from repro.experiments.runner import make_engine
 
+        # Two CPUs make a row race possible; deterministic=True must
+        # still take the per-depth epoch path.
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 2)
         instance = instance_by_name("17_1_b2")
         engine = make_engine(
             instance, "portfolio",
             portfolio_opts={"deterministic": True, "epoch_conflicts": 99},
         )
         assert engine.deterministic is True
-        assert engine.granularity == "depth"
         assert engine.epoch_conflicts == 99
+        result = engine.run()
+        assert engine.row_winner is None
+        assert [entry[0] for entry in engine.sharing_log] == [
+            d.k for d in result.per_depth
+        ]

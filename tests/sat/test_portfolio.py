@@ -23,6 +23,7 @@ from repro.sat import (
     SolverConfig,
     default_members,
 )
+from repro.sat import race as race_module
 from repro.sat.types import SolveResult
 
 #: Seeded instances checked for portfolio-vs-serial verdict agreement
@@ -263,9 +264,7 @@ class TestDeterministicMode:
 
 class TestRaceMode:
     def test_single_cpu_falls_back_to_deterministic(self, monkeypatch):
-        import repro.sat.portfolio as portfolio_module
-
-        monkeypatch.setattr(portfolio_module, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 1)
         outcome = PortfolioSolver(
             pigeonhole(5), members=list(TWO_MEMBERS)
         ).solve()
@@ -273,9 +272,7 @@ class TestRaceMode:
         assert outcome.deterministic is True
 
     def test_real_process_race(self, monkeypatch):
-        import repro.sat.portfolio as portfolio_module
-
-        monkeypatch.setattr(portfolio_module, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 2)
         outcome = PortfolioSolver(
             pigeonhole(6),
             members=list(TWO_MEMBERS),
@@ -292,9 +289,7 @@ class TestRaceMode:
         # One member has a tiny conflict budget and reports UNKNOWN
         # quickly; the race must wait for a deciding member instead of
         # cancelling it (code-review regression).
-        import repro.sat.portfolio as portfolio_module
-
-        monkeypatch.setattr(portfolio_module, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 2)
         members = [
             PortfolioMember(name="tiny", strategy="vsids"),
             PortfolioMember(name="full", strategy="berkmin"),
@@ -314,9 +309,7 @@ class TestRaceMode:
         assert all(r.status == "unknown" for r in outcome.reports)
 
     def test_time_budget_honored_on_serial_fallback(self, monkeypatch):
-        import repro.sat.portfolio as portfolio_module
-
-        monkeypatch.setattr(portfolio_module, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 1)
         import time as time_module
 
         start = time_module.perf_counter()
@@ -332,9 +325,7 @@ class TestRaceMode:
         assert elapsed < 10.0  # epoch-granular, but it must stop
 
     def test_race_width_truncates_members(self, monkeypatch):
-        import repro.sat.portfolio as portfolio_module
-
-        monkeypatch.setattr(portfolio_module, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 2)
         members = default_members(4)
         outcome = PortfolioSolver(
             pigeonhole(5),
