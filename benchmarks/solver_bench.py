@@ -393,19 +393,20 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
       build the native kernel (no cffi / no C compiler) — reported,
       not failed.
     * ``trace_on_propagations_per_sec`` / ``trace_overhead`` — the same
-      python-kernel workload with binary trace telemetry
-      (``SolverConfig.trace_path``) writing to a temp file, and its
-      throughput as a fraction of the tracing-off rate.  Reported
-      only; the *gated* metric is the tracing-off rate, so the smoke
-      gate prices the disabled path (one ``is not None`` per event
-      site) staying within noise of the pre-trace baseline.
+      python-kernel workload with a binary trace observer
+      (``SolverConfig.observer=TraceWriter(path)``) writing to a temp
+      file, and its throughput as a fraction of the tracing-off rate.
+      Reported only; the *gated* metric is the tracing-off rate, so the
+      smoke gate prices the detached seam (one ``is not None`` per
+      event site) staying within noise of the pre-trace baseline.
     * ``trace_events_per_sec`` / ``trace_bytes_per_event`` — encoder
       throughput and trace density for the tracing-on leg.
     * ``metrics_on_propagations_per_sec`` / ``metrics_overhead`` — the
       same python-kernel workload with the full observability plane on
-      (a live ``MetricsRegistry`` plus ``profile_access`` counting),
-      and its throughput as a fraction of the plain rate.  Reported
-      only, like the trace leg.
+      (a live ``MetricsRegistry`` — published by the solver's metrics
+      observer — plus ``profile_access`` counting), and its throughput
+      as a fraction of the plain rate.  Reported only, like the trace
+      leg.
     """
     import gc
     import os
@@ -413,6 +414,7 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
 
     from repro.metrics import MetricsRegistry
     from repro.sat.kernel import native_available
+    from repro.sat.trace import TraceWriter
 
     kernels = ["python"] + (["native"] if native_available() else [])
     legs = kernels + ["trace", "metrics"]
@@ -435,7 +437,7 @@ def measure_kernel_bcp(repeat: int) -> Dict[str, float]:
                     record_cdg=False,
                     check_model=False,
                     kernel=kernel,
-                    trace_path=tmp.name if leg == "trace" else None,
+                    observer=TraceWriter(tmp.name) if leg == "trace" else None,
                     metrics=MetricsRegistry() if leg == "metrics" else None,
                     profile_access=(leg == "metrics"),
                 )

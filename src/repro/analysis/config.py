@@ -34,6 +34,9 @@ def _default_strict_modules() -> List[str]:
         "repro.sat.arena",
         "repro.sat.types",
         "repro.sat.stats",
+        "repro.sat.profile",
+        "repro.metrics",
+        "repro.metrics.access",
         "repro.analysis",
     ]
 
@@ -47,6 +50,9 @@ def _default_hot_required() -> List[str]:
         "repro.sat.activity_heap::VariableActivityHeap.reinsert",
         "repro.sat.activity_heap::VariableActivityHeap._sift_up",
         "repro.sat.activity_heap::VariableActivityHeap._sift_down",
+        "repro.sat.trace::TraceWriter.enqueue_run",
+        "repro.sat.trace::TraceSink.sync_trail",
+        "repro.metrics.access::AccessStreamWriter.record_block",
     ]
 
 

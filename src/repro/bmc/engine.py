@@ -18,8 +18,11 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.encode.unroll import BmcInstance, Unroller
+from repro.metrics.access import ACCESS_SUFFIX, AccessStreamWriter
 from repro.sat.heuristics import DecisionStrategy, RankedStrategy, VsidsStrategy
+from repro.sat.observer import tee
 from repro.sat.solver import CdclSolver, SolverConfig
+from repro.sat.trace import TRACE_SUFFIX, TraceWriter
 from repro.sat.types import SolveOutcome, SolveResult
 from repro.bmc.result import BmcResult, BmcStatus, DepthStats, Trace
 
@@ -126,14 +129,12 @@ class BmcEngine:
         self.start_depth = start_depth
         self.strategy_factory = strategy_factory
         self.solver_config = solver_config or SolverConfig()
-        #: Binary solver-trace telemetry (repro.sat.trace): when set,
-        #: each depth's solve writes ``{trace_name}_d{k:03d}.rtrc``
-        #: under this directory (one solver per depth, so one trace per
-        #: depth).  The portfolio engines route this seam too: the row
-        #: race keeps only the winning member's traces (which member
-        #: wins is scheduling-dependent unless deterministic) and the
-        #: depth race re-solves the winner with the writer attached —
-        #: see ``repro.bmc.portfolio``.
+        #: Per-depth capture (:meth:`capture_config`): each depth's
+        #: solve writes ``{trace_name}_d{k:03d}.rtrc`` (and its
+        #: ``.racc`` sidecar under ``profile_access``) under this
+        #: directory.  The portfolio engines keep the row race's
+        #: winning member's files and re-solve a raced depth's winner
+        #: with the writers attached — see ``repro.bmc.portfolio``.
         self.trace_dir = trace_dir
         self.trace_name = trace_name
         self.time_budget = time_budget
@@ -167,17 +168,9 @@ class BmcEngine:
         and trace handling in :meth:`run` stay shared.
         """
         strategy = self.make_strategy(instance, k)
-        config = self.solver_config
-        if self.trace_dir is not None:
-            stem = os.path.join(self.trace_dir, f"{self.trace_name}_d{k:03d}")
-            overrides = {"trace_path": stem + ".rtrc"}
-            # Access-stream sidecar rides the same per-depth naming so
-            # `python -m repro.trace <dir>` picks both up in one pass.
-            if config.profile_access:
-                overrides["access_stream_path"] = stem + ".racc"
-            config = dc_replace(config, **overrides)
         solver = CdclSolver(
-            instance.formula, strategy=strategy, config=config
+            instance.formula, strategy=strategy,
+            config=self.capture_config(self.solver_config, k),
         )
         if self.solver_hook is not None:
             self.solver_hook(solver, k)
@@ -186,6 +179,19 @@ class BmcEngine:
         if isinstance(strategy, RankedStrategy):
             extras["switched"] = strategy.switched
         return outcome, extras
+
+    def capture_config(self, config: SolverConfig, k: int) -> SolverConfig:
+        """``config`` for depth ``k``'s solve: with ``trace_dir`` set,
+        its observer teed with a trace writer on
+        ``{trace_name}_d{k:03d}.rtrc`` and, under ``profile_access``, an
+        access sampler on its ``.racc`` twin."""
+        if self.trace_dir is None:
+            return config
+        stem = os.path.join(self.trace_dir, f"{self.trace_name}_d{k:03d}")
+        sinks = [TraceWriter(stem + TRACE_SUFFIX)]
+        if config.profile_access:
+            sinks.append(AccessStreamWriter(stem + ACCESS_SUFFIX))
+        return dc_replace(config, observer=tee(config.observer, *sinks))
 
     def run(self) -> BmcResult:
         """Execute the depth loop; see :class:`BmcResult`."""
@@ -240,8 +246,8 @@ class BmcEngine:
     def _publish_depth_metrics(self, depth_stats: DepthStats) -> None:
         """Publish one depth's outcome into the configured registry.
 
-        The per-solve solver counters already flow through
-        ``CdclSolver._publish_metrics`` (the registry rides
+        The per-solve solver counters already flow through the
+        solver's :class:`~repro.sat.observer.MetricsPublisher` (the registry rides
         ``solver_config.metrics`` into every depth's solver); this adds
         the depth-loop view: current depth, instance size, and
         per-status depth counts.  Status is the only extra label of the

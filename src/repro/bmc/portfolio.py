@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.circuit.netlist import Circuit
 from repro.cnf.literals import lit_neg
 from repro.encode.unroll import BmcInstance, Unroller
+from repro.metrics.access import ACCESS_SUFFIX
 from repro.sat.heuristics import RankedStrategy
 from repro.sat.portfolio import (
     DEFAULT_EPOCH_CONFLICTS,
@@ -53,6 +54,7 @@ from repro.sat.race import (
     run_member_epoch,
 )
 from repro.sat.solver import CdclSolver, SolverConfig
+from repro.sat.trace import TRACE_SUFFIX
 from repro.sat.types import SolveOutcome, SolveResult
 from repro.bmc.engine import BmcEngine, resolve_unroller
 from repro.bmc.incremental import decode_trace, feed_frames
@@ -133,14 +135,13 @@ class PortfolioBmcEngine(BmcEngine):
     Inside a daemonic pool worker the row race cannot fork and falls
     back to the per-depth path, each depth run in-process.
 
-    Solver traces (``trace_dir``/``trace_name``): row-race members
-    write ``{trace_name}__{spec}_d{k:03d}.rtrc`` and only the winner's
-    survive, renamed to the canonical ``{trace_name}_d{k:03d}.rtrc``;
-    the per-depth path traces serial depths inline and re-solves each
-    raced depth's winner standalone with the writer attached (see
-    :meth:`_solve_depth`).  Which row-race member wins, and so which
-    traces survive, depends on scheduling; traced runs are
-    byte-reproducible only with ``deterministic=True``.
+    Capture files (``trace_dir``, see ``BmcEngine.capture_config``):
+    row-race members write ``{trace_name}__{spec}_d{k:03d}`` files and
+    only the winner's survive, under the canonical names; the per-depth
+    path captures serial depths inline and re-solves each raced depth's
+    winner standalone with the writers attached.  Which row-race member
+    wins depends on scheduling; captured runs are byte-reproducible
+    only with ``deterministic=True``.
 
     Parameters beyond :class:`BmcEngine` (``strategy_factory`` is
     ignored — the portfolio supplies the strategies): ``member_specs``
@@ -335,13 +336,11 @@ class PortfolioBmcEngine(BmcEngine):
         return outcome, {"winner": winner}
 
     def _solo(self, instance: BmcInstance, member: PortfolioMember, k: int):
-        """Solve depth ``k`` with ``member`` alone, traced to the
-        canonical file the plain :class:`BmcEngine` seam would write."""
-        config = member.overlay_config(self.solver_config, None)
-        if self.trace_dir is not None:
-            config = dc_replace(config, trace_path=os.path.join(
-                self.trace_dir, f"{self.trace_name}_d{k:03d}.rtrc"
-            ))
+        """Solve depth ``k`` with ``member`` alone, captured to the
+        canonical files the plain :class:`BmcEngine` seam would write."""
+        config = self.capture_config(
+            member.overlay_config(self.solver_config, None), k
+        )
         return CdclSolver(
             instance.formula, strategy=member.build_strategy(), config=config
         ).solve()
@@ -350,16 +349,17 @@ class PortfolioBmcEngine(BmcEngine):
 def _promote_winner_traces(
     trace_dir: str, trace_name: str, specs: Sequence[str], winner: str
 ) -> None:
-    """Keep only the row-race winner's per-member solver traces.
+    """Keep only the row-race winner's per-member capture files.
 
-    Workers write ``{trace_name}__{spec}_d{k:03d}.rtrc``; the winner's
-    files are renamed to the canonical ``{trace_name}_d{k:03d}.rtrc``
-    and every loser's (including partial files left by a cancelled
-    member mid-write) are removed."""
+    Workers write ``{trace_name}__{spec}_d{k:03d}.rtrc`` and ``.racc``
+    files; the winner's are renamed to the canonical
+    ``{trace_name}_d{k:03d}`` names and every loser's (including
+    partial files of a cancelled member) are removed."""
     for spec in specs:
         prefix = f"{trace_name}__{spec}_d"
         for fname in sorted(os.listdir(trace_dir)):
-            if not (fname.startswith(prefix) and fname.endswith(".rtrc")):
+            if not (fname.startswith(prefix)
+                    and fname.endswith((TRACE_SUFFIX, ACCESS_SUFFIX))):
                 continue
             path = os.path.join(trace_dir, fname)
             if spec == winner:

@@ -51,6 +51,7 @@ from repro.bmc.engine import BmcEngine
 from repro.bmc.refine import RefineOrderBmc
 from repro.bmc.result import BmcResult, BmcStatus, DepthStats
 from repro.bmc.shtrichman import ShtrichmanBmc
+from repro.sat.observer import SearchObserver, tee
 from repro.sat.solver import SolverConfig
 from repro.workloads.suite import SuiteInstance
 
@@ -98,22 +99,27 @@ class InstanceResult:
     per_depth: List[DepthStats] = field(default_factory=list)
 
 
-class _ProgressPrinter:
-    """Live in-solve progress lines (``SolverConfig.on_progress``).
-
-    Rates come from ``time.perf_counter`` deltas between firings —
-    taken *here*, in the experiment layer, never inside the solver
-    (search state stays clock-free; see ``CdclSolver.progress_snapshot``).
-    Module-level and attribute-only so instances survive the ``--jobs``
-    pool's pickling.
+class ProgressPrinter(SearchObserver):
+    """Search observer printing the solver's clock-free
+    :meth:`~repro.sat.solver.CdclSolver.progress_snapshot` to stderr
+    every ``every`` conflicts.  Rates come from ``time.perf_counter``
+    deltas taken *here*, never inside the solver.  Module-level and
+    attribute-only so instances survive the ``--jobs`` pool's pickling.
     """
 
-    def __init__(self, label: str) -> None:
+    def __init__(self, label: str, every: int) -> None:
+        if every < 1:
+            raise ValueError(f"every must be >= 1, got {every!r}")
         self.label = label
+        self.every = every
         self._last_time: Optional[float] = None
         self._last_conflicts = 0
 
-    def __call__(self, snap: Dict[str, int]) -> None:
+    def on_learn(self, solver, learned, btlevel, antecedents) -> None:
+        if solver.stats.conflicts % self.every == 0:
+            self.report(solver.progress_snapshot())
+
+    def report(self, snap: Dict[str, int]) -> None:
         now = time.perf_counter()
         rate = ""
         if self._last_time is not None:
@@ -168,14 +174,15 @@ def make_engine(
     wins is scheduling-dependent unless ``deterministic=True`` (see
     ``repro.bmc.portfolio``).
 
-    ``progress=N`` prints a live stderr line every ``N`` conflicts
-    (``SolverConfig.on_progress``).  ``profile_access=True`` turns on
+    ``progress=N`` tees a :class:`ProgressPrinter` (every ``N``
+    conflicts) onto the config's observer.  ``profile_access=True`` turns on
     per-structure access counting (``SolverConfig.profile_access``) and
     — combined with ``trace_dir`` — per-depth ``.racc`` access-stream
     sidecars next to the traces; both are search-identical overlays.
     """
     if encoding_cache is _DEFAULT_CACHE:
         encoding_cache = default_encoding_cache()
+    base = solver_config if solver_config is not None else SolverConfig()
     overlay = {}
     if phase_mode is not None:
         overlay["phase_mode"] = phase_mode
@@ -184,12 +191,11 @@ def make_engine(
     if profile_access:
         overlay["profile_access"] = True
     if progress is not None:
-        if progress <= 0:
-            raise ValueError(f"progress must be positive, got {progress}")
-        overlay["on_progress"] = _ProgressPrinter(f"{instance.name}/{strategy}")
-        overlay["progress_every"] = progress
+        overlay["observer"] = tee(
+            base.observer,
+            ProgressPrinter(f"{instance.name}/{strategy}", progress),
+        )
     if overlay:
-        base = solver_config if solver_config is not None else SolverConfig()
         solver_config = replace(base, **overlay)
     if encoding_cache is None:
         circuit, prop = instance.build()

@@ -5,8 +5,10 @@ While the flat raw counters (``repro.sat.profile``) answer "*how
 much* does each structure get touched", the sidecar answers *where*:
 a byte stream of ``(structure_id, offset)`` events — clause IDs and
 arena word offsets touched by conflict analysis, sampled every
-``SolverConfig.access_sample_every`` conflicts at search level (never
-inside the hot loops), cheap enough to leave on for long runs and
+``sample_every`` conflicts by the :class:`AccessStreamWriter` search
+observer (attach it through ``SolverConfig.observer``; see
+``repro.sat.observer``), so capture happens at search level and never
+inside the hot loops.  Cheap enough to leave on for long runs and
 dense enough for offline locality analysis (hot-clause ranking,
 offset histograms, reuse-distance approximation).
 
@@ -26,7 +28,12 @@ from __future__ import annotations
 import io
 import os
 from collections import Counter as _TallyCounter
-from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
+
+from repro.sat.observer import FLUSH_THRESHOLD, FileObserver, append_varint
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.sat.solver import CdclSolver
 
 __all__ = [
     "ACCESS_MAGIC",
@@ -42,6 +49,7 @@ __all__ = [
 
 ACCESS_MAGIC = b"RACC"
 ACCESS_VERSION = 1
+ACCESS_SUFFIX = ".racc"
 
 # Structure-ID spaces (3 bits available: 0..7).
 SID_CLAUSE = 0  # clause IDs resolved over by conflict analysis
@@ -50,38 +58,48 @@ SID_TRAIL = 2   # trail length at each sampled conflict
 
 SID_NAMES = {SID_CLAUSE: "clause", SID_ARENA: "arena", SID_TRAIL: "trail"}
 
-#: Flush the byte buffer past this size (matches the trace writer).
-_FLUSH_THRESHOLD = 1 << 16
+class AccessStreamWriter(FileObserver):
+    """The ``.racc`` observer: at every ``sample_every``-th conflict
+    (keyed on the conflict counter — no clock) it records the learned
+    clause's antecedent IDs, their arena offsets and the trail depth.
+    Standalone, :meth:`open` writes the header and :meth:`record_block`
+    / :meth:`record` append events.  ``sink``: a path or binary file
+    (see :class:`~repro.sat.observer.FileObserver`)."""
 
-
-class AccessStreamWriter:
-    """Buffered sidecar writer.
-
-    ``record_block`` is the batch emitter the solver calls once per
-    sampled conflict (a handful of antecedent IDs + arena refs), so it
-    follows the hot-path discipline even though its call rate is
-    conflict-granular, not per-access.
-    """
-
-    def __init__(self, path_or_file: object, sample_every: int = 1) -> None:
-        if hasattr(path_or_file, "write"):
-            self._fh: BinaryIO = path_or_file  # type: ignore[assignment]
-            self._owns = False
-        else:
-            self._fh = open(os.fspath(path_or_file), "wb")  # type: ignore[arg-type]
-            self._owns = True
-        self._buf = bytearray()
-        self._buf.extend(ACCESS_MAGIC)
-        self._buf.append(ACCESS_VERSION)
-        value = sample_every
-        while value > 0x7F:
-            self._buf.append(0x80 | (value & 0x7F))
-            value >>= 7
-        self._buf.append(value)
+    def __init__(self, sink: object, sample_every: int = 16) -> None:
+        if sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
+        super().__init__(sink)
+        self.sample_every = sample_every
         # Per-structure last offset for delta encoding.
         self._last = [0] * 8
         self.events = 0
 
+    def open(self) -> None:
+        header = bytearray(ACCESS_MAGIC)
+        header.append(ACCESS_VERSION)
+        append_varint(header, self.sample_every)
+        self._open(bytes(header))
+        self._last = [0] * 8
+        self.events = 0
+
+    def begin(self, solver: "CdclSolver") -> None:
+        self.open()
+
+    def on_learn(
+        self, solver: "CdclSolver", learned: List[int], btlevel: int,
+        antecedents: List[int],
+    ) -> None:
+        if solver.stats.conflicts % self.sample_every:
+            return
+        refs = solver._arena.refs
+        self.record_block(SID_CLAUSE, antecedents)
+        self.record_block(SID_ARENA, [refs[cid] for cid in antecedents])
+        self.record(SID_TRAIL, solver._trail_len)
+
+    # Called up to three times per sampled conflict (a handful of
+    # antecedent IDs and arena refs each): conflict-granular, not
+    # per-access, but it follows the hot-path discipline anyway.
     def record_block(self, sid: int, offsets: Sequence[int]) -> None:  # solcheck: hot
         """Append one event per offset in the structure space ``sid``."""
         buf = self._buf
@@ -99,23 +117,11 @@ class AccessStreamWriter:
             n += 1
         self._last[sid] = last
         self.events += n
-        if len(buf) >= _FLUSH_THRESHOLD:
-            self._fh.write(buf)
-            del buf[:]
+        if len(buf) >= FLUSH_THRESHOLD:
+            self.flush()
 
     def record(self, sid: int, offset: int) -> None:
         self.record_block(sid, (offset,))
-
-    def flush(self) -> None:
-        if self._buf:
-            self._fh.write(self._buf)
-            del self._buf[:]
-        self._fh.flush()
-
-    def close(self) -> None:
-        self.flush()
-        if self._owns:
-            self._fh.close()
 
 
 def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:

@@ -13,16 +13,18 @@ Public surface:
   verification.
 * :class:`ClauseArena` — the flat literal store every clause lives in
   (see ``docs/architecture.md`` for the memory layout).
-* Trace telemetry: :class:`TraceWriter` / :class:`TraceReader` /
-  :class:`TraceEvent` / :class:`TraceState` (``repro.sat.trace``) and
-  :func:`replay_trace` / :class:`ReplayReport` (``repro.sat.replay``)
-  — the binary solver-trace format and its replay oracle; enable via
-  ``SolverConfig.trace_path`` / ``trace_events``.
+* :class:`SearchObserver` / :func:`tee` (``repro.sat.observer``) — the
+  one capture seam, ``SolverConfig.observer``.
+* Trace telemetry: :class:`TraceWriter` / :class:`TraceRecorder` /
+  :class:`TraceReader` / :class:`TraceEvent` / :class:`TraceState`
+  (``repro.sat.trace``) and :func:`replay_trace` /
+  :class:`ReplayReport` (``repro.sat.replay``).
 """
 
 from repro.sat.activity_heap import VariableActivityHeap
 from repro.sat.arena import ClauseArena
 from repro.sat.cdg import ConflictDependencyGraph
+from repro.sat.observer import SearchObserver, tee
 from repro.sat.heuristics import (
     BerkMinStrategy,
     ChaffScores,
@@ -64,6 +66,7 @@ from repro.sat.trace import (
     TraceEvent,
     TraceFormatError,
     TraceReader,
+    TraceRecorder,
     TraceState,
     TraceVersionError,
     TraceWriter,
@@ -108,7 +111,10 @@ __all__ = [
     "SharedClauseBus",
     "default_members",
     "solve_portfolio",
+    "SearchObserver",
+    "tee",
     "TraceWriter",
+    "TraceRecorder",
     "TraceReader",
     "TraceEvent",
     "TraceState",

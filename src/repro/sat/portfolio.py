@@ -259,14 +259,14 @@ def _build_solver(
     # robust default is warm.
     strategy.persist_activity = warm_activity
     config = member.overlay_config(base_config, share_max_len)
-    if config.metrics is not None or config.on_progress is not None:
-        # The registry and progress callback stay with the coordinating
-        # process: member solvers may live in forked children, where a
-        # published counter dies with the child (and in-process members
-        # would multiply-count one logical solve).  The portfolio
-        # publishes aggregate and per-member series itself.
+    if config.metrics is not None or config.observer is not None:
+        # The registry and the observer stay with the coordinating
+        # process: a forked member's publishes die with the child, and
+        # N members (or epoch re-entries) would multiply-count one
+        # logical solve or interleave N searches into one trace.  The
+        # portfolio publishes aggregate and per-member series itself.
         config = replace(
-            config, metrics=None, metrics_labels=None, on_progress=None
+            config, metrics=None, metrics_labels=None, observer=None
         )
     return CdclSolver(formula, strategy=strategy, config=config)
 
@@ -331,7 +331,11 @@ class PortfolioSolver:
     base_config:
         Common :class:`SolverConfig` each member's cell overlays
         (default: solver defaults — CDG recording on, so the winner
-        carries cores/proofs).
+        carries cores/proofs).  Its ``metrics`` registry receives the
+        portfolio's own series; member solvers run without it and
+        without its ``observer`` (a trace or progress sink would see
+        N interleaved searches, or epoch slices of one), so a caller
+        wanting a captured search re-solves the winner's cell alone.
     deterministic:
         ``True`` selects the epoch-barrier mode (byte-reproducible
         results); ``False`` the wall-clock race.

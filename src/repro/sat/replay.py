@@ -33,6 +33,7 @@ from repro.sat.trace import (
     TraceError,
     TraceEvent,
     TraceReader,
+    TraceRecorder,
     TraceState,
 )
 from repro.sat.types import SolveResult
@@ -195,8 +196,10 @@ def replay_trace(
     already-decoded event sequence.  ``config`` should be the original
     run's config (budgets included — an UNKNOWN trace only replays to
     byte equality under the same budgets); ``phase_mode`` is forced to
-    ``"default"`` and any tracing options are stripped.  For runs made
-    under assumptions, pass the same ``assumptions``.
+    ``"default"``, the config's observer is replaced by the replay's
+    own :class:`TraceRecorder` and its ``metrics`` registry is dropped,
+    so a replay writes no capture file and publishes nothing.  For
+    runs made under assumptions, pass the same ``assumptions``.
     """
     if isinstance(trace, (str, bytes, bytearray)):
         events = TraceReader(trace).events()
@@ -214,8 +217,8 @@ def replay_trace(
     replay_config = replace(
         base,
         phase_mode="default",
-        trace_path=None,
-        trace_events=replayed,
+        observer=TraceRecorder(replayed),
+        metrics=None,
     )
     solver = CdclSolver(formula, strategy=strategy, config=replay_config)
     exhausted = False

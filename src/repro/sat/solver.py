@@ -98,7 +98,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Optional,
@@ -108,12 +107,6 @@ from typing import (
 )
 
 from repro.cnf.formula import CnfFormula
-from repro.metrics.access import (
-    SID_ARENA,
-    SID_CLAUSE,
-    SID_TRAIL,
-    AccessStreamWriter,
-)
 from repro.sat.arena import (
     ClauseArena,
     HEADER_WORDS,
@@ -125,23 +118,9 @@ from repro.sat.arena import (
 from repro.sat.cdg import ConflictDependencyGraph
 from repro.sat.heuristics import DecisionStrategy, VsidsStrategy
 from repro.sat.kernel import create_kernels, resolve_kernel
-from repro.sat.profile import (
-    NPROF,
-    PROF_HEAP,
-    new_profile_buffer,
-    profile_as_dict,
-    structure_counts,
-)
+from repro.sat.observer import MetricsPublisher, SearchObserver, tee
+from repro.sat.profile import PROF_HEAP, new_profile_buffer, profile_as_dict
 from repro.sat.stats import SolverStats
-from repro.sat.trace import (
-    STATUS_SAT,
-    STATUS_UNKNOWN,
-    STATUS_UNSAT,
-    TraceEvent,
-    TraceRecorder,
-    TraceTee,
-    TraceWriter,
-)
 from repro.sat.types import AnalysisResult, SolveOutcome, SolveResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -220,30 +199,21 @@ class SolverConfig:
     #: through the :attr:`CdclSolver.on_learned` hook at restart points
     #: and through :meth:`CdclSolver.drain_exported` between solves.
     export_learned_max_len: Optional[int] = None
-    #: Binary solver-trace telemetry (``repro.sat.trace``): when set,
-    #: every ``solve()`` writes its search-level event stream (DECIDE /
-    #: ENQUEUE / CONFLICT / LEARN / BACKTRACK / RESTART / REDUCE /
-    #: ASSUME / END) to this path as a versioned varint-packed binary
-    #: trace.  Repeated ``solve()`` calls on one solver re-open the
-    #: path, so the file holds the *last* call's trace.  The stream
-    #: sees only search-level state, which is byte-identical across
-    #: kernels — traces are therefore kernel-invariant.
-    #: Disabled (``None``) the entire feature costs one ``is not None``
-    #: test per event site.
-    trace_path: Optional[str] = None
-    #: In-memory variant of :attr:`trace_path`: a caller-supplied list
-    #: that receives decoded :class:`repro.sat.trace.TraceEvent` tuples
-    #: (no serialization).  Both options may be set at once; the
-    #: streams are identical by construction.
-    trace_events: Optional[List["TraceEvent"]] = None
-    #: Observability plane (``repro.metrics``): a registry this solver
-    #: publishes counters and gauges into — ``solver_*_total`` counter
-    #: deltas for every :class:`SolverStats` field plus state gauges
-    #: (learned-DB size, arena footprint/tombstone ratio, heap size,
-    #: trail depth).  Publishing happens at epoch boundaries only
-    #: (restart points and ``solve()`` exit), never per conflict, and
-    #: reads no clock — rates come from registry snapshots.  ``None``
-    #: (the default) costs one ``is not None`` test per restart.
+    #: The search-observer seam (``repro.sat.observer``): called at
+    #: every search-level event of every ``solve()`` and at its entry
+    #: and exit.  Every capture sink is an observer — the trace
+    #: (``repro.sat.trace.TraceWriter``/``TraceRecorder``), the
+    #: ``.racc`` sidecar (``repro.metrics.access.AccessStreamWriter``),
+    #: progress printers; :func:`repro.sat.observer.tee` combines
+    #: them.  Observers never change the search; ``None`` costs one
+    #: ``is not None`` test per event site.
+    observer: Optional[SearchObserver] = None
+    #: Observability plane (``repro.metrics``): a registry for
+    #: ``solver_*_total`` counter deltas of every :class:`SolverStats`
+    #: field plus state gauges, published at restarts and ``solve()``
+    #: exit by a :class:`~repro.sat.observer.MetricsPublisher` the
+    #: solver tees onto its observer.  The BMC engine and the
+    #: portfolios publish their own series into it too.
     metrics: Optional["MetricsRegistry"] = None
     #: Label set attached to every series this solver publishes (e.g.
     #: the portfolio member name); ``None`` for unlabeled series.
@@ -258,27 +228,6 @@ class SolverConfig:
     #: ``from_buffer`` view), so profiled searches stay byte-identical
     #: and the hot loops stay solcheck-clean.
     profile_access: bool = False
-    #: Sampled access-stream sidecar (``repro.metrics.access``): when
-    #: set, every ``solve()`` appends (structure, offset) events — the
-    #: antecedent clause IDs and arena block offsets each sampled
-    #: conflict's analysis touched, plus the trail depth — to this
-    #: path in the varint ``RACC`` framing, for offline locality
-    #: analysis (``python -m repro.trace``).  Like the trace, the file
-    #: holds the *last* call's stream.
-    access_stream_path: Optional[str] = None
-    #: Record an access-stream sample every this many conflicts
-    #: (deterministic — keyed on the conflict counter, no clock).
-    access_sample_every: int = 16
-    #: Live-progress hook, fired at search level every
-    #: :attr:`progress_every` conflicts with a counters-only payload
-    #: (:meth:`CdclSolver.progress_snapshot`).  The payload carries no
-    #: wall-clock reading — interested callers stamp arrival times
-    #: themselves (see ``repro.experiments`` ``--progress``).  The
-    #: hook must not mutate the solver (same contract as the strategy
-    #: hooks).
-    on_progress: Optional[Callable[[Dict[str, int]], None]] = None
-    #: Conflict interval between :attr:`on_progress` firings.
-    progress_every: int = 2048
     max_conflicts: Optional[int] = None
     max_decisions: Optional[int] = None
     max_propagations: Optional[int] = None
@@ -286,13 +235,6 @@ class SolverConfig:
 
 #: Valid values of :attr:`SolverConfig.minimize_learned`.
 MINIMIZE_MODES = ("off", "local", "recursive")
-
-#: Solve outcome -> trace END-event status code (repro.sat.trace).
-_TRACE_STATUS = {
-    SolveResult.SAT: STATUS_SAT,
-    SolveResult.UNSAT: STATUS_UNSAT,
-    SolveResult.UNKNOWN: STATUS_UNKNOWN,
-}
 
 #: Valid values of :attr:`SolverConfig.phase_mode`.
 PHASE_MODES = ("default", "save", "inverted")
@@ -365,19 +307,6 @@ class CdclSolver:
             # most zero conflicts: the search restarts forever.
             raise ValueError(
                 f"restart_base must be >= 1, got {self.config.restart_base!r}"
-            )
-        if self.config.on_progress is not None and self.config.progress_every < 1:
-            raise ValueError(
-                f"progress_every must be >= 1 when on_progress is set, "
-                f"got {self.config.progress_every!r}"
-            )
-        if (
-            self.config.access_stream_path is not None
-            and self.config.access_sample_every < 1
-        ):
-            raise ValueError(
-                f"access_sample_every must be >= 1 when access_stream_path "
-                f"is set, got {self.config.access_sample_every!r}"
             )
         kernel_name = resolve_kernel(self.config.kernel)
         self.strategy = strategy or VsidsStrategy()
@@ -491,14 +420,14 @@ class CdclSolver:
         )
         self._ok = True
         self._solving = False
-        # Trace telemetry (repro.sat.trace): the active sink during a
-        # traced solve(), else None.  _trace_mark is the trail position
-        # up to which entries have been emitted as ENQUEUE events; the
-        # event sites in _search flush [_trace_mark, _trail_len) before
-        # each event so propagations are recorded lazily, off the BCP
-        # hot path.
-        self._trace = None
-        self._trace_mark = 0
+        # The config's observer, teed with a metrics publisher when
+        # config.metrics is set; None (the common case) when neither.
+        metrics = self.config.metrics
+        publisher = (
+            None if metrics is None
+            else MetricsPublisher(metrics, self.config.metrics_labels)
+        )
+        self._observer = tee(self.config.observer, publisher)
         self._assumptions: List[int] = []
         self.failed_assumptions: Optional[frozenset] = None
         # Implications derived while installing clauses (eager level-0
@@ -525,14 +454,6 @@ class CdclSolver:
         # last one threw away.  None until the first search computes
         # the formula-derived floor.
         self._max_learned: Optional[float] = None
-        # Observability plane state: the open access-stream sidecar
-        # during a solve (else None), the per-field counter values
-        # already published into config.metrics (counters publish
-        # deltas; cleared when stats reset at solve entry), and the
-        # raw profile slots already published (same delta discipline).
-        self._access_stream: Optional[AccessStreamWriter] = None
-        self._published_stats: Dict[str, float] = {}
-        self._published_profile: List[int] = [0] * NPROF
 
         self.ensure_num_vars(self._formula.num_vars)
         self._install_initial()
@@ -1530,32 +1451,21 @@ class CdclSolver:
         self._assumptions = list(assumptions)
         self.failed_assumptions = None
         self.stats = SolverStats()
-        # Stats reset ⇒ the counter deltas already published into
-        # config.metrics restart from zero too.
-        self._published_stats.clear()
         self.stats.propagations += self._pending_load_propagations
         self._pending_load_propagations = 0
         self.stats.root_pruned_clauses += self._pending_root_pruned
         self._pending_root_pruned = 0
         self.stats.imported_clauses += self._pending_imported
         self._pending_imported = 0
-        trace = self._open_trace()
-        sidecar = self._open_access_stream()
+        observer = self._observer
+        status = None
         start = time.perf_counter()
         try:
+            if observer is not None:
+                observer.begin(self)
             self._backtrack(0)
-            self._access_stream = sidecar
-            if trace is not None:
-                # Mark 0: the first flush re-emits the root trail
-                # (install-time units and their implications), so the
-                # trace is self-contained — TraceState rebuilds the
-                # full final trail from events alone.
-                self._trace = trace
-                self._trace_mark = 0
             outcome = self._search()
-            if trace is not None:
-                self._trace_flush()
-                trace.end(_TRACE_STATUS[outcome.status])
+            status = outcome.status
         finally:
             self._solving = False
             # The strategy holds the solver only inside solve(): a
@@ -1565,69 +1475,15 @@ class CdclSolver:
             # Release cached fused-step views so between-solve mutations
             # (ensure_num_vars, add_clause) never hit a pinned buffer.
             self._akernel.invalidate_views()
-            if trace is not None:
-                self._trace = None
-                trace.close()
-            if sidecar is not None:
-                self._access_stream = None
-                sidecar.close()
-        self.stats.solve_time = time.perf_counter() - start
-        if self.config.metrics is not None:
-            self._publish_metrics()
+            self.stats.solve_time = time.perf_counter() - start
+            if observer is not None:
+                observer.end(self, status)
         outcome.stats = self.stats
         return outcome
 
-    def _open_trace(self):
-        """Build this solve() call's trace sink, or None when tracing
-        is disabled (the common case: the config holds two Nones)."""
-        config = self.config
-        if config.trace_path is None and config.trace_events is None:
-            return None
-        sinks = []
-        if config.trace_path is not None:
-            sinks.append(TraceWriter(config.trace_path, self.num_vars))
-        if config.trace_events is not None:
-            sinks.append(TraceRecorder(config.trace_events, self.num_vars))
-        if len(sinks) == 1:
-            return sinks[0]
-        return TraceTee(sinks)
-
-    # Called once per search-level event site of a traced solve; the
-    # heavy per-literal loop lives in TraceWriter.enqueue_run.
-    # solcheck: hot
-    def _trace_flush(self) -> None:
-        mark = self._trace_mark
-        n = self._trail_len
-        if n > mark:
-            self._trace.enqueue_run(self._trail, mark, n)
-            self._trace_mark = n
-
     # ------------------------------------------------------------------
-    # Observability plane: access profiling, metrics, live progress.
+    # Observability: access profiling and live progress.
     # ------------------------------------------------------------------
-
-    def _open_access_stream(self) -> Optional[AccessStreamWriter]:
-        """This solve() call's ``.racc`` sidecar writer, or None (the
-        common case — one config read)."""
-        config = self.config
-        if config.access_stream_path is None:
-            return None
-        return AccessStreamWriter(
-            config.access_stream_path, config.access_sample_every
-        )
-
-    def _record_access_sample(
-        self, sidecar: AccessStreamWriter, antecedents: List[int]
-    ) -> None:
-        """One sampled conflict's event block: the clause IDs analysis
-        resolved over, their arena block offsets, and the trail depth.
-        Runs at search level, conflict-granular — never per access."""
-        arefs = self._arena.refs
-        sidecar.record_block(SID_CLAUSE, antecedents)
-        sidecar.record_block(
-            SID_ARENA, [arefs[cid] for cid in antecedents]
-        )
-        sidecar.record(SID_TRAIL, self._trail_len)
 
     def access_profile(self) -> Optional[Dict[str, object]]:
         """The per-structure access profile accumulated so far (raw
@@ -1653,74 +1509,6 @@ class CdclSolver:
             "level": self._decision_level,
             "vars": self.num_vars,
         }
-
-    def _publish_metrics(self) -> None:
-        """Publish into ``config.metrics``: counter deltas for every
-        :class:`SolverStats` field, state gauges, and (when profiling)
-        per-structure access counters.  Called at epoch boundaries only
-        — restart points and solve() exit — and reads no clock (rates
-        are a snapshot-time concern; see ``repro.metrics``)."""
-        registry = self.config.metrics
-        if registry is None:
-            return
-        labels = self.config.metrics_labels
-        published = self._published_stats
-        for name, value in self.stats.as_dict().items():
-            prev = published.get(name, 0.0)
-            if value != prev:
-                registry.counter(
-                    f"solver_{name}_total",
-                    help=f"Cumulative solver {name} across solves.",
-                    labels=labels,
-                ).inc(value - prev)
-                published[name] = float(value)
-        arena = self._arena
-        words = len(arena.data)
-        registry.gauge(
-            "solver_vars", help="Variables in the solver.", labels=labels
-        ).set(self.num_vars)
-        registry.gauge(
-            "solver_learned_live",
-            help="Live learned clauses in the database.",
-            labels=labels,
-        ).set(self._num_live_learned)
-        registry.gauge(
-            "solver_trail_depth",
-            help="Assigned literals on the trail.",
-            labels=labels,
-        ).set(self._trail_len)
-        registry.gauge(
-            "solver_arena_words",
-            help="Clause-arena footprint in literal words.",
-            labels=labels,
-        ).set(words)
-        registry.gauge(
-            "solver_arena_tombstone_ratio",
-            help="Fraction of arena words held by deleted clauses.",
-            labels=labels,
-        ).set(arena.dead_words / words if words else 0.0)
-        heap = getattr(self.strategy, "_heap", None)
-        if heap is not None:
-            registry.gauge(
-                "solver_heap_size",
-                help="Variables in the decision activity heap.",
-                labels=labels,
-            ).set(len(heap))
-        profile = self._profile
-        if profile is not None:
-            prev_raw = self._published_profile
-            raw_delta = [profile[i] - prev_raw[i] for i in range(NPROF)]
-            for structure, count in structure_counts(raw_delta).items():
-                if count:
-                    access_labels = dict(labels) if labels else {}
-                    access_labels["structure"] = structure
-                    registry.counter(
-                        "solver_access_total",
-                        help="Per-structure memory accesses "
-                        "(repro.sat.profile).",
-                        labels=access_labels,
-                    ).inc(count)
-            self._published_profile = list(profile)
 
     def _search(self) -> SolveOutcome:
         if not self._ok:
@@ -1757,22 +1545,12 @@ class CdclSolver:
         num_assumptions = len(self._assumptions)
         decide = self.strategy.decide
         on_conflict = self.strategy.on_conflict
-        # Observability hoists: all default-off, each costing one `is
-        # not None` (or bool) test per conflict/decision when detached.
-        # Like the trace, every capture site lives at search level —
-        # the hot loops below the seam stay untouched.
         profile = self._profile
-        sidecar = self._access_stream
-        sample_every = config.access_sample_every
-        on_progress = config.on_progress
-        progress_every = config.progress_every
-        metrics_on = config.metrics is not None
-        # Trace sink (None when disabled — every event site below is
-        # then a single `is not None` test).  Event capture lives here
-        # at search level, never inside the kernels: the native kernel
-        # runs the BCP loop opaquely in C, and search-level state is
-        # what the trace pins hold byte-identical across kernels.
-        trace = self._trace
+        # The one capture hook (None when detached: one `is not None`
+        # test per event site).  Capture lives at search level, never
+        # inside the kernels, whose state differs while search-level
+        # state is byte-identical across them.
+        observer = self._observer
         # Data-plane dispatch: the fused native step (propagate, then
         # analyze the conflict in the same FFI crossing) or the python
         # kernels' two seam calls.  Both produce identical analyses —
@@ -1790,9 +1568,8 @@ class CdclSolver:
             if conflict != -1:
                 stats.conflicts += 1
                 conflicts_in_epoch += 1
-                if trace is not None:
-                    self._trace_flush()
-                    trace.conflict(self._decision_level)
+                if observer is not None:
+                    observer.on_conflict(self, self._decision_level)
                 if self._decision_level == 0:
                     self._record_final_conflict(conflict)
                     self._ok = False
@@ -1811,10 +1588,6 @@ class CdclSolver:
                 # Backjumping below the assumption prefix is fine: the
                 # decision loop re-establishes assumptions level by level.
                 self._backtrack(btlevel)
-                if trace is not None:
-                    trace.learn(len(learned))
-                    trace.backtrack(btlevel)
-                    self._trace_mark = self._trail_len
                 cid = self._add_learned(learned, antecedents)
                 if export_cap is not None and len(learned) <= export_cap:
                     export_buffer.append(tuple(learned))
@@ -1823,17 +1596,8 @@ class CdclSolver:
                     self._enqueue(learned[0], cid)
                     stats.propagations += 1
                 on_conflict(learned)
-                if sidecar is not None and stats.conflicts % sample_every == 0:
-                    # Sampled access-stream event block: which clauses
-                    # (and arena blocks) this conflict's analysis
-                    # resolved over, plus the trail depth.  Keyed on
-                    # the conflict counter — deterministic, no clock.
-                    self._record_access_sample(sidecar, antecedents)
-                if (
-                    on_progress is not None
-                    and stats.conflicts % progress_every == 0
-                ):
-                    on_progress(self.progress_snapshot())
+                if observer is not None:
+                    observer.on_learn(self, learned, btlevel, antecedents)
                 if max_conflicts is not None and stats.conflicts >= max_conflicts:
                     return SolveOutcome(status=SolveResult.UNKNOWN)
                 if (
@@ -1852,23 +1616,11 @@ class CdclSolver:
                 conflicts_in_epoch = 0
                 epoch_limit = config.restart_base * luby(restart_epoch)
                 self.stats.restarts += 1
-                if trace is not None:
-                    # Pending enqueues at the backjump level survive a
-                    # restart to that same level — flush before the
-                    # trail is truncated so they are not lost.
-                    self._trace_flush()
+                if observer is not None:
+                    observer.on_restart(self, num_assumptions)
                 self._backtrack(num_assumptions)
-                if trace is not None:
-                    trace.restart(num_assumptions)
-                    self._trace_mark = self._trail_len
                 if prune_enabled:
                     self._prune_root_satisfied()
-                if metrics_on:
-                    # Epoch-boundary publish: counter deltas + state
-                    # gauges at every restart, so a scraper sees live
-                    # values without the solver ever publishing on the
-                    # per-conflict path.
-                    self._publish_metrics()
                 if on_learned is not None and num_assumptions == 0:
                     # Sharing point (portfolio race mode): the solver is
                     # at decision level 0, so peer clauses can be
@@ -1888,8 +1640,8 @@ class CdclSolver:
             if config.clause_deletion and self._num_live_learned > max_learned:
                 deleted_before = stats.deleted_clauses
                 self._reduce_learned_db()
-                if trace is not None:
-                    trace.reduce(stats.deleted_clauses - deleted_before)
+                if observer is not None:
+                    observer.on_reduce(self, stats.deleted_clauses - deleted_before)
                 max_learned = int(max_learned * config.reduce_growth)
                 self._max_learned = max_learned
 
@@ -1898,12 +1650,8 @@ class CdclSolver:
                 value = truth[lit]
                 if value == 0:
                     return self._failed_assumption_outcome(lit)
-                if trace is not None:
-                    # ASSUME records only the level-open; the literal
-                    # itself (when actually enqueued) arrives through
-                    # the ordinary ENQUEUE flush at the next site.
-                    self._trace_flush()
-                    trace.assume(lit)
+                if observer is not None:
+                    observer.on_assume(self, lit)
                 # Open a level even if already true, so level indices and
                 # assumption indices stay aligned.
                 self._trail_lim.append(self._trail_len)
@@ -1948,16 +1696,8 @@ class CdclSolver:
             if self._decision_level > self.stats.max_decision_level:
                 self.stats.max_decision_level = self._decision_level
             self._enqueue(lit, -1)
-            if trace is not None:
-                # One guarded block per decision: flush the propagation
-                # run that preceded it (everything below the literal
-                # just enqueued), then record the decision itself.
-                mark = self._trace_mark
-                n = self._trail_len - 1
-                if n > mark:
-                    trace.enqueue_run(self._trail, mark, n)
-                trace.decide(lit)
-                self._trace_mark = n + 1
+            if observer is not None:
+                observer.on_decide(self, lit)
 
     # ------------------------------------------------------------------
     # Outcome construction.

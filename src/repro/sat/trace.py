@@ -6,9 +6,16 @@ the data-plane details below them.  Because both kernels
 (``python`` / ``native``) run byte-identical searches, a trace is
 kernel-invariant by construction: the strongest cross-kernel
 correctness statement the repo can make ("same search path, event by
-event") is literally ``bytes_a == bytes_b`` on two trace files.  The same stream doubles as a replay artifact: feeding the
-recorded DECIDE literals back into a fresh solver on the same formula
-reproduces the run (see ``repro.sat.replay``).
+event") is literally ``bytes_a == bytes_b`` on two trace files.  The
+same stream doubles as a replay artifact: feeding the recorded DECIDE
+literals back into a fresh solver on the same formula reproduces the
+run (see ``repro.sat.replay``).
+
+Capture is a search observer (``repro.sat.observer``):
+``SolverConfig(observer=TraceWriter(path))`` writes each ``solve()``'s
+trace to ``path``, ``TraceRecorder(events)`` appends decoded events to
+a list; both map the search hooks onto events through
+:class:`TraceSink`.
 
 Wire format, version 1
 ----------------------
@@ -53,8 +60,12 @@ from __future__ import annotations
 import io
 from typing import BinaryIO, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.sat.observer import FLUSH_THRESHOLD, FileObserver, SearchObserver, append_varint
+from repro.sat.types import SolveResult
+
 TRACE_MAGIC = b"RTRC"
 TRACE_VERSION = 1
+TRACE_SUFFIX = ".rtrc"
 
 EV_ENQUEUE = 0
 EV_DECIDE = 1
@@ -87,8 +98,9 @@ STATUS_UNSAT = 2
 STATUS_UNKNOWN = 3
 STATUS_NAMES = {STATUS_SAT: "SAT", STATUS_UNSAT: "UNSAT", STATUS_UNKNOWN: "UNKNOWN"}
 
-#: Writer buffer high-water mark: one syscall per ~64 KiB of events.
-_FLUSH_THRESHOLD = 1 << 16
+#: Solve outcome -> END-event status code.
+_STATUS_CODES = {SolveResult.SAT: STATUS_SAT, SolveResult.UNSAT: STATUS_UNSAT,
+                 SolveResult.UNKNOWN: STATUS_UNKNOWN}
 
 
 class TraceError(Exception):
@@ -132,92 +144,115 @@ def unzigzag(value: int) -> int:
     return (value >> 1) if (value & 1) == 0 else -((value + 1) >> 1)
 
 
-def _append_varint(buf: bytearray, value: int) -> None:
-    while value > 0x7F:
-        buf.append((value & 0x7F) | 0x80)
-        value >>= 7
-    buf.append(value)
+class TraceSink(SearchObserver):
+    """The search-hook to event mapping of :class:`TraceWriter` and
+    :class:`TraceRecorder`, with the trail watermark: ``_mark`` is the
+    trail position up to which entries were emitted as ENQUEUE, and
+    each event site first emits ``[_mark, trail_len)``
+    (:meth:`sync_trail`), so BCP never calls out.  A backjump moves it
+    to the start of the first undone level, tracked from the sink's own
+    DECIDE/ASSUME events as :class:`TraceState` does.  The first sync
+    re-emits the root trail, so every trace is self-contained.
 
-
-class TraceWriter:
-    """Buffered binary encoder for one solver run.
-
-    ``sink`` is a filesystem path (opened/closed by the writer) or any
-    binary file object (left open on :meth:`close`).  The writer emits
-    the version-1 header immediately; events stream out through a
-    bytearray buffer flushed at :data:`_FLUSH_THRESHOLD`.
+    Subclasses supply ``open(num_vars)``, ``close()``, the single-event
+    emitter ``_event(kind, arg)`` and the batch emitter ``enqueue_run``.
     """
 
-    def __init__(self, sink: Union[str, BinaryIO], num_vars: int) -> None:
-        if isinstance(sink, str):
-            self._fh: BinaryIO = open(sink, "wb")
-            self._owns_fh = True
-        else:
-            self._fh = sink
-            self._owns_fh = False
-        self.num_vars = num_vars
-        self.events_written = 0
-        self.bytes_written = 0
+    def begin(self, solver):
+        self._mark = 0
+        self._lim: List[int] = []
+        self.open(solver.num_vars)
+
+    # Runs at every search-level event site of a traced solve; the
+    # per-literal loop lives in the subclass's enqueue_run.
+    # solcheck: hot
+    def sync_trail(self, solver, stop: int) -> None:
+        mark = self._mark
+        if stop > mark:
+            self.enqueue_run(solver._trail, mark, stop)
+            self._mark = stop
+
+    def _backjump(self, level: int) -> None:
+        lim = self._lim
+        self._mark = lim[level]
+        del lim[level:]
+
+    def on_conflict(self, solver, level):
+        self.sync_trail(solver, solver._trail_len)
+        self._event(EV_CONFLICT, level)
+
+    def on_learn(self, solver, learned, btlevel, antecedents):
+        self._event(EV_LEARN, len(learned))
+        self._event(EV_BACKTRACK, btlevel)
+        self._backjump(btlevel)
+
+    def on_restart(self, solver, level):
+        # Flush before the trail is truncated: enqueues above the
+        # restart level are about to be undone unrecorded otherwise.
+        self.sync_trail(solver, solver._trail_len)
+        self._event(EV_RESTART, level)
+        self._backjump(level)
+
+    def on_reduce(self, solver, deleted):
+        self._event(EV_REDUCE, deleted)
+
+    def on_assume(self, solver, lit):
+        # ASSUME records only the level-open; the literal itself (when
+        # actually enqueued) arrives through the next ENQUEUE flush.
+        n = solver._trail_len
+        self.sync_trail(solver, n)
+        self._event(EV_ASSUME, lit)
+        self._lim.append(n)
+
+    def on_decide(self, solver, lit):
+        # The decision literal is the last trail entry; everything
+        # below it is the propagation run that preceded it.
+        n = solver._trail_len - 1
+        self.sync_trail(solver, n)
+        self._event(EV_DECIDE, lit)
+        self._mark = n + 1
+        self._lim.append(n)
+
+    def end(self, solver, status):
+        if status is not None:
+            self.sync_trail(solver, solver._trail_len)
+            self._event(EV_END, _STATUS_CODES[status])
+        self.close()
+
+
+class TraceWriter(TraceSink, FileObserver):
+    """Buffered binary encoder: the ``.rtrc`` observer.
+
+    ``sink`` is a filesystem path or a binary file object (see
+    :class:`~repro.sat.observer.FileObserver`).  As an observer it
+    (re)opens the sink at every ``solve()`` and writes that call's
+    trace; as a standalone encoder, :meth:`open` writes the version-1
+    header and :meth:`write_event` / :meth:`enqueue_run` append events.
+    """
+
+    def open(self, num_vars: int) -> None:
+        header = bytearray(TRACE_MAGIC)
+        header.append(TRACE_VERSION)
+        append_varint(header, num_vars)
+        append_varint(header, 0)  # flags (reserved)
+        self._open(header)
         self._prev_lit = 0
-        self._closed = False
-        buf = bytearray()
-        buf += TRACE_MAGIC
-        buf.append(TRACE_VERSION)
-        _append_varint(buf, num_vars)
-        _append_varint(buf, 0)  # flags (reserved)
-        self._buf = buf
 
-    # -- generic single-event emitters (cold relative to BCP) ----------
-
-    def _emit(self, tag: int, payload: int) -> None:
+    def _event(self, kind: int, arg: int) -> None:
+        if kind in LIT_EVENTS:
+            payload = zigzag(arg - self._prev_lit)
+            self._prev_lit = arg
+        else:
+            payload = arg
         buf = self._buf
-        buf.append(tag)
-        _append_varint(buf, payload)
-        self.events_written += 1
-        if len(buf) >= _FLUSH_THRESHOLD:
+        buf.append(kind)
+        append_varint(buf, payload)
+        if len(buf) >= FLUSH_THRESHOLD:
             self.flush()
 
-    def _emit_lit(self, tag: int, lit: int) -> None:
-        self._emit(tag, zigzag(lit - self._prev_lit))
-        self._prev_lit = lit
-
-    def enqueue(self, lit: int) -> None:
-        self._emit_lit(EV_ENQUEUE, lit)
-
-    def decide(self, lit: int) -> None:
-        self._emit_lit(EV_DECIDE, lit)
-
-    def assume(self, lit: int) -> None:
-        self._emit_lit(EV_ASSUME, lit)
-
-    def conflict(self, level: int) -> None:
-        self._emit(EV_CONFLICT, level)
-
-    def learn(self, length: int) -> None:
-        self._emit(EV_LEARN, length)
-
-    def backtrack(self, level: int) -> None:
-        self._emit(EV_BACKTRACK, level)
-
-    def restart(self, level: int) -> None:
-        self._emit(EV_RESTART, level)
-
-    def reduce(self, deleted: int) -> None:
-        self._emit(EV_REDUCE, deleted)
-
-    def end(self, status: int) -> None:
-        self._emit(EV_END, status)
-
     def write_event(self, event: Tuple[int, int]) -> None:
-        """Re-encode an already-decoded :class:`TraceEvent` (round-trip
-        tests, trace rewriting)."""
-        kind, arg = event
-        if kind in LIT_EVENTS:
-            self._emit_lit(kind, arg)
-        else:
-            self._emit(kind, arg)
-
-    # -- the hot batch emitter -----------------------------------------
+        """Encode one already-decoded :class:`TraceEvent`."""
+        self._event(event[0], event[1])
 
     # One call per search-level event site flushes every trail literal
     # enqueued since the last site; the loop runs once per propagation,
@@ -238,97 +273,33 @@ class TraceWriter:
                 value >>= 7
             buf.append(value)
         self._prev_lit = prev
-        self.events_written += stop - start
-        if len(buf) >= _FLUSH_THRESHOLD:
+        if len(buf) >= FLUSH_THRESHOLD:
             self.flush()
 
-    # -- lifecycle -----------------------------------------------------
 
-    def flush(self) -> None:
-        buf = self._buf
-        if buf:
-            self._fh.write(buf)
-            self.bytes_written += len(buf)
-            del buf[:]
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.flush()
-        if self._owns_fh:
-            self._fh.close()
-        else:
-            self._fh.flush()
-
-
-class TraceRecorder:
-    """In-memory sink with the :class:`TraceWriter` event surface.
-
-    Appends :class:`TraceEvent` tuples to a caller-supplied list — the
-    ``SolverConfig.trace_events`` option.  No encoding happens, so this
-    is the cheapest way to capture a run for a same-process oracle
-    (the replay fuzzer leg uses it).
+class TraceRecorder(TraceSink):
+    """In-memory sink: appends :class:`TraceEvent` tuples to a
+    caller-supplied list (across every observed ``solve()``).  No
+    encoding happens, so this is the cheapest way to capture a run for
+    a same-process oracle (the replay harness and the fuzzer use it).
     """
 
-    def __init__(self, events: List[TraceEvent], num_vars: int) -> None:
+    def __init__(self, events: List[TraceEvent]) -> None:
         self.events = events
-        self.num_vars = num_vars
 
-    def enqueue(self, lit: int) -> None:
-        self.events.append(TraceEvent(EV_ENQUEUE, lit))
+    def open(self, num_vars: int) -> None:
+        pass
 
-    def decide(self, lit: int) -> None:
-        self.events.append(TraceEvent(EV_DECIDE, lit))
+    def close(self) -> None:
+        pass
 
-    def assume(self, lit: int) -> None:
-        self.events.append(TraceEvent(EV_ASSUME, lit))
-
-    def conflict(self, level: int) -> None:
-        self.events.append(TraceEvent(EV_CONFLICT, level))
-
-    def learn(self, length: int) -> None:
-        self.events.append(TraceEvent(EV_LEARN, length))
-
-    def backtrack(self, level: int) -> None:
-        self.events.append(TraceEvent(EV_BACKTRACK, level))
-
-    def restart(self, level: int) -> None:
-        self.events.append(TraceEvent(EV_RESTART, level))
-
-    def reduce(self, deleted: int) -> None:
-        self.events.append(TraceEvent(EV_REDUCE, deleted))
-
-    def end(self, status: int) -> None:
-        self.events.append(TraceEvent(EV_END, status))
+    def _event(self, kind: int, arg: int) -> None:
+        self.events.append(TraceEvent(kind, arg))
 
     def enqueue_run(self, trail: Sequence[int], start: int, stop: int) -> None:
         events = self.events
         for i in range(start, stop):
-            events.append(TraceEvent(0, trail[i]))
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class TraceTee:
-    """Fan one event stream out to several sinks (file + in-memory)."""
-
-    def __init__(self, sinks: Sequence[object]) -> None:
-        self._sinks = list(sinks)
-
-    def __getattr__(self, name: str):
-        sinks = self._sinks
-        methods = [getattr(sink, name) for sink in sinks]
-
-        def fanout(*args):
-            for method in methods:
-                method(*args)
-
-        return fanout
+            events.append(TraceEvent(EV_ENQUEUE, trail[i]))
 
 
 class TraceReader:
@@ -419,7 +390,8 @@ def encode_events(
 ) -> bytes:
     """Serialize a logical event sequence to version-1 trace bytes."""
     sink = io.BytesIO()
-    writer = TraceWriter(sink, num_vars)
+    writer = TraceWriter(sink)
+    writer.open(num_vars)
     for event in events:
         writer.write_event(event)
     writer.close()

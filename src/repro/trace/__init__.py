@@ -1,7 +1,7 @@
 """Trace analyzer: offline reporting over binary solver traces.
 
 ``python -m repro.trace <file.rtrc> [--json]`` decodes a trace written
-by ``SolverConfig.trace_path`` (format: ``repro.sat.trace``) and
+by a ``TraceWriter`` observer (format: ``repro.sat.trace``) and
 reports event counts, per-depth conflict/decision histograms, the
 learned-length distribution, and decode throughput.  The analyzer is
 read-only and formula-free: everything comes from the event stream.
@@ -19,6 +19,7 @@ import os
 import time
 from typing import Dict, List, Sequence, Tuple, Union
 
+from repro.metrics.access import ACCESS_SUFFIX
 from repro.sat.trace import (
     EV_ASSUME,
     EV_BACKTRACK,
@@ -30,6 +31,7 @@ from repro.sat.trace import (
     EV_RESTART,
     EVENT_NAMES,
     STATUS_NAMES,
+    TRACE_SUFFIX,
     TraceEvent,
     TraceReader,
     TraceState,
@@ -45,10 +47,6 @@ __all__ = [
 
 #: Depth-histogram bucket width: depths d land in bucket d // 8.
 DEPTH_BUCKET = 8
-
-#: Capture-file suffixes the CLI recognises when expanding directories.
-TRACE_SUFFIX = ".rtrc"
-ACCESS_SUFFIX = ".racc"
 
 
 def _bucket_label(bucket: int) -> str:

@@ -41,3 +41,20 @@ def test_hot_registry_entries_resolve():
         module_path = REPO_ROOT / "src" / Path(*dotted.split("."))
         assert module_path.with_suffix(".py").exists(), entry
         assert qual
+
+
+def test_builtin_defaults_match_pyproject():
+    """Each ``_default_*()`` list equals its ``[tool.solcheck]`` entry,
+    so the analyzer enforces the same scopes and hot registry when run
+    without the repo's pyproject.toml."""
+    import tomllib
+
+    from repro.analysis import config as config_module
+
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        table = tomllib.load(fh)["tool"]["solcheck"]
+    for name in (
+        "det_modules", "sharing_modules", "strict_modules", "hot_required",
+    ):
+        default = getattr(config_module, f"_default_{name}")()
+        assert default == table[name], name

@@ -139,6 +139,29 @@ class TestRowGranularity:
         assert engine.row_winner in ("vsids", "berkmin")
         assert all(d.winner == engine.row_winner for d in result.per_depth)
 
+    def test_row_race_keeps_winner_capture_pairs(self, monkeypatch, tmp_path):
+        # Promotion covers both capture suffixes: only canonical
+        # names survive, and every trace keeps its access sidecar.
+        import re
+
+        from repro.experiments.runner import make_engine
+
+        monkeypatch.setattr(race_module, "_available_cpus", lambda: 2)
+        instance = instance_by_name("17_1_b2")
+        engine = make_engine(
+            instance, "portfolio", trace_dir=str(tmp_path),
+            profile_access=True,
+        )
+        result = engine.run()
+        assert engine.row_winner in ("vsids", "berkmin")
+        names = sorted(p.name for p in tmp_path.iterdir())
+        pattern = re.compile(r"17_1_b2_portfolio_d(\d{3})\.(rtrc|racc)")
+        assert names and all(pattern.fullmatch(name) for name in names), names
+        traces = {name[:-5] for name in names if name.endswith(".rtrc")}
+        sidecars = {name[:-5] for name in names if name.endswith(".racc")}
+        assert traces == sidecars
+        assert len(traces) == len(result.per_depth)
+
     def test_counterexample_row_race(self, failing_row, monkeypatch):
         monkeypatch.setattr(race_module, "_available_cpus", lambda: 2)
         instance, circuit, prop = failing_row

@@ -28,7 +28,7 @@ import pytest
 from repro.experiments.table1 import run_table1
 from repro.sat import CdclSolver, SolverConfig
 from repro.sat.kernel import native_available
-from repro.sat.trace import encode_events
+from repro.sat.trace import TraceRecorder, encode_events
 from repro.workloads.suite import small_suite
 from tests.properties.test_solver_differential import (
     _strategy_pairs,
@@ -111,7 +111,7 @@ def test_fuzzer_kernel_traces_byte_identical_across_backends():
             rng = random.Random(FUZZ_SEED + index + 1_000_000)
             production, _ = _strategy_pairs(rng, formula.num_vars, index % 4)
             events = []
-            config = SolverConfig(kernel=backend, trace_events=events)
+            config = SolverConfig(kernel=backend, observer=TraceRecorder(events))
             CdclSolver(formula, strategy=production, config=config).solve()
             blob = encode_events(events, formula.num_vars)
             assert blob, f"instance {index}: empty trace"
@@ -138,7 +138,7 @@ def test_fuzzer_analyze_traces_byte_identical_across_planes(monkeypatch):
             rng = random.Random(FUZZ_SEED + index + 1_000_000)
             production, _ = _strategy_pairs(rng, formula.num_vars, index % 4)
             events = []
-            config = SolverConfig(kernel=kernel, trace_events=events)
+            config = SolverConfig(kernel=kernel, observer=TraceRecorder(events))
             CdclSolver(formula, strategy=production, config=config).solve()
             digest.update(encode_events(events, formula.num_vars))
         return digest.hexdigest()

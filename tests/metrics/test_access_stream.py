@@ -23,6 +23,7 @@ from repro.metrics.access import (
 def _write_stream(events, sample_every=1):
     buf = io.BytesIO()
     writer = AccessStreamWriter(buf, sample_every=sample_every)
+    writer.open()
     for sid, offset in events:
         writer.record(sid, offset)
     writer.flush()
@@ -47,10 +48,12 @@ def test_round_trip_preserves_events():
 def test_record_block_matches_single_records():
     buf_a = io.BytesIO()
     w = AccessStreamWriter(buf_a)
+    w.open()
     w.record_block(SID_ARENA, [10, 20, 15, 15])
     w.flush()
     buf_b = io.BytesIO()
     v = AccessStreamWriter(buf_b)
+    v.open()
     for off in (10, 20, 15, 15):
         v.record(SID_ARENA, off)
     v.flush()
@@ -66,6 +69,7 @@ def test_sample_every_header_round_trip():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "capture.racc"
     writer = AccessStreamWriter(path, sample_every=16)
+    writer.open()
     writer.record_block(SID_CLAUSE, [1, 2, 3])
     writer.close()
     assert stream_sample_every(path) == 16

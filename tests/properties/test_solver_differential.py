@@ -41,7 +41,7 @@ counterexample can be regenerated in isolation.  The environment knobs:
 ``FUZZ_TRACE``
     Set to ``1`` to add the replay-oracle leg (default off): each
     instance is re-solved with in-memory trace telemetry
-    (``SolverConfig.trace_events``), and the captured trace is replayed
+    (a ``TraceRecorder`` observer), and the captured trace is replayed
     into a fresh solver via ``repro.sat.replay.replay_trace`` — the
     replay must reproduce the original verdict, final trail, and event
     stream byte-for-byte.
@@ -83,6 +83,7 @@ from repro.sat import (
 )
 from repro.sat.kernel import native_available
 from repro.sat.replay import replay_trace
+from repro.sat.trace import TraceRecorder
 from repro.sat.types import SolveResult
 from tests.sat.scan_order import ScanOrderRankedStrategy, ScanOrderVsidsStrategy
 
@@ -309,7 +310,7 @@ def run_one(index: int):
         traced_solver = CdclSolver(
             formula,
             strategy=production_trace,
-            config=replace(config, trace_events=events),
+            config=replace(config, observer=TraceRecorder(events)),
         )
         traced_outcome = traced_solver.solve()
         assert traced_outcome.status is outcome.status, (

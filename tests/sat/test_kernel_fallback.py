@@ -27,7 +27,7 @@ import hashlib, json, random, sys
 from repro.cnf import CnfFormula
 from repro.sat import CdclSolver, SolverConfig
 from repro.sat.kernel import native_available
-from repro.sat.trace import encode_events
+from repro.sat.trace import TraceRecorder, encode_events
 
 def digest(kernel):
     h = hashlib.sha256()
@@ -42,7 +42,7 @@ def digest(kernel):
             )
         events = []
         solver = CdclSolver(
-            formula, config=SolverConfig(kernel=kernel, trace_events=events)
+            formula, config=SolverConfig(kernel=kernel, observer=TraceRecorder(events))
         )
         outcome = solver.solve()
         names.add(solver._kernel.name)

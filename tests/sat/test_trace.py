@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.cnf import CnfFormula
-from repro.sat import CdclSolver, SolverConfig, VsidsStrategy
+from repro.sat import CdclSolver, SolverConfig, VsidsStrategy, tee
 from repro.sat.trace import (
     EV_ASSUME,
     EV_BACKTRACK,
@@ -37,6 +37,7 @@ from repro.sat.trace import (
     TraceEvent,
     TraceFormatError,
     TraceReader,
+    TraceRecorder,
     TraceState,
     TraceVersionError,
     TraceWriter,
@@ -122,14 +123,16 @@ def test_round_trip_empty_trace():
 def test_file_and_memory_encodings_identical(tmp_path, rng):
     events = _random_events(rng, 500, 300)
     path = tmp_path / "t.rtrc"
-    writer = TraceWriter(str(path), num_vars=500)
+    writer = TraceWriter(str(path))
+    writer.open(500)
     for event in events:
         writer.write_event(event)
     writer.close()
     assert path.read_bytes() == encode_events(events, 500)
     # BinaryIO sink produces the same bytes too.
     sink = io.BytesIO()
-    writer = TraceWriter(sink, num_vars=500)
+    writer = TraceWriter(sink)
+    writer.open(500)
     for event in events:
         writer.write_event(event)
     writer.flush()
@@ -140,11 +143,12 @@ def test_writer_buffers_past_flush_threshold(tmp_path):
     # >64 KiB of events must stream through the internal buffer without
     # corrupting the delta chain across flush boundaries.
     path = tmp_path / "big.rtrc"
-    writer = TraceWriter(str(path), num_vars=2**30)
+    writer = TraceWriter(str(path))
+    writer.open(2**30)
     rng = random.Random(8)
     lits = [rng.randrange(2**31) for _ in range(60_000)]
     writer.enqueue_run(lits, 0, len(lits))
-    writer.end(STATUS_UNKNOWN)
+    writer.write_event(TraceEvent(EV_END, STATUS_UNKNOWN))
     writer.close()
     assert path.stat().st_size > 64 * 1024
     _, events = decode_trace(str(path))
@@ -215,7 +219,8 @@ def _solve_traced(formula, tmp_path, **config_kwargs):
     events = []
     path = tmp_path / "solve.rtrc"
     config = SolverConfig(
-        trace_path=str(path), trace_events=events, **config_kwargs
+        observer=tee(TraceWriter(str(path)), TraceRecorder(events)),
+        **config_kwargs,
     )
     solver = CdclSolver(formula, strategy=VsidsStrategy(), config=config)
     outcome = solver.solve()
@@ -269,17 +274,16 @@ def test_tracing_does_not_perturb_search(tmp_path):
 
 def test_tracing_disabled_by_default():
     config = SolverConfig()
-    assert config.trace_path is None
-    assert config.trace_events is None
+    assert config.observer is None
     solver = CdclSolver(pigeonhole(3), strategy=VsidsStrategy(), config=config)
     solver.solve()
-    assert solver._trace is None
+    assert solver._observer is None
 
 
 def test_trace_records_assumptions(tmp_path):
     formula = random_formula(random.Random(3), 8, 20)
     events = []
-    config = SolverConfig(trace_events=events)
+    config = SolverConfig(observer=TraceRecorder(events))
     solver = CdclSolver(formula, strategy=VsidsStrategy(), config=config)
     outcome = solver.solve(assumptions=[0, 2])
     kinds = [e.kind for e in events]
@@ -295,7 +299,7 @@ def test_trace_records_assumptions(tmp_path):
 def test_trace_end_status_unknown_on_budget(tmp_path):
     formula = pigeonhole(7)
     events = []
-    config = SolverConfig(trace_events=events, max_conflicts=5)
+    config = SolverConfig(observer=TraceRecorder(events), max_conflicts=5)
     outcome = CdclSolver(formula, strategy=VsidsStrategy(), config=config).solve()
     assert outcome.status is SolveResult.UNKNOWN
     assert events[-1] == TraceEvent(EV_END, STATUS_UNKNOWN)

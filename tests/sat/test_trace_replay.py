@@ -15,13 +15,15 @@ import random
 
 import pytest
 
-from repro.sat import CdclSolver, SolverConfig, VsidsStrategy
+from repro.sat import CdclSolver, SolverConfig, VsidsStrategy, tee
 from repro.sat.replay import ReplayStrategy, TraceExhausted, replay_trace
 from repro.sat.trace import (
     EV_DECIDE,
     EV_END,
     EV_LEARN,
     TraceEvent,
+    TraceRecorder,
+    TraceWriter,
     encode_events,
 )
 from repro.sat.types import SolveResult
@@ -37,7 +39,7 @@ def _capture(formula, config=None, assumptions=()):
     solver = CdclSolver(
         formula,
         strategy=VsidsStrategy(),
-        config=replace(base, trace_events=events),
+        config=replace(base, observer=TraceRecorder(events)),
     )
     outcome = solver.solve(assumptions)
     return solver, outcome, events
@@ -62,7 +64,9 @@ def test_replay_from_file_and_bytes(tmp_path, rng):
     formula = pigeonhole(5)
     path = tmp_path / "php5.rtrc"
     events = []
-    config = SolverConfig(trace_path=str(path), trace_events=events)
+    config = SolverConfig(
+        observer=tee(TraceWriter(str(path)), TraceRecorder(events))
+    )
     CdclSolver(formula, strategy=VsidsStrategy(), config=config).solve()
     for source in (str(path), path.read_bytes()):
         report = replay_trace(formula, source)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.sat import CdclSolver, SolverConfig, VsidsStrategy
+from repro.sat import CdclSolver, SolverConfig, TraceWriter, VsidsStrategy
 from repro.trace import analyze_trace, render_report
 from repro.trace.__main__ import main
 from repro.workloads.cnf_families import pigeonhole
@@ -17,7 +17,7 @@ def php_trace(tmp_path):
     """A freshly captured pigeonhole trace (UNSAT, plenty of events)."""
     path = tmp_path / "php5.rtrc"
     formula = pigeonhole(5)
-    config = SolverConfig(trace_path=str(path))
+    config = SolverConfig(observer=TraceWriter(str(path)))
     outcome = CdclSolver(formula, strategy=VsidsStrategy(), config=config).solve()
     return path, formula, outcome
 
