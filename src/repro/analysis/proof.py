@@ -16,11 +16,12 @@ silently corrupting cores).
   catches.
 * PRF02 — ``add_shared_clause`` is the only legal clause-import entry
   point: the solver's private install machinery
-  (``_install_clause``/``_import_shared``/``_add_learned``/
+  (``_install``/``_import_shared``/``_add_learned``/
   ``_attach_clause``/``_load_unit``) may not be called from outside
   ``repro/sat/solver.py``, and the clause-sharing modules may not
-  smuggle peer clauses through plain ``add_clause`` (which would count
-  their literals into the input-formula statistics).
+  smuggle peer clauses through plain ``add_clause``/``add_clauses``
+  (which would count their literals into the input-formula
+  statistics).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import Diagnostic, SourceModule, register
 
 _PRIVATE_INSTALL_PATHS = {
-    "_install_clause",
+    "_install",
     "_import_shared",
     "_add_learned",
     "_attach_clause",
@@ -161,14 +162,14 @@ def check_import_entry_point(
                     f"add_shared_clause()"
                 ),
             )
-        elif sharing and callee.attr == "add_clause":
+        elif sharing and callee.attr in ("add_clause", "add_clauses"):
             yield Diagnostic(
                 path=module.relpath,
                 line=node.lineno,
                 col=node.col_offset,
                 rule="PRF02",
                 message=(
-                    "add_clause() inside a clause-sharing module; "
+                    f"{callee.attr}() inside a clause-sharing module; "
                     "imported peer clauses must use add_shared_clause() "
                     "(CDG leaf + no cha_score/threshold inflation)"
                 ),

@@ -21,7 +21,7 @@ from repro.encode.unroll import BmcInstance, Unroller
 from repro.metrics.access import ACCESS_SUFFIX, AccessStreamWriter
 from repro.sat.heuristics import DecisionStrategy, RankedStrategy, VsidsStrategy
 from repro.sat.observer import tee
-from repro.sat.solver import CdclSolver, SolverConfig
+from repro.sat.solver import CdclSolver, InstallTemplate, SolverConfig
 from repro.sat.trace import TRACE_SUFFIX, TraceWriter
 from repro.sat.types import SolveOutcome, SolveResult
 from repro.bmc.result import BmcResult, BmcStatus, DepthStats, Trace
@@ -146,6 +146,9 @@ class BmcEngine:
         #: subclassing every engine flavour (RefineOrderBmc, Shtrichman
         #: and BerkMin runs all inherit this ``_solve_depth``).
         self.solver_hook = None
+        # The run's install template (see install_template), held only
+        # while run() runs.
+        self._template: Optional[InstallTemplate] = None
         # Collector counts at the last depth boundary (metrics only).
         self._gc_seen: List[Tuple[int, int]] = []
 
@@ -171,6 +174,7 @@ class BmcEngine:
         solver = CdclSolver(
             instance.formula, strategy=strategy,
             config=self.capture_config(self.solver_config, k),
+            template=self.install_template(k),
         )
         if self.solver_hook is not None:
             self.solver_hook(solver, k)
@@ -179,6 +183,21 @@ class BmcEngine:
         if isinstance(strategy, RankedStrategy):
             extras["switched"] = strategy.switched
         return outcome, extras
+
+    def install_template(self, k: int) -> InstallTemplate:
+        """The run's install template, grown to frames ``0..k``.
+
+        Depth ``k``'s solver forks it and installs only the property
+        clause, so each encoded clause is installed once per run: the
+        template grows by constructing the next one from it, which
+        installs only the frames it lacks.  Held until :meth:`run`
+        returns."""
+        prefix, _origins = self.unroller.formula_up_to(k)
+        template = self._template
+        if template is None or template.num_clauses != prefix.num_clauses:
+            template = InstallTemplate(prefix, self.solver_config, template)
+            self._template = template
+        return template
 
     def capture_config(self, config: SolverConfig, k: int) -> SolverConfig:
         """``config`` for depth ``k``'s solve: with ``trace_dir`` set,
@@ -199,47 +218,50 @@ class BmcEngine:
         if self.solver_config.metrics is not None:
             self._gc_seen = _gc_counts()
         result = BmcResult(status=BmcStatus.PASSED_BOUNDED, depth_reached=self.start_depth - 1)
-        for k in range(self.start_depth, self.max_depth + 1):
-            if (
-                self.time_budget is not None
-                and time.perf_counter() - start > self.time_budget
-            ):
-                result.status = BmcStatus.BUDGET_EXHAUSTED
-                break
-            instance = self.unroller.instance(k)
-            outcome, extras = self._solve_depth(instance, k)
-            depth_stats = DepthStats(
-                k=k,
-                status=outcome.status.value,
-                num_vars=instance.formula.num_vars,
-                num_clauses=instance.formula.num_clauses,
-                decisions=outcome.stats.decisions,
-                propagations=outcome.stats.propagations,
-                conflicts=outcome.stats.conflicts,
-                solve_time=outcome.stats.solve_time,
-                core_clauses=(
-                    len(outcome.core_clauses)
-                    if outcome.core_clauses is not None
-                    else None
-                ),
-                core_vars=(
-                    len(outcome.core_vars) if outcome.core_vars is not None else None
-                ),
-                switched=extras.get("switched"),
-                root_pruned=outcome.stats.root_pruned_clauses,
-                winner=extras.get("winner"),
-            )
-            result.per_depth.append(depth_stats)
-            self._publish_depth_metrics(depth_stats)
-            if outcome.status is SolveResult.UNKNOWN:
-                result.status = BmcStatus.BUDGET_EXHAUSTED
-                break
-            result.depth_reached = k
-            if outcome.status is SolveResult.SAT:
-                result.status = BmcStatus.FAILED
-                result.trace = self._build_trace(instance, outcome)
-                break
-            self.on_unsat(k, instance, outcome)
+        try:
+            for k in range(self.start_depth, self.max_depth + 1):
+                if (
+                    self.time_budget is not None
+                    and time.perf_counter() - start > self.time_budget
+                ):
+                    result.status = BmcStatus.BUDGET_EXHAUSTED
+                    break
+                instance = self.unroller.instance(k)
+                outcome, extras = self._solve_depth(instance, k)
+                depth_stats = DepthStats(
+                    k=k,
+                    status=outcome.status.value,
+                    num_vars=instance.formula.num_vars,
+                    num_clauses=instance.formula.num_clauses,
+                    decisions=outcome.stats.decisions,
+                    propagations=outcome.stats.propagations,
+                    conflicts=outcome.stats.conflicts,
+                    solve_time=outcome.stats.solve_time,
+                    core_clauses=(
+                        len(outcome.core_clauses)
+                        if outcome.core_clauses is not None
+                        else None
+                    ),
+                    core_vars=(
+                        len(outcome.core_vars) if outcome.core_vars is not None else None
+                    ),
+                    switched=extras.get("switched"),
+                    root_pruned=outcome.stats.root_pruned_clauses,
+                    winner=extras.get("winner"),
+                )
+                result.per_depth.append(depth_stats)
+                self._publish_depth_metrics(depth_stats)
+                if outcome.status is SolveResult.UNKNOWN:
+                    result.status = BmcStatus.BUDGET_EXHAUSTED
+                    break
+                result.depth_reached = k
+                if outcome.status is SolveResult.SAT:
+                    result.status = BmcStatus.FAILED
+                    result.trace = self._build_trace(instance, outcome)
+                    break
+                self.on_unsat(k, instance, outcome)
+        finally:
+            self._template = None
         result.total_time = time.perf_counter() - start
         return result
 

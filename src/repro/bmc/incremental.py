@@ -56,8 +56,7 @@ def feed_frames(solver: CdclSolver, unroller: Unroller, k: int, fed: int) -> int
     """
     stop = unroller.clause_watermark(k)
     solver.ensure_num_vars(unroller.var_watermark(k))
-    for lits in unroller.clauses_since(fed, stop).literals():
-        solver.add_clause(lits)
+    solver.add_clauses(unroller.clauses_since(fed, stop).literals())
     return stop
 
 

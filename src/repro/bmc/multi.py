@@ -86,8 +86,9 @@ class MultiPropertyBmc:
     def _feed_frames(self, k: int) -> None:
         self.unroller.ensure_frames(k)
         self._solver.ensure_num_vars(self.unroller.num_encoded_vars)
-        for lits in self.unroller.clauses_since(self._clauses_fed).literals():
-            self._solver.add_clause(lits)
+        self._solver.add_clauses(
+            self.unroller.clauses_since(self._clauses_fed).literals()
+        )
         self._clauses_fed = self.unroller.num_encoded_clauses
 
     def _strategy(self, net: int):

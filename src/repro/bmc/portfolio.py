@@ -342,7 +342,8 @@ class PortfolioBmcEngine(BmcEngine):
             member.overlay_config(self.solver_config, None), k
         )
         return CdclSolver(
-            instance.formula, strategy=member.build_strategy(), config=config
+            instance.formula, strategy=member.build_strategy(), config=config,
+            template=self.install_template(k),
         ).solve()
 
 

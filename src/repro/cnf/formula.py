@@ -132,6 +132,23 @@ class CnfFormula:
             raise IndexError("clause index out of range")
         return self._tail[index - self._log_len]
 
+    def starts_with(self, prefix: "CnfFormula") -> bool:
+        """True if ``prefix``'s clauses are this formula's first ones.
+
+        O(1) when both are views over one clause log (the unroller's
+        instances and frame prefixes); otherwise the literals are
+        compared."""
+        count = prefix.num_clauses
+        if count > self.num_clauses:
+            return False
+        if prefix is self or (
+            prefix._log is self._log and count == prefix._log_len <= self._log_len
+        ):
+            return True
+        return list(islice(self.iter_literals(), count)) == list(
+            prefix.iter_literals()
+        )
+
     def new_var(self) -> int:
         """Allocate and return a fresh variable index."""
         var = self._num_vars

@@ -46,6 +46,7 @@ from repro.sat.solver import (
     MINIMIZE_MODES,
     PHASE_MODES,
     CdclSolver,
+    InstallTemplate,
     SolverConfig,
     luby,
     solve_formula,
@@ -75,6 +76,7 @@ from repro.sat.types import SolveOutcome, SolveResult
 
 __all__ = [
     "CdclSolver",
+    "InstallTemplate",
     "ClauseArena",
     "SolverConfig",
     "MINIMIZE_MODES",

@@ -103,7 +103,8 @@ class BcpKernelBase(_SolverBound):
             self.long.append2(b, cid, a)
 
     def attach_all(
-        self, bin_ids: List[int], tern_ids: List[int], long_ids: List[int]
+        self, bin_ids: Sequence[int], tern_ids: Sequence[int],
+        long_ids: Sequence[int],
     ) -> None:
         """Bulk install: watch the binary, ternary and long clauses
         ``*_ids`` (each list in clause order) in *empty* tables, reading

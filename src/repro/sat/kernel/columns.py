@@ -275,6 +275,14 @@ class ClauseLitMirror:
                 refs.append(-1)
         self.synced = n
 
+    def copy_from(self, other: "ClauseLitMirror") -> None:
+        """Make this empty mirror a copy of ``other`` (a fork copying
+        its install template's mirror)."""
+        self.data.extend(other.data)
+        self.refs.extend(other.refs)
+        self.synced = other.synced
+        self.dead = other.dead
+
     def free(self, cid: int) -> None:
         """Drop a deleted clause's block (no-op when not mirrored)."""
         if cid < self.synced:

@@ -60,7 +60,7 @@ from repro.sat.kernel.base import AnalyzeKernelBase, BcpKernelBase
 from repro.sat.profile import PROF_DEQ, PROF_PROPS, new_profile_buffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from typing import List, Tuple
+    from typing import List, Sequence, Tuple
 
     from repro.sat.solver import CdclSolver
 
@@ -866,7 +866,8 @@ class NativeBcpKernel(BcpKernelBase):
         )
 
     def attach_all(
-        self, bin_ids: "List[int]", tern_ids: "List[int]", long_ids: "List[int]"
+        self, bin_ids: "Sequence[int]", tern_ids: "Sequence[int]",
+        long_ids: "Sequence[int]",
     ) -> None:
         arena = self.solver._arena
         from_buffer = self._ffi.from_buffer

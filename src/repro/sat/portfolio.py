@@ -66,6 +66,7 @@ from repro.sat.heuristics import (
 )
 from repro.sat.solver import (
     CdclSolver,
+    InstallTemplate,
     MINIMIZE_MODES,
     PHASE_MODES,
     SolverConfig,
@@ -249,6 +250,7 @@ def _build_solver(
     base_config: Optional[SolverConfig],
     share_max_len: Optional[int],
     warm_activity: bool = True,
+    template: Optional[InstallTemplate] = None,
 ) -> CdclSolver:
     strategy = member.build_strategy()
     # Epoch-sliced members re-enter solve() many times; warm
@@ -268,17 +270,19 @@ def _build_solver(
         config = replace(
             config, metrics=None, metrics_labels=None, observer=None
         )
-    return CdclSolver(formula, strategy=strategy, config=config)
+    return CdclSolver(formula, strategy=strategy, config=config, template=template)
 
 
 def _member_steps(formula, members, base_config, share_max_len,
                   warm_activity, indices):
     """The epoch step of members ``indices``; their solvers live
-    wherever this is called (see :func:`repro.sat.race.epoch_step`)."""
+    wherever this is called (see :func:`repro.sat.race.epoch_step`),
+    each a fork of one install of ``formula`` made there."""
+    template = InstallTemplate(formula, base_config)
     solvers = {
         index: _build_solver(
             formula, members[index], base_config, share_max_len,
-            warm_activity,
+            warm_activity, template,
         )
         for index in indices
     }

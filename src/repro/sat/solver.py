@@ -99,7 +99,9 @@ from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     List,
+    NoReturn,
     Optional,
     Sequence,
     Set,
@@ -289,6 +291,7 @@ class CdclSolver:
         formula: Optional[CnfFormula] = None,
         strategy: Optional[DecisionStrategy] = None,
         config: Optional[SolverConfig] = None,
+        template: Optional["InstallTemplate"] = None,
     ) -> None:
         self._formula = formula if formula is not None else CnfFormula(0)
         self.config = config or SolverConfig()
@@ -309,6 +312,8 @@ class CdclSolver:
                 f"restart_base must be >= 1, got {self.config.restart_base!r}"
             )
         kernel_name = resolve_kernel(self.config.kernel)
+        if template is not None:
+            template.check_fork(self._formula, self.config, kernel_name)
         self.strategy = strategy or VsidsStrategy()
         self.num_vars = 0
         self.stats = SolverStats()
@@ -378,8 +383,18 @@ class CdclSolver:
         # record: propagation, watch positions, proofs and
         # clause_literals() all read it, analysis iterates the view.
         self._lits_view: List[Tuple[int, ...]] = []
-        self._original_ids: List[int] = []
-        self._original_id_set: Set[int] = set()
+        # Original (non-LEARNED) clauses installed so far; the arena's
+        # LEARNED flag is the per-clause authority.
+        self._num_originals = 0
+        #: Per watch table (binary, ternary, long), the IDs of installed
+        #: clauses whose watches are not laid out yet, in clause order:
+        #: the constructor's batches collect here and
+        #: :meth:`_finish_install` lays them out in one pass (an
+        #: :class:`InstallTemplate` keeps them for its forks).  None once
+        #: the watches are live: later installs attach directly.
+        self._watch_ids: Optional[Tuple[array, array, array]] = (
+            array("i"), array("i"), array("i")
+        )
         self._learned_ids: List[int] = []
         self._activity = self._arena.activity
         self._activity_inc = 1.0
@@ -456,7 +471,12 @@ class CdclSolver:
         self._max_learned: Optional[float] = None
 
         self.ensure_num_vars(self._formula.num_vars)
-        self._install_initial()
+        start = 0
+        if template is not None:
+            self._copy_template(template)
+            start = template._num_initial
+        self._install(islice(self._formula.iter_literals(), start, None))
+        self._finish_install()
 
     # ------------------------------------------------------------------
     # Incremental interface.
@@ -490,16 +510,20 @@ class CdclSolver:
         if count > self._var_capacity:
             new_cap = max(count, 2 * self._var_capacity, 16)
             grow = new_cap - self._var_capacity
-            self.lit_truth.extend([2] * (2 * grow))
-            self._levels.extend([-1] * grow)
-            self._reasons.extend([-1] * grow)
+            # Typed fills by repetition: converting a list of Python
+            # ints costs ~100x more per slot, and every fork sizes its
+            # arrays afresh.
+            unassigned = array("i", [-1]) * grow
+            self.lit_truth.extend(b"\x02" * (2 * grow))
+            self._levels.extend(unassigned)
+            self._reasons.extend(unassigned)
             self._saved_phase.extend([-1] * grow)
             self._seen.extend(bytes(grow))
-            self._lbd_stamp.extend([0] * grow)
+            self._lbd_stamp.frombytes(bytes(4 * grow))
             self._lit_counts.extend([0] * (2 * grow))
             # Preallocate trail slots to physical capacity (the kernels
             # append by subscript) and size the flat watch columns.
-            self._trail.extend([0] * grow)
+            self._trail.frombytes(bytes(4 * grow))
             self._kernel.grow(2 * new_cap)
             self._var_capacity = new_cap
         self.num_vars = count
@@ -507,22 +531,26 @@ class CdclSolver:
     def add_clause(self, literals: Sequence[int]) -> int:
         """Add an original clause (allowed between solves); returns its ID.
 
+        A batch of one: see :meth:`add_clauses`.
+        """
+        return self.add_clauses((literals,))[0]
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> range:
+        """Add original clauses (allowed between solves) in one batch;
+        returns their IDs.
+
         Must not be called mid-search.  The solver backtracks to decision
         level 0 first, so pending assumptions from a previous call do not
-        leak into the clause's status.
+        leak into the clauses' status.  The batch is checked whole before
+        anything changes: a bad literal (``ValueError``) or an arena
+        overflow (:class:`~repro.sat.arena.ClauseArenaFullError`) leaves
+        the solver exactly as it was.
         """
         if self._solving:
             raise RuntimeError("add_clause may not be called during solve()")
-        self._backtrack(0)
-        for lit in literals:
-            if lit < 0:
-                raise ValueError(f"bad packed literal {lit}")
-            if (lit >> 1) >= self.num_vars:
-                raise ValueError(
-                    f"literal references variable {lit >> 1} >= num_vars "
-                    f"{self.num_vars}; call new_var()/ensure_num_vars first"
-                )
-        return self._install_clause(list(literals), initial=False)
+        batch = [tuple(lits) for lits in clauses]
+        self._check_literals(batch)
+        return self._install(batch)
 
     # ------------------------------------------------------------------
     # Learned-clause sharing (the portfolio subsystem's import/export
@@ -551,18 +579,9 @@ class CdclSolver:
                 "add_shared_clause may not be called during solve(); "
                 "set on_learned for mid-solve imports"
             )
-        self._backtrack(0)
-        for lit in literals:
-            if lit < 0:
-                raise ValueError(f"bad packed literal {lit}")
-            if (lit >> 1) >= self.num_vars:
-                raise ValueError(
-                    f"literal references variable {lit >> 1} >= num_vars "
-                    f"{self.num_vars}; call new_var()/ensure_num_vars first"
-                )
-        cid = self._install_clause(
-            list(literals), initial=False, count_literals=False
-        )
+        batch = [tuple(literals)]
+        self._check_literals(batch)
+        cid = self._install(batch, count_literals=False)[0]
         self._imported_ids.append(cid)
         self._pending_imported += 1
         return cid
@@ -577,9 +596,7 @@ class CdclSolver:
         for lits in clauses:
             count += 1
             self._imported_ids.append(
-                self._install_clause(
-                    list(lits), initial=False, count_literals=False
-                )
+                self._install([tuple(lits)], count_literals=False)[0]
             )
             if not self._ok:
                 break
@@ -602,23 +619,114 @@ class CdclSolver:
         """Clause IDs installed through the shared-clause import path."""
         return tuple(self._imported_ids)
 
-    def _install_initial(self) -> None:
-        """Bulk-install the constructor formula.
+    # ------------------------------------------------------------------
+    # Clause install: one loop for every clause source.
+    # ------------------------------------------------------------------
 
-        This is the hottest path of the *experiment* layer: every
-        (strategy, depth) BMC run builds a fresh solver over the full
-        depth-k CNF, so clause installation runs tens of thousands of
-        times per Table-1 row.  Compared to the generic
-        :meth:`_install_clause` it hoists every per-clause attribute
-        access and specializes dedupe/tautology checks for the 2-3
-        literal clauses Tseitin encodings consist of.  Arena words and
-        offsets are gathered in Python lists and copied into the typed
-        store once at the end (a typed-array append costs several list
-        appends; nothing reads the arena during install).  Only clauses
-        that meet pre-assigned variables take the slow classification
-        path.
-        """
+    def _copy_template(self, template: "InstallTemplate") -> None:
+        """Start from ``template``'s install state: copy its typed arrays
+        into this solver's freshly sized ones (the per-variable prefix,
+        the trail of root facts, the arena, the mirror and the
+        watch-ID arrays) plus its small install bookkeeping."""
+        nv = template.num_vars
+        self.lit_truth[:2 * nv] = template.lit_truth[:2 * nv]
+        self._levels[:nv] = template._levels[:nv]
+        self._reasons[:nv] = template._reasons[:nv]
+        self._lit_counts[:2 * nv] = template._lit_counts[:2 * nv]
+        trail_len = template._trail_len
+        self._trail[:trail_len] = template._trail[:trail_len]
+        self._trail_len = trail_len
         arena = self._arena
+        source = template._arena
+        arena.data.extend(source.data)
+        arena.refs.extend(source.refs)
+        arena.flags.extend(source.flags)
+        arena.activity.extend(source.activity)
+        self._akernel.mirror.copy_from(template._akernel.mirror)
+        self._lits_view.extend(template._lits_view)
+        for ids, source_ids in zip(self._watch_ids, template._watch_ids):
+            ids.extend(source_ids)
+        self._num_originals = template._num_originals
+        self._num_original_literals = template._num_original_literals
+        self._root_unit_of.update(template._root_unit_of)
+        self._root_pruned.update(template._root_pruned)
+        self._pending_root_pruned = template._pending_root_pruned
+        self._pending_load_propagations = template._pending_load_propagations
+        if not template._ok:
+            self._mark_root_unsat(template._cdg.final_antecedents)
+
+    def _check_literals(self, batch: List[Tuple[int, ...]]) -> None:
+        """Refuse a batch naming a literal of no existing variable,
+        before any of it is installed (constructor formulas are valid
+        by construction and skip this)."""
+        limit = 2 * self.num_vars
+        low = min(map(min, filter(None, batch)), default=0)
+        high = max(map(max, filter(None, batch)), default=-1)
+        if low >= 0 and high < limit:
+            return
+        lit = next(
+            lit for lits in batch for lit in lits if lit < 0 or lit >= limit
+        )
+        if lit < 0:
+            raise ValueError(f"bad packed literal {lit}")
+        raise ValueError(
+            f"literal references variable {lit >> 1} >= num_vars "
+            f"{self.num_vars}; call new_var()/ensure_num_vars first"
+        )
+
+    def _check_room(self, batch: List[Tuple[int, ...]]) -> None:
+        """Refuse a batch the arena has no room for, before any of it is
+        installed (counted deduplicated, as :meth:`_install` stores
+        it)."""
+        arena = self._arena
+        words = len(arena.data)
+        if (
+            words + HEADER_WORDS * len(batch) + sum(map(len, batch))
+            <= arena.word_limit
+        ):
+            return
+        for lits in batch:
+            words += HEADER_WORDS + len(set(lits))
+            if words > arena.word_limit:
+                raise ClauseArenaFullError(arena.full_message(words))
+
+    def _install(
+        self, clauses: Iterable[Tuple[int, ...]], count_literals: bool = True
+    ) -> range:
+        """Install a batch of original clauses; returns their IDs.
+
+        The one install loop: constructor formulas (the tail past a
+        template's clauses), :meth:`add_clauses` batches and shared-clause
+        imports all run it.  It dedupes (specialized for the 2-3 literal
+        clauses Tseitin encodings consist of), marks tautologies
+        inactive, counts literals (``count_literals=False`` for peer
+        imports: the ``cha_score`` seeds and the 1/64 switch threshold
+        are statistics of the input formula), enqueues root units and
+        classifies clauses that meet root facts.  Arena words and offsets
+        are gathered in Python lists and copied into the typed store
+        once at the end (nothing reads the arena during install).  The
+        new clauses' watches then go to :attr:`_watch_ids` while the
+        constructor runs, else straight onto the live watch columns —
+        per watch table in clause order either way, which is the order
+        one bulk install gives.  Arena room for the whole batch is
+        checked first (:meth:`_check_room`; the public entry points
+        check literals the same way), so a refusal changes nothing.
+        """
+        batch = clauses if isinstance(clauses, list) else list(clauses)
+        self._check_room(batch)
+        self._backtrack(0)
+        # The arena and watch pools grow below; the fused native step
+        # caches FFI views of them across calls (mid-solve path:
+        # shared-clause import at level 0).
+        self._akernel.invalidate_views()
+        arena = self._arena
+        first = next_cid = len(arena.refs)
+        cdg = self._cdg
+        if cdg is not None and first >= self._num_initial:
+            # Later clauses are CDG leaves; registered up front because a
+            # root falsification below cites them as antecedents.
+            for cid in range(first, first + len(batch)):
+                cdg.register_original(cid)
         word_buf: List[int] = []
         buf_append = word_buf.append
         buf_extend = word_buf.extend
@@ -626,24 +734,14 @@ class CdclSolver:
         ref_append = ref_buf.append
         aflags_append = arena.flags.append
         view_append = self._lits_view.append
-        original_append = self._original_ids.append
-        original_add = self._original_id_set.add
         lit_counts = self._lit_counts
         truth = self.lit_truth
-        # Clauses to watch, per table, in clause order: the kernel lays
-        # their entries out in one pass once the arena is written
-        # (nothing reads the watches during install).
         bin_ids: List[int] = []
         tern_ids: List[int] = []
         long_ids: List[int] = []
         num_literals = 0
-        next_cid = len(arena.refs)
-        # This loop bypasses ``arena.add``, so it must also enforce the
-        # arena's word ceiling itself — a running count against the
-        # hoisted limit keeps the guard O(1) per clause.
-        word_limit = arena.word_limit
         words = len(arena.data)
-        for lits in self._formula.iter_literals():
+        for lits in batch:
             n = len(lits)
             taut = False
             if n == 2:
@@ -666,12 +764,8 @@ class CdclSolver:
                 n = len(lits)
                 taut = _is_tautology(lits)
             words += HEADER_WORDS + n
-            if words > word_limit:
-                raise ClauseArenaFullError(arena.full_message(words))
             cid = next_cid
             next_cid += 1
-            original_append(cid)
-            original_add(cid)
             view_append(lits)
             flags = INACTIVE if taut else 0
             aflags_append(flags)
@@ -680,9 +774,10 @@ class CdclSolver:
             ref_append(words - n)
             attach = False
             if not taut:
-                for lit in lits:
-                    lit_counts[lit] += 1
-                num_literals += n
+                if count_literals:
+                    for lit in lits:
+                        lit_counts[lit] += 1
+                    num_literals += n
                 if not self._ok:
                     pass
                 elif n >= 2:
@@ -710,57 +805,26 @@ class CdclSolver:
         arena.data.fromlist(word_buf)
         arena.refs.fromlist(ref_buf)
         arena.activity.frombytes(bytes(8 * len(ref_buf)))
-        self._kernel.attach_all(bin_ids, tern_ids, long_ids)
+        self._num_originals += len(batch)
         self._num_original_literals += num_literals
-
-    def _install_clause(
-        self, lits: List[int], initial: bool, count_literals: bool = True
-    ) -> int:
-        # The arena and watch pools may grow below; the fused native
-        # step caches FFI views of them across calls (mid-solve path:
-        # shared-clause import at level 0).
-        self._akernel.invalidate_views()
-        lits = list(dict.fromkeys(lits))  # dedupe, keep order
-        taut = _is_tautology(lits)
-        cid = self._arena.add(lits, INACTIVE if taut else 0)
-        self._lits_view.append(tuple(lits))
-        self._original_ids.append(cid)
-        self._original_id_set.add(cid)
-        if not initial and self._cdg is not None:
-            self._cdg.register_original(cid)
-        if taut:
-            # Never attached, so its literals must not feed the initial
-            # cha_score array or the dynamic strategy's 1/64 switch
-            # threshold (paper §3.3): count only installed literals.
-            return cid
-        if count_literals:
-            # Shared-clause imports pass False: the paper's cha_score
-            # seeds and the 1/64 switch threshold are statistics of the
-            # *input formula*, and letting peers' sharing volume inflate
-            # them would change the decision heuristics' semantics.
-            lit_counts = self._lit_counts
-            for lit in lits:
-                lit_counts[lit] += 1
-            self._num_original_literals += len(lits)
-        if not self._ok:
-            return cid
-        if not lits:
-            self._mark_root_unsat([cid])
-        elif len(lits) == 1:
-            self._load_unit(cid, lits[0])
+        watch_ids = self._watch_ids
+        if watch_ids is not None:
+            for ids, new in zip(watch_ids, (bin_ids, tern_ids, long_ids)):
+                ids.fromlist(new)
         else:
-            # Fast path (the bulk of solver construction over a BMC
-            # formula): a clause with no assigned literal needs none of
-            # the level-0 unit/conflict handling — attach as-is.
-            truth = self.lit_truth
-            for lit in lits:
-                if truth[lit] != 2:
-                    if self._classify_assigned(cid, lits):
-                        self._rewrite_block(cid, lits)
-                        self._kernel.attach(cid, lits)
-                    return cid
-            self._kernel.attach(cid, lits)
-        return cid
+            attach_clause = self._kernel.attach
+            literals = arena.literals
+            for ids in (bin_ids, tern_ids, long_ids):
+                for cid in ids:
+                    attach_clause(cid, literals(cid))
+        return range(first, next_cid)
+
+    def _finish_install(self) -> None:
+        """Lay out the watches of every clause the constructor installed,
+        in one pass over empty columns."""
+        watch_ids = self._watch_ids
+        self._watch_ids = None
+        self._kernel.attach_all(*watch_ids)
 
     def _classify_assigned(self, cid: int, lits: List[int]) -> bool:
         """Classify a clause some of whose literals are already assigned
@@ -891,7 +955,8 @@ class CdclSolver:
 
     def is_original_clause(self, clause_id: int) -> bool:
         """True if the clause ID denotes an original (non-learned) clause."""
-        return clause_id in self._original_id_set
+        flags = self._arena.flags
+        return 0 <= clause_id < len(flags) and not flags[clause_id] & LEARNED
 
     def _looks_learned(self, clause_id: int) -> bool:
         # O(1) via the arena's learned flag; the ID spaces of original
@@ -1237,11 +1302,6 @@ class CdclSolver:
                 antecedents.append(reasons[w])
         return True
 
-    def _active_original(self, cid: int) -> bool:
-        # The set agrees with the CDG's is_original (both track initial
-        # plus incrementally added clauses) and is O(1) either way.
-        return cid in self._original_id_set
-
     def _bump_clause_activity(self, cid: int) -> None:
         # Single-clause form of _replay_clause_bumps (same threshold
         # constant); the utility entry point for tests.
@@ -1524,7 +1584,7 @@ class CdclSolver:
         # solves keep the ceiling their reductions grew.
         max_learned = max(
             self._max_learned or 0,
-            config.reduce_base + len(self._original_ids) // 3,
+            config.reduce_base + self._num_originals // 3,
         )
         self._max_learned = max_learned
         # Per-conflict hoists (the conflict path runs thousands of times
@@ -1826,7 +1886,9 @@ class CdclSolver:
         adata = self._arena.data
         arefs = self._arena.refs
         aflags = self._arena.flags
-        for cid in self._original_ids[self._num_initial:]:
+        for cid in range(self._num_initial, len(arefs)):
+            if aflags[cid] & LEARNED:
+                continue
             base = arefs[cid]
             n = adata[base - 1]
             if not n:
@@ -1889,6 +1951,83 @@ class CdclSolver:
             final_antecedents=self._cdg.final_antecedents,
             extra_originals=extra_originals,
         )
+
+
+#: The :class:`SolverConfig` fields that change what an install
+#: produces; a fork must agree with its template on each of them.
+INSTALL_FIELDS = ("kernel", "prune_root_satisfied", "profile_access")
+
+
+class InstallTemplate(CdclSolver):
+    """A never-solved solver over a formula prefix, for forks to copy.
+
+    It holds what installing its formula produces — the arena, the
+    per-variable arrays with the root facts, literal counts, the
+    install-order mirror and, per watch table, the IDs of the clauses
+    to watch — but lays out no watches.
+    ``CdclSolver(formula, template=t)`` is a *fork*: it copies those
+    typed arrays, installs only the clauses of ``formula`` past ``t``'s
+    through the one install loop, then lays every watch out in one pass
+    over empty columns.  That is the per-literal watch order a bulk
+    install of ``formula`` gives, so the fork searches exactly like
+    ``CdclSolver(formula)``.  ``InstallTemplate(formula, config, t)``
+    grows a template the same way, leaving ``t`` as it was; the BMC
+    engines grow one per run, a frame at a time.
+
+    Its config keeps only :data:`INSTALL_FIELDS` of ``config``: a
+    template never solves, so nothing else applies to it, and forks
+    whose install fields differ are refused.
+    """
+
+    def __init__(
+        self,
+        formula: CnfFormula,
+        config: Optional[SolverConfig] = None,
+        template: Optional["InstallTemplate"] = None,
+    ) -> None:
+        base = config or SolverConfig()
+        super().__init__(
+            formula,
+            config=SolverConfig(
+                **{name: getattr(base, name) for name in INSTALL_FIELDS}
+            ),
+            template=template,
+        )
+
+    @property
+    def num_clauses(self) -> int:
+        """Clauses installed: the template formula's size."""
+        return self._num_initial
+
+    def _finish_install(self) -> None:
+        # Watches stay unlaid (forks copy the ID arrays); the mirror is
+        # synced here so forks copy it rather than rebuild it.
+        self._akernel.sync_mirror()
+
+    def check_fork(
+        self, formula: CnfFormula, config: SolverConfig, kernel: str
+    ) -> None:
+        """Raise ``ValueError`` unless a solver over ``formula`` under
+        ``config`` (running ``kernel``) may fork from this template."""
+        differ = [
+            name for name in INSTALL_FIELDS
+            if name != "kernel" and getattr(config, name) != getattr(self.config, name)
+        ]
+        if kernel != self._kernel.name:
+            differ.insert(0, "kernel")
+        if differ:
+            raise ValueError(
+                f"fork config differs from its template's in {differ}"
+            )
+        if formula.num_vars < self.num_vars or not formula.starts_with(
+            self._formula
+        ):
+            raise ValueError("the template's formula is not a prefix of the fork's")
+
+    def _refuse(self, *args: object, **kwargs: object) -> NoReturn:
+        raise TypeError("an install template is never solved or extended; fork it")
+
+    solve = add_clauses = add_shared_clause = _refuse
 
 
 def _is_tautology(lits: Sequence[int]) -> bool:

@@ -32,7 +32,7 @@ class ReductionPass:
 
 
 def prf02_private_install(solver, lits):
-    solver._install_clause(lits)  # expect: PRF02
+    solver._install([lits])  # expect: PRF02
 
 
 def prf02_private_import(solver, lits):

@@ -9,6 +9,10 @@ def drain_bus_raw(solver, bus):
         solver.add_clause(lits)  # expect: PRF02
 
 
+def drain_bus_raw_batch(solver, bus):
+    solver.add_clauses(bus)  # expect: PRF02
+
+
 def drain_bus_shared_ok(solver, bus):
     for lits in bus:
         solver.add_shared_clause(lits)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bmc import BmcEngine, BmcStatus, IncrementalBmcEngine, RefineOrderBmc
-from repro.sat import SolverConfig
+from repro.sat import CdclSolver, SolverConfig
 from repro.workloads import counter_tripwire, token_ring
 
 
@@ -69,20 +69,45 @@ class TestRefinementOnIncremental:
         refined = IncrementalBmcEngine(circuit2, prop2, max_depth=10, mode="static").run()
         assert refined.total_decisions < baseline.total_decisions / 2
 
-    def test_combination_beats_one_shot_wall_time(self):
+    def test_combination_beats_one_shot_wall_time(self, monkeypatch):
         """The paper's closing claim: refined ordering composes with
-        incremental solving.  Incremental avoids re-encoding, so its wall
-        time should beat the one-shot refined engine on this workload."""
+        incremental solving.  Both engines now install each encoded
+        clause once — the one-shot engine forks every depth's solver
+        from a growing install template — so wall time no longer
+        separates them (their ratio sits around 1 with a wide spread).
+        The claim is pinned where it is deterministic instead: refined
+        incremental needs fewer decisions than refined one-shot, and
+        the install work of both is counted at the one install loop."""
+        installed = []
+        install = CdclSolver._install
+
+        def counting_install(solver, clauses, *args, **kwargs):
+            batch = list(clauses)
+            installed.append(len(batch))
+            return install(solver, batch, *args, **kwargs)
+
+        monkeypatch.setattr(CdclSolver, "_install", counting_install)
         kwargs = dict(
             counter_width=4, target=15, distractor_words=4, distractor_width=8
         )
         circuit, prop = counter_tripwire(**kwargs)
-        one_shot = RefineOrderBmc(circuit, prop, max_depth=12, mode="static").run()
+        engine = RefineOrderBmc(circuit, prop, max_depth=12, mode="static")
+        one_shot = engine.run()
+        one_shot_installs = sum(installed)
+        del installed[:]
         circuit2, prop2 = counter_tripwire(**kwargs)
-        incremental = IncrementalBmcEngine(
+        incremental_engine = IncrementalBmcEngine(
             circuit2, prop2, max_depth=12, mode="static"
-        ).run()
-        assert incremental.total_time < one_shot.total_time
+        )
+        incremental = incremental_engine.run()
+        assert one_shot.depth_reached == incremental.depth_reached == 12
+        assert incremental.total_decisions < one_shot.total_decisions
+        # One-shot: every encoded clause once, plus one property clause
+        # per depth.  Incremental: every encoded clause once (the
+        # property is an assumption).
+        depths = len(one_shot.per_depth)
+        assert one_shot_installs == engine.unroller.clause_watermark(12) + depths
+        assert sum(installed) == incremental_engine.unroller.clause_watermark(12)
 
 
 class TestConfiguration:

@@ -15,7 +15,10 @@ implication/xor chains), and each result is cross-checked three ways:
   same solver configuration;
 * the native kernel must run *search-identical* solves to the python
   reference kernel: same verdict, same decisions/propagations/
-  conflicts/learned counts, same model.
+  conflicts/learned counts, same model;
+* a solver forked from an install template over a seeded random prefix
+  of the clause list must run the same search as the bulk install:
+  same verdict, same statistics, same model or unsat core.
 
 Seed derivation (documented in ``benchmarks/solver_bench.py``): the
 instance with index ``i`` is generated from
@@ -74,6 +77,7 @@ from repro.cnf import CnfFormula
 from repro.sat import (
     BerkMinStrategy,
     CdclSolver,
+    InstallTemplate,
     MINIMIZE_MODES,
     PHASE_MODES,
     RankedStrategy,
@@ -296,6 +300,30 @@ def run_one(index: int):
             assert kernel_outcome.model == outcome.model, (
                 f"{ctx}: {backend} kernel model differs"
             )
+
+    # Fork leg: the same solve on a fork of an install template that
+    # holds a seeded random prefix of the clause list.  A fork is a bulk
+    # install by construction, so everything but the clock must match.
+    split = random.Random(FUZZ_SEED + index + 2_000_000).randint(
+        0, formula.num_clauses
+    )
+    template = InstallTemplate(formula.subformula(range(split)), config)
+    production_fork, _ = _strategy_pairs(
+        random.Random(FUZZ_SEED + index + 1_000_000),
+        formula.num_vars, strategy_kind,
+    )
+    fork_outcome = CdclSolver(
+        formula, strategy=production_fork, config=config, template=template
+    ).solve()
+    fork_stats = dict(fork_outcome.stats.as_dict(), solve_time=None)
+    assert fork_outcome.status is outcome.status, f"{ctx}: fork verdict differs"
+    assert fork_stats == dict(outcome.stats.as_dict(), solve_time=None), (
+        f"{ctx}: fork at clause {split} diverged from the bulk install"
+    )
+    assert fork_outcome.model == outcome.model, f"{ctx}: fork model differs"
+    assert fork_outcome.core_clauses == outcome.core_clauses, (
+        f"{ctx}: fork core differs"
+    )
 
     # Replay-oracle leg (PR 8, FUZZ_TRACE=1): re-run the instance with
     # in-memory tracing, replay the trace into a fresh solver, and

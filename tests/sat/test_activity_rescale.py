@@ -40,10 +40,15 @@ class TestRescale:
         # Give originals a sentinel activity: a correct rescale must not
         # touch them (originals never earn bumps, so any change would be
         # pure corruption).
-        for cid in solver._original_ids:
+        originals = [
+            cid for cid in range(len(solver._arena))
+            if solver.is_original_clause(cid)
+        ]
+        assert originals
+        for cid in originals:
             solver._activity[cid] = 123.5
         solver._rescale_clause_activity()
-        for cid in solver._original_ids:
+        for cid in originals:
             assert solver._activity[cid] == 123.5
 
     def test_ordering_unchanged_across_overflow_rescale(self):

@@ -225,6 +225,53 @@ class TestArenaCapacity:
         with pytest.raises(MemoryError, match="clause arena full"):
             solver.add_clause([1, 3, 5, 0])  # would be 11 > 10
 
+    @pytest.mark.parametrize("refusal", ["bad_literal", "word_limit"])
+    @pytest.mark.parametrize(
+        "kernel", ["python", pytest.param("native", marks=needs_native)]
+    )
+    def test_refused_batch_leaves_live_solver_untouched(
+        self, kernel, refusal, monkeypatch
+    ):
+        # The batch starts with a unit and a clause that meets a root
+        # fact: an install loop that validated clause by clause would
+        # already have enqueued, counted and flagged them when the last
+        # clause is refused.
+        config = SolverConfig(kernel=kernel)
+
+        def live_solver():
+            solver = CdclSolver(CnfFormula(4), config=config)
+            solver.add_clauses([(0, 2), (1, 4), (6,)])  # 11 words
+            assert solver.solve().is_sat
+            return solver
+
+        solver = live_solver()
+
+        def snapshot():
+            return (
+                len(solver._arena),
+                len(solver._arena.data),
+                list(solver._lit_counts),
+                list(solver._trail[:solver._trail_len]),
+                len(solver._lits_view),
+            )
+
+        before = snapshot()
+        batch = [(3,), (7, 5), (1, 3, 5, 6)]  # 3 + 4 + 6 words
+        if refusal == "bad_literal":
+            batch.append((2, 9))  # variable 4 does not exist
+            with pytest.raises(ValueError, match="variable 4"):
+                solver.add_clauses(batch)
+        else:
+            monkeypatch.setattr(ClauseArena, "word_limit", 20)
+            with pytest.raises(ClauseArenaFullError, match="24 words"):
+                solver.add_clauses(batch)
+        assert snapshot() == before
+        outcome = solver.solve()
+        reference = live_solver().solve()
+        assert outcome.status is reference.status
+        assert outcome.model == reference.model
+        assert outcome.stats.decisions == reference.stats.decisions
+
     def test_real_ceiling_is_int32_max(self):
         from repro.sat.arena import WORD_LIMIT
 

@@ -1,19 +1,24 @@
 """Object lifetimes on the BMC depth loop: nothing leaks into cycles.
 
-Every depth builds a fresh solver, and a solver that sits in a reference
-cycle survives its depth until a full (generation-2) collection frees
-it — with its watch lists, arena and heap.  These tests run each engine
-flavour with the cyclic collector off and ``gc.DEBUG_SAVEALL`` on, then
-collect once: anything the collector finds unreachable lands in
-``gc.garbage``, and no solver, strategy, kernel, watch column or engine
-may be among it.  The native plane runs when the C kernel can be built.
+Every depth builds a fresh solver, forked from the run's install
+template, and a solver that sits in a reference cycle survives its
+depth until a full (generation-2) collection frees it — with its watch
+lists, arena and heap.  These tests run each engine flavour with the
+cyclic collector off and ``gc.DEBUG_SAVEALL`` on, then collect once:
+anything the collector finds unreachable lands in ``gc.garbage``, and no
+solver, template, fork, strategy, kernel, watch column or engine may be
+among it.  No engine may hold its template once ``run()`` has returned,
+whether it ended in a verdict, an exhausted budget or an exception.  The
+native plane runs when the C kernel can be built.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 from contextlib import contextmanager
+from typing import Optional
 
 import pytest
 
@@ -29,7 +34,7 @@ from repro.sat.kernel import (
     WatchColumns,
     native_available,
 )
-from repro.sat.solver import CdclSolver, SolverConfig
+from repro.sat.solver import CdclSolver, InstallTemplate, SolverConfig
 from repro.sat.types import SolveResult
 from repro.workloads import instance_by_name
 from repro.workloads.cnf_families import pigeonhole
@@ -52,8 +57,12 @@ FLAVOURS = [
 #: depths, a SAT depth and the trace decode.
 ROW = "01_b"
 
+#: The flavours that fork per-depth solvers from an install template.
+FORKING = [flavour for flavour in FLAVOURS if flavour != "incremental"]
+
 FORBIDDEN = (
     CdclSolver,
+    InstallTemplate,
     DecisionStrategy,
     BcpKernelBase,
     AnalyzeKernelBase,
@@ -85,24 +94,28 @@ def saved_cyclic_garbage():
             gc.enable()
 
 
-def _run(flavour: str, plane: str) -> None:
+def _engine(flavour: str, plane: str, config: Optional[SolverConfig] = None):
     row = instance_by_name(ROW)
-    config = SolverConfig(kernel=plane)
+    config = config or SolverConfig(kernel=plane)
     cache = EncodingCache()
     if flavour == "incremental":
         circuit, prop, unroller = cache.unroller_for(row)
-        engine = IncrementalBmcEngine(
+        return IncrementalBmcEngine(
             circuit, prop, max_depth=row.max_depth, mode="dynamic",
             solver_config=config, unroller=unroller,
         )
-    else:
-        engine = make_engine(
-            row, flavour, solver_config=config, encoding_cache=cache,
-            portfolio_opts={"deterministic": True},
-        )
+    return make_engine(
+        row, flavour, solver_config=config, encoding_cache=cache,
+        portfolio_opts={"deterministic": True},
+    )
+
+
+def _run(flavour: str, plane: str) -> None:
+    engine = _engine(flavour, plane)
     result = engine.run()
     assert result.status.value == "failed"
-    assert result.trace.depth == row.cex_depth
+    assert result.trace.depth == instance_by_name(ROW).cex_depth
+    assert getattr(engine, "_template", None) is None
 
 
 def _leaked(found):
@@ -122,6 +135,42 @@ def test_native_plane_is_covered():
 def test_no_solver_strategy_kernel_or_engine_in_cyclic_garbage(flavour, plane):
     with saved_cyclic_garbage() as found:
         _run(flavour, plane)
+    assert _leaked(found) == []
+
+
+@pytest.mark.parametrize("plane", PLANES)
+@pytest.mark.parametrize("flavour", FORKING)
+def test_budget_exhausted_run_drops_its_template(flavour, plane):
+    with saved_cyclic_garbage() as found:
+        engine = _engine(
+            flavour, plane, SolverConfig(kernel=plane, max_conflicts=1)
+        )
+        result = engine.run()
+        assert result.status.value == "budget-exhausted"
+        assert result.per_depth  # a depth was forked before the budget ran out
+        assert engine._template is None
+        del engine
+    assert _leaked(found) == []
+
+
+@pytest.mark.parametrize("plane", PLANES)
+@pytest.mark.parametrize("flavour", FORKING)
+def test_raising_run_drops_its_template(flavour, plane, monkeypatch):
+    calls = itertools.count()
+    solve = CdclSolver.solve
+
+    def failing_solve(solver, *args, **kwargs):
+        if next(calls) == 3:
+            raise RuntimeError("injected solve failure")
+        return solve(solver, *args, **kwargs)
+
+    monkeypatch.setattr(CdclSolver, "solve", failing_solve)
+    with saved_cyclic_garbage() as found:
+        engine = _engine(flavour, plane)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.run()
+        assert engine._template is None
+        del engine
     assert _leaked(found) == []
 
 

@@ -1,7 +1,8 @@
 """Regression tests: tautological clauses must not skew the literal
 statistics that seed ``cha_score`` and the dynamic strategy's 1/64
-switch threshold (paper §3.3), and original-vs-learned queries must go
-through the memoized ID set, consistently across ``add_clause``."""
+switch threshold (paper §3.3), and original-vs-learned queries must
+agree with the arena's LEARNED flag, consistently across
+``add_clause``."""
 
 from repro.cnf import CnfFormula, mk_lit
 from repro.sat import CdclSolver, RankedStrategy, SolverConfig
@@ -54,14 +55,12 @@ class TestOriginalIdSet:
         formula.add_clause([mk_lit(0), mk_lit(1)])
         solver = CdclSolver(formula, config=SolverConfig(record_cdg=False))
         cid = solver.add_clause([mk_lit(0, True), mk_lit(1)])
-        assert cid in solver._original_id_set
         assert solver.is_original_clause(cid)
         assert not solver._looks_learned(cid)
-        assert solver._active_original(cid)
 
     def test_learned_clauses_stay_out_of_the_set(self):
-        # PHP(3) forces learning; with CDG off the set is the only
-        # original-vs-learned authority.
+        # PHP(3) forces learning; with CDG off the arena flag is the
+        # only original-vs-learned authority.
         n = 3
         formula = CnfFormula((n + 1) * n)
         for p in range(n + 1):
@@ -77,7 +76,7 @@ class TestOriginalIdSet:
         assert solver.stats.learned_clauses > 0
         learned_ids = [
             cid for cid in range(len(solver._arena))
-            if cid not in solver._original_id_set
+            if not solver.is_original_clause(cid)
         ]
         assert len(learned_ids) == solver.stats.learned_clauses
         for cid in learned_ids:
