@@ -86,6 +86,12 @@ conflict analysis equally is out of this gate's scope by design.  The
 calibration and every gated workload run on the python kernel
 (``--kernel python``, the default), so the gate means the same thing on
 hosts with and without a C compiler.
+
+The smoke gate also pins the work counters: every gated workload's
+``decisions``, ``conflicts``, ``propagations`` and ``learned_clauses``
+(each one the checked-in row records) must equal ``BENCH_solver.json``
+exactly.  The searches are deterministic, so any drift is a search
+change, caught with zero timing noise.
 """
 
 from __future__ import annotations
@@ -745,10 +751,27 @@ SMOKE_WORKLOADS = (
 #: makes the gated ratios hardware-independent.
 SMOKE_CALIBRATION = "bcp_ladder"
 
+#: Deterministic work counters the smoke gate requires to equal the
+#: checked-in baseline exactly (each one the baseline row records).
+SMOKE_EXACT_COUNTERS = ("decisions", "conflicts", "propagations", "learned_clauses")
+
+
+def counter_mismatches(
+    sample: Dict[str, float], reference: Dict[str, float]
+) -> Dict[str, tuple]:
+    """``{counter: (now, baseline)}`` for every exact counter the
+    baseline row records that the fresh sample does not reproduce."""
+    return {
+        counter: (sample.get(counter), reference[counter])
+        for counter in SMOKE_EXACT_COUNTERS
+        if counter in reference and sample.get(counter) != reference[counter]
+    }
+
 
 def run_smoke(baseline_path: str, threshold: float, repeat: int) -> int:
     """Fail (exit 1) if conflict-bound propagation throughput regressed
-    more than ``threshold`` against the checked-in benchmark JSON.
+    more than ``threshold`` against the checked-in benchmark JSON, or if
+    any gated workload's work counters differ from it.
 
     The checked-in JSON was measured on some other machine, so absolute
     rates are not comparable; instead both the fresh run and the
@@ -769,6 +792,7 @@ def run_smoke(baseline_path: str, threshold: float, repeat: int) -> int:
     print(f"smoke {SMOKE_CALIBRATION:14s} {now_cal:12.0f} props/s  "
           f"baseline {ref_cal:12.0f}  (calibration)")
     failures = []
+    drifted = []
     for name, metric in SMOKE_WORKLOADS:
         if name not in baseline:
             print(f"smoke {name:14s} missing from baseline, skipped")
@@ -792,9 +816,19 @@ def run_smoke(baseline_path: str, threshold: float, repeat: int) -> int:
               f"{status}")
         if ratio < 1.0 - threshold:
             failures.append(name)
+        for counter, (got, want) in counter_mismatches(
+            sample, baseline[name]
+        ).items():
+            print(f"smoke {name:14s} {counter} {got} != baseline {want}  "
+                  f"SEARCH CHANGED")
+            drifted.append(f"{name}.{counter}")
     if failures:
         print(f"smoke FAILED: {', '.join(failures)} regressed more than "
               f"{threshold:.0%} vs {baseline_path} (BCP-normalized)")
+    if drifted:
+        print(f"smoke FAILED: work counters differ from {baseline_path}: "
+              f"{', '.join(drifted)}")
+    if failures or drifted:
         return 1
     print("smoke passed")
     return 0
@@ -889,7 +923,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="CI gate: compare conflict-bound throughput against the "
-             "checked-in benchmark and fail on >threshold regression",
+             "checked-in benchmark and fail on >threshold regression or "
+             "on any work-counter difference",
     )
     parser.add_argument(
         "--smoke-threshold", type=float, default=0.20,

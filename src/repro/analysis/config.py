@@ -48,8 +48,6 @@ def _default_hot_required() -> List[str]:
         "repro.sat.activity_heap::VariableActivityHeap.pop",
         "repro.sat.activity_heap::VariableActivityHeap.increase",
         "repro.sat.activity_heap::VariableActivityHeap.reinsert",
-        "repro.sat.activity_heap::VariableActivityHeap._sift_up",
-        "repro.sat.activity_heap::VariableActivityHeap._sift_down",
         "repro.sat.trace::TraceWriter.enqueue_run",
         "repro.sat.trace::TraceSink.sync_trail",
         "repro.metrics.access::AccessStreamWriter.record_block",

@@ -1,274 +1,243 @@
-"""Indexed binary max-heap over variable activity (the decision engine).
+"""Lazy-deletion ``heapq`` heap over variable activity (the decision engine).
 
-This replaces the scan-order machinery the decision strategies used
-through PR 2 (a periodically re-sorted literal list scanned with a
-moving pointer).  The heap keeps the *same total order* — each strategy
-supplies its comparison as a stack of per-literal key arrays, most
-significant first, with ties always resolved toward the lower literal
-index — but turns the two expensive operations into logarithmic ones:
+Every decision pops the maximum unassigned variable under the strategy's
+ordering, and every periodic score update re-keys the literals that
+appeared in learned clauses.  This module keeps that ordering in a
+standard-library :mod:`heapq` min-heap, so each heap operation is one C
+call, in the style of MiniSat's ``order_heap`` (Eén and Sörensson,
+SAT 2003).
 
-* ``pop()`` (one decision) is O(log n) instead of a scan that re-walks
-  the assigned prefix after every backtrack;
-* a score bump (``increase``) is O(log n) instead of marking the whole
-  order dirty and paying a full ``2 * num_vars`` stable sort at the
-  next decision.
+Ordering.  The strategies order literals by ``(rank, score)``
+descending, ties broken toward the lower literal index, where ``rank``
+is a per-*variable* key (the paper's ``bmc_score``; zero under plain
+VSIDS) and ``score`` a per-*literal* one (the scaled ``cha_score``).
+The heap holds one entry per member variable, for its better polarity
+``lit`` (the higher score; the positive literal on a tie)::
 
-The heap is indexed by **variable**, not literal: each entry is the
-variable's *better* polarity under the current comparator, stored as a
-tuple ``(key_0, ..., key_m, -best_lit)``.  Native tuple comparison
-gives the lexicographic order in C, and the trailing ``-best_lit``
-reproduces the stable sort's tie-break toward lower literal indices —
-popping the maximum variable and branching on its stored best literal
-selects exactly the literal a full scan over the ``2n`` literal order
-would have found first.  A ``pos`` array maps every variable to its
-heap slot (-1 when absent), so membership tests and targeted key
-updates are O(1).
+    (-rank[var], -score[lit], lit)
 
-Protocol with the strategies (mirrors MiniSat's ``order_heap``):
+``heapq``'s minimum of these tuples is exactly the maximum of
+``(rank, score, -lit)``, the order a stable sort over all ``2n``
+literals scans first.  The literal makes every key unique, so ``pop``
+returns the same variable whatever the array layout — which is what
+lets the heap be re-laid out (bulk rebuilds, compaction) without
+changing the search.
 
-* variables that get assigned by BCP while in the heap simply linger;
-  ``pop`` discards them lazily, so the caller keeps popping until it
-  sees an unassigned variable;
-* a variable popped (and possibly discarded) is *gone* — on backtrack
-  the strategy hands the undone trail literals to :meth:`reinsert`,
-  which re-inserts exactly the missing ones (a C-speed membership
-  filter first: most undone variables were never popped and are still
-  present, so the common case costs one list comprehension, not one
-  sift per literal).
+Lazy deletion.  Instead of a position index, ``cur[var]`` holds the
+variable's live entry (``None`` for non-members).  Re-keying a member
+pushes a fresh entry and repoints ``cur``; the old tuple stays in the
+array as a *stale* entry, recognised by ``cur[var] is not entry`` and
+skipped when it surfaces in ``pop``.  Once stale entries outnumber the
+live ones (plus a small slack), the array is compacted: the live
+entries are exactly ``filter(None, cur)``, re-heapified in C.  The raw
+array therefore never exceeds ``2 * len(heap) + _SLACK`` entries.
 
-Key discipline: between ``rebuild``/``refresh`` calls the key arrays
-may only *grow* per literal (see the scaled-score scheme in
-``repro.sat.heuristics``); ``increase`` therefore only sifts up.
-``update`` handles the general case (tests, and comparator sanity).
+Bulk builds.  :meth:`rebuild` (every ``solve()`` attach) and
+:meth:`refresh` (after a key swap or rescaling) build all entries in
+one comprehension over zipped slices — even and odd score slices, the
+per-variable rank, a per-variable membership flag — then
+``filter(None, …)`` and ``heapify``.  No Python method runs per
+variable.
+
+Protocol with the strategies:
+
+* variables that BCP assigns while in the heap linger; ``pop`` hands
+  them out and the caller keeps popping until it sees an unassigned
+  one (root facts are discarded the same way);
+* a popped variable leaves the heap; on backtrack the strategy passes
+  the undone trail literals to :meth:`reinsert`, which filters out the
+  still-present majority in one comprehension and pushes the rest;
+* after changing a member's score the caller calls :meth:`increase`
+  (or :meth:`update`) for that literal; after replacing or uniformly
+  rescaling the keys it calls :meth:`refresh`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from heapq import heapify, heappop, heappush
+from operator import neg
+from typing import List, Optional, Sequence
+
+#: Stale entries tolerated beyond the live count before compaction, so
+#: small heaps do not compact on every other re-key.
+_SLACK = 64
 
 
 class VariableActivityHeap:
-    """Max-heap of variables keyed by their best literal's key stack."""
+    """Max-order heap of variables keyed by ``(rank, score, -lit)``."""
 
-    __slots__ = ("_keys", "_heap", "_pos")
+    __slots__ = ("_score", "_nrank", "_heap", "_cur", "_size")
 
-    def __init__(self, key_arrays: Sequence[Sequence[float]]) -> None:
-        if not key_arrays:
-            raise ValueError("at least one key array is required")
-        self._keys: List[Sequence[float]] = list(key_arrays)
+    def __init__(
+        self,
+        score_by_lit: Sequence[float],
+        rank_by_var: Optional[Sequence[float]] = None,
+    ) -> None:
         self._heap: List[tuple] = []
-        self._pos: List[int] = []
+        self._cur: List[Optional[tuple]] = [None] * (len(score_by_lit) // 2)
+        self._size = 0
+        self.set_keys(score_by_lit, rank_by_var)
 
-    # -- entry construction ------------------------------------------------
-
-    def _entry(self, var: int) -> tuple:
-        """The variable's better polarity as a comparison tuple."""
-        keys = self._keys
-        a = 2 * var
-        b = a + 1
-        if len(keys) == 1:
-            k = keys[0]
-            ka = k[a]
-            kb = k[b]
-            # Strict >: on equal keys the positive (lower) literal wins,
-            # matching the stable sort's index tie-break.
-            return (kb, -b) if kb > ka else (ka, -a)
-        ea = tuple(k[a] for k in keys) + (-a,)
-        eb = tuple(k[b] for k in keys) + (-b,)
-        return eb if eb > ea else ea
+    def set_keys(
+        self,
+        score_by_lit: Sequence[float],
+        rank_by_var: Optional[Sequence[float]] = None,
+    ) -> None:
+        """Install new keys; call :meth:`refresh` or :meth:`rebuild`
+        afterwards to re-key the members.  The score array is shared
+        (callers grow it in place and report changes); the ranks are
+        copied, negated, once."""
+        self._score = score_by_lit
+        num_vars = len(score_by_lit) // 2
+        if rank_by_var is None:
+            self._nrank: List[float] = [0.0] * num_vars
+        else:
+            if len(rank_by_var) != num_vars:
+                raise ValueError("rank_by_var must have one entry per variable")
+            self._nrank = list(map(neg, rank_by_var))
 
     # -- bulk (re)construction ---------------------------------------------
 
-    def rebuild(self, variables: Iterable[int], num_vars: int) -> None:
-        """Reset membership to ``variables`` and heapify in O(n)."""
-        self._pos = [-1] * num_vars
-        entry = self._entry
-        self._heap = [entry(var) for var in variables]
-        heap = self._heap
-        pos = self._pos
-        n = len(heap)
-        for i in range(n // 2 - 1, -1, -1):
-            self._sift_down_free(i)
-        for i, e in enumerate(heap):
-            pos[(-e[-1]) >> 1] = i
+    def _build(self, free: Sequence[int]) -> None:
+        """Make the variables whose ``free`` entry is 2 the members,
+        keyed under the current keys."""
+        score = self._score
+        cur = [
+            ((nr, -sb, a + 1) if sb > sa else (nr, -sa, a)) if f == 2 else None
+            for f, a, sa, sb, nr in zip(
+                free, range(0, len(score), 2), score[0::2], score[1::2],
+                self._nrank,
+            )
+        ]
+        heap = list(filter(None, cur))
+        heapify(heap)
+        self._cur = cur
+        self._heap = heap
+        self._size = len(heap)
 
-    def set_key_arrays(self, key_arrays: Sequence[Sequence[float]]) -> None:
-        """Swap the comparator (e.g. the dynamic ranked->VSIDS switch) and
-        re-heapify the current membership under the new order."""
-        if not key_arrays:
-            raise ValueError("at least one key array is required")
-        self._keys = list(key_arrays)
-        members = [(-e[-1]) >> 1 for e in self._heap]
-        self.rebuild(members, len(self._pos))
+    def rebuild(self, lit_truth: Sequence[int]) -> None:
+        """Reset membership to the unassigned variables (those whose
+        positive literal's truth is 2)."""
+        self._build(lit_truth[0::2])
 
     def refresh(self) -> None:
-        """Re-key every entry in place after an order-preserving transform
-        of the key arrays (uniform positive scaling): positions are
-        already valid, only the stored tuples are stale."""
-        heap = self._heap
-        entry = self._entry
-        for i, e in enumerate(heap):
-            heap[i] = entry((-e[-1]) >> 1)
+        """Re-key every member after :meth:`set_keys` or an
+        order-preserving rescaling of the score array."""
+        self._build([0 if entry is None else 2 for entry in self._cur])
+
+    def _compact(self) -> None:
+        heap = list(filter(None, self._cur))
+        heapify(heap)
+        self._heap = heap
 
     # -- core operations ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._size
 
     def __contains__(self, var: int) -> bool:
-        return self._pos[var] >= 0
+        return self._cur[var] is not None
+
+    def _entry(self, var: int) -> tuple:
+        score = self._score
+        a = var + var
+        sa = score[a]
+        sb = score[a + 1]
+        # Strict >: on equal scores the positive (lower) literal wins.
+        if sb > sa:
+            return (self._nrank[var], -sb, a + 1)
+        return (self._nrank[var], -sa, a)
 
     def push(self, var: int) -> None:
         """Insert a variable; no-op if it is already present."""
-        if self._pos[var] >= 0:
+        cur = self._cur
+        if cur[var] is not None:
             return
-        heap = self._heap
-        heap.append(self._entry(var))
-        self._sift_up(len(heap) - 1)
+        entry = cur[var] = self._entry(var)
+        heappush(self._heap, entry)
+        self._size += 1
 
     def reinsert(self, trail_literals: Sequence[int]) -> None:  # solcheck: hot
         """Re-insert the variables of freshly unassigned trail literals.
 
         The backtrack hot path: most of these variables were assigned by
         BCP and never popped, so they are still present — filter first
-        (one C-level list comprehension over the ``pos`` array), then
-        sift only the genuinely missing ones.
+        (one list comprehension over ``cur``), then push only the
+        genuinely missing ones.
         """
-        pos = self._pos
-        missing = [lit >> 1 for lit in trail_literals if pos[lit >> 1] < 0]
+        cur = self._cur
+        missing = [lit >> 1 for lit in trail_literals if cur[lit >> 1] is None]
         if not missing:
             return
         heap = self._heap
         entry = self._entry
-        sift_up = self._sift_up
+        push = heappush
         for var in missing:
-            heap.append(entry(var))
-            sift_up(len(heap) - 1)
+            e = cur[var] = entry(var)
+            push(heap, e)
+        self._size += len(missing)
 
     def pop(self) -> int:  # solcheck: hot
         """Remove the maximum variable; returns its best *literal*, or -1
         if the heap is empty."""
         heap = self._heap
-        if not heap:
-            return -1
-        pos = self._pos
-        top = heap[0]
-        lit = -top[-1]
-        pos[lit >> 1] = -1
-        last = heap.pop()
-        n = len(heap)
-        if not n:
-            return lit
-        # heapq-style hole sink: walk the larger-child chain down to a
-        # leaf without comparing against ``last`` (it came from the
-        # bottom, so it almost always belongs there), then sift it up.
-        # One comparison per level instead of two.
-        i = 0
-        child = 1
-        while child < n:
-            right = child + 1
-            if right < n and heap[right] > heap[child]:
-                child = right
-            c = heap[child]
-            heap[i] = c
-            pos[(-c[-1]) >> 1] = i
-            i = child
-            child = 2 * i + 1
-        heap[i] = last
-        pos[(-last[-1]) >> 1] = i
-        self._sift_up(i)
-        return lit
+        cur = self._cur
+        pop_min = heappop
+        while heap:
+            entry = pop_min(heap)
+            lit = entry[2]
+            if cur[lit >> 1] is entry:
+                cur[lit >> 1] = None
+                self._size -= 1
+                if len(heap) > self._size + self._size + _SLACK:
+                    self._compact()
+                return lit
+        return -1
 
     def increase(self, lit: int) -> None:  # solcheck: hot
-        """Re-key the literal's variable after its key grew; sifts up.
-
-        The variable's entry is the max over both polarities, so a grown
-        component can only raise (or keep) the entry — an increase-key.
-        """
-        i = self._pos[lit >> 1]
-        if i < 0:
-            return
-        self._heap[i] = self._entry(lit >> 1)
-        self._sift_up(i)
-
-    def update(self, lit: int) -> None:
-        """Re-key a present variable; sifts whichever way is needed."""
+        """Re-key the literal's variable after its score changed: push a
+        fresh entry, leaving the old one stale.  A no-op for
+        non-members and when the variable's entry is unchanged (the
+        other polarity still wins)."""
         var = lit >> 1
-        i = self._pos[var]
-        if i < 0:
+        cur = self._cur
+        old = cur[var]
+        if old is None:
             return
-        self._heap[i] = self._entry(var)
-        self._sift_up(i)
-        self._sift_down(self._pos[var])
-
-    # -- sifting -------------------------------------------------------------
-
-    def _sift_up(self, i: int) -> None:  # solcheck: hot
+        entry = self._entry(var)
+        if entry == old:
+            return
+        cur[var] = entry
         heap = self._heap
-        pos = self._pos
-        item = heap[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            p = heap[parent]
-            if p >= item:
-                break
-            heap[i] = p
-            pos[(-p[-1]) >> 1] = i
-            i = parent
-        heap[i] = item
-        pos[(-item[-1]) >> 1] = i
+        heappush(heap, entry)
+        if len(heap) > self._size + self._size + _SLACK:
+            self._compact()
 
-    def _sift_down(self, i: int) -> None:  # solcheck: hot
-        heap = self._heap
-        pos = self._pos
-        n = len(heap)
-        item = heap[i]
-        child = 2 * i + 1
-        while child < n:
-            right = child + 1
-            if right < n and heap[right] > heap[child]:
-                child = right
-            c = heap[child]
-            if item >= c:
-                break
-            heap[i] = c
-            pos[(-c[-1]) >> 1] = i
-            i = child
-            child = 2 * i + 1
-        heap[i] = item
-        pos[(-item[-1]) >> 1] = i
-
-    def _sift_down_free(self, i: int) -> None:
-        # Position-free variant used during heapify (positions are
-        # assigned in one pass afterwards).
-        heap = self._heap
-        n = len(heap)
-        item = heap[i]
-        child = 2 * i + 1
-        while child < n:
-            right = child + 1
-            if right < n and heap[right] > heap[child]:
-                child = right
-            c = heap[child]
-            if item >= c:
-                break
-            heap[i] = c
-            i = child
-            child = 2 * i + 1
-        heap[i] = item
+    #: Lazy deletion makes any re-key a push, whichever way the key moved.
+    update = increase
 
     # -- introspection (tests) ----------------------------------------------
 
     def check_invariant(self) -> bool:
-        """True iff every parent entry >= both children and the position
-        index is consistent; used by the property tests."""
+        """True iff the array is a valid ``heapq`` heap, every member's
+        live entry is in it and matches the current keys, the member
+        count is ``len(self)``, and stale entries are within the
+        compaction bound; used by the property tests."""
         heap = self._heap
-        pos = self._pos
+        cur = self._cur
         for i in range(1, len(heap)):
-            if heap[(i - 1) >> 1] < heap[i]:
+            if heap[i] < heap[(i - 1) >> 1]:
                 return False
-        for i, e in enumerate(heap):
-            if pos[(-e[-1]) >> 1] != i:
+        in_heap = {id(e) for e in heap}
+        members = 0
+        for var, entry in enumerate(cur):
+            if entry is None:
+                continue
+            members += 1
+            if entry[2] >> 1 != var or id(entry) not in in_heap:
                 return False
-        present = sum(1 for p in pos if p >= 0)
-        return present == len(heap)
+            if entry != self._entry(var):
+                return False
+        if members != self._size:
+            return False
+        return len(heap) <= 2 * members + _SLACK

@@ -16,20 +16,25 @@ paper:
   ``1/64`` of the number of original literals (a sign the prediction is
   inaccurate and the instance is hard).
 
-Decision engine (PR 3)
-----------------------
+Decision engine
+---------------
 
-All production strategies share an **indexed binary max-heap over
-variable activity** (:class:`repro.sat.activity_heap
-.VariableActivityHeap`): ``decide()`` pops the maximum variable (keyed
-by its better polarity) in O(log n) and branches on that stored
-literal, and the periodic score update re-keys only the literals that
-actually appeared in learned clauses — there is no full rebuild,
-neither a sort nor a scan.  Each strategy expresses its paper ordering
-as a stack of per-literal key arrays (most significant first; ties
-always break toward the lower literal index), so the heap's total
-order is *identical* to the stable-sorted scan order the pre-heap
-implementation used.
+All production strategies share one ``heapq``-backed heap over variable
+activity (:class:`repro.sat.activity_heap.VariableActivityHeap`):
+``decide()`` pops the maximum variable, keyed by its better polarity,
+and branches on that literal, and the periodic score update re-keys
+only the literals that appeared in learned clauses — there is no full
+rebuild, neither a sort nor a scan, inside a search.  A strategy states
+its paper ordering as two keys: an optional per-*variable* rank (the
+``bmc_score``; :class:`RankedStrategy` is its only user) over the
+per-*literal* scaled ``cha_score``, with ties breaking toward the lower
+literal index.  The heap's order is therefore *identical* to the
+stable-sorted scan order the pre-heap implementation used.
+
+Each ``solve()`` builds the heap in bulk at :meth:`attach`: one
+comprehension over the score slices, the rank and the truth array,
+then ``heapify`` — no Python call per variable.  :class:`RankedStrategy`
+writes its sparse ``var_rank`` into a zero list, O(|rank|).
 
 The heap's score array holds ``cha_score * 2^u`` (``u`` = number of
 periodic updates so far).  Under the paper's rule
@@ -170,7 +175,7 @@ class DecisionStrategy(ABC):
 
 
 class _HeapOrderStrategy(DecisionStrategy):
-    """Shared heap mechanics: scaled activity keys + an indexed max-heap
+    """Shared heap mechanics: scaled activity keys + the activity heap
     (see the module docstring for the ordering and exactness argument)."""
 
     def __init__(self, update_period: int = DEFAULT_UPDATE_PERIOD) -> None:
@@ -195,15 +200,11 @@ class _HeapOrderStrategy(DecisionStrategy):
             # Warm re-attach (persist_activity): keep the accumulated
             # scores/scale/pending bumps; only the heap membership must
             # be rebuilt (assignments changed since the last detach),
-            # and the key arrays re-installed — subclasses may have
-            # rebuilt theirs (ranked keys) against the same solver.
+            # under the keys re-installed — subclasses may have rebuilt
+            # theirs (ranked keys) against the same solver.
             self._solver = solver
-            truth = solver.lit_truth
-            self._heap.set_key_arrays(self._key_arrays())
-            self._heap.rebuild(
-                (var for var in range(solver.num_vars) if truth[var + var] == 2),
-                solver.num_vars,
-            )
+            self._heap.set_keys(self._kscore, self._rank_by_var())
+            self._heap.rebuild(solver.lit_truth)
             return
         super().attach(solver)
         # Keys MUST be floats: the scaled-score scheme is defined to
@@ -219,19 +220,16 @@ class _HeapOrderStrategy(DecisionStrategy):
         # _conflicts_since_update deliberately persists across attaches,
         # matching the scan-order reference (fresh scores, but the decay
         # countdown carries over between solve() calls on one solver).
-        self._heap = VariableActivityHeap(self._key_arrays())
-        num_vars = solver.num_vars
+        self._heap = VariableActivityHeap(self._kscore, self._rank_by_var())
         # Root facts enqueued before the search starts (unit clauses,
         # incremental re-solves) are permanent: leave their variables
         # out of the heap instead of lazily discarding them later.
-        truth = solver.lit_truth
-        self._heap.rebuild(
-            (var for var in range(num_vars) if truth[var + var] == 2), num_vars
-        )
+        self._heap.rebuild(solver.lit_truth)
 
-    def _key_arrays(self) -> list:
-        """Key arrays, most significant first; subclasses override."""
-        return [self._kscore]
+    def _rank_by_var(self) -> Optional[List[float]]:
+        """The per-variable primary key, or None for score order
+        alone; subclasses override."""
+        return None
 
     def on_conflict(self, learned_literals: Sequence[int]) -> None:
         counts = self._new_counts
@@ -265,8 +263,8 @@ class _HeapOrderStrategy(DecisionStrategy):
 
     def _renormalise(self) -> None:
         """Divide the whole key array by the scale factor (back to the
-        unscaled ``cha_score``) and re-key the heap entries in place —
-        a uniform positive scaling, so the heap order is untouched."""
+        unscaled ``cha_score``) and re-key the heap members — a
+        uniform positive scaling, so the heap order is untouched."""
         scale = 1.0 / self._kinc
         kscore = self._kscore
         for lit in range(len(kscore)):
@@ -327,7 +325,7 @@ class RankedStrategy(_HeapOrderStrategy):
         if switch_divisor <= 0:
             raise ValueError("switch_divisor must be positive")
         self._var_rank = dict(var_rank)
-        self._rank_keys: list = []
+        self._rank_keys: List[float] = []
         self._dynamic = dynamic
         self._switch_divisor = switch_divisor
         self._switched = False
@@ -347,17 +345,17 @@ class RankedStrategy(_HeapOrderStrategy):
     def attach(self, solver: "CdclSolver") -> None:
         """Bind to a solver and compute the dynamic switch threshold."""
         self._switch_threshold = solver.num_original_literals() // self._switch_divisor
-        rank = self._var_rank
-        self._rank_keys = [
-            rank.get(lit >> 1, 0.0) for lit in range(2 * solver.num_vars)
-        ]
+        num_vars = solver.num_vars
+        rank_keys = [0.0] * num_vars
+        for var, score in self._var_rank.items():
+            if 0 <= var < num_vars:
+                rank_keys[var] = score
+        self._rank_keys = rank_keys
         super().attach(solver)
 
-    def _key_arrays(self) -> list:
-        if self._switched:
-            return [self._kscore]
+    def _rank_by_var(self) -> Optional[List[float]]:
         # Net order: (bmc_score desc, cha_score desc, literal asc).
-        return [self._rank_keys, self._kscore]
+        return None if self._switched else self._rank_keys
 
     def decide(self) -> int:
         """Next branch literal; may trigger the dynamic VSIDS fallback.
@@ -378,9 +376,10 @@ class RankedStrategy(_HeapOrderStrategy):
             )
             if count > self._switch_threshold:
                 self._switched = True
-                # One-time comparator change: re-heapify the current
+                # One-time comparator change: re-key the current
                 # membership under pure VSIDS keys.
-                self._heap.set_key_arrays(self._key_arrays())
+                self._heap.set_keys(self._kscore)
+                self._heap.refresh()
         return super().decide()
 
 

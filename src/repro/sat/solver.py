@@ -75,7 +75,7 @@ these; see ``benchmarks/solver_bench.py`` for the tracking numbers):
   only installed literals.
 * Analysis reuses persistent scratch arrays (``_seen`` plus the
   touched/zero lists) — no per-conflict set allocations.
-* Decisions come from an indexed activity heap
+* Decisions come from a ``heapq``-backed activity heap
   (``repro.sat.activity_heap``) — O(log n) per decision and score
   bump, no periodic order rebuilds; ``_backtrack`` reports the undone
   literals to the strategy (``on_unassigned``) so popped variables

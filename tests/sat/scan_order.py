@@ -1,7 +1,7 @@
 """Scan-order decision strategies: the test oracle for the activity heap.
 
 The production strategies (``repro.sat.heuristics``) pick decisions
-from an indexed activity heap.  These classes are the pre-heap
+from an activity heap.  These classes are the pre-heap
 machinery — a periodically re-sorted literal list scanned with a
 moving pointer — kept here as a reference: each heap strategy must
 reproduce its scan twin's total order, so the two run byte-identical
