@@ -526,7 +526,8 @@ def _analyze_config(kernel: str) -> SolverConfig:
 
 def _measure_analyze_split() -> Dict[str, float]:
     """One instrumented python-kernel solve of the ``kernel_analyze``
-    instance: wrap the kernels' ``propagate`` and ``analyze`` with
+    instance: wrap the kernel's ``propagate`` and ``analyze`` (the two
+    halves of its ``search_step``) with
     wall-clock accumulators to report how the solve splits between
     propagation, the first-UIP walk and everything else (analysis
     tail / decide / backtrack / install).  The per-call
@@ -538,9 +539,8 @@ def _measure_analyze_split() -> Dict[str, float]:
     )
     acc = {"propagate": 0.0, "analyze": 0.0}
     kernel = solver._kernel
-    akernel = solver._akernel
     orig_propagate = kernel.propagate
-    orig_analyze = akernel.analyze
+    orig_analyze = kernel.analyze
 
     def timed_propagate():
         start = time.perf_counter()
@@ -554,10 +554,10 @@ def _measure_analyze_split() -> Dict[str, float]:
         acc["analyze"] += time.perf_counter() - start
         return result
 
-    # Instance attributes shadow the methods; the search loop binds
-    # them at solve() entry.
+    # Instance attributes shadow the methods; search_step looks them
+    # up on every call.
     kernel.propagate = timed_propagate
-    akernel.analyze = timed_analyze
+    kernel.analyze = timed_analyze
     start = time.perf_counter()
     solver.solve()
     total = time.perf_counter() - start
@@ -575,8 +575,9 @@ def measure_kernel_analyze(repeat: int) -> Dict[str, float]:
     fuzzer's kernel legs), so the per-kernel *conflict* rates are the
     same first-UIP work at different plane costs.  Two legs:
 
-    * ``python`` — the pure-Python BCP and analysis kernels.  Its
-      conflict throughput is the smoke-gated metric (BCP-normalized).
+    * ``python`` — the pure-Python kernel, whose ``search_step``
+      composes BCP and the first-UIP walk in Python.  Its conflict
+      throughput is the smoke-gated metric (BCP-normalized).
     * ``native`` — the fused step: one FFI call propagates and, on
       conflict, runs first-UIP without re-crossing the boundary.
       ``native_vs_python`` is reported, not gated, so CI hosts
@@ -739,7 +740,7 @@ SMOKE_WORKLOADS = (
     # JSON but not gated — CI hosts without a C compiler must pass
     # cleanly.
     ("kernel_bcp", "propagations_per_sec"),
-    # The python kernels on the conflict-heavy PHP kernel:
+    # The python kernel on the conflict-heavy PHP kernel:
     # BCP-normalized conflict throughput guards the analysis seam
     # (kernel dispatch, bump replay, the Python tail).  The fused
     # native ratio is reported in the JSON but not gated.

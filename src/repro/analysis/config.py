@@ -43,8 +43,8 @@ def _default_strict_modules() -> List[str]:
 
 def _default_hot_required() -> List[str]:
     return [
-        "repro.sat.kernel.pykernel::PythonBcpKernel.propagate",
-        "repro.sat.kernel.pykernel::PythonAnalyzeKernel.analyze",
+        "repro.sat.kernel.pykernel::PythonKernel.propagate",
+        "repro.sat.kernel.pykernel::PythonKernel.analyze",
         "repro.sat.activity_heap::VariableActivityHeap.pop",
         "repro.sat.activity_heap::VariableActivityHeap.increase",
         "repro.sat.activity_heap::VariableActivityHeap.reinsert",

@@ -18,6 +18,15 @@ class AigerError(ValueError):
     """Raised on malformed AIGER input."""
 
 
+def _literals(line: str, count: int) -> List[int]:
+    """The first ``count`` integer fields of a body line (fewer when the
+    line is shorter); a non-integer field is an :class:`AigerError`."""
+    try:
+        return [int(field) for field in line.split()[:count]]
+    except ValueError as exc:
+        raise AigerError(f"bad literal in line {line!r}") from exc
+
+
 def parse_aiger(source: Union[str, TextIO]) -> Circuit:
     """Parse an ASCII AIGER (``aag``) description into a :class:`Circuit`."""
     stream = io.StringIO(source) if isinstance(source, str) else source
@@ -43,6 +52,12 @@ def parse_aiger(source: Union[str, TextIO]) -> Circuit:
     net_of_var: Dict[int, int] = {}
     not_cache: Dict[int, int] = {}
 
+    def define(literal: int, net: int) -> None:
+        var = literal >> 1
+        if var in net_of_var:
+            raise AigerError(f"variable {var} is defined twice")
+        net_of_var[var] = net
+
     def net_of_literal(literal: int) -> int:
         if literal < 0 or literal > 2 * max_var + 1:
             raise AigerError(f"literal {literal} out of range")
@@ -63,42 +78,42 @@ def parse_aiger(source: Union[str, TextIO]) -> Circuit:
     cursor = 0
     input_literals = []
     for i in range(num_inputs):
-        literal = int(body[cursor].split()[0])
+        (literal,) = _literals(body[cursor], 1)
         cursor += 1
-        if literal & 1 or literal == 0:
+        if literal & 1 or literal <= 0:
             raise AigerError(f"input literal {literal} must be positive and even")
-        net_of_var[literal >> 1] = circuit.add_input(f"i{i}")
+        define(literal, circuit.add_input(f"i{i}"))
         input_literals.append(literal)
 
     latch_rows: List[Tuple[int, int, int]] = []
     for i in range(num_latches):
-        fields = body[cursor].split()
+        fields = _literals(body[cursor], 3)
         cursor += 1
         if len(fields) < 2:
             raise AigerError(f"bad latch line {body[cursor - 1]!r}")
-        literal, next_literal = int(fields[0]), int(fields[1])
-        init = int(fields[2]) if len(fields) > 2 else 0
-        if literal & 1 or literal == 0:
+        literal, next_literal = fields[0], fields[1]
+        init = fields[2] if len(fields) > 2 else 0
+        if literal & 1 or literal <= 0:
             raise AigerError(f"latch literal {literal} must be positive and even")
         init_value = None if init == literal else init
         if init_value not in (0, 1, None):
             raise AigerError(f"bad latch init {init}")
-        net_of_var[literal >> 1] = circuit.add_latch(f"l{i}", init=init_value)
+        define(literal, circuit.add_latch(f"l{i}", init=init_value))
         latch_rows.append((literal, next_literal, i))
 
     output_literals = []
     for _ in range(num_outputs):
-        output_literals.append(int(body[cursor].split()[0]))
+        output_literals.extend(_literals(body[cursor], 1))
         cursor += 1
 
     and_rows: List[Tuple[int, int, int]] = []
     for _ in range(num_ands):
-        fields = body[cursor].split()
+        fields = _literals(body[cursor], 4)
         cursor += 1
         if len(fields) != 3:
-            raise AigerError(f"bad and line {fields!r}")
-        lhs, rhs0, rhs1 = map(int, fields)
-        if lhs & 1 or lhs == 0:
+            raise AigerError(f"bad and line {body[cursor - 1]!r}")
+        lhs, rhs0, rhs1 = fields
+        if lhs & 1 or lhs <= 0:
             raise AigerError(f"and output literal {lhs} must be positive and even")
         and_rows.append((lhs, rhs0, rhs1))
 
@@ -112,9 +127,9 @@ def parse_aiger(source: Union[str, TextIO]) -> Circuit:
             defined0 = rhs0 < 2 or (rhs0 >> 1) in net_of_var
             defined1 = rhs1 < 2 or (rhs1 >> 1) in net_of_var
             if defined0 and defined1:
-                net_of_var[lhs >> 1] = circuit.g_and(
+                define(lhs, circuit.g_and(
                     net_of_literal(rhs0), net_of_literal(rhs1)
-                )
+                ))
                 progress = True
             else:
                 remaining.append((lhs, rhs0, rhs1))

@@ -102,6 +102,8 @@ def parse_blif(source: Union[str, TextIO]) -> Circuit:
     circuit = Circuit(model_name)
     net_of: Dict[str, int] = {}
     for name in input_names:
+        if name in net_of:
+            raise BlifError(f"input {name!r} declared twice")
         net_of[name] = circuit.add_input(name)
     for _, data_out, init in latch_specs:
         if data_out in net_of:

@@ -1,44 +1,43 @@
-"""The solver's data-plane kernels: BCP and first-UIP analysis.
+"""The solver's data-plane kernel: BCP and first-UIP analysis.
 
 The solver has one data plane — flat typed arrays for the assignment
-state, the trail, the clause arena and the watch columns — with two
-implementations of the loops that run over it, selected by
-``SolverConfig.kernel``.  Both search byte-identically:
+state, the trail, the clause arena and the watch columns — and one
+kernel object that owns the watch columns and runs the loops over it,
+through one hot call, ``search_step(num_assumptions) -> (conflict,
+analysis_or_None)``: propagate, then analyze a conflict that lands
+above the assumption prefix.  Two implementations, selected by
+``SolverConfig.kernel``, search byte-identically:
 
 ``"native"``
-    :class:`~repro.sat.kernel.native.NativeBcpKernel` /
-    :class:`~repro.sat.kernel.native.NativeAnalyzeKernel`: the loops
-    compiled to C (cffi, built on demand, cached), aliasing the solver's
-    arrays zero-copy.  The search loop runs them as one fused
-    ``search_step`` (propagate, then analyze the conflict without
-    re-crossing the FFI boundary).  Needs cffi and a C compiler.
+    :class:`~repro.sat.kernel.native.NativeKernel`: the loops compiled
+    to C (cffi, built on demand, cached), aliasing the solver's arrays
+    zero-copy, fused into one C call (one FFI crossing per conflict).
+    Needs cffi and a C compiler.
 ``"python"``
-    :class:`~repro.sat.kernel.pykernel.PythonBcpKernel` /
-    :class:`~repro.sat.kernel.pykernel.PythonAnalyzeKernel`: the same
-    loops in pure Python.  Always available; the reference the native
-    kernels and the tests are checked against.
+    :class:`~repro.sat.kernel.pykernel.PythonKernel`: the same loops in
+    pure Python, composed in Python.  Always available; the reference
+    the native kernel and the tests are checked against.
 
 ``kernel=None`` (the default) picks ``"native"`` when
 :func:`native_available` is true and ``"python"`` otherwise.
 
-See :mod:`repro.sat.kernel.base` for the seam contracts and
+See :mod:`repro.sat.kernel.base` for the seam contract and
 ``docs/architecture.md`` ("Propagation data plane" / "Conflict-analysis
 plane") for the layouts.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
-from repro.sat.kernel.base import AnalyzeKernelBase, BcpKernelBase
+from repro.sat.kernel.base import KernelBase
 from repro.sat.kernel.columns import ClauseLitMirror, WatchColumns
 from repro.sat.kernel.native import (
-    NativeAnalyzeKernel,
-    NativeBcpKernel,
+    NativeKernel,
     native_available,
     native_unavailable_reason,
 )
-from repro.sat.kernel.pykernel import PythonAnalyzeKernel, PythonBcpKernel
+from repro.sat.kernel.pykernel import PythonKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sat.solver import CdclSolver
@@ -57,31 +56,25 @@ def resolve_kernel(kernel: Optional[str]) -> str:
     return kernel
 
 
-def create_kernels(
-    solver: "CdclSolver", kernel: str
-) -> Tuple[BcpKernelBase, AnalyzeKernelBase]:
-    """The ``(bcp, analysis)`` kernel pair for a resolved kernel name.
+def create_kernel(solver: "CdclSolver", kernel: str) -> KernelBase:
+    """The kernel for a resolved kernel name.
 
     ``"native"`` raises :class:`RuntimeError` with the build failure
-    when the compiled kernels cannot be had on this host.
+    when the compiled kernel cannot be had on this host.
     """
     if kernel == "native":
-        bcp = NativeBcpKernel(solver)
-        return bcp, NativeAnalyzeKernel(solver, bcp)
-    return PythonBcpKernel(solver), PythonAnalyzeKernel(solver)
+        return NativeKernel(solver)
+    return PythonKernel(solver)
 
 
 __all__ = [
-    "AnalyzeKernelBase",
-    "BcpKernelBase",
     "ClauseLitMirror",
     "KERNELS",
-    "NativeAnalyzeKernel",
-    "NativeBcpKernel",
-    "PythonAnalyzeKernel",
-    "PythonBcpKernel",
+    "KernelBase",
+    "NativeKernel",
+    "PythonKernel",
     "WatchColumns",
-    "create_kernels",
+    "create_kernel",
     "native_available",
     "native_unavailable_reason",
     "resolve_kernel",

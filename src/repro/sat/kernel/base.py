@@ -1,19 +1,44 @@
-"""The kernel seams: what a BCP or analysis kernel owes the solver.
+"""The kernel seam: what a data-plane kernel owes the solver.
 
 A *kernel* owns the watch state (three :class:`~repro.sat.kernel
-.columns.WatchColumns`) and implements boolean constraint propagation
-over the solver's flat typed state — ``lit_truth`` (a ``bytearray``),
-``_levels``/``_reasons``/``_trail`` (``array('i')``) and the compact
+.columns.WatchColumns`) and the install-order literal mirror, and runs
+the solver's two data-plane loops — boolean constraint propagation and
+the first-UIP resolution walk — over its flat typed state:
+``lit_truth``/``_seen`` (``bytearray``), ``_levels``/``_reasons``/
+``_trail`` (``array('i')``) and the compact
 :class:`~repro.sat.arena.ClauseArena` word store, all aliased, never
-copied.  Everything else — decisions, conflict analysis, proofs, CDG,
-strategies — stays in Python and talks to the kernel only through this
+copied.  Everything else — decisions, the analysis tail (bump replay,
+minimization, LBD, the level-0 closure), proofs, CDG, strategies —
+stays in ``CdclSolver`` and talks to the kernel only through this
 seam:
 
-``propagate() -> int``
-    Exhaust the implication queue from ``solver._qhead``; assign
-    implied literals (truth/levels/reasons/trail), advance
-    ``solver._qhead``/``solver._trail_len``, add the propagation count
-    to ``solver.stats``, and return the conflicting clause ID or -1.
+``search_step(num_assumptions) -> (conflict, analysis_or_None)``
+    The one hot call.  Exhaust the implication queue from
+    ``solver._qhead``: assign implied literals (truth/levels/reasons/
+    trail), advance ``solver._qhead``/``solver._trail_len`` and add the
+    propagation count to ``solver.stats``.  ``conflict`` is the
+    conflicting clause ID or -1.  When a conflict lands above the
+    assumption prefix (``decision_level > num_assumptions``), run
+    first-UIP from it before returning; ``analysis`` is then the pair
+    ``(learned, antecedents)``:
+
+    * ``learned`` is the raw (pre-minimization) clause with the
+      asserting literal at position 0, remaining literals in discovery
+      order;
+    * ``antecedents`` is the ordered resolvent list —
+      ``antecedents[0]`` the conflict clause, then each reason clause
+      in resolution order (the CDG/proof derivation prefix, and the
+      bump-replay worklist: the solver bumps exactly
+      ``antecedents[1:]`` in this order);
+    * the solver's ``_seen`` marks are LEFT SET, with the marked
+      variables appended to ``solver._touched_scratch`` and the level-0
+      subset to ``solver._zero_scratch`` (discovery order) —
+      minimization and the reason closure consume the marks, and
+      ``_finish_analysis`` clears them.
+
+    ``analysis`` is None when there is no conflict, or when the level
+    mandates a terminal Python path (level-0 UNSAT, assumption-prefix
+    conflicts), which leaves ``_seen`` and the scratch lists untouched.
 
 ``attach(cid, lits)`` / ``attach_all(...)`` / ``detach(cid)`` /
 ``drop_clauses(dropped)``
@@ -21,20 +46,29 @@ seam:
     constructor's whole formula at once), single-clause detach
     (swap-with-last, learned-DB reduction) and bulk order-preserving
     removal (root-satisfied pruning).  Watch-list order is part of
-    search behaviour, so both kernels share these operations verbatim.
+    search behaviour, so both kernels share these operations verbatim
+    — which also guarantees byte-identical watch layouts (the native
+    kernel defers its in-scan appends through the same doubling
+    policy).  The one override is the native :meth:`attach_all`, which
+    lays the same entries out in C, in exactly sized blocks.
 
 ``grow(lit_capacity)``
     Called from ``ensure_num_vars`` when the literal space grows;
     backtracking needs no hook (the kernel keeps no per-level state —
     the solver rewinds the shared trail/qhead itself).
 
-The base class implements every hook except :meth:`propagate` — watch
-mutation is not hot and shared verbatim by both kernels, which also
-guarantees the python and native kernels grow byte-identical watch
-layouts (the native kernel defers its in-propagate appends through the
-same doubling policy).  The one override is the native
-:meth:`attach_all`, which lays the same entries out in C, in exactly
-sized blocks.
+``sync_mirror()`` / ``free_clause(cid)``
+    Install-order mirror bookkeeping (see
+    :class:`~repro.sat.kernel.columns.ClauseLitMirror`): analysis
+    iterates clause literals in install order, which for long clauses
+    only the mirror preserves.  ``free_clause`` drops a deleted
+    clause's block at learned-DB reduction.  The pure-Python kernel
+    iterates the solver's ``_lits_view`` directly and never
+    materializes the mirror.
+
+``invalidate_views()`` / ``invalidate_arena_views()``
+    Release FFI views cached across ``search_step`` calls (no-ops for
+    the pure-Python kernel); see :meth:`KernelBase.invalidate_views`.
 """
 
 from __future__ import annotations
@@ -48,34 +82,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sat.solver import CdclSolver
 
 
-class _SolverBound:
-    """A kernel's back-reference to the solver that owns it.
-
-    Weak on purpose: the solver holds its kernels, so a strong
-    reference back would put every solver in a reference cycle and
-    leave its watch columns, arena and trail to the cyclic garbage
-    collector instead of freeing them when the solver is dropped.
-    """
-
-    def __init__(self, solver: "CdclSolver") -> None:
-        self._solver_ref = weakref.ref(solver)
-
-    @property
-    def solver(self) -> "CdclSolver":
-        return self._solver_ref()
-
-
-class BcpKernelBase(_SolverBound):
-    """Watch-state owner and propagation seam shared by both kernels."""
+class KernelBase:
+    """Watch-state and mirror owner shared by both kernels; subclasses
+    implement :meth:`search_step`."""
 
     #: Config value selecting this kernel (subclasses override).
     name = "base"
 
     def __init__(self, solver: "CdclSolver") -> None:
-        super().__init__(solver)
+        # Weak on purpose: the solver holds its kernel, so a strong
+        # reference back would put every solver in a reference cycle
+        # and leave its watch columns, arena and trail to the cyclic
+        # garbage collector instead of freeing them with the solver.
+        self._solver_ref = weakref.ref(solver)
         self.long = WatchColumns(2)
         self.bin = WatchColumns(2)
         self.tern = WatchColumns(3)
+        self.mirror = ClauseLitMirror()
+
+    @property
+    def solver(self) -> "CdclSolver":
+        return self._solver_ref()
 
     # -- sizing ------------------------------------------------------------
 
@@ -139,9 +166,42 @@ class BcpKernelBase(_SolverBound):
         self.bin.drop_clauses(dropped)
         self.tern.drop_clauses(dropped)
 
+    # -- mirror bookkeeping (no-ops for the pure-Python kernel) ------------
+
+    def sync_mirror(self) -> None:
+        self.mirror.sync(self.solver._lits_view)
+
+    def free_clause(self, cid: int) -> None:
+        self.mirror.free(cid)
+
+    # -- cached FFI views (no-ops for the pure-Python kernel) --------------
+
+    def invalidate_views(self) -> None:
+        """Release any FFI views cached across ``search_step`` calls.
+
+        The solver calls this before every operation that can resize a
+        kernel-viewed array (clause install, learned-DB reduction /
+        arena compaction) and at ``solve()`` teardown; the native
+        kernel releases its cached ``from_buffer`` exports so the
+        resize does not hit a pinned buffer.  Safety is fail-loud
+        either way: a missed invalidation raises ``BufferError`` at the
+        resize site (cffi keeps the buffer exported), never silent
+        corruption.
+        """
+
+    def invalidate_arena_views(self) -> None:
+        """Soft variant of :meth:`invalidate_views` for the per-conflict
+        resizes (arena append in ``_add_learned``, mirror sync): the
+        native kernel drops only the arena and mirror exports and keeps
+        the other cached views alive.  Watch-pool growth during the
+        attach is covered separately (``WatchColumns.on_resize``).
+        """
+
     # -- the hot seam ------------------------------------------------------
 
-    def propagate(self) -> int:
+    def search_step(
+        self, num_assumptions: int
+    ) -> Tuple[int, Optional[Tuple[List[int], List[int]]]]:
         raise NotImplementedError
 
     # -- introspection -----------------------------------------------------
@@ -155,119 +215,3 @@ class BcpKernelBase(_SolverBound):
             "bin": [self.bin.entries(lit) for lit in range(num_lits)],
             "tern": [self.tern.entries(lit) for lit in range(num_lits)],
         }
-
-    def footprint(self) -> Dict[str, dict]:
-        return {
-            "long": self.long.footprint(),
-            "bin": self.bin.footprint(),
-            "tern": self.tern.footprint(),
-        }
-
-
-class AnalyzeKernelBase(_SolverBound):
-    """The conflict-analysis seam: what an analysis kernel owes the solver.
-
-    An *analysis kernel* runs the first-UIP resolution loop — and only
-    that loop — over the solver's flat state.  Everything downstream of
-    the raw first-UIP clause (activity-bump replay, minimization,
-    level-0 reason closure, LBD, the backjump-literal swap, CDG/proof
-    recording, clause install) stays in ``CdclSolver``; the seam hands
-    back exactly what that Python tail needs:
-
-    ``analyze(conflict_cid) -> (learned, antecedents)``
-        Run first-UIP from the conflicting clause.  On return:
-
-        * ``learned`` is the raw (pre-minimization) clause with the
-          asserting literal at position 0, remaining literals in
-          discovery order;
-        * ``antecedents`` is the ordered resolvent list —
-          ``antecedents[0]`` the conflict clause, then each reason
-          clause in resolution order (the CDG/proof derivation prefix,
-          and the bump-replay worklist: the solver bumps exactly
-          ``antecedents[1:]`` in this order);
-        * the solver's ``_seen`` marks are LEFT SET, with the marked
-          variables appended to ``solver._touched_scratch`` and the
-          level-0 subset to ``solver._zero_scratch`` (discovery order)
-          — minimization and the reason closure consume the marks, and
-          ``_finish_analysis`` clears them.
-
-    ``search_step(num_assumptions) -> (conflict, analysis_or_none)``
-        The fused fast path (the native kernels): propagate, and when a
-        conflict lands at an analyzable level (``decision_level >
-        num_assumptions``) run the resolution loop before returning to
-        Python — one FFI crossing per conflict instead of two.
-        ``analysis`` is the ``analyze`` pair, or None when there is no
-        conflict / the level mandates a terminal Python path (level 0
-        UNSAT, assumption-prefix conflicts).  The base implementation
-        composes the two seams in Python; the native kernel overrides
-        it with the single C call.
-
-    ``sync_mirror()`` / ``free_clause(cid)``
-        Install-order mirror bookkeeping (see
-        :class:`~repro.sat.kernel.columns.ClauseLitMirror`): analysis
-        iterates clause literals in install order, which for long
-        clauses only the mirror preserves.  ``sync_mirror`` runs at
-        analysis entry (cheap no-op when nothing new was installed);
-        ``free_clause`` drops a deleted clause's block at learned-DB
-        reduction.  The pure-Python kernel iterates the solver's
-        ``_lits_view`` directly and never materializes the mirror.
-    """
-
-    #: Config value selecting this kernel (subclasses override).
-    name = "base"
-
-    def __init__(self, solver: "CdclSolver") -> None:
-        super().__init__(solver)
-        self.mirror = ClauseLitMirror()
-
-    # -- mirror bookkeeping (no-ops for the pure-Python kernel) ------------
-
-    def sync_mirror(self) -> None:
-        self.mirror.sync(self.solver._lits_view)
-
-    def free_clause(self, cid: int) -> None:
-        self.mirror.free(cid)
-
-    def invalidate_views(self) -> None:
-        """Release any FFI views cached across ``search_step`` calls.
-
-        The solver calls this before every operation that can resize a
-        kernel-viewed array (clause install, learned-DB reduction /
-        arena compaction) and at ``solve()`` teardown.  A no-op for the
-        pure-Python kernel; the native kernel releases its cached
-        ``from_buffer`` exports so the resize does not hit a pinned
-        buffer.  Safety is fail-loud either way: a missed invalidation
-        raises ``BufferError`` at the resize site (cffi keeps the
-        buffer exported), never silent corruption.
-        """
-
-    def invalidate_arena_views(self) -> None:
-        """Soft variant of :meth:`invalidate_views` for the per-conflict
-        resizes (arena append in ``_add_learned``, mirror sync): the
-        native kernel drops only the arena and mirror exports and keeps
-        the other cached views alive.  Watch-pool growth during the
-        attach is covered separately (``WatchColumns.on_resize``).
-        A no-op for the pure-Python kernel.
-        """
-
-    # -- the seam ----------------------------------------------------------
-
-    def analyze(self, conflict_cid: int) -> Tuple[List[int], List[int]]:
-        raise NotImplementedError
-
-    def search_step(
-        self, num_assumptions: int
-    ) -> Tuple[int, Optional[Tuple[List[int], List[int]]]]:
-        """Propagate, then analyze in place when the conflict is
-        analyzable.  This Python composition exists for completeness
-        and tests; the solver only routes through ``search_step`` under
-        the native kernels (where the override fuses the two loops into
-        one C call)."""
-        solver = self.solver
-        conflict = solver._kernel.propagate()
-        if conflict < 0 or solver._decision_level <= num_assumptions:
-            return conflict, None
-        return conflict, self.analyze(conflict)
-
-    def footprint(self) -> Dict[str, object]:
-        return {"mirror": self.mirror.footprint()}

@@ -22,9 +22,9 @@ Because capacities double, the total pool size stays within a small
 constant factor of the peak live volume — the same amortization Python
 lists provide — so no compaction pass is needed.  The pool only ever
 grows via :meth:`reserve`, keeping the backing ``array`` object stable
-for zero-copy ``ffi.from_buffer`` aliasing by the native kernel (the
-buffer is re-acquired per propagate call, so growth between calls is
-safe).
+for zero-copy ``ffi.from_buffer`` aliasing by the native kernel, which
+caches its views across calls and is told to release them through
+:attr:`WatchColumns.on_resize` before any column array resizes.
 
 The mutations — append (attach / watch move), swap-with-last removal
 (:meth:`detach`) and order-preserving filtering (:meth:`drop_clauses`)
@@ -55,10 +55,10 @@ class WatchColumns:
         #: The entry pool; ``used`` words are allocated to blocks.
         self.data = array("i")
         self.used = 0
-        #: Called right before any column array resizes — the fused
-        #: native analysis kernel hooks this to drop its cached
-        #: ``from_buffer`` views (a resize of an exported buffer would
-        #: raise BufferError).  None when nothing caches views.
+        #: Called right before any column array resizes — the native
+        #: kernel hooks this to drop its cached ``from_buffer`` views
+        #: (a resize of an exported buffer would raise BufferError).
+        #: None when nothing caches views.
         self.on_resize = None
 
     # -- sizing ------------------------------------------------------------
@@ -170,7 +170,7 @@ class WatchColumns:
             if j != n:
                 size[lit] = j
 
-    # -- introspection (tests, footprint) ----------------------------------
+    # -- introspection (tests) ---------------------------------------------
 
     def entries(self, lit: int) -> List[Tuple[int, ...]]:
         """The literal's entries as packed tuples."""
@@ -181,20 +181,6 @@ class WatchColumns:
             tuple(data[base + i * words:base + (i + 1) * words])
             for i in range(self.size[lit])
         ]
-
-    def live_words(self) -> int:
-        words = self.words
-        total = 0
-        for n in self.size:
-            total += n * words
-        return total
-
-    def footprint(self) -> dict:
-        return {
-            "pool_words": len(self.data),
-            "used_words": self.used,
-            "live_words": self.live_words(),
-        }
 
 
 #: Mirror compaction trigger (words): below this much dead weight the
@@ -209,7 +195,7 @@ class ClauseLitMirror:
     **install order** (``CdclSolver._lits_view``) — that order decides
     seen-marking order, hence the learned clause, hence the whole
     search.  The arena block cannot serve: long-clause (n >= 4) watch
-    moves permute it in place.  A C analysis kernel therefore needs a
+    moves permute it in place.  The C analysis walk therefore needs a
     flat install-order copy; this class is that copy, built lazily from
     the view and never mutated by propagation.
 
@@ -231,11 +217,11 @@ class ClauseLitMirror:
 
     ``sync(view)`` appends blocks for clauses installed since the last
     call (one pass over the view's new tail — O(1) amortized per
-    clause, called at analysis-kernel entry).  ``free(cid)`` drops a
+    clause, called at ``search_step`` entry).  ``free(cid)`` drops a
     deleted clause's block (learned-DB reduction); dead words are
     reclaimed by an arena-style in-place compaction once they reach
     half the store.  The backing arrays only grow or compact between
-    FFI calls, so per-call ``ffi.from_buffer`` aliasing is safe.
+    FFI calls, after the native kernel has released its views of them.
     """
 
     __slots__ = ("data", "refs", "synced", "dead")
@@ -321,10 +307,3 @@ class ClauseLitMirror:
         if ref < 0:
             return ()
         return tuple(self.data[ref:ref + self.data[ref - 1]])
-
-    def footprint(self) -> dict:
-        return {
-            "pool_words": len(self.data),
-            "dead_words": self.dead,
-            "clauses": self.synced,
-        }

@@ -1,19 +1,26 @@
-"""The native kernels: the same loops, compiled, over the same memory.
+"""The native kernel: the same loops, compiled, over the same memory.
 
-The C functions below are transliterations of
-:class:`~repro.sat.kernel.pykernel.PythonBcpKernel.propagate` (binary,
+The C code below transliterates
+:meth:`~repro.sat.kernel.pykernel.PythonKernel.propagate` (binary,
 ternary, then the two-phase long scan) and
-:class:`~repro.sat.kernel.pykernel.PythonAnalyzeKernel.analyze` (the
-first-UIP resolution walk, reading long-clause literals from the
-install-order mirror), plus the *fused* ``search_step`` that runs both
-without returning to Python between them — one FFI crossing per
-conflict.  All run zero-copy over the solver's typed arrays via
-``ffi.from_buffer``: ``lit_truth``/``_seen`` (``unsigned char``
-bytearrays), levels/reasons/trail/watch columns/mirror words
-(``int32_t``), arena and mirror refs (``int64_t``).  Buffer views are
-acquired per call and released before returning, so Python-side growth
-(clause installs, ``ensure_num_vars``) between calls never invalidates
-a held pointer.
+:meth:`~repro.sat.kernel.pykernel.PythonKernel.analyze` (the first-UIP
+resolution walk, reading long-clause literals from the install-order
+mirror) into two static loops, and exports them fused as one
+``search_step``: propagate, then analyze the conflict without
+returning to Python between them — one FFI crossing per conflict.  The
+only other export is ``fill_columns``, the bulk watch install.  Both
+run zero-copy over the solver's typed arrays via ``ffi.from_buffer``:
+``lit_truth``/``_seen`` (``unsigned char`` bytearrays), levels/
+reasons/trail/watch columns/mirror words (``int32_t``), arena and
+mirror refs (``int64_t``).  ``fill_columns`` acquires its views per
+call and releases them before returning.  ``search_step`` instead
+caches its 26 views across calls (most steps are decision-only, so
+re-exporting every buffer per step would dominate the crossing): the
+solver releases them before anything that can resize a viewed array
+(:meth:`~repro.sat.kernel.base.KernelBase.invalidate_views`), the
+watch columns release them through their ``on_resize`` hook, and cffi
+keeps an exported buffer pinned, so a missed release raises
+``BufferError`` at the resize instead of corrupting memory.
 
 What C cannot do is grow a Python ``array``.  Two cooperative return
 codes handle that:
@@ -34,8 +41,8 @@ codes handle that:
   after unmarking every ``seen`` bit it set (clause-activity bumps are
   replayed Python-side from the antecedent list, so nothing else was
   mutated): Python doubles the buffer named by ``ST_ABUF`` and the walk
-  restarts idempotently.  In the fused step the conflict ID is parked
-  in ``ST_ACONFLICT`` so the re-entry skips straight to the walk.
+  restarts idempotently.  The conflict ID is parked in
+  ``ST_ACONFLICT`` so the re-entry skips straight to the walk.
 
 Build: cffi out-of-line API mode, compiled on demand into a cache
 directory (``REPRO_KERNEL_CACHE``, default ``~/.cache/repro-bcp-
@@ -43,7 +50,7 @@ kernel``) keyed by a hash of the C source, so each source revision
 compiles once per machine.  Hosts without cffi or a C compiler — or
 with an unloadable cached build — get a :class:`RuntimeError` from the
 constructor and a ``False`` from :func:`native_available`; the solver's
-default ``kernel=None`` then runs the python kernels.
+default ``kernel=None`` then runs the python kernel.
 """
 
 from __future__ import annotations
@@ -53,10 +60,11 @@ import os
 import shutil
 import sys
 import sysconfig
+import weakref
 from array import array
 from typing import TYPE_CHECKING, Optional
 
-from repro.sat.kernel.base import AnalyzeKernelBase, BcpKernelBase
+from repro.sat.kernel.base import KernelBase
 from repro.sat.profile import PROF_DEQ, PROF_PROPS, new_profile_buffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -77,8 +85,7 @@ ST_PEND_N = 8
 ST_PEND_CAP = 9
 ST_CONFLICT = 10
 ST_GROW = 11
-# Conflict-analysis slots (NativeAnalyzeKernel; the BCP entry point
-# never reads them).
+# Conflict-analysis slots (the scan never reads them).
 ST_ASSUME_LVL = 12
 ST_ACONFLICT = 13
 ST_LEARNED_N = 14
@@ -100,24 +107,6 @@ RET_NEED_PEND = -3
 RET_NEED_ABUF = -4
 
 _CDEF = """
-int bcp_propagate(unsigned char *truth,
-                  int32_t *levels, int32_t *reasons, int32_t *trail,
-                  int32_t *adata, int64_t *arefs,
-                  const int32_t *b_off, const int32_t *b_size,
-                  const int32_t *b_data,
-                  const int32_t *t_off, const int32_t *t_size,
-                  const int32_t *t_data,
-                  int32_t *l_off, int32_t *l_size, int32_t *l_cap,
-                  int32_t *l_data,
-                  int32_t *pend, int32_t *st, int64_t *prof);
-int analyze_first_uip(const int32_t *levels, const int32_t *reasons,
-                      const int32_t *trail,
-                      const int32_t *adata, const int64_t *arefs,
-                      const int32_t *mdata, const int64_t *mrefs,
-                      unsigned char *seen,
-                      int32_t *learned, int32_t *ants,
-                      int32_t *touched, int32_t *zero, int32_t *st,
-                      int64_t *prof);
 void fill_columns(const int32_t *adata, const int64_t *arefs,
                   const int32_t *cids, int32_t ncids, int32_t k,
                   int32_t *off, int32_t *size, int32_t *cap,
@@ -263,7 +252,7 @@ static int flush_pending(int32_t *l_off, int32_t *l_size, int32_t *l_cap,
     return 0;
 }
 
-/* The BCP scan (exported via bcp_propagate, fused via search_step). */
+/* The BCP scan (the first half of search_step). */
 static int bcp_scan(unsigned char *truth,
                     int32_t *levels, int32_t *reasons, int32_t *trail,
                     int32_t *adata, int64_t *arefs,
@@ -535,23 +524,7 @@ save_grow:
     return -2;
 }
 
-int bcp_propagate(unsigned char *truth,
-                  int32_t *levels, int32_t *reasons, int32_t *trail,
-                  int32_t *adata, int64_t *arefs,
-                  const int32_t *b_off, const int32_t *b_size,
-                  const int32_t *b_data,
-                  const int32_t *t_off, const int32_t *t_size,
-                  const int32_t *t_data,
-                  int32_t *l_off, int32_t *l_size, int32_t *l_cap,
-                  int32_t *l_data,
-                  int32_t *pend, int32_t *st, int64_t *prof)
-{
-    return bcp_scan(truth, levels, reasons, trail, adata, arefs,
-                    b_off, b_size, b_data, t_off, t_size, t_data,
-                    l_off, l_size, l_cap, l_data, pend, st, prof);
-}
-
-/* First-UIP resolution walk — the PythonAnalyzeKernel.analyze loop.
+/* First-UIP resolution walk — the PythonKernel.analyze loop.
    Clause literals come from the install-order mirror when the clause
    is mirrored (long clauses, whose arena blocks watch moves permute),
    else straight from the arena block (short clauses: static watches,
@@ -654,20 +627,6 @@ rollback:
         seen[touched[k]] = 0;
     st[ST_ABUF] = which;
     return -4;
-}
-
-int analyze_first_uip(const int32_t *levels, const int32_t *reasons,
-                      const int32_t *trail,
-                      const int32_t *adata, const int64_t *arefs,
-                      const int32_t *mdata, const int64_t *mrefs,
-                      unsigned char *seen,
-                      int32_t *learned, int32_t *ants,
-                      int32_t *touched, int32_t *zero, int32_t *st,
-                      int64_t *prof)
-{
-    return analyze_uip(levels, reasons, trail, adata, arefs,
-                       mdata, mrefs, seen, learned, ants,
-                       touched, zero, st, prof);
 }
 
 /* The fused step: propagate, and when the conflict lands above the
@@ -841,9 +800,17 @@ def native_unavailable_reason() -> Optional[str]:
     return None if native_available() else _BUILD_ERROR
 
 
-class NativeBcpKernel(BcpKernelBase):
-    """BCP via the compiled C scan; construction fails cleanly when the
-    extension cannot be built (callers fall back or skip)."""
+class NativeKernel(KernelBase):
+    """BCP and first-UIP analysis as one compiled ``search_step``;
+    construction fails cleanly (``RuntimeError``) when the extension
+    cannot be built, and callers fall back or skip.
+
+    Owns a 24-slot state array shared with C, the pending watch-move
+    buffer and four analysis scratch buffers.  Scratch buffers grow by
+    doubling on ``RET_NEED_ABUF`` (``ST_ABUF`` names the one that
+    overflowed); the C side unmarks ``seen`` before asking, so the
+    restarted walk is idempotent.
+    """
 
     name = "native"
 
@@ -854,16 +821,43 @@ class NativeBcpKernel(BcpKernelBase):
         self._lib = module.lib
         self._state = array("i", bytes(4 * _STATE_SLOTS))
         self._state[ST_CONFLICT] = -1
-        # Pending watch-move scratch: [dest, cid, blocker] triples.
+        self._state[ST_ACONFLICT] = -1
+        # Pending watch moves: [dest, cid, blocker] triples.
         self._pend = array("i", bytes(4 * 3 * 64))
-        # The C scan accumulates its access-profile counters
-        # unconditionally; when profiling is off it writes into this
-        # private dummy buffer instead of the solver's.
+        # Analysis scratch: learned literals, antecedent clause IDs,
+        # seen-marked variables, level-0 subset.
+        self._learned_buf = array("i", bytes(4 * 256))
+        self._ants_buf = array("i", bytes(4 * 256))
+        self._touched_buf = array("i", bytes(4 * 1024))
+        self._zero_buf = array("i", bytes(4 * 256))
+        # The C loops accumulate their access-profile counters
+        # unconditionally; when profiling is off they write into this
+        # private dummy buffer instead of the solver's.  Never resizes,
+        # so its cached view needs no invalidation.
         self._prof_buf = (
             solver._profile
             if solver._profile is not None
             else new_profile_buffer()
         )
+        # search_step's from_buffer views, cached across calls (see
+        # the module docstring).  The list holds None in soft-released
+        # slots until _refresh_views re-exports them.
+        self._views: Optional[List[object]] = None
+        # The resize paths inside the watch columns (relocation /
+        # attach growth) release the cache themselves, which is what
+        # lets _add_learned get away with the soft invalidation.  The
+        # hook reaches this kernel through a weak reference: a bound
+        # method would close a kernel -> columns -> kernel cycle and
+        # leave the kernel to the cyclic garbage collector.
+        kernel_ref = weakref.ref(self)
+
+        def on_resize() -> None:
+            kernel = kernel_ref()
+            if kernel is not None:
+                kernel.invalidate_views()
+
+        for cols in (self.bin, self.tern, self.long):
+            cols.on_resize = on_resize
 
     def attach_all(
         self, bin_ids: "Sequence[int]", tern_ids: "Sequence[int]",
@@ -897,135 +891,6 @@ class NativeBcpKernel(BcpKernelBase):
             for view in views + columns:
                 release(view)
             cols.used = need
-
-    def propagate(self) -> int:
-        solver = self.solver
-        state = self._state
-        if solver._qhead >= solver._trail_len and not state[ST_RESUME]:
-            return -1  # nothing queued (also keeps empty buffers off FFI)
-        qhead0 = solver._qhead
-        state[ST_QHEAD] = solver._qhead
-        state[ST_TRAIL_LEN] = solver._trail_len
-        state[ST_LEVEL] = solver._decision_level
-        state[ST_PROPS] = 0
-        long_cols = self.long
-        state[ST_LONG_USED] = long_cols.used
-        arena = solver._arena
-        ffi = self._ffi
-        from_buffer = ffi.from_buffer
-        release = ffi.release
-        bcp = self._lib.bcp_propagate
-        pend = self._pend
-        while True:
-            state[ST_LONG_CAP] = len(long_cols.data)
-            state[ST_PEND_CAP] = len(pend) // 3
-            views = (
-                from_buffer("unsigned char[]", solver.lit_truth),
-                from_buffer("int32_t[]", solver._levels),
-                from_buffer("int32_t[]", solver._reasons),
-                from_buffer("int32_t[]", solver._trail),
-                from_buffer("int32_t[]", arena.data),
-                from_buffer("int64_t[]", arena.refs),
-                from_buffer("int32_t[]", self.bin.offs),
-                from_buffer("int32_t[]", self.bin.size),
-                from_buffer("int32_t[]", self.bin.data),
-                from_buffer("int32_t[]", self.tern.offs),
-                from_buffer("int32_t[]", self.tern.size),
-                from_buffer("int32_t[]", self.tern.data),
-                from_buffer("int32_t[]", long_cols.offs),
-                from_buffer("int32_t[]", long_cols.size),
-                from_buffer("int32_t[]", long_cols.caps),
-                from_buffer("int32_t[]", long_cols.data),
-                from_buffer("int32_t[]", pend),
-                from_buffer("int32_t[]", state),
-                from_buffer("int64_t[]", self._prof_buf),
-            )
-            result = bcp(*views)
-            for view in views:
-                release(view)  # un-export before any Python-side resize
-            if result == RET_NEED_GROW:
-                # The fused step's cached views pin long_cols.data too
-                # (root/assumption propagation runs here even when
-                # search uses the fused path).
-                solver._akernel.invalidate_views()
-                long_cols.used = state[ST_LONG_USED]
-                long_cols.reserve(state[ST_LONG_USED] + state[ST_GROW])
-                continue
-            if result == RET_NEED_PEND:
-                need = 3 * state[ST_GROW]
-                have = len(pend)
-                pend.frombytes(bytes(4 * (max(need, 2 * have) - have)))
-                continue
-            break
-        long_cols.used = state[ST_LONG_USED]
-        solver._qhead = state[ST_QHEAD]
-        solver._trail_len = state[ST_TRAIL_LEN]
-        solver.stats.propagations += state[ST_PROPS]
-        profile = solver._profile
-        if profile is not None:
-            # Enqueue/dequeue counts derive from the state slots (the C
-            # side only tracks the scan counters); ST_PROPS accumulates
-            # across growth re-entries within this call, matching the
-            # stats credit above.
-            profile[PROF_PROPS] += state[ST_PROPS]
-            profile[PROF_DEQ] += state[ST_QHEAD] - qhead0
-        return result
-
-
-class NativeAnalyzeKernel(AnalyzeKernelBase):
-    """First-UIP analysis via the compiled walk, with the fused
-    propagate-then-analyze step when the BCP kernel is native too.
-
-    Owns its own 24-slot state array and scratch buffers — the BCP
-    kernel's call-scoped state never persists across its ``propagate``
-    returns, so the two kernels share nothing but the solver arrays
-    (and, in the fused step, the BCP kernel's watch columns, handled
-    through the exact re-entry protocol ``NativeBcpKernel.propagate``
-    uses).  Scratch buffers grow by doubling on ``RET_NEED_ABUF``
-    (``ST_ABUF`` names the one that overflowed); the C side unmarks
-    ``seen`` before asking, so the restarted walk is idempotent.
-    """
-
-    name = "native"
-
-    def __init__(self, solver: "CdclSolver", bcp: NativeBcpKernel) -> None:
-        module = _load_module()  # raises RuntimeError when unavailable
-        super().__init__(solver)
-        self._ffi = module.ffi
-        self._lib = module.lib
-        self._state = array("i", bytes(4 * _STATE_SLOTS))
-        self._state[ST_CONFLICT] = -1
-        self._state[ST_ACONFLICT] = -1
-        # Fused-step pending watch moves ([dest, cid, blocker] triples;
-        # separate from the BCP kernel's call-scoped buffer).
-        self._pend = array("i", bytes(4 * 3 * 64))
-        # Analysis scratch: learned literals, antecedent clause IDs,
-        # seen-marked variables, level-0 subset.
-        self._learned_buf = array("i", bytes(4 * 256))
-        self._ants_buf = array("i", bytes(4 * 256))
-        self._touched_buf = array("i", bytes(4 * 1024))
-        self._zero_buf = array("i", bytes(4 * 256))
-        # Access-profile sink (dummy when profiling is off); never
-        # resizes, so its cached view needs no invalidation.
-        self._prof_buf = (
-            solver._profile
-            if solver._profile is not None
-            else new_profile_buffer()
-        )
-        # The fused step's from_buffer views, cached across calls: most
-        # search steps are decision-only (no array resized in between),
-        # so re-exporting 26 buffers per step dominates the crossing
-        # cost.  Any site that can resize a viewed array must call
-        # invalidate_views() (or the soft invalidate_arena_views())
-        # first; cffi pins exported buffers, so a missed call raises
-        # BufferError at the resize — fail-loud.  The list holds None
-        # in soft-released slots until _refresh_views re-exports them.
-        self._views: Optional[List[object]] = None
-        # The resize paths inside the watch columns (relocation /
-        # attach growth) fire this hook themselves, which is what lets
-        # _add_learned get away with the soft invalidation.
-        for cols in (bcp.bin, bcp.tern, bcp.long):
-            cols.on_resize = self.invalidate_views
 
     #: Call-list slots re-exported per conflict (the only arrays that
     #: resize on every learned clause): arena.data, arena.refs,
@@ -1065,13 +930,12 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
             views[18] = from_buffer("int64_t[]", mirror.refs)
 
     def _build_views(self) -> List[object]:
-        """(Re)export the fused step's 26 buffer views and cache them.
-        Order matches the ``search_step`` C signature exactly.  The
-        scratch-capacity state slots are set here, not per call: a
-        viewed array cannot resize while its export is live, so the
-        capacities are constant for the lifetime of the cache."""
+        """(Re)export the 26 buffer views of ``search_step`` and cache
+        them.  Order matches the C signature exactly.  The capacity
+        state slots are set here, not per call: a viewed array cannot
+        resize while its export is live, so the capacities are
+        constant for the lifetime of the cache."""
         solver = self.solver
-        bcp = solver._kernel
         arena = solver._arena
         mirror = self.mirror
         from_buffer = self._ffi.from_buffer
@@ -1082,16 +946,16 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
             from_buffer("int32_t[]", solver._trail),
             from_buffer("int32_t[]", arena.data),
             from_buffer("int64_t[]", arena.refs),
-            from_buffer("int32_t[]", bcp.bin.offs),
-            from_buffer("int32_t[]", bcp.bin.size),
-            from_buffer("int32_t[]", bcp.bin.data),
-            from_buffer("int32_t[]", bcp.tern.offs),
-            from_buffer("int32_t[]", bcp.tern.size),
-            from_buffer("int32_t[]", bcp.tern.data),
-            from_buffer("int32_t[]", bcp.long.offs),
-            from_buffer("int32_t[]", bcp.long.size),
-            from_buffer("int32_t[]", bcp.long.caps),
-            from_buffer("int32_t[]", bcp.long.data),
+            from_buffer("int32_t[]", self.bin.offs),
+            from_buffer("int32_t[]", self.bin.size),
+            from_buffer("int32_t[]", self.bin.data),
+            from_buffer("int32_t[]", self.tern.offs),
+            from_buffer("int32_t[]", self.tern.size),
+            from_buffer("int32_t[]", self.tern.data),
+            from_buffer("int32_t[]", self.long.offs),
+            from_buffer("int32_t[]", self.long.size),
+            from_buffer("int32_t[]", self.long.caps),
+            from_buffer("int32_t[]", self.long.data),
             from_buffer("int32_t[]", self._pend),
             from_buffer("int32_t[]", mirror.data),
             from_buffer("int64_t[]", mirror.refs),
@@ -1104,7 +968,7 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
             from_buffer("int64_t[]", self._prof_buf),
         ]
         state = self._state
-        state[ST_LONG_CAP] = len(bcp.long.data)
+        state[ST_LONG_CAP] = len(self.long.data)
         state[ST_PEND_CAP] = len(self._pend) // 3
         state[ST_LEARNED_CAP] = len(self._learned_buf)
         state[ST_ANTS_CAP] = len(self._ants_buf)
@@ -1124,7 +988,7 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
 
     def _extract(self) -> "Tuple[List[int], List[int]]":
         """Materialize the seam's return pair and scratch-list side
-        effects from the C buffers (see ``AnalyzeKernelBase``)."""
+        effects from the C buffers (see :mod:`repro.sat.kernel.base`)."""
         state = self._state
         solver = self.solver
         learned = list(self._learned_buf[: state[ST_LEARNED_N]])
@@ -1137,53 +1001,6 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
             solver._zero_scratch.extend(self._zero_buf[:zn])
         return learned, antecedents
 
-    def analyze(self, conflict_cid: int) -> "Tuple[List[int], List[int]]":
-        solver = self.solver
-        # Rare path under the fused step (assumption-level conflicts):
-        # drop the cached fused views before the mirror may resize.
-        self.invalidate_views()
-        self.sync_mirror()
-        state = self._state
-        state[ST_LEVEL] = solver._decision_level
-        state[ST_TRAIL_LEN] = solver._trail_len
-        state[ST_ACONFLICT] = conflict_cid
-        arena = solver._arena
-        mirror = self.mirror
-        ffi = self._ffi
-        from_buffer = ffi.from_buffer
-        release = ffi.release
-        fn = self._lib.analyze_first_uip
-        while True:
-            state[ST_LEARNED_CAP] = len(self._learned_buf)
-            state[ST_ANTS_CAP] = len(self._ants_buf)
-            state[ST_TOUCHED_CAP] = len(self._touched_buf)
-            state[ST_ZERO_CAP] = len(self._zero_buf)
-            views = (
-                from_buffer("int32_t[]", solver._levels),
-                from_buffer("int32_t[]", solver._reasons),
-                from_buffer("int32_t[]", solver._trail),
-                from_buffer("int32_t[]", arena.data),
-                from_buffer("int64_t[]", arena.refs),
-                from_buffer("int32_t[]", mirror.data),
-                from_buffer("int64_t[]", mirror.refs),
-                from_buffer("unsigned char[]", solver._seen),
-                from_buffer("int32_t[]", self._learned_buf),
-                from_buffer("int32_t[]", self._ants_buf),
-                from_buffer("int32_t[]", self._touched_buf),
-                from_buffer("int32_t[]", self._zero_buf),
-                from_buffer("int32_t[]", state),
-                from_buffer("int64_t[]", self._prof_buf),
-            )
-            result = fn(*views)
-            for view in views:
-                release(view)  # un-export before any Python-side resize
-            if result == RET_NEED_ABUF:
-                self._grow_abuf()
-                continue
-            break
-        state[ST_ACONFLICT] = -1
-        return self._extract()
-
     def search_step(
         self, num_assumptions: int
     ) -> "Tuple[int, Optional[Tuple[List[int], List[int]]]]":
@@ -1191,8 +1008,7 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
         state = self._state
         if solver._qhead >= solver._trail_len:
             return -1, None  # nothing queued (keeps empty buffers off FFI)
-        bcp = solver._kernel
-        long_cols = bcp.long
+        long_cols = self.long
         qhead0 = solver._qhead
         mirror = self.mirror
         if mirror.synced != len(solver._lits_view):
@@ -1237,6 +1053,10 @@ class NativeAnalyzeKernel(AnalyzeKernelBase):
         solver.stats.propagations += state[ST_PROPS]
         profile = solver._profile
         if profile is not None:
+            # Enqueue/dequeue counts derive from the state slots (the C
+            # side only tracks the scan counters); ST_PROPS accumulates
+            # across growth re-entries within this call, matching the
+            # stats credit above.
             profile[PROF_PROPS] += state[ST_PROPS]
             profile[PROF_DEQ] += state[ST_QHEAD] - qhead0
         if result >= 0 and state[ST_ANALYZED]:

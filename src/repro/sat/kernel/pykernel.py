@@ -1,24 +1,26 @@
-"""The pure-Python kernels: always available, the semantics reference.
+"""The pure-Python kernel: always available, the semantics reference.
 
-:class:`PythonBcpKernel` runs BCP over the flat data plane — binary
-scan, ternary scan, then the two-phase long scan (read-only until the
-first watch move, compacting after) with blocker handling, in-place
-arena watch-position swaps and early conflict exits.
-:class:`PythonAnalyzeKernel` runs the first-UIP resolution walk; the
-solver keeps everything after it (clause-activity bumps — replayed from
-the antecedent list — minimization, LBD, the level-0 closure).
+:class:`PythonKernel` runs the two data-plane loops in pure Python:
+:meth:`~PythonKernel.propagate` is BCP over the flat data plane —
+binary scan, ternary scan, then the two-phase long scan (read-only
+until the first watch move, compacting after) with blocker handling,
+in-place arena watch-position swaps and early conflict exits — and
+:meth:`~PythonKernel.analyze` is the first-UIP resolution walk.  Its
+:meth:`~PythonKernel.search_step` composes the two; the solver keeps
+everything after the walk (clause-activity bumps — replayed from the
+antecedent list — minimization, LBD, the level-0 closure).
 
-These are the references the native kernels are validated against: the
-C code is the same algorithm over the same memory, so any divergence is
+This is the reference the native kernel is validated against: the C
+code is the same algorithm over the same memory, so any divergence is
 a kernel bug, never an ambiguity.  The differential fuzzer and the
 Table-1 pins hold the two byte-identical.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from repro.sat.kernel.base import AnalyzeKernelBase, BcpKernelBase
+from repro.sat.kernel.base import KernelBase
 from repro.sat.profile import (
     PROF_ARENA,
     PROF_ATRAIL,
@@ -32,10 +34,35 @@ from repro.sat.profile import (
 )
 
 
-class PythonBcpKernel(BcpKernelBase):
-    """Flat-array BCP over ``array`` state, in pure Python."""
+class PythonKernel(KernelBase):
+    """Flat-array BCP and first-UIP analysis, in pure Python.
+
+    Analysis walks clause literals in install order (``_lits_view``),
+    which decides seen-marking order and so the learned clause.
+    Clause-activity bumps are left to the solver, which replays them
+    from the returned antecedent order.  Iterates ``_lits_view``
+    directly; the install-order mirror stays empty (it exists for the
+    C kernel, which cannot walk tuples).
+    """
 
     name = "python"
+
+    def search_step(
+        self, num_assumptions: int
+    ) -> Tuple[int, Optional[Tuple[List[int], List[int]]]]:
+        """:meth:`propagate`, then :meth:`analyze` when the conflict
+        lands above the assumption prefix (the seam contract, see
+        :mod:`repro.sat.kernel.base`)."""
+        conflict = self.propagate()
+        if conflict < 0 or self.solver._decision_level <= num_assumptions:
+            return conflict, None
+        return conflict, self.analyze(conflict)
+
+    def sync_mirror(self) -> None:
+        pass  # analysis iterates the view directly; no flat copy needed
+
+    def free_clause(self, cid: int) -> None:
+        pass
 
     def propagate(self) -> int:  # solcheck: hot
         """Exhaust the implication queue; returns a conflicting clause
@@ -343,33 +370,13 @@ class PythonBcpKernel(BcpKernelBase):
             profile[PROF_DEQ] += qhead - qhead0
         return -1
 
-
-class PythonAnalyzeKernel(AnalyzeKernelBase):
-    """First-UIP analysis over the flat state, in pure Python.
-
-    Walks clause literals in install order (``_lits_view``), which
-    decides seen-marking order and so the learned clause.  Clause-
-    activity bumps are left to the solver, which replays them from the
-    returned antecedent order.  Iterates ``_lits_view`` directly; the
-    install-order mirror stays empty (it exists for the C kernel, which
-    cannot walk tuples).
-    """
-
-    name = "python"
-
-    def sync_mirror(self) -> None:
-        pass  # iterates the view directly; no flat copy needed
-
-    def free_clause(self, cid: int) -> None:
-        pass
-
     def analyze(  # solcheck: hot
         self, conflict_cid: int
     ) -> Tuple[List[int], List[int]]:
         """The first-UIP resolution walk; returns ``(learned,
         antecedents)`` with the asserting literal at ``learned[0]``,
         seen marks left set and the touched/zero scratch lists filled —
-        the seam contract (see :class:`AnalyzeKernelBase`).  Hot-path
+        the seam contract (see :mod:`repro.sat.kernel.base`).  Hot-path
         discipline: every name in the inner loop is a local, the only
         marker structure is the persistent ``_seen`` bytearray, so a
         conflict allocates no sets.

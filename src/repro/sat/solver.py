@@ -50,15 +50,16 @@ typed memory shared with the kernels (``repro.sat.kernel``); see
   "neither companion is false" case collapses to one truthiness test)
   for every packed literal, maintained in pairs as the trail grows and
   shrinks.  Every watch test in BCP is then a single subscript.
-* Watches live in the BCP kernel's flat per-literal columns: long
+* Watches live in the kernel's flat per-literal columns: long
   clauses ``[cid, blocker]``, binary clauses ``[cid, implied]``,
   ternary clauses ``[cid, other_a, other_b]``.  Binary and ternary
   watches are *static* (BCP on them is one ``lit_truth`` subscript per
   test, no clause access, no watch moves); a long clause's satisfied
   blocker skips it without touching the arena.
-* BCP and the first-UIP walk run in the kernel pair chosen by
-  ``SolverConfig.kernel``: compiled (``"native"``, fused into one call
-  per search step) or pure Python (``"python"``, the reference).  The
+* BCP and the first-UIP walk run in the kernel chosen by
+  ``SolverConfig.kernel``, as one ``search_step`` call per search
+  step: compiled (``"native"``, one C call) or pure Python
+  (``"python"``, the reference).  The
   analysis tail — clause-activity bumps, learned-clause
   self-subsumption minimization (one-step ``local`` by default,
   budgeted-recursive via ``SolverConfig.minimize_learned``), LBD and
@@ -119,7 +120,7 @@ from repro.sat.arena import (
 )
 from repro.sat.cdg import ConflictDependencyGraph
 from repro.sat.heuristics import DecisionStrategy, VsidsStrategy
-from repro.sat.kernel import create_kernels, resolve_kernel
+from repro.sat.kernel import create_kernel, resolve_kernel
 from repro.sat.observer import MetricsPublisher, SearchObserver, tee
 from repro.sat.profile import PROF_HEAP, new_profile_buffer, profile_as_dict
 from repro.sat.stats import SolverStats
@@ -183,11 +184,11 @@ class SolverConfig:
     #: extraction and proof replay are unaffected; the count is recorded
     #: in ``stats.root_pruned_clauses``.
     prune_root_satisfied: bool = True
-    #: Data-plane kernel (BCP and first-UIP analysis; see
-    #: ``repro.sat.kernel``): ``"native"`` (the loops compiled via
-    #: cffi, run as one fused propagate-then-analyze call per search
-    #: step) or ``"python"`` (the same loops in pure Python — the
-    #: reference the tests compare against).  ``None`` (the default)
+    #: Data-plane kernel (BCP and first-UIP analysis, one
+    #: ``search_step`` call per search step; see ``repro.sat.kernel``):
+    #: ``"native"`` (the loops compiled via cffi into one C call) or
+    #: ``"python"`` (the same loops in pure Python — the reference the
+    #: tests compare against).  ``None`` (the default)
     #: picks ``"native"`` when ``repro.sat.kernel.native_available()``
     #: and ``"python"`` otherwise.  An explicit ``"native"`` raises
     #: :class:`RuntimeError` on hosts that cannot build it.  Search
@@ -226,7 +227,7 @@ class SolverConfig:
     #: subscripts, heap ops — into the flat raw-counter array exposed
     #: as :meth:`CdclSolver.access_profile`.  Aggregation happens at
     #: kernel-call granularity (locals flushed at exit; the native
-    #: kernels fill the same buffer from C through one
+    #: kernel fills the same buffer from C through one
     #: ``from_buffer`` view), so profiled searches stay byte-identical
     #: and the hot loops stay solcheck-clean.
     profile_access: bool = False
@@ -326,7 +327,7 @@ class CdclSolver:
         #: Public accessors (``value_of``, ``assigns``) translate the
         #: internal 2 back to the conventional -1.  A ``bytearray``
         #: (faster Python subscripting than ``array('b')``; the C
-        #: kernels read it as ``unsigned char``).  Like every array
+        #: kernel reads it as ``unsigned char``).  Like every array
         #: below, the kernels alias it zero-copy.
         self.lit_truth = bytearray()
         self._levels = array("i")
@@ -356,22 +357,19 @@ class CdclSolver:
         #: ``_arena.activity`` is the per-clause activity column.
         self._arena = ClauseArena()
         #: Raw access-counter buffer (repro.sat.profile), or None when
-        #: profiling is off.  Allocated *before* the kernels: the
-        #: native wrappers capture it at construction and alias it from
-        #: C through one ``from_buffer`` view.
+        #: profiling is off.  Allocated *before* the kernel: the
+        #: native kernel captures it at construction and aliases it
+        #: from C through one ``from_buffer`` view.
         self._profile = (
             new_profile_buffer() if self.config.profile_access else None
         )
-        #: The data-plane kernels: ``_kernel`` owns the watch columns
-        #: and runs BCP, ``_akernel`` runs the first-UIP walk.  Built
-        #: before ``ensure_num_vars`` (which grows the watch columns
-        #: alongside the per-var arrays); an explicit
+        #: The data-plane kernel: owns the watch columns and the
+        #: install-order mirror, runs BCP and the first-UIP walk.
+        #: Built before ``ensure_num_vars`` (which grows the watch
+        #: columns alongside the per-var arrays); an explicit
         #: ``kernel="native"`` raises here, cleanly, on hosts without
         #: cffi or a C compiler.
-        self._kernel, self._akernel = create_kernels(self, kernel_name)
-        #: Native search runs the fused propagate->analyze step (one
-        #: FFI crossing per conflict) instead of two seam calls.
-        self._fused = kernel_name == "native"
+        self._kernel = create_kernel(self, kernel_name)
         # Analysis-side literal views, one immutable tuple per clause.
         # Conflict analysis is literal-ORDER-blind (seen-marking makes
         # duplicates and permutations irrelevant), and a clause's
@@ -642,7 +640,7 @@ class CdclSolver:
         arena.refs.extend(source.refs)
         arena.flags.extend(source.flags)
         arena.activity.extend(source.activity)
-        self._akernel.mirror.copy_from(template._akernel.mirror)
+        self._kernel.mirror.copy_from(template._kernel.mirror)
         self._lits_view.extend(template._lits_view)
         for ids, source_ids in zip(self._watch_ids, template._watch_ids):
             ids.extend(source_ids)
@@ -715,10 +713,10 @@ class CdclSolver:
         batch = clauses if isinstance(clauses, list) else list(clauses)
         self._check_room(batch)
         self._backtrack(0)
-        # The arena and watch pools grow below; the fused native step
+        # The arena and watch pools grow below; the native kernel
         # caches FFI views of them across calls (mid-solve path:
         # shared-clause import at level 0).
-        self._akernel.invalidate_views()
+        self._kernel.invalidate_views()
         arena = self._arena
         first = next_cid = len(arena.refs)
         cdg = self._cdg
@@ -1325,10 +1323,10 @@ class CdclSolver:
         self._activity_inc *= scale
 
     def _add_learned(self, learned: List[int], antecedents: List[int]) -> int:
-        # The arena append always resizes arrays the fused native step
+        # The arena append always resizes arrays the native kernel
         # holds cached FFI views of; watch-pool growth during the attach
         # (rare) invalidates itself via the columns' on_resize hook.
-        self._akernel.invalidate_arena_views()
+        self._kernel.invalidate_arena_views()
         cid = self._arena.add(learned, LEARNED, self._activity_inc)
         self._lits_view.append(tuple(learned))
         self._learned_ids.append(cid)
@@ -1390,16 +1388,15 @@ class CdclSolver:
         arena = self._arena
         view = self._lits_view
         kernel = self._kernel
-        akernel = self._akernel
-        # Arena compaction below resizes the word store the fused
-        # native step holds cached FFI views of.
-        akernel.invalidate_views()
+        # Arena compaction below resizes the word store the native
+        # kernel holds cached FFI views of.
+        kernel.invalidate_views()
         for cid in candidates[: len(candidates) // 2]:
             if cid not in root_pruned:  # pruned clauses are already detached
                 kernel.detach(cid)
             arena.tombstone(cid)
             view[cid] = ()  # free the analysis view; reasons stay live
-            akernel.free_clause(cid)  # and its install-order mirror block
+            kernel.free_clause(cid)  # and its install-order mirror block
             self._num_live_learned -= 1
             self.stats.deleted_clauses += 1
         self._maybe_compact_arena()
@@ -1532,9 +1529,10 @@ class CdclSolver:
             # binding kept past it would be a strategy <-> solver cycle,
             # freed by the cyclic collector instead of by refcount.
             self.strategy.detach()
-            # Release cached fused-step views so between-solve mutations
-            # (ensure_num_vars, add_clause) never hit a pinned buffer.
-            self._akernel.invalidate_views()
+            # Release the kernel's cached views so between-solve
+            # mutations (ensure_num_vars, add_clause) never hit a
+            # pinned buffer.
+            self._kernel.invalidate_views()
             self.stats.solve_time = time.perf_counter() - start
             if observer is not None:
                 observer.end(self, status)
@@ -1611,20 +1609,14 @@ class CdclSolver:
         # inside the kernels, whose state differs while search-level
         # state is byte-identical across them.
         observer = self._observer
-        # Data-plane dispatch: the fused native step (propagate, then
-        # analyze the conflict in the same FFI crossing) or the python
-        # kernels' two seam calls.  Both produce identical analyses —
-        # the fuzzer and the Table-1 pin hold them byte-identical.
-        propagate = self._kernel.propagate
-        analyze = self._akernel.analyze
-        fused_step = self._akernel.search_step if self._fused else None
+        # The data plane: propagate, then (for a conflict above the
+        # assumption prefix) the first-UIP walk, in one kernel call.
+        # Both kernels produce identical analyses — the fuzzer and the
+        # Table-1 pin hold them byte-identical.
+        search_step = self._kernel.search_step
 
         while True:
-            if fused_step is not None:
-                conflict, analysis = fused_step(num_assumptions)
-            else:
-                conflict = propagate()
-                analysis = None
+            conflict, analysis = search_step(num_assumptions)
             if conflict != -1:
                 stats.conflicts += 1
                 conflicts_in_epoch += 1
@@ -1638,8 +1630,6 @@ class CdclSolver:
                     # The conflict is entirely above assumption decisions:
                     # UNSAT under the current assumptions.
                     return self._assumption_conflict_outcome(conflict)
-                if analysis is None:  # not fused: walk now
-                    analysis = analyze(conflict)
                 self._replay_clause_bumps(analysis[1])
                 learned, btlevel, _, antecedents = self._finish_analysis(
                     analysis[0], analysis[1]
@@ -2002,7 +1992,7 @@ class InstallTemplate(CdclSolver):
     def _finish_install(self) -> None:
         # Watches stay unlaid (forks copy the ID arrays); the mirror is
         # synced here so forks copy it rather than rebuild it.
-        self._akernel.sync_mirror()
+        self._kernel.sync_mirror()
 
     def check_fork(
         self, formula: CnfFormula, config: SolverConfig, kernel: str

@@ -54,22 +54,3 @@ def test_table1_subset_identical_across_backends():
         assert counters == expected, (
             f"kernel {kernel or 'default'} drifted from the baseline capture"
         )
-
-
-@pytest.mark.slow
-def test_table1_subset_identical_across_analyze_backends(monkeypatch):
-    """The native analysis plane composed two ways — the fused C step,
-    and the native BCP and analysis kernels as two seam calls — must
-    both reproduce the baseline capture's counters."""
-    if not native_available():
-        pytest.skip("native kernel not buildable here")
-    from repro.sat.kernel import AnalyzeKernelBase, NativeAnalyzeKernel
-
-    expected = json.loads(BASELINE.read_text())
-    rows = [r for r in small_suite() if r.name in expected]
-    monkeypatch.setattr(
-        NativeAnalyzeKernel, "search_step", AnalyzeKernelBase.search_step
-    )
-    counters = _counters(run_table1(rows=rows, kernel="native"))
-    assert counters == expected, "unfused native kernels changed the search"
-

@@ -119,36 +119,3 @@ def test_fuzzer_kernel_traces_byte_identical_across_backends():
         assert digest.hexdigest() == FUZZ_TRACE_DIGEST, (
             f"{backend} kernel traces drifted from the pinned digest"
         )
-
-
-def test_fuzzer_analyze_traces_byte_identical_across_planes(monkeypatch):
-    """The analysis plane three ways — the python walk, the fused native
-    step (the conflict/learned events come from C analysis run inside
-    the propagate call) and the native kernels composed as two seam
-    calls — emits the pinned trace bytes."""
-    import random
-
-    from repro.sat.kernel import AnalyzeKernelBase, NativeAnalyzeKernel
-    from tests.properties.test_solver_differential import FUZZ_SEED
-
-    def digest(kernel):
-        digest = hashlib.sha256()
-        for index in range(40):
-            formula, _ = make_instance(index)
-            rng = random.Random(FUZZ_SEED + index + 1_000_000)
-            production, _ = _strategy_pairs(rng, formula.num_vars, index % 4)
-            events = []
-            config = SolverConfig(kernel=kernel, observer=TraceRecorder(events))
-            CdclSolver(formula, strategy=production, config=config).solve()
-            digest.update(encode_events(events, formula.num_vars))
-        return digest.hexdigest()
-
-    assert digest("python") == FUZZ_TRACE_DIGEST
-    if not native_available():
-        pytest.skip("native kernel not buildable here")
-    assert digest("native") == FUZZ_TRACE_DIGEST
-    monkeypatch.setattr(
-        NativeAnalyzeKernel, "search_step", AnalyzeKernelBase.search_step
-    )
-    assert digest("native") == FUZZ_TRACE_DIGEST, "unfused native diverged"
-

@@ -27,9 +27,9 @@ KERNELS = ["python", pytest.param("native", marks=pytest.mark.skipif(
 
 def install_state(solver: CdclSolver) -> dict:
     """Everything an install produces that search can observe."""
-    solver._akernel.sync_mirror()
+    solver._kernel.sync_mirror()
     arena = solver._arena
-    mirror = solver._akernel.mirror
+    mirror = solver._kernel.mirror
     nv = solver.num_vars
     return {
         "data": bytes(arena.data),

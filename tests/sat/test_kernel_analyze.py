@@ -1,9 +1,9 @@
 """The conflict-analysis kernel seam: white-box and oracle tests.
 
-The analysis kernels run the solver's first-UIP walk — and with the
-fused native step, the propagate-then-analyze crossing — and hand back
-exactly what the solver's Python tail consumes (raw learned clause,
-ordered antecedents, scratch side effects).  Beyond the differential
+Each kernel runs the solver's first-UIP walk inside its
+``search_step`` — the native one in the same C call as propagation —
+and hands back exactly what the solver's Python tail consumes (raw
+learned clause, ordered antecedents, scratch side effects).  Beyond the differential
 fuzzer's search-identity legs, these tests pin:
 
 * the install-order mirror (``ClauseLitMirror``) against the solver's
@@ -52,9 +52,8 @@ def _search_signature(solver, outcome):
 
 
 def test_analyze_backends_registry():
-    """One kernel setting names both planes: each analysis kernel is
-    registered under a ``KERNELS`` name and always paired with the BCP
-    kernel of the same name."""
+    """Each kernel is registered under a ``KERNELS`` name, and one
+    kernel object runs both planes."""
     assert KERNELS == ("python", "native")
     assert resolve_kernel(None) == (
         "native" if native_available() else "python"
@@ -64,9 +63,9 @@ def test_analyze_backends_registry():
         resolve_kernel("no-such-kernel")
     for kernel in _kernels():
         solver = CdclSolver(CnfFormula(1), config=SolverConfig(kernel=kernel))
-        assert solver._kernel.name == solver._akernel.name == kernel
+        assert solver._kernel.name == kernel
     solver = CdclSolver(CnfFormula(1))
-    assert solver._akernel.name == resolve_kernel(None)
+    assert solver._kernel.name == resolve_kernel(None)
 
 
 def test_grid_search_identical_with_lbd(rng):
@@ -100,9 +99,9 @@ def test_mirror_matches_lits_view_install_order():
     config = SolverConfig(kernel="native")
     solver = CdclSolver(pigeonhole(6), config=config)
     solver.solve()
-    akernel = solver._akernel
-    akernel.sync_mirror()
-    mirror = akernel.mirror
+    kernel = solver._kernel
+    kernel.sync_mirror()
+    mirror = kernel.mirror
     view = solver._lits_view
     assert mirror.synced == len(view)
     checked_long = checked_short = 0
@@ -130,9 +129,9 @@ def test_mirror_frees_deleted_clauses():
     solver = CdclSolver(pigeonhole(7), config=config)
     outcome = solver.solve()
     assert outcome.stats.deleted_clauses > 0
-    akernel = solver._akernel
-    akernel.sync_mirror()
-    mirror = akernel.mirror
+    kernel = solver._kernel
+    kernel.sync_mirror()
+    mirror = kernel.mirror
     view = solver._lits_view
     for cid, lits in enumerate(view):
         if not lits:  # deleted (view freed at reduction)
@@ -155,16 +154,16 @@ def test_need_abuf_reentry_is_search_identical():
 
     config = SolverConfig(kernel="native")
     solver = CdclSolver(formula, config=config)
-    akernel = solver._akernel
+    kernel = solver._kernel
     # Minimum viable capacities (doubling still reaches any size).
-    akernel._learned_buf = array("i", bytes(4 * 2))
-    akernel._ants_buf = array("i", bytes(4 * 2))
-    akernel._touched_buf = array("i", bytes(4 * 2))
-    akernel._zero_buf = array("i", bytes(4 * 2))
+    kernel._learned_buf = array("i", bytes(4 * 2))
+    kernel._ants_buf = array("i", bytes(4 * 2))
+    kernel._touched_buf = array("i", bytes(4 * 2))
+    kernel._zero_buf = array("i", bytes(4 * 2))
     assert _search_signature(solver, solver.solve()) == reference
     # The buffers actually grew — the re-entry path ran.
-    assert len(akernel._learned_buf) > 2
-    assert len(akernel._touched_buf) > 2
+    assert len(kernel._learned_buf) > 2
+    assert len(kernel._touched_buf) > 2
 
 
 # ----------------------------------------------------------------------
@@ -220,12 +219,12 @@ def test_view_cache_released_between_solves():
     config = SolverConfig(kernel="native")
     solver = CdclSolver(formula, config=config)
     solver.solve()
-    assert solver._akernel._views is None, "cached views leaked past solve()"
+    assert solver._kernel._views is None, "cached views leaked past solve()"
     # These resize kernel-viewed arrays; a leaked view => BufferError.
     solver.ensure_num_vars(solver.num_vars + 3)
     solver.add_clause([2 * (solver.num_vars - 1), 2 * (solver.num_vars - 2)])
     solver.solve()
-    assert solver._akernel._views is None
+    assert solver._kernel._views is None
 
 
 @pytest.mark.skipif(not native_available(), reason="needs the native kernel")

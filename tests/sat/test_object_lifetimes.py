@@ -29,8 +29,7 @@ from repro.bmc.portfolio import IncrementalPortfolioBmc
 from repro.experiments.runner import make_engine
 from repro.sat.heuristics import DecisionStrategy, RankedStrategy, VsidsStrategy
 from repro.sat.kernel import (
-    AnalyzeKernelBase,
-    BcpKernelBase,
+    KernelBase,
     WatchColumns,
     native_available,
 )
@@ -64,8 +63,7 @@ FORBIDDEN = (
     CdclSolver,
     InstallTemplate,
     DecisionStrategy,
-    BcpKernelBase,
-    AnalyzeKernelBase,
+    KernelBase,
     WatchColumns,
     BmcEngine,
     IncrementalBmcEngine,
