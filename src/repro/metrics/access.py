@@ -42,6 +42,7 @@ __all__ = [
     "SID_ARENA",
     "SID_TRAIL",
     "SID_NAMES",
+    "AccessStreamError",
     "AccessStreamWriter",
     "read_access_stream",
     "analyze_access_stream",
@@ -124,11 +125,22 @@ class AccessStreamWriter(FileObserver):
         self.record_block(sid, (offset,))
 
 
+class AccessStreamError(ValueError):
+    """A ``.racc`` capture that cannot be decoded: bad magic, an
+    unsupported version, or a header or event cut short."""
+
+
 def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
     shift = 0
     value = 0
     while True:
-        byte = data[pos]
+        try:
+            byte = data[pos]
+        except IndexError:
+            raise AccessStreamError(
+                f"truncated access stream: varint at byte {pos} runs past "
+                f"the end ({len(data)} bytes)"
+            ) from None
         pos += 1
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
@@ -137,19 +149,15 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
 
 
 def read_access_stream(path_or_file: object) -> Iterator[Tuple[int, int]]:
-    """Yield ``(sid, offset)`` events from a ``.racc`` capture."""
+    """Yield ``(sid, offset)`` events from a ``.racc`` capture; raises
+    :class:`AccessStreamError` on a malformed one."""
     if hasattr(path_or_file, "read"):
         data = path_or_file.read()  # type: ignore[union-attr]
     else:
         with open(os.fspath(path_or_file), "rb") as fh:  # type: ignore[arg-type]
             data = fh.read()
-    if data[:4] != ACCESS_MAGIC:
-        raise ValueError("not an access stream: bad magic")
-    version = data[4]
-    if version != ACCESS_VERSION:
-        raise ValueError(f"unsupported access-stream version {version}")
-    pos = 5
-    _sample_every, pos = _read_varint(data, pos)
+    _check_header(data)
+    _sample_every, pos = _read_varint(data, 5)
     last = [0] * 8
     n = len(data)
     while pos < n:
@@ -169,10 +177,19 @@ def stream_sample_every(path_or_file: object) -> int:
     else:
         with open(os.fspath(path_or_file), "rb") as fh:  # type: ignore[arg-type]
             head = fh.read(16)
-    if head[:4] != ACCESS_MAGIC:
-        raise ValueError("not an access stream: bad magic")
+    _check_header(head)
     value, _pos = _read_varint(head, 5)
     return value
+
+
+def _check_header(data: bytes) -> None:
+    """Refuse anything but a version-1 capture's magic and version."""
+    if data[:4] != ACCESS_MAGIC:
+        raise AccessStreamError("not an access stream: bad magic")
+    if len(data) < 5:
+        raise AccessStreamError("truncated access stream: no version byte")
+    if data[4] != ACCESS_VERSION:
+        raise AccessStreamError(f"unsupported access-stream version {data[4]}")
 
 
 # ---------------------------------------------------------------------------

@@ -60,17 +60,20 @@ class ConflictDependencyGraph:
         """Number of recorded conflict clauses."""
         return len(self._offsets)
 
-    def register_original(self, clause_id: int) -> None:
-        """Declare a later-added clause (incremental interface) a leaf.
+    def register_originals(self, first: int, stop: int) -> None:
+        """Declare the later-added clauses ``first .. stop - 1`` leaves
+        (one install batch of the incremental interface).
 
         Incremental solving interleaves original and conflict clause IDs;
         leaves added after construction are registered here.
         """
-        if clause_id in self._offsets:
+        ids = range(first, stop)
+        if not self._offsets.keys().isdisjoint(ids):
+            clause_id = next(c for c in ids if c in self._offsets)
             raise ValueError(f"clause id {clause_id} is a recorded conflict clause")
-        if clause_id < self._num_original:
-            raise ValueError(f"clause id {clause_id} is already original")
-        self._extra_originals.add(clause_id)
+        if ids and first < self._num_original:
+            raise ValueError(f"clause id {first} is already original")
+        self._extra_originals.update(ids)
 
     def is_original(self, clause_id: int) -> bool:
         """True if the ID denotes an original clause (a leaf)."""

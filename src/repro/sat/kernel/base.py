@@ -42,15 +42,17 @@ seam:
 
 ``attach(cid, lits)`` / ``attach_all(...)`` / ``detach(cid)`` /
 ``drop_clauses(dropped)``
-    The watch bookkeeping hooks: clause install (one clause, or the
-    constructor's whole formula at once), single-clause detach
+    The watch bookkeeping hooks: clause install (one clause, or one
+    install batch — a constructor's whole formula or an
+    ``add_clauses`` batch — at once), single-clause detach
     (swap-with-last, learned-DB reduction) and bulk order-preserving
     removal (root-satisfied pruning).  Watch-list order is part of
     search behaviour, so both kernels share these operations verbatim
-    — which also guarantees byte-identical watch layouts (the native
+    — which also guarantees byte-identical watch entries (the native
     kernel defers its in-scan appends through the same doubling
     policy).  The one override is the native :meth:`attach_all`, which
-    lays the same entries out in C, in exactly sized blocks.
+    lays the same entries out in C: exactly sized blocks in empty
+    columns, appends after the existing entries in live ones.
 
 ``grow(lit_capacity)``
     Called from ``ensure_num_vars`` when the literal space grows;
@@ -134,11 +136,13 @@ class KernelBase:
         long_ids: Sequence[int],
     ) -> None:
         """Bulk install: watch the binary, ternary and long clauses
-        ``*_ids`` (each list in clause order) in *empty* tables, reading
-        each clause's watch-ordered literals from the arena.  The
-        per-literal entry order is exactly that of one :meth:`attach`
-        per clause in clause order; the native kernel lays the same
-        entries out in C."""
+        ``*_ids`` (each list in clause order), reading each clause's
+        watch-ordered literals from the arena.  The tables may be empty
+        (a constructor's install) or live (an ``add_clauses`` batch):
+        each literal's new entries follow its existing ones in exactly
+        the order of one :meth:`attach` per clause in clause order,
+        which is what this per-clause loop does; the native kernel lays
+        the same entries out in C."""
         literals = self.solver._arena.literals
         attach = self.attach
         for ids in (bin_ids, tern_ids, long_ids):

@@ -17,10 +17,14 @@ extra subscripts (Python) or memory traffic (C) of reading them back.
 
 Growth discipline: a literal's block holds ``caps[lit]`` entries; an
 append into a full block *relocates* it to the pool tail with doubled
-capacity (4 entries minimum).  The abandoned block becomes padding.
-Because capacities double, the total pool size stays within a small
-constant factor of the peak live volume — the same amortization Python
-lists provide — so no compaction pass is needed.  The pool only ever
+capacity (4 entries minimum).  The native kernel's batch append
+relocates a literal at most once per batch, to max(double the old
+capacity, what the batch needs).  The abandoned block becomes padding.
+Because capacities at least double, the total pool size stays within a
+small constant factor of the peak live volume — the same amortization
+Python lists provide — so no compaction pass is needed.  A constructor
+or fork lays its columns out in exactly sized blocks instead (the
+native ``fill_columns``).  The pool only ever
 grows via :meth:`reserve`, keeping the backing ``array`` object stable
 for zero-copy ``ffi.from_buffer`` aliasing by the native kernel, which
 caches its views across calls and is told to release them through

@@ -8,8 +8,11 @@ resolution walk, reading long-clause literals from the install-order
 mirror) into two static loops, and exports them fused as one
 ``search_step``: propagate, then analyze the conflict without
 returning to Python between them — one FFI crossing per conflict.  The
-only other export is ``fill_columns``, the bulk watch install.  Both
-run zero-copy over the solver's typed arrays via ``ffi.from_buffer``:
+only other export is ``fill_columns``, the bulk watch install: it lays
+a constructor's or fork's empty columns out in exactly sized blocks,
+and appends a live solver's ``add_clauses`` batch to warm columns at a
+cost that follows the batch, not the literal space.  Both run
+zero-copy over the solver's typed arrays via ``ffi.from_buffer``:
 ``lit_truth``/``_seen`` (``unsigned char`` bytearrays), levels/
 reasons/trail/watch columns/mirror words (``int32_t``), arena and
 mirror refs (``int64_t``).  ``fill_columns`` acquires its views per
@@ -22,8 +25,10 @@ watch columns release them through their ``on_resize`` hook, and cffi
 keeps an exported buffer pinned, so a missed release raises
 ``BufferError`` at the resize instead of corrupting memory.
 
-What C cannot do is grow a Python ``array``.  Two cooperative return
-codes handle that:
+What C cannot do is grow a Python ``array``.  ``fill_columns`` changes
+nothing when the watch pool is too small for a batch and returns the
+words it needs instead (Python reserves them and calls again);
+``search_step`` has cooperative return codes:
 
 * Watch moves discovered during the long scan are not appended
   directly; they are recorded in a *pending* scratch buffer
@@ -100,6 +105,12 @@ ST_ABUF = 22
 ST_ANALYZED = 23
 _STATE_SLOTS = 24
 
+#: Batches of fewer clauses appended to live columns go through the
+#: per-clause Python appends: on a 2-core x86-64 host, exporting the
+#: buffers and crossing the FFI cost about 4.5 us, one clause's appends
+#: about 1-1.5 us.
+_MIN_C_BATCH = 4
+
 #: Cooperative return codes (>= 0 is a conflicting clause ID).
 RET_NO_CONFLICT = -1
 RET_NEED_GROW = -2
@@ -107,10 +118,11 @@ RET_NEED_PEND = -3
 RET_NEED_ABUF = -4
 
 _CDEF = """
-void fill_columns(const int32_t *adata, const int64_t *arefs,
-                  const int32_t *cids, int32_t ncids, int32_t k,
-                  int32_t *off, int32_t *size, int32_t *cap,
-                  int32_t *data, int32_t nlits);
+int64_t fill_columns(const int32_t *adata, const int64_t *arefs,
+                     const int32_t *cids, int32_t ncids, int32_t k,
+                     int32_t *off, int32_t *size, int32_t *cap,
+                     int32_t *data, int32_t nlits, int64_t used,
+                     int64_t pool, int32_t *cnt);
 int search_step(unsigned char *truth,
                 int32_t *levels, int32_t *reasons, int32_t *trail,
                 int32_t *adata, int64_t *arefs,
@@ -171,29 +183,101 @@ _SOURCE = r"""
 #define PROF_AWORDS 7
 #define PROF_ATRAIL 8
 
-/* Bulk install: lay out the watch entries of clauses `cids` (clause
-   order) in EMPTY columns (size[] all zero), k watched literals per
-   clause read from the arena block: k = 2 for the binary and long
-   tables (entry [cid, other]), 3 for the ternary table (entry [cid,
-   the other two in clause order]).  Each literal's entries land in
-   clause order — what k WatchColumns appends per clause produce — in
-   an exactly sized block; the pool needs k * k * ncids words. */
-void fill_columns(const int32_t *adata, const int64_t *arefs,
-                  const int32_t *cids, int32_t ncids, int32_t k,
-                  int32_t *off, int32_t *size, int32_t *cap,
-                  int32_t *data, int32_t nlits)
+/* A relocated block's capacity: double the old one (4 from empty), or
+   what it must hold if that is more. */
+static int32_t grown_cap(int32_t cap, int32_t want)
 {
-    int32_t i, j, m, lit, pos = 0;
-    for (i = 0; i < ncids; i++) {
-        const int32_t *c = adata + arefs[cids[i]];
-        for (j = 0; j < k; j++)
-            size[c[j]]++;
-    }
-    for (lit = 0; lit < nlits; lit++) {
-        off[lit] = pos;
-        cap[lit] = size[lit];
-        pos += size[lit] * k;
-        size[lit] = 0;
+    int32_t nc = cap ? 2 * cap : 4;
+    return nc > want ? nc : want;
+}
+
+/* Bulk install: append the watch entries of clauses `cids` (clause
+   order) to the columns, k watched literals per clause read from the
+   arena block: k = 2 for the binary and long tables (entry [cid,
+   other]), 3 for the ternary table (entry [cid, the other two in
+   clause order]).  Each literal's new entries land after its existing
+   ones, in clause order: what k WatchColumns appends per clause
+   produce.  Returns the pool words in use afterwards, or -(the words
+   needed) when `pool` is too small, having changed nothing (Python
+   reserves and calls again).
+
+   Empty columns (used == 0, a fork's or constructor's install) get
+   exactly sized blocks in literal order, in one pass over the
+   literals; the pool needs k * k * ncids words.  Otherwise the cost is
+   O(the batch's watched literals): `cnt` is per-literal scratch, zero
+   on entry and on return, and a literal whose block cannot take its
+   new entries moves to the pool tail (grown_cap), in first-touch
+   order. */
+int64_t fill_columns(const int32_t *adata, const int64_t *arefs,
+                     const int32_t *cids, int32_t ncids, int32_t k,
+                     int32_t *off, int32_t *size, int32_t *cap,
+                     int32_t *data, int32_t nlits, int64_t used,
+                     int64_t pool, int32_t *cnt)
+{
+    int32_t i, j, m, lit;
+    if (used == 0) {
+        int64_t pos = 0;
+        if ((int64_t)k * k * ncids > pool)
+            return -(int64_t)k * k * ncids;
+        for (i = 0; i < ncids; i++) {
+            const int32_t *c = adata + arefs[cids[i]];
+            for (j = 0; j < k; j++)
+                size[c[j]]++;
+        }
+        for (lit = 0; lit < nlits; lit++) {
+            off[lit] = (int32_t)pos;
+            cap[lit] = size[lit];
+            pos += (int64_t)size[lit] * k;
+            size[lit] = 0;
+        }
+        used = pos;
+    } else {
+        int64_t need = used;
+        for (i = 0; i < ncids; i++) {
+            const int32_t *c = adata + arefs[cids[i]];
+            for (j = 0; j < k; j++)
+                cnt[c[j]]++;
+        }
+        /* Price each touched literal once (its count turns negative). */
+        for (i = 0; i < ncids; i++) {
+            const int32_t *c = adata + arefs[cids[i]];
+            for (j = 0; j < k; j++) {
+                int32_t n = cnt[lit = c[j]];
+                if (n > 0) {
+                    int32_t want = size[lit] + n;
+                    cnt[lit] = -n;
+                    if (want > cap[lit])
+                        need += (int64_t)grown_cap(cap[lit], want) * k;
+                }
+            }
+        }
+        if (need > pool) {
+            for (i = 0; i < ncids; i++) {
+                const int32_t *c = adata + arefs[cids[i]];
+                for (j = 0; j < k; j++)
+                    cnt[c[j]] = 0;
+            }
+            return -need;
+        }
+        for (i = 0; i < ncids; i++) {
+            const int32_t *c = adata + arefs[cids[i]];
+            for (j = 0; j < k; j++) {
+                int32_t n = cnt[lit = c[j]];
+                if (n < 0) {
+                    int32_t want = size[lit] - n;
+                    cnt[lit] = 0;
+                    if (want > cap[lit]) {
+                        int32_t nc = grown_cap(cap[lit], want);
+                        if (size[lit])
+                            memcpy(data + used, data + off[lit],
+                                   (size_t)size[lit] * k * sizeof(int32_t));
+                        off[lit] = (int32_t)used;
+                        cap[lit] = nc;
+                        used += (int64_t)nc * k;
+                    }
+                }
+            }
+        }
     }
     for (i = 0; i < ncids; i++) {
         int32_t cid = cids[i];
@@ -207,6 +291,7 @@ void fill_columns(const int32_t *adata, const int64_t *arefs,
             size[c[j]]++;
         }
     }
+    return used;
 }
 
 /* Append the recorded watch moves through the same doubling/relocation
@@ -830,6 +915,9 @@ class NativeKernel(KernelBase):
         self._ants_buf = array("i", bytes(4 * 256))
         self._touched_buf = array("i", bytes(4 * 1024))
         self._zero_buf = array("i", bytes(4 * 256))
+        # attach_all's per-literal entry counts (zero between calls),
+        # sized to the literal space on use.
+        self._counts = array("i")
         # The C loops accumulate their access-profile counters
         # unconditionally; when profiling is off they write into this
         # private dummy buffer instead of the solver's.  Never resizes,
@@ -863,10 +951,23 @@ class NativeKernel(KernelBase):
         self, bin_ids: "Sequence[int]", tern_ids: "Sequence[int]",
         long_ids: "Sequence[int]",
     ) -> None:
+        if (
+            len(bin_ids) + len(tern_ids) + len(long_ids) < _MIN_C_BATCH
+            and self.long.used | self.bin.used | self.tern.used
+        ):
+            # A few appends to live columns cost less in Python than
+            # the FFI crossing (the same entries either way).
+            KernelBase.attach_all(self, bin_ids, tern_ids, long_ids)
+            return
         arena = self.solver._arena
-        from_buffer = self._ffi.from_buffer
-        release = self._ffi.release
+        ffi = self._ffi
+        from_buffer = ffi.from_buffer
+        release = ffi.release
         fill = self._lib.fill_columns
+        num_lits = len(self.long.offs)
+        counts = self._counts
+        adata = from_buffer("int32_t[]", arena.data)
+        arefs = from_buffer("int64_t[]", arena.refs)
         for cols, ids, k in (
             (self.bin, bin_ids, 2),
             (self.tern, tern_ids, 3),
@@ -874,23 +975,39 @@ class NativeKernel(KernelBase):
         ):
             if not ids:
                 continue
-            need = k * k * len(ids)
-            cols.reserve(need)
-            views = (
-                from_buffer("int32_t[]", arena.data),
-                from_buffer("int64_t[]", arena.refs),
-                from_buffer("int32_t[]", array("i", ids)),
-            )
-            columns = (
-                from_buffer("int32_t[]", cols.offs),
-                from_buffer("int32_t[]", cols.size),
-                from_buffer("int32_t[]", cols.caps),
-                from_buffer("int32_t[]", cols.data),
-            )
-            fill(*views, len(ids), k, *columns, len(cols.offs))
-            for view in views + columns:
-                release(view)
-            cols.used = need
+            if cols.used:
+                if len(counts) < num_lits:
+                    counts.frombytes(bytes(4 * (num_lits - len(counts))))
+                scratch = from_buffer("int32_t[]", counts)
+            else:
+                cols.reserve(k * k * len(ids))  # one pass: exactly sized
+                scratch = ffi.NULL
+            # cffi passes a list as a temporary C array; an array
+            # (a template's watch IDs) is aliased in place.
+            cids = ids if isinstance(ids, list) else from_buffer("int32_t[]", ids)
+            while True:
+                columns = [
+                    from_buffer("int32_t[]", cols.offs),
+                    from_buffer("int32_t[]", cols.size),
+                    from_buffer("int32_t[]", cols.caps),
+                    from_buffer("int32_t[]", cols.data),
+                ]
+                used = fill(
+                    adata, arefs, cids, len(ids), k, *columns,
+                    num_lits, cols.used, len(cols.data), scratch,
+                )
+                for view in columns:
+                    release(view)
+                if used >= 0:
+                    break
+                cols.reserve(-used)  # pool short: nothing changed
+            if scratch is not ffi.NULL:
+                release(scratch)
+            if cids is not ids:
+                release(cids)
+            cols.used = used
+        release(adata)
+        release(arefs)
 
     #: Call-list slots re-exported per conflict (the only arrays that
     #: resize on every learned clause): arena.data, arena.refs,

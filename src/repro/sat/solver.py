@@ -389,7 +389,7 @@ class CdclSolver:
         #: the constructor's batches collect here and
         #: :meth:`_finish_install` lays them out in one pass (an
         #: :class:`InstallTemplate` keeps them for its forks).  None once
-        #: the watches are live: later installs attach directly.
+        #: the watches are live: later batches go straight to attach_all.
         self._watch_ids: Optional[Tuple[array, array, array]] = (
             array("i"), array("i"), array("i")
         )
@@ -704,9 +704,11 @@ class CdclSolver:
         are gathered in Python lists and copied into the typed store
         once at the end (nothing reads the arena during install).  The
         new clauses' watches then go to :attr:`_watch_ids` while the
-        constructor runs, else straight onto the live watch columns —
-        per watch table in clause order either way, which is the order
-        one bulk install gives.  Arena room for the whole batch is
+        constructor runs, else onto the live watch columns through one
+        ``kernel.attach_all`` call (the native kernel appends the whole
+        batch in C) — per watch table in clause order either way, which
+        is the order one bulk install gives.  The CDG registers a later
+        batch's leaves as one ID range.  Arena room for the whole batch is
         checked first (:meth:`_check_room`; the public entry points
         check literals the same way), so a refusal changes nothing.
         """
@@ -723,8 +725,7 @@ class CdclSolver:
         if cdg is not None and first >= self._num_initial:
             # Later clauses are CDG leaves; registered up front because a
             # root falsification below cites them as antecedents.
-            for cid in range(first, first + len(batch)):
-                cdg.register_original(cid)
+            cdg.register_originals(first, first + len(batch))
         word_buf: List[int] = []
         buf_append = word_buf.append
         buf_extend = word_buf.extend
@@ -810,11 +811,7 @@ class CdclSolver:
             for ids, new in zip(watch_ids, (bin_ids, tern_ids, long_ids)):
                 ids.fromlist(new)
         else:
-            attach_clause = self._kernel.attach
-            literals = arena.literals
-            for ids in (bin_ids, tern_ids, long_ids):
-                for cid in ids:
-                    attach_clause(cid, literals(cid))
+            self._kernel.attach_all(bin_ids, tern_ids, long_ids)
         return range(first, next_cid)
 
     def _finish_install(self) -> None:

@@ -142,6 +142,29 @@ class TestConfiguration:
         ).run()
         assert result.status is BmcStatus.BUDGET_EXHAUSTED
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            dict(solver_config=SolverConfig(max_conflicts=1)),
+            dict(solver_config=SolverConfig(max_propagations=1)),
+            dict(time_budget=0),
+        ],
+        ids=["max_conflicts", "max_propagations", "time_budget"],
+    )
+    def test_every_budget_kind_ends_in_budget_exhausted(self, budget):
+        # A property that holds to depth 12, so only a budget can stop
+        # the run early, and never with a verdict.
+        circuit, prop = counter_tripwire(
+            counter_width=5, target=31, distractor_words=4, distractor_width=8
+        )
+        result = IncrementalBmcEngine(circuit, prop, max_depth=12, **budget).run()
+        assert result.status is BmcStatus.BUDGET_EXHAUSTED
+        assert result.trace is None
+        statuses = [d.status for d in result.per_depth]
+        solved = statuses[:-1] if statuses[-1:] == ["unknown"] else statuses
+        assert solved == ["unsat"] * len(solved)
+        assert result.depth_reached == len(solved) - 1 < 12
+
     def test_negative_depth_rejected(self):
         circuit, prop = counter_tripwire(**SMALL)
         with pytest.raises(ValueError):

@@ -530,17 +530,26 @@ def run_one_incremental(index: int) -> None:
             incremental.ensure_num_vars(num_vars)
             for twin in kernel_twins.values():
                 twin.ensure_num_vars(num_vars)
-        for clause in _random_batch(rng, num_vars, rng.randint(1, num_vars)):
+        batch = _random_batch(rng, num_vars, rng.randint(1, num_vars))
+        for clause in batch:
             incremental.add_clause(clause)
-            for twin in kernel_twins.values():
-                twin.add_clause(clause)
             accumulated.append(clause)
+        ctx = f"incremental sequence {index}, step {step}"
+        # The twins take the batch in one add_clauses call (the native
+        # kernel appends it to its warm columns in one pass); their
+        # watch tables must equal the clause-by-clause reference's.
+        expected_watches = incremental._kernel.watch_snapshot()
+        for backend, twin in kernel_twins.items():
+            twin.add_clauses(batch)
+            assert twin._kernel.watch_snapshot() == expected_watches, (
+                f"{ctx}: {backend} kernel twin's batch-installed watches "
+                f"differ from the clause-by-clause reference"
+            )
         max_assumed = rng.randint(0, min(3, num_vars))
         assumptions = [
             2 * v + rng.randint(0, 1)
             for v in rng.sample(range(num_vars), max_assumed)
         ]
-        ctx = f"incremental sequence {index}, step {step}"
         outcome = incremental.solve(
             assumptions=assumptions, strategy=VsidsStrategy()
         )

@@ -8,9 +8,10 @@ whichever kernel runs the search and whichever path installed the
 clauses.  The reference twin is a python-kernel solver fed clause by
 clause through ``add_clause`` (the generic ``kernel.attach`` path); the
 twin under test is built by the constructor's bulk install, whose
-binary/ternary appends are inlined, on the kernel under test.  Both are
-driven through the same script and the raw tables compared entry for
-entry, not just search statistics.
+binary/ternary appends are inlined, on the kernel under test (and, in
+:class:`TestBatchAppend`, then fed ``add_clauses`` batches that append
+to its live columns).  Both are driven through the same script and the
+raw tables compared entry for entry, not just search statistics.
 """
 
 import os
@@ -183,3 +184,126 @@ class TestWatchTableEquivalence:
                 is kernel.solve(assumptions=assumptions).status
             )
             _assert_watches_match(legacy, kernel, f"incremental step {step}")
+
+
+def _search_counters(outcome):
+    stats = outcome.stats.as_dict()
+    del stats["solve_time"]
+    return outcome.status, stats
+
+
+class TestBatchAppend:
+    """``add_clauses`` batches appended to live columns — one C call on
+    the native kernel, the per-clause appends on the python kernel —
+    against a python solver fed the same clauses one ``add_clause`` at a
+    time.  The batches hold at least four clauses so the native kernel
+    takes its C append rather than its few-clause Python appends."""
+
+    @staticmethod
+    def _append(reference, kernel, batch):
+        for clause in batch:
+            reference.add_clause(clause)
+        kernel.add_clauses(batch)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_that_exhausts_the_pool(self, backend):
+        # The constructor sizes each pool exactly, so the first batch
+        # that moves a block to the tail has to grow it: the native
+        # kernel reports the words it needs and is called again.
+        reference, kernel = _twins(xor_chain(12, True), backend)
+        pools = {
+            name: getattr(kernel._kernel, name) for name in ("bin", "tern", "long")
+        }
+        before = {name: len(cols.data) for name, cols in pools.items()}
+        exact = backend == "native"  # the python appends leave headroom
+        if exact:
+            assert all(cols.used == len(cols.data) for cols in pools.values())
+        num_vars = kernel.num_vars
+        batch = []
+        for v in range(num_vars - 1):
+            batch.append([mk_lit(v), mk_lit(v + 1, True)])
+            batch.append([mk_lit(v, True), mk_lit(v + 1), mk_lit((v + 2) % num_vars)])
+            batch.append([mk_lit(v), mk_lit((v + 3) % num_vars),
+                          mk_lit((v + 5) % num_vars, True), mk_lit((v + 7) % num_vars)])
+        self._append(reference, kernel, batch)
+        for name, cols in pools.items():
+            assert cols.used <= len(cols.data)
+            if exact:
+                assert len(cols.data) > before[name], f"{name} pool did not grow"
+        _assert_watches_match(reference, kernel, "pool-exhausting batch")
+        assert _search_counters(reference.solve()) == _search_counters(
+            kernel.solve()
+        )
+        _assert_watches_match(reference, kernel, "solve after the batch")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_overfilling_one_literal(self, backend):
+        # One literal gains far more entries than its block holds: it
+        # moves once, to a block of at least double its old capacity
+        # and at least its new size.
+        formula = pigeonhole(3)
+        reference, kernel = _twins(formula, backend)
+        hot = formula.clauses[0].literals[0]
+        num_vars = kernel.num_vars
+        others = [lit for lit in range(2 * num_vars) if lit >> 1 != hot >> 1]
+        cols = kernel._kernel.bin
+        old_size, old_cap = cols.size[hot], cols.caps[hot]
+        batch = [[hot, other] for other in others[:20]]
+        batch += [[hot, a, b] for a, b in zip(others[::2], others[1::2])]
+        self._append(reference, kernel, batch)
+        assert cols.size[hot] == old_size + 20
+        assert cols.caps[hot] >= max(2 * old_cap, cols.size[hot])
+        _assert_watches_match(reference, kernel, "overfilled literal")
+        assert _search_counters(reference.solve()) == _search_counters(
+            kernel.solve()
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_after_search_with_moves_and_pruning(self, backend):
+        # A first solve learns clauses, moves long watches and prunes
+        # root-satisfied clauses; a batch (fresh variables, every clause
+        # width, more root units) then lands on that warm layout, and a
+        # second solve must search exactly as the reference does.
+        from repro.sat.solver import _PRUNE_MIN_NEW_FACTS
+
+        rng = __import__("random").Random(10)
+        num_units = _PRUNE_MIN_NEW_FACTS + 4
+        base = 60
+        formula = CnfFormula(base + num_units + 2)
+        for _ in range(250):
+            chosen = rng.sample(range(base), rng.choice((3, 3, 3, 3, 4)))
+            formula.add_clause([2 * v + rng.randint(0, 1) for v in chosen])
+        spare_a, spare_b = base + num_units, base + num_units + 1
+        for i in range(num_units):
+            formula.add_clause([mk_lit(base + i)])
+            formula.add_clause(
+                [mk_lit(base + i), mk_lit(spare_a, True), mk_lit(spare_b, True)]
+            )
+        reference, kernel = _twins(
+            formula, backend, prune_root_satisfied=True,
+            reduce_base=20, reduce_growth=1.1,
+        )
+        assumptions = [mk_lit(spare_a)]
+        first = reference.solve(assumptions=assumptions)
+        assert _search_counters(first) == _search_counters(
+            kernel.solve(assumptions=assumptions)
+        )
+        assert first.stats.learned_clauses > 0
+        assert first.stats.root_pruned_clauses > 0
+        _assert_watches_match(reference, kernel, "after the first solve")
+
+        old_vars = reference.num_vars
+        num_vars = old_vars + 2 * _PRUNE_MIN_NEW_FACTS
+        reference.ensure_num_vars(num_vars)
+        kernel.ensure_num_vars(num_vars)
+        batch = [[mk_lit(v)] for v in range(old_vars, old_vars + _PRUNE_MIN_NEW_FACTS)]
+        for _ in range(60):
+            width = rng.choice((2, 3, 4, 5))
+            chosen = rng.sample(range(num_vars), width)
+            batch.append([2 * v + rng.randint(0, 1) for v in chosen])
+        self._append(reference, kernel, batch)
+        _assert_watches_match(reference, kernel, "batch on the warm layout")
+        second = reference.solve()
+        assert _search_counters(second) == _search_counters(kernel.solve())
+        assert second.stats.root_pruned_clauses > 0
+        _assert_watches_match(reference, kernel, "after the second solve")
