@@ -105,12 +105,6 @@ ST_ABUF = 22
 ST_ANALYZED = 23
 _STATE_SLOTS = 24
 
-#: Batches of fewer clauses appended to live columns go through the
-#: per-clause Python appends: on a 2-core x86-64 host, exporting the
-#: buffers and crossing the FFI cost about 4.5 us, one clause's appends
-#: about 1-1.5 us.
-_MIN_C_BATCH = 4
-
 #: Cooperative return codes (>= 0 is a conflicting clause ID).
 RET_NO_CONFLICT = -1
 RET_NEED_GROW = -2
@@ -951,14 +945,6 @@ class NativeKernel(KernelBase):
         self, bin_ids: "Sequence[int]", tern_ids: "Sequence[int]",
         long_ids: "Sequence[int]",
     ) -> None:
-        if (
-            len(bin_ids) + len(tern_ids) + len(long_ids) < _MIN_C_BATCH
-            and self.long.used | self.bin.used | self.tern.used
-        ):
-            # A few appends to live columns cost less in Python than
-            # the FFI crossing (the same entries either way).
-            KernelBase.attach_all(self, bin_ids, tern_ids, long_ids)
-            return
         arena = self.solver._arena
         ffi = self._ffi
         from_buffer = ffi.from_buffer

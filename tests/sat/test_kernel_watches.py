@@ -194,10 +194,9 @@ def _search_counters(outcome):
 
 class TestBatchAppend:
     """``add_clauses`` batches appended to live columns — one C call on
-    the native kernel, the per-clause appends on the python kernel —
-    against a python solver fed the same clauses one ``add_clause`` at a
-    time.  The batches hold at least four clauses so the native kernel
-    takes its C append rather than its few-clause Python appends."""
+    the native kernel, whatever the batch size, the per-clause appends
+    on the python kernel — against a python solver fed the same clauses
+    one ``add_clause`` at a time."""
 
     @staticmethod
     def _append(reference, kernel, batch):
@@ -237,10 +236,14 @@ class TestBatchAppend:
         _assert_watches_match(reference, kernel, "solve after the batch")
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_overfilling_one_literal(self, backend):
-        # One literal gains far more entries than its block holds: it
-        # moves once, to a block of at least double its old capacity
-        # and at least its new size.
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_batch_overfilling_one_literal(self, backend, chunk):
+        # One literal gains far more entries than its block holds: in
+        # one batch it moves once, to a block of at least double its
+        # old capacity and at least its new size.  With a chunk size
+        # the same clauses arrive as many small batches (a chunk of one
+        # through add_shared_clause, the import path), moving the block
+        # as it fills.
         formula = pigeonhole(3)
         reference, kernel = _twins(formula, backend)
         hot = formula.clauses[0].literals[0]
@@ -250,7 +253,14 @@ class TestBatchAppend:
         old_size, old_cap = cols.size[hot], cols.caps[hot]
         batch = [[hot, other] for other in others[:20]]
         batch += [[hot, a, b] for a, b in zip(others[::2], others[1::2])]
-        self._append(reference, kernel, batch)
+        for start in range(0, len(batch), chunk or len(batch)):
+            part = batch[start:start + (chunk or len(batch))]
+            if chunk == 1:
+                reference.add_shared_clause(part[0])
+                kernel.add_shared_clause(part[0])
+            else:
+                self._append(reference, kernel, part)
+            _assert_watches_match(reference, kernel, f"batch at {start}")
         assert cols.size[hot] == old_size + 20
         assert cols.caps[hot] >= max(2 * old_cap, cols.size[hot])
         _assert_watches_match(reference, kernel, "overfilled literal")
