@@ -293,6 +293,7 @@ class PortfolioBmcEngine(BmcEngine):
                 jobs=self.jobs,
                 share_max_len=self.share_max_len,
                 epoch_conflicts=self.epoch_conflicts,
+                template=self.install_template(k),
             ).solve()
             outcome = result.outcome
             if outcome is None:

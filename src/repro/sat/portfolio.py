@@ -72,6 +72,7 @@ from repro.sat.solver import (
     SolverConfig,
 )
 from repro.sat.race import (
+    START_METHOD,
     MemberReport,
     SharedClauseBus,
     epoch_step,
@@ -274,11 +275,13 @@ def _build_solver(
 
 
 def _member_steps(formula, members, base_config, share_max_len,
-                  warm_activity, indices):
+                  warm_activity, template, indices):
     """The epoch step of members ``indices``; their solvers live
     wherever this is called (see :func:`repro.sat.race.epoch_step`),
-    each a fork of one install of ``formula`` made there."""
-    template = InstallTemplate(formula, base_config)
+    each a fork of ``template`` or, given none, of one install of
+    ``formula`` made there."""
+    if template is None:
+        template = InstallTemplate(formula, base_config)
     solvers = {
         index: _build_solver(
             formula, members[index], base_config, share_max_len,
@@ -365,6 +368,16 @@ class PortfolioSolver:
         Race mode only: seconds after which the race is cancelled with
         status UNKNOWN.  Rejected in deterministic mode (wall-clock
         cutoffs are not reproducible).
+    template:
+        An :class:`~repro.sat.solver.InstallTemplate` over a prefix of
+        ``formula``, borrowed for one :meth:`solve`: every epoch member
+        forks it and installs only the clauses past it, as
+        ``CdclSolver(formula, template=...)`` does.  The BMC engine
+        passes its run's growing template here.  Without one (or in a
+        spawn-started worker group, which would need it pickled) the
+        members fork one install of ``formula`` made where they live.
+        Race-mode children install ``formula`` themselves.  Search is
+        the same either way.
     """
 
     def __init__(
@@ -379,6 +392,7 @@ class PortfolioSolver:
         max_epochs: Optional[int] = None,
         time_budget: Optional[float] = None,
         warm_activity: bool = True,
+        template: Optional[InstallTemplate] = None,
     ) -> None:
         self.formula = formula
         self.members = list(members) if members is not None else default_members()
@@ -407,9 +421,12 @@ class PortfolioSolver:
         #: re-entries (robust default).  False re-seeds scores every
         #: epoch — a diversification restart with high variance.
         self.warm_activity = warm_activity
+        # Borrowed: solve() takes it and drops it when it returns.
+        self._template = template
 
     def solve(self) -> PortfolioOutcome:
         """Run the portfolio; see :class:`PortfolioOutcome`."""
+        template, self._template = self._template, None
         width = 0 if self.deterministic else race_width(
             len(self.members), self.jobs
         )
@@ -417,7 +434,7 @@ class PortfolioSolver:
             result = self._solve_race(width)
         elif self.deterministic:
             result = self._solve_epochs(
-                epoch_workers(len(self.members), self.jobs)
+                epoch_workers(len(self.members), self.jobs), template
             )
         else:
             # No real parallelism available (single member or CPU,
@@ -425,7 +442,7 @@ class PortfolioSolver:
             # jobs=1): a wider race would only time-slice, so run the
             # epoch-interleaved path in-process instead — same verdict,
             # and the sharing still prunes the search.
-            result = self._solve_epochs(1)
+            result = self._solve_epochs(1, template)
         self._publish_metrics(result)
         return result
 
@@ -478,7 +495,9 @@ class PortfolioSolver:
             imported / result.deliveries if result.deliveries else 0.0
         )
 
-    def _solve_epochs(self, workers: int) -> PortfolioOutcome:
+    def _solve_epochs(
+        self, workers: int, template: Optional[InstallTemplate]
+    ) -> PortfolioOutcome:
         start = time.perf_counter()
         bus = SharedClauseBus(len(self.members))
         reports = [MemberReport(name=member.name) for member in self.members]
@@ -488,9 +507,14 @@ class PortfolioSolver:
         deadline = (
             start + self.time_budget if self.time_budget is not None else None
         )
+        if workers > 1 and START_METHOD != "fork":
+            # A spawned worker group would need the template pickled;
+            # it installs the formula itself.  A forked one inherits
+            # the template copy-on-write.
+            template = None
         make_step = partial(
             _member_steps, self.formula, self.members, self.base_config,
-            self.share_max_len, self.warm_activity,
+            self.share_max_len, self.warm_activity, template,
         )
         with epoch_step(make_step, len(self.members), workers) as step:
             winner, outcome, epochs = run_epochs(

@@ -7,8 +7,12 @@ import pytest
 
 from repro.bmc import BmcEngine, IncrementalPortfolioBmc, PortfolioBmcEngine
 from repro.bmc.result import BmcStatus
+from repro.sat import CdclSolver, PortfolioSolver, SolverConfig
 from repro.sat import race as race_module
-from repro.workloads import instance_by_name
+from repro.sat.kernel import native_available
+from repro.workloads import counter_tripwire, instance_by_name
+
+PLANES = ["python"] + (["native"] if native_available() else [])
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +115,104 @@ class TestDepthGranularity:
         assert result.status is BmcStatus.FAILED
         assert result.depth_reached == instance.cex_depth
         assert result.trace is not None  # engine re-simulates it
+
+
+class TestRacedDepthInstall:
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_raced_depths_install_each_clause_once(self, plane, monkeypatch):
+        """The install loop runs over a linear number of clauses.
+
+        Depth ``k``'s instance is the clause log's prefix ``P(k)``
+        (frames ``0..k``) plus one property clause.  The engine grows
+        one install template per run, from ``P(k-1)`` to ``P(k)``, so
+        over depths ``0..K`` it installs ``|P(K)|`` clauses in all.  At
+        each depth every one of the ``M`` members forks that template
+        and installs the one clause past it, the property clause::
+
+            installed = |P(K)| + M * (K + 1)
+
+        A private install of each raced depth's whole formula would
+        make it ``sum_k (|P(k)| + 1)``, quadratic in ``K``.  Peer
+        imports run the install loop too (``count_literals=False``);
+        they are counted apart, and the pinned ``epoch_conflicts=16``
+        runs of the two rows must make some, so forks of the template
+        take part in clause sharing.
+        """
+        counts = {"installed": 0, "imports": 0}
+        outcomes = []
+        install = CdclSolver._install
+        solve = PortfolioSolver.solve
+
+        def counting_install(solver, clauses, count_literals=True):
+            batch = list(clauses)
+            counts["installed" if count_literals else "imports"] += len(batch)
+            return install(solver, batch, count_literals)
+
+        def recording_solve(portfolio):
+            outcome = solve(portfolio)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(CdclSolver, "_install", counting_install)
+        monkeypatch.setattr(PortfolioSolver, "solve", recording_solve)
+        pinned_imports = 0
+        for row in ("17_1_b2", "01_b"):
+            instance = instance_by_name(row)
+            circuit, prop = instance.build()
+            for epoch_conflicts in (256, 16):
+                counts.update(installed=0, imports=0)
+                del outcomes[:]
+                engine = PortfolioBmcEngine(
+                    circuit, prop, max_depth=instance.max_depth,
+                    deterministic=True, race_min_clauses=0,
+                    epoch_conflicts=epoch_conflicts,
+                    solver_config=SolverConfig(kernel=plane),
+                )
+                result = engine.run()
+                last = result.per_depth[-1].k
+                assert [d.k for d in result.per_depth] == list(range(last + 1))
+                assert len(outcomes) == last + 1  # every depth was raced
+                prefix, _origins = engine.unroller.formula_up_to(last)
+                members = len(engine.member_specs)
+                assert counts["installed"] == (
+                    prefix.num_clauses + members * (last + 1)
+                )
+                imported = sum(
+                    report.imported
+                    for outcome in outcomes for report in outcome.reports
+                )
+                assert counts["imports"] == imported
+                if epoch_conflicts == 16:
+                    pinned_imports += imported
+        assert pinned_imports > 0
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            dict(solver_config=SolverConfig(max_conflicts=1)),
+            dict(solver_config=SolverConfig(max_propagations=1)),
+            dict(time_budget=0),
+        ],
+        ids=["max_conflicts", "max_propagations", "time_budget"],
+    )
+    def test_every_budget_kind_ends_in_budget_exhausted(self, budget):
+        # A property that holds to depth 12, so only a budget can stop
+        # the run early, and never with a verdict.
+        circuit, prop = counter_tripwire(
+            counter_width=5, target=31, distractor_words=4, distractor_width=8
+        )
+        result = PortfolioBmcEngine(
+            circuit, prop, max_depth=12, deterministic=True,
+            race_min_clauses=0, **budget,
+        ).run()
+        assert result.status is BmcStatus.BUDGET_EXHAUSTED
+        assert result.trace is None
+        statuses = [d.status for d in result.per_depth]
+        solved = statuses[:-1] if statuses[-1:] == ["unknown"] else statuses
+        assert solved == ["unsat"] * len(solved)
+        assert result.depth_reached == len(solved) - 1 < 12
 
 
 class TestRowGranularity:

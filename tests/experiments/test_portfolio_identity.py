@@ -13,7 +13,9 @@ folding) cannot move a single counter unnoticed:
   bench cell;
 * per-depth search numbers and the sharing log of the deterministic
   :class:`PortfolioBmcEngine` and of :class:`IncrementalPortfolioBmc`
-  on one passing and one failing ``small_suite()`` row.
+  on one passing and one failing ``small_suite()`` row, the former
+  in-process and under ``jobs=2`` (worker groups forked with the
+  engine's install template) against the one anchored digest.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def _depth_rows(result):
     ]
 
 
-def _bmc_capture():
+def _bmc_capture(jobs=None):
     rows = {row.name: row for row in small_suite()}
     records = []
     for name in ("17_1_b2", "01_b"):
@@ -148,6 +150,7 @@ def _bmc_capture():
         engine = PortfolioBmcEngine(
             circuit, prop, max_depth=max_depth,
             deterministic=True, race_min_clauses=0, epoch_conflicts=16,
+            jobs=jobs,
         )
         result = engine.run()
         records.append([
@@ -175,3 +178,7 @@ def _bmc_capture():
 
 def test_bmc_portfolio_engines_pinned():
     assert _digest(_bmc_capture()) == BMC_DIGEST
+
+
+def test_bmc_depth_epochs_pinned_under_process_groups():
+    assert _digest(_bmc_capture(jobs=2)) == BMC_DIGEST

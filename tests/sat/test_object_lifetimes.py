@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import itertools
 import os
+import weakref
 from contextlib import contextmanager
 from typing import Optional
 
@@ -168,6 +169,37 @@ def test_raising_run_drops_its_template(flavour, plane, monkeypatch):
         with pytest.raises(RuntimeError, match="injected"):
             engine.run()
         assert engine._template is None
+        del engine
+    assert _leaked(found) == []
+
+
+@pytest.mark.parametrize("plane", PLANES)
+def test_raced_depths_only_borrow_the_engine_template(plane, monkeypatch):
+    # race_min_clauses=0 sends every depth through a PortfolioSolver
+    # whose members fork the engine's template: once run() returns,
+    # every template the engine grew must be freed by refcount.
+    grown = []
+    install_template = BmcEngine.install_template
+
+    def recording_install_template(engine, k):
+        template = install_template(engine, k)
+        grown.append(weakref.ref(template))
+        return template
+
+    monkeypatch.setattr(BmcEngine, "install_template", recording_install_template)
+    with saved_cyclic_garbage() as found:
+        engine = make_engine(
+            instance_by_name(ROW), "portfolio",
+            solver_config=SolverConfig(kernel=plane),
+            encoding_cache=EncodingCache(),
+            portfolio_opts={"deterministic": True, "race_min_clauses": 0},
+        )
+        result = engine.run()
+        assert result.status.value == "failed"
+        assert all(d.winner and not d.winner.startswith("serial:")
+                   for d in result.per_depth)
+        assert grown
+        assert [ref for ref in grown if ref() is not None] == []
         del engine
     assert _leaked(found) == []
 

@@ -262,6 +262,51 @@ class TestDeterministicMode:
         assert outcome.winner == "vsids/save"  # lowest index ties win
 
 
+class TestBorrowedTemplate:
+    @pytest.mark.parametrize(
+        "start_method, jobs, shipped",
+        [("fork", 2, True), ("spawn", 2, False), ("spawn", None, True)],
+        ids=["fork-groups", "spawn-groups", "in-process"],
+    )
+    def test_members_fork_the_template_unless_it_must_be_pickled(
+        self, monkeypatch, start_method, jobs, shipped
+    ):
+        # A spawn-started worker group would need the template pickled:
+        # its step must carry none and install the formula itself.
+        from contextlib import contextmanager
+
+        from repro.sat import portfolio as portfolio_module
+        from repro.sat.solver import InstallTemplate
+
+        steps = []
+        epoch_step = portfolio_module.epoch_step
+
+        @contextmanager
+        def recording_epoch_step(make_step, members, workers):
+            steps.append(make_step)
+            # Run in-process: the check is on what the groups receive.
+            with epoch_step(make_step, members, 1) as step:
+                yield step
+
+        monkeypatch.setattr(portfolio_module, "START_METHOD", start_method)
+        monkeypatch.setattr(portfolio_module, "epoch_step", recording_epoch_step)
+        formula = pigeonhole(4)
+        template = InstallTemplate(formula)
+        portfolio = PortfolioSolver(
+            formula, members=list(TWO_MEMBERS), deterministic=True,
+            jobs=jobs, template=template,
+        )
+        outcome = portfolio.solve()
+        assert outcome.status is SolveResult.UNSAT
+        [make_step] = steps
+        assert any(arg is template for arg in make_step.args) is shipped
+        assert portfolio._template is None  # borrowed for one solve()
+        untemplated = PortfolioSolver(
+            formula, members=list(TWO_MEMBERS), deterministic=True,
+        ).solve()
+        assert outcome_fingerprint(outcome) == outcome_fingerprint(untemplated)
+
+
 class TestRaceMode:
     def test_single_cpu_falls_back_to_deterministic(self, monkeypatch):
         monkeypatch.setattr(race_module, "_available_cpus", lambda: 1)
