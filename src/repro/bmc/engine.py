@@ -164,22 +164,23 @@ class BmcEngine:
         """Solve one depth's SAT instance; returns ``(outcome, extras)``.
 
         ``extras`` feeds optional :class:`DepthStats` fields
-        (``switched``, ``winner``).  Subclasses replace the solving
-        machinery here — the portfolio engine
+        (``switched``, ``winner``, ``install_time``).  Subclasses
+        replace the solving machinery here — the portfolio engine
         (``repro.bmc.portfolio.PortfolioBmcEngine``) races several
         strategies per depth — while the depth loop, budgets, statistics
         and trace handling in :meth:`run` stay shared.
         """
         strategy = self.make_strategy(instance, k)
+        config = self.capture_config(self.solver_config, k)
+        install_start = time.perf_counter()
         solver = CdclSolver(
-            instance.formula, strategy=strategy,
-            config=self.capture_config(self.solver_config, k),
+            instance.formula, strategy=strategy, config=config,
             template=self.install_template(k),
         )
+        extras = {"install_time": time.perf_counter() - install_start}
         if self.solver_hook is not None:
             self.solver_hook(solver, k)
         outcome = solver.solve()
-        extras = {}
         if isinstance(strategy, RankedStrategy):
             extras["switched"] = strategy.switched
         return outcome, extras
@@ -248,6 +249,7 @@ class BmcEngine:
                     switched=extras.get("switched"),
                     root_pruned=outcome.stats.root_pruned_clauses,
                     winner=extras.get("winner"),
+                    install_time=extras.get("install_time", 0.0),
                 )
                 result.per_depth.append(depth_stats)
                 self._publish_depth_metrics(depth_stats)

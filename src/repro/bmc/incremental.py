@@ -132,7 +132,11 @@ class IncrementalBmcEngine:
             ):
                 result.status = BmcStatus.BUDGET_EXHAUSTED
                 break
+            # Encode first, so the install span times the batch alone.
+            self.unroller.ensure_frames(k)
+            install_start = time.perf_counter()
             self._feed_frames(k)
+            install_time = time.perf_counter() - install_start
             property_lit = self.unroller.lit_of(self.property_net, k)
             strategy = self._strategy_for_depth()
             outcome = self._solver.solve(
@@ -159,6 +163,7 @@ class IncrementalBmcEngine:
                     strategy.switched if isinstance(strategy, RankedStrategy) else None
                 ),
                 root_pruned=outcome.stats.root_pruned_clauses,
+                install_time=install_time,
             )
             result.per_depth.append(depth_stats)
             if outcome.status is SolveResult.UNKNOWN:

@@ -180,7 +180,9 @@ class PortfolioBmcEngine(BmcEngine):
         #: Per-member row-race reports.
         self.reports: List[MemberReport] = []
         #: Per-depth sharing telemetry:
-        #: (k, winner, raced, epochs, shared_clauses, deliveries, wall_time).
+        #: (k, winner, raced, epochs, shared_clauses, deliveries,
+        #: wall_time, installed): ``deliveries`` counts clauses queued for
+        #: a peer, ``installed`` those a peer took to install.
         self.sharing_log: List[Tuple] = []
 
     def run(self) -> BmcResult:
@@ -202,9 +204,11 @@ class PortfolioBmcEngine(BmcEngine):
             self.reports = [
                 MemberReport(name=lead, status=result.status.value, winner=True)
             ]
-            shared = deliveries = 0
+            shared = deliveries = installed = 0
         else:
-            winner, result, shared, deliveries = self._run_row_race(width)
+            winner, result, shared, deliveries, installed = (
+                self._run_row_race(width)
+            )
         self.reports.extend(
             MemberReport(name=spec, status="skipped")
             for spec in self.member_specs[width:]
@@ -215,7 +219,7 @@ class PortfolioBmcEngine(BmcEngine):
         wall = time.perf_counter() - start
         self.sharing_log.append(
             (result.depth_reached, winner, width > 1, 0, shared, deliveries,
-             wall)
+             wall, installed)
         )
         if width > 1:
             result.total_time = wall
@@ -272,7 +276,9 @@ class PortfolioBmcEngine(BmcEngine):
             _promote_winner_traces(
                 self.trace_dir, self.trace_name, specs, specs[winner]
             )
-        return specs[winner], result, bus.shared, bus.deliveries
+        return (
+            specs[winner], result, bus.shared, bus.deliveries, bus.installed
+        )
 
     def _solve_depth(self, instance: BmcInstance, k: int) -> tuple:
         members = default_bmc_members(
@@ -280,11 +286,16 @@ class PortfolioBmcEngine(BmcEngine):
         )
         if instance.formula.num_clauses < self.race_min_clauses:
             # Too small to amortize a race: lead member, fresh solver.
-            outcome = self._solo(instance, members[0], k)
+            outcome, install_time = self._solo(instance, members[0], k)
             winner = f"serial:{members[0].name}"
             self.sharing_log.append((k, winner, False, 0, 0, 0,
-                                     outcome.stats.solve_time))
+                                     outcome.stats.solve_time, 0))
         else:
+            # The engine's part of the install: growing the template the
+            # members fork (their forks run inside the race).
+            install_start = time.perf_counter()
+            template = self.install_template(k)
+            install_time = time.perf_counter() - install_start
             result = PortfolioSolver(
                 instance.formula,
                 members=members,
@@ -293,7 +304,7 @@ class PortfolioBmcEngine(BmcEngine):
                 jobs=self.jobs,
                 share_max_len=self.share_max_len,
                 epoch_conflicts=self.epoch_conflicts,
-                template=self.install_template(k),
+                template=template,
             ).solve()
             outcome = result.outcome
             if outcome is None:
@@ -314,7 +325,7 @@ class PortfolioBmcEngine(BmcEngine):
             winner = result.winner
             self.sharing_log.append((
                 k, winner, True, result.epochs, result.shared_clauses,
-                result.deliveries, result.wall_time,
+                result.deliveries, result.wall_time, result.installed,
             ))
             if self.trace_dir is not None and winner is not None:
                 # The race itself cannot be traced in place — its
@@ -334,18 +345,22 @@ class PortfolioBmcEngine(BmcEngine):
             and outcome.core_vars is not None
         ):
             bmc_score_update(self.var_rank, outcome.core_vars, k, self.weighting)
-        return outcome, {"winner": winner}
+        return outcome, {"winner": winner, "install_time": install_time}
 
     def _solo(self, instance: BmcInstance, member: PortfolioMember, k: int):
         """Solve depth ``k`` with ``member`` alone, captured to the
-        canonical files the plain :class:`BmcEngine` seam would write."""
+        canonical files the plain :class:`BmcEngine` seam would write;
+        returns the outcome and the install (grow plus fork) time."""
         config = self.capture_config(
             member.overlay_config(self.solver_config, None), k
         )
-        return CdclSolver(
+        install_start = time.perf_counter()
+        solver = CdclSolver(
             instance.formula, strategy=member.build_strategy(), config=config,
             template=self.install_template(k),
-        ).solve()
+        )
+        install_time = time.perf_counter() - install_start
+        return solver.solve(), install_time
 
 
 def _promote_winner_traces(
@@ -501,6 +516,7 @@ class IncrementalPortfolioBmc:
         self.reports = [MemberReport(name=member.name) for member in members]
         self.shared_clauses = 0
         self.deliveries = 0
+        self.installed = 0
 
     def _strategy_for(self, index: int):
         member = self._members[index]
@@ -588,5 +604,6 @@ class IncrementalPortfolioBmc:
                 )
         self.shared_clauses = bus.shared
         self.deliveries = bus.deliveries
+        self.installed = bus.installed
         result.total_time = time.perf_counter() - start
         return result

@@ -43,7 +43,11 @@ class DepthStats:
     counts clauses the solver's root-level watch pruning detached during
     this depth's solve (PR 3 observability hook); ``winner`` names the
     portfolio member whose solver decided this depth (portfolio engines
-    only — ``None`` for single-strategy runs).
+    only — ``None`` for single-strategy runs).  ``install_time`` is the
+    wall time the engine spent installing this depth's clauses before
+    the solve: the template grow plus the fork (one-shot engines), the
+    frame batch (incremental engine).  Like ``solve_time`` it is a
+    measurement only, never part of a search digest.
     """
 
     k: int
@@ -59,6 +63,7 @@ class DepthStats:
     switched: Optional[bool] = None
     root_pruned: int = 0
     winner: Optional[str] = None
+    install_time: float = 0.0
 
 
 @dataclass

@@ -15,13 +15,22 @@ read-only prefix of an append-only clause log it shares with the
 encoder that wrote it (:meth:`CnfFormula.over_log`) — the BMC unroller
 hands out every depth-k instance that way, in O(1) instead of copying
 the prefix the instances share.
+
+The solver installs clauses from a second, flat layout: one
+``array('i')`` of ``[n, lit_0 … lit_{n-1}]`` blocks, the form a C loop
+can walk (MiniSat's flat clause store, Eén and Sörensson, SAT 2003).  A
+:class:`ClauseLog` keeps both layouts side by side, so a formula over it
+hands the solver a word range without flattening anything
+(:meth:`CnfFormula.clause_run`); a formula built clause by clause is
+flattened once per install instead (:func:`flatten_clauses`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cnf.literals import lit_str, lit_var
 
@@ -59,6 +68,104 @@ class Clause:
         return "(" + " | ".join(lit_str(lit) for lit in self.literals) + ")"
 
 
+def flatten_clauses(clauses: Iterable[Sequence[int]]) -> "array[int]":
+    """The ``[n, lit_0 … lit_{n-1}]`` word blocks of ``clauses``, in
+    order.  Raises ``OverflowError`` for a literal outside the signed
+    32-bit range."""
+    buffer: List[int] = []
+    append = buffer.append
+    extend = buffer.extend
+    for lits in clauses:
+        append(len(lits))
+        extend(lits)
+    words = array("i")
+    words.fromlist(buffer)
+    return words
+
+
+class ClauseLog:
+    """An append-only clause log kept in two layouts.
+
+    ``tuples`` holds one exact tuple per clause (the formula API's stored
+    form); :attr:`words` holds the same clauses as flat ``[n, lit_0 …
+    lit_{n-1}]`` blocks (the solver's install input).  Neither is ever
+    rewritten, so views over a prefix stay valid as the log grows.
+    Writers append to ``tuples`` only; the words of new clauses are
+    flattened in bulk on the next read of :attr:`words` (one pass per
+    encoded frame costs less than two array appends per clause).
+    :meth:`mark` records the word offset at the current clause count;
+    :meth:`word_offset` answers from those marks in O(1) and walks the
+    tuples only for an unmarked index.
+    """
+
+    __slots__ = ("tuples", "_words", "_flat", "_marks")
+
+    def __init__(self) -> None:
+        self.tuples: List[Tuple[int, ...]] = []
+        self._words = array("i")
+        #: Clauses already flattened into ``_words``.
+        self._flat = 0
+        self._marks: Dict[int, int] = {0: 0}
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    @property
+    def words(self) -> "array[int]":
+        """The word blocks of every clause in the log."""
+        tuples = self.tuples
+        if self._flat < len(tuples):
+            self._words.extend(flatten_clauses(tuples[self._flat:]))
+            self._flat = len(tuples)
+        return self._words
+
+    def mark(self) -> None:
+        """Remember the word offset of the current end of the log."""
+        self._marks[len(self.tuples)] = len(self.words)
+
+    def word_offset(self, index: int) -> int:
+        """Offset in :attr:`words` of clause ``index``'s block (the log's
+        word length when ``index`` is its clause count)."""
+        offset = self._marks.get(index)
+        if offset is not None:
+            return offset
+        if not 0 <= index <= len(self.tuples):
+            raise IndexError(f"clause index {index} outside 0..{len(self.tuples)}")
+        base = max(mark for mark in self._marks if mark <= index)
+        return (
+            self._marks[base] + index - base
+            + sum(map(len, self.tuples[base:index]))
+        )
+
+
+class ClauseRun:
+    """Consecutive clauses handed to the solver in both layouts.
+
+    ``tuples`` is a sequence of ``count`` exact literal tuples and
+    ``words[lo:hi]`` holds the same clauses as ``[n, lit …]`` blocks.
+    Iterating a run yields the tuples, so it can stand wherever an
+    iterable of clauses is expected.
+    """
+
+    __slots__ = ("tuples", "count", "words", "lo", "hi")
+
+    def __init__(
+        self, tuples: Sequence[Tuple[int, ...]], words: "array[int]",
+        lo: int = 0, hi: Optional[int] = None,
+    ) -> None:
+        self.tuples = tuples
+        self.count = len(tuples)
+        self.words = words
+        self.lo = lo
+        self.hi = len(words) if hi is None else hi
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        return iter(self.tuples)
+
+
 class CnfFormula:
     """A CNF formula: a clause list plus a variable-count watermark.
 
@@ -70,7 +177,9 @@ class CnfFormula:
     clause log (empty for a formula built clause by clause; shared with
     the encoder for one made by :meth:`over_log`), later clauses live in
     a private tail.  The formula only ever appends to its tail, so a
-    shared log is never written through it.
+    shared log is never written through it.  When the log is a
+    :class:`ClauseLog`, its flat words serve :meth:`clause_run` without
+    a copy.
     """
 
     def __init__(self, num_vars: int = 0) -> None:
@@ -80,10 +189,15 @@ class CnfFormula:
         self._log: Sequence[Tuple[int, ...]] = ()
         self._log_len = 0
         self._tail: List[Tuple[int, ...]] = []
+        #: The two-layout log ``_log`` is the tuple side of, if any.
+        self._words: Optional[ClauseLog] = None
 
     @classmethod
     def over_log(
-        cls, log: Sequence[Tuple[int, ...]], length: int, num_vars: int
+        cls,
+        log: Union[ClauseLog, Sequence[Tuple[int, ...]]],
+        length: int,
+        num_vars: int,
     ) -> "CnfFormula":
         """A formula whose clauses are ``log[:length]``, without copying.
 
@@ -91,14 +205,49 @@ class CnfFormula:
         change — and hold exact tuples of valid packed literals over
         variables below ``num_vars`` (they are not re-validated).  The
         view stays fixed when the log grows past ``length``; clauses
-        added to it go to its own tail.
+        added to it go to its own tail.  Over a :class:`ClauseLog`,
+        :meth:`clause_run` addresses the prefix by word range.
         """
         if not 0 <= length <= len(log):
             raise ValueError(f"length {length} outside 0..{len(log)}")
         formula = cls(num_vars)
+        if isinstance(log, ClauseLog):
+            formula._words = log
+            log = log.tuples
         formula._log = log
         formula._log_len = length
         return formula
+
+    def word_range(self) -> Optional[Tuple["array[int]", int, int]]:
+        """``(words, lo, hi)``: the log prefix's clauses as flat blocks
+        ``words[lo:hi]`` (``lo`` is 0), or None when the formula is not
+        a view over a :class:`ClauseLog`.  Clauses in the private tail
+        are not covered."""
+        log = self._words
+        if log is None:
+            return None
+        return log.words, 0, log.word_offset(self._log_len)
+
+    def clause_run(self, start: int = 0) -> ClauseRun:
+        """Clauses ``start ..`` as a :class:`ClauseRun` — the solver's
+        install input.  The log part is a word range of the shared log
+        (no copy) when nothing follows it; otherwise the clauses are
+        flattened once."""
+        log = self._log
+        log_len = self._log_len
+        words_log = self._words
+        tail = self._tail
+        if words_log is None or start > log_len:
+            tuples = list(islice(self.iter_literals(), start, None))
+            return ClauseRun(tuples, flatten_clauses(tuples))
+        tuples = log[start:log_len]
+        lo = words_log.word_offset(start)
+        hi = words_log.word_offset(log_len)
+        if not tail:
+            return ClauseRun(tuples, words_log.words, lo, hi)
+        words = words_log.words[lo:hi]
+        words.extend(flatten_clauses(tail))
+        return ClauseRun(tuples + tail, words)
 
     @property
     def num_vars(self) -> int:
@@ -239,6 +388,7 @@ class CnfFormula:
         dup = CnfFormula(self._num_vars)
         dup._log = self._log
         dup._log_len = self._log_len
+        dup._words = self._words
         dup._tail = list(self._tail)
         return dup
 

@@ -22,7 +22,12 @@ Encoding choices (standard for circuit BMC):
 Storage: encoded clauses go into an append-only *log* of plain literal
 tuples, with a parallel log of compact ``(kind, net, frame)`` origin
 records — exact tuples, which CPython's cyclic garbage collector
-untracks, so a cached encoding costs a full collection nothing.  Every
+untracks, so a cached encoding costs a full collection nothing.  The
+clause log is a :class:`~repro.cnf.formula.ClauseLog`: it also keeps
+every clause as a flat ``[n, lit_0 … lit_{n-1}]`` word block, the
+solver's install input, so encoding once serves every install of a
+clause (each depth's template grow, each incremental feed) without
+flattening it again.  Every
 depth-``k`` instance, :meth:`Unroller.formula_up_to` and
 :meth:`Unroller.clauses_since` are O(1) views over a bounded prefix or
 slice of the log (see :meth:`~repro.cnf.formula.CnfFormula.over_log`):
@@ -33,13 +38,13 @@ unroller later encodes frames beyond it.  :class:`Clause` and
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.circuit.netlist import Circuit, GateOp
 from repro.circuit.ops import cone_of_influence
-from repro.cnf.formula import Clause, CnfFormula
+from repro.cnf.formula import Clause, ClauseLog, ClauseRun, CnfFormula
 from repro.cnf.literals import lit_neg, mk_lit
 from repro.encode.tseitin import gate_clauses
 
@@ -135,26 +140,37 @@ class ClauseSlice(_LogView):
     """``(Clause, ClauseOrigin)`` pairs over a slice of the unroller's
     clause log (what :meth:`Unroller.clauses_since` returns)."""
 
-    __slots__ = ("_origins",)
+    __slots__ = ("_origins", "_words")
 
     def __init__(
         self,
-        clauses: Sequence[Tuple[int, ...]],
+        clauses: ClauseLog,
         origins: Sequence[OriginRecord],
         start: int,
         stop: int,
     ) -> None:
-        super().__init__(clauses, start, stop)
+        super().__init__(clauses.tuples, start, stop)
         self._origins = origins
+        self._words = clauses
 
     def _make(self, index: int) -> Tuple[Clause, ClauseOrigin]:
         at = self._start + index
         return Clause(self._log[at]), ClauseOrigin(*self._origins[at])
 
-    def literals(self) -> Iterator[Tuple[int, ...]]:
-        """The slice's literal tuples as stored (no value objects) — the
-        incremental feed's path into ``CdclSolver.add_clause``."""
-        return islice(self._log, self._start, self._stop)
+    def word_range(self) -> Tuple["array[int]", int, int]:
+        """``(words, lo, hi)``: the slice's clauses as the flat blocks
+        ``words[lo:hi]`` of the shared word log."""
+        log = self._words
+        return (
+            log.words, log.word_offset(self._start), log.word_offset(self._stop)
+        )
+
+    def literals(self) -> ClauseRun:
+        """The slice's literal tuples as stored (no value objects), with
+        their word range — the incremental feed's path into
+        ``CdclSolver.add_clauses``, which installs it without flattening."""
+        words, lo, hi = self.word_range()
+        return ClauseRun(self._log[self._start:self._stop], words, lo, hi)
 
 
 class BmcInstance:
@@ -245,7 +261,11 @@ class Unroller:
         # and origin logs are append-only (see the module docstring):
         # instance views rely on entries never changing once written.
         self._num_vars = 1
-        self._clauses: List[Tuple[int, ...]] = [(mk_lit(0),)]
+        self._log = ClauseLog()
+        #: The log's tuple side: what the encoder appends to, and what
+        #: instance views and slices index.
+        self._clauses = self._log.tuples
+        self._clauses.append((mk_lit(0),))
         self._origins: List[OriginRecord] = [("const", -1, -1)]
         self._lit_cache: Dict[Tuple[int, int], int] = {}
         self._var_frame: List[int] = [-1]  # allocation frame per variable
@@ -299,6 +319,7 @@ class Unroller:
             self._frames_built += 1
             self._vars_after_frame.append(self._num_vars)
             self._clauses_after_frame.append(len(self._clauses))
+            self._log.mark()
 
     def _build_frame(self, frame: int) -> None:
         circuit = self.circuit
@@ -361,7 +382,7 @@ class Unroller:
         the call (``stop=None`` means the clauses encoded so far)."""
         end = len(self._clauses)
         start, stop, _ = slice(index, stop).indices(end)
-        return ClauseSlice(self._clauses, self._origins, start, max(start, stop))
+        return ClauseSlice(self._log, self._origins, start, max(start, stop))
 
     def clause_watermark(self, k: int) -> int:
         """Cumulative clause count covering exactly frames ``0..k``
@@ -388,7 +409,7 @@ class Unroller:
         self.ensure_frames(k)
         num_clauses = self._clauses_after_frame[k]
         formula = CnfFormula.over_log(
-            self._clauses, num_clauses, self._vars_after_frame[k]
+            self._log, num_clauses, self._vars_after_frame[k]
         )
         return formula, OriginView(self._origins, num_clauses)
 
@@ -411,7 +432,7 @@ class Unroller:
         self.ensure_frames(k)
         num_clauses = self._clauses_after_frame[k]
         formula = CnfFormula.over_log(
-            self._clauses, num_clauses, self._vars_after_frame[k]
+            self._log, num_clauses, self._vars_after_frame[k]
         )
         property_lit = self.lit_of(self.property_net, k)
         property_index = formula.add_clause((lit_neg(property_lit),))

@@ -54,6 +54,18 @@ seam:
     lays the same entries out in C: exactly sized blocks in empty
     columns, appends after the existing entries in live ones.
 
+``install_batch(run, count_literals)`` / ``check_words(words, lo, hi,
+limit)``
+    Clause install over a :class:`~repro.cnf.formula.ClauseRun`'s flat
+    ``[n, lit …]`` words.  ``install_batch`` is None on the python
+    kernel, whose installs run the solver's reference loop over the
+    run's tuples (``CdclSolver._install_tuples``); the native kernel
+    runs the same loop in C, handing back the few clauses that need
+    Python state (see :mod:`repro.sat.kernel.native`).
+    ``check_words`` returns the word index of the first literal outside
+    ``[0, limit)``, or -1 — the literal check a public install batch
+    passes before anything changes.
+
 ``grow(lit_capacity)``
     Called from ``ensure_num_vars`` when the literal space grows;
     backtracking needs no hook (the kernel keeps no per-level state —
@@ -76,6 +88,7 @@ seam:
 from __future__ import annotations
 
 import weakref
+from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sat.kernel.columns import ClauseLitMirror, WatchColumns
@@ -112,6 +125,28 @@ class KernelBase:
         self.long.grow_lits(lit_capacity)
         self.bin.grow_lits(lit_capacity)
         self.tern.grow_lits(lit_capacity)
+
+    # -- clause install ------------------------------------------------------
+
+    #: The native kernel's C install (a generator method); None here,
+    #: where the solver's reference loop installs.
+    install_batch = None
+
+    def check_words(self, words: "array[int]", lo: int, hi: int, limit: int) -> int:
+        """Word index of the first literal in the ``[n, lit …]`` blocks
+        of ``words[lo:hi]`` that lies outside ``[0, limit)``, or -1."""
+        span = words[lo:hi]
+        if not span or (min(span) >= 0 and max(span) < limit):
+            return -1
+        pos = lo
+        while pos < hi:
+            end = pos + 1 + words[pos]
+            for at in range(pos + 1, end):
+                lit = words[at]
+                if lit < 0 or lit >= limit:
+                    return at
+            pos = end
+        return -1
 
     # -- watch bookkeeping (not hot) ---------------------------------------
 

@@ -219,9 +219,11 @@ class ClauseLitMirror:
                 ^
                 refs[cid]
 
-    ``sync(view)`` appends blocks for clauses installed since the last
-    call (one pass over the view's new tail — O(1) amortized per
-    clause, called at ``search_step`` entry).  ``free(cid)`` drops a
+    The native install writes the blocks of the clauses it installs
+    directly (advancing :attr:`synced`); ``sync(view)`` appends blocks
+    for clauses added since then — learned clauses, in one pass over the
+    view's new tail, O(1) amortized per clause, called at
+    ``search_step`` entry and before an install.  ``free(cid)`` drops a
     deleted clause's block (learned-DB reduction); dead words are
     reclaimed by an arena-style in-place compaction once they reach
     half the store.  The backing arrays only grow or compact between

@@ -8,15 +8,34 @@ resolution walk, reading long-clause literals from the install-order
 mirror) into two static loops, and exports them fused as one
 ``search_step``: propagate, then analyze the conflict without
 returning to Python between them — one FFI crossing per conflict.  The
-only other export is ``fill_columns``, the bulk watch install: it lays
-a constructor's or fork's empty columns out in exactly sized blocks,
-and appends a live solver's ``add_clauses`` batch to warm columns at a
-cost that follows the batch, not the literal space.  Both run
-zero-copy over the solver's typed arrays via ``ffi.from_buffer``:
-``lit_truth``/``_seen`` (``unsigned char`` bytearrays), levels/
-reasons/trail/watch columns/mirror words (``int32_t``), arena and
-mirror refs (``int64_t``).  ``fill_columns`` acquires its views per
-call and releases them before returning.  ``search_step`` instead
+other exports install clauses:
+
+* ``fill_columns`` is the bulk watch install: it lays a constructor's
+  or fork's empty columns out in exactly sized blocks, and appends a
+  live solver's ``add_clauses`` batch to warm columns at a cost that
+  follows the batch, not the literal space.
+* ``install_batch`` is ``CdclSolver._install_tuples`` — the per-clause
+  install loop — over a :class:`~repro.cnf.formula.ClauseRun`'s flat
+  ``[n, lit_0 … lit_{n-1}]`` words, one call per batch: dedupe,
+  tautology flags, literal counts, arena words/refs/flags, the
+  install-order mirror blocks (advancing ``mirror.synced``), per-table
+  watch IDs, and the root-fact classification (root-satisfied clauses
+  pruned into an out-buffer, effectively-unit ones enqueued on the
+  trail, long ones reordered to watch two free literals).  It hands a
+  clause back to Python, then resumes at the next one, in two cases:
+  a unit (the solver records its defining unit in a dict) and a
+  clause falsified at the root (the reason closure and the CDG).  A
+  batch installed while the solver is UNSAT is only stored, exactly as
+  the reference loop stores it.  ``check_words`` is the literal check
+  a public batch passes first.
+
+All run zero-copy over the solver's typed arrays via
+``ffi.from_buffer``: ``lit_truth``/``_seen``/arena flags
+(``unsigned char`` bytearrays), levels/reasons/trail/watch
+columns/literal counts/arena and mirror words (``int32_t``), arena and
+mirror refs (``int64_t``).  The install exports acquire their views
+per call (``install_batch`` keeps them across its hand-backs, which
+resize nothing) and release them before returning.  ``search_step`` instead
 caches its 26 views across calls (most steps are decision-only, so
 re-exporting every buffer per step would dominate the crossing): the
 solver releases them before anything that can resize a viewed array
@@ -27,8 +46,13 @@ keeps an exported buffer pinned, so a missed release raises
 
 What C cannot do is grow a Python ``array``.  ``fill_columns`` changes
 nothing when the watch pool is too small for a batch and returns the
-words it needs instead (Python reserves them and calls again);
-``search_step`` has cooperative return codes:
+words it needs instead (Python reserves them and calls again).
+``install_batch`` never runs short: before the call Python grows every
+array it writes by the batch's undeduplicated size (the run's words
+plus one header word per clause for the arena, the run's words for the
+mirror, one slot per clause for refs and flags, five ID sections of
+one slot per clause), and afterwards cuts the arena and mirror words
+back to what C used.  ``search_step`` has cooperative return codes:
 
 * Watch moves discovered during the long scan are not appended
   directly; they are recorded in a *pending* scratch buffer
@@ -69,12 +93,14 @@ import weakref
 from array import array
 from typing import TYPE_CHECKING, Optional
 
+from repro.sat.arena import HEADER_WORDS
 from repro.sat.kernel.base import KernelBase
 from repro.sat.profile import PROF_DEQ, PROF_PROPS, new_profile_buffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from typing import List, Sequence, Tuple
+    from typing import List, Tuple
 
+    from repro.cnf.formula import ClauseRun
     from repro.sat.solver import CdclSolver
 
 #: Shared state-array slots (Python writes, C reads, and back).
@@ -105,6 +131,30 @@ ST_ABUF = 22
 ST_ANALYZED = 23
 _STATE_SLOTS = 24
 
+#: install_batch state slots (an ``int64`` array Python fills, C
+#: advances and Python reads back at every return).
+IB_POS = 0          # next clause's word offset in the run
+IB_HI = 1           # the run's end word
+IB_CID = 2          # next clause ID
+IB_AUSED = 3        # arena words written
+IB_MUSED = 4        # mirror words written
+IB_COUNT = 5        # clauses in the batch (the out-buffer section size)
+IB_NBIN = 6         # out-buffer section fill counts, in section order:
+IB_NTERN = 7        # binary, ternary and long watch IDs, root-pruned
+IB_NLONG = 8        # IDs, deduplicated IDs
+IB_NPRUNED = 9
+IB_NDEDUP = 10
+IB_TRAIL = 11       # the trail length
+IB_ENQ = 12         # effectively-unit clauses enqueued
+IB_LITS = 13        # literals counted
+IB_FLAGS = 14       # IBF_* bits
+IB_HAND = 15        # the clause handed back
+_IB_SLOTS = 16
+
+IBF_OK = 1          # the solver is not UNSAT: classify and attach
+IBF_COUNT = 2       # count literals (off for peer imports)
+IBF_PRUNE = 4       # prune root-satisfied clauses at birth
+
 #: Cooperative return codes (>= 0 is a conflicting clause ID).
 RET_NO_CONFLICT = -1
 RET_NEED_GROW = -2
@@ -131,6 +181,14 @@ int search_step(unsigned char *truth,
                 int32_t *learned, int32_t *ants,
                 int32_t *touched, int32_t *zero,
                 int32_t *st, int64_t *prof);
+int install_batch(const int32_t *words,
+                  int32_t *adata, int64_t *arefs, unsigned char *aflags,
+                  int32_t *mdata, int64_t *mrefs, int32_t *lit_counts,
+                  unsigned char *truth, int32_t *levels, int32_t *reasons,
+                  int32_t *trail, unsigned char *seen, int32_t *out,
+                  int64_t *st);
+int64_t check_words(const int32_t *words, int64_t lo, int64_t hi,
+                    int32_t limit);
 """
 
 _SOURCE = r"""
@@ -758,6 +816,230 @@ int search_step(unsigned char *truth,
     }
     return conflict;
 }
+
+/* install_batch state slots and flags; keep in sync with native.py. */
+#define IB_POS 0
+#define IB_HI 1
+#define IB_CID 2
+#define IB_AUSED 3
+#define IB_MUSED 4
+#define IB_COUNT 5
+#define IB_NBIN 6
+#define IB_NTERN 7
+#define IB_NLONG 8
+#define IB_NPRUNED 9
+#define IB_NDEDUP 10
+#define IB_TRAIL 11
+#define IB_ENQ 12
+#define IB_LITS 13
+#define IB_FLAGS 14
+#define IB_HAND 15
+#define IBF_OK 1
+#define IBF_COUNT 2
+#define IBF_PRUNE 4
+/* The arena's INACTIVE flag bit (repro/sat/arena.py). */
+#define ARENA_INACTIVE 4
+
+/* Move blk[i] to the front, keeping the others in order. */
+static void to_front(int32_t *blk, int32_t i)
+{
+    int32_t lit = blk[i];
+    memmove(blk + 1, blk, (size_t)i * sizeof(int32_t));
+    blk[0] = lit;
+}
+
+/* Clause install: CdclSolver._install_tuples transliterated over flat
+   [n, lit_0 .. lit_{n-1}] word blocks, words[st[IB_POS]:st[IB_HI]].
+   Per clause, in order: dedupe (n = 2 and 3 inline, n >= 4 through the
+   per-variable `seen` scratch, bit 1 per polarity, cleared again), the
+   tautology test (flagged INACTIVE, never counted or attached), the
+   arena block, flags byte and ref, the install-order mirror block (n >= 4
+   after dedupe, else ref -1), literal counts (IBF_COUNT), then — while
+   the solver is not UNSAT (IBF_OK) — the root-fact classification of
+   CdclSolver._classify_assigned: a root-satisfied clause goes to the
+   pruned section under IBF_PRUNE, an effectively-unit one gets its free
+   literal first and is enqueued at level 0, a long one gets two free
+   literals moved to the watch positions; every clause still attached
+   goes to its table's ID section of `out` (binary, ternary, long).
+   Deduplicated clause IDs go to the last section (Python rebuilds their
+   analysis views).
+
+   Python reserves every array to the batch's undeduplicated size first
+   (C cannot grow one).  Returns 0 when the batch is done; returns 1
+   having handed back clause st[IB_HAND] — a unit, or a clause every
+   literal of which is false at the root — which Python classifies
+   before calling again to resume at the next clause (refreshing
+   st[IB_TRAIL] and IBF_OK, which its handling may change). */
+int install_batch(const int32_t *words,
+                  int32_t *adata, int64_t *arefs, unsigned char *aflags,
+                  int32_t *mdata, int64_t *mrefs, int32_t *lit_counts,
+                  unsigned char *truth, int32_t *levels, int32_t *reasons,
+                  int32_t *trail, unsigned char *seen, int32_t *out,
+                  int64_t *st)
+{
+    int64_t pos = st[IB_POS], hi = st[IB_HI], cid = st[IB_CID];
+    int64_t aused = st[IB_AUSED], mused = st[IB_MUSED];
+    int64_t count = st[IB_COUNT];
+    int64_t nbin = st[IB_NBIN], ntern = st[IB_NTERN], nlong = st[IB_NLONG];
+    int64_t npruned = st[IB_NPRUNED], ndedup = st[IB_NDEDUP];
+    int64_t trail_len = st[IB_TRAIL], enq = st[IB_ENQ], nlits = st[IB_LITS];
+    int64_t flags = st[IB_FLAGS];
+    int32_t *bin_out = out, *tern_out = out + count;
+    int32_t *long_out = out + 2 * count, *pruned_out = out + 3 * count;
+    int32_t *dedup_out = out + 4 * count;
+    int ret = 0;
+    while (pos < hi) {
+        int32_t n = words[pos], m = 0, j, cur = (int32_t)cid;
+        const int32_t *src = words + pos + 1;
+        int32_t *blk = adata + aused + 2;
+        int taut = 0, attach = 1;
+        pos += 1 + n;
+        cid++;
+        if (n == 2) {
+            int32_t a = src[0], b = src[1];
+            blk[m++] = a;
+            if (b != a) {
+                blk[m++] = b;
+                taut = (a ^ 1) == b;
+            }
+        } else if (n == 3) {
+            int32_t a = src[0], b = src[1], c = src[2];
+            blk[m++] = a;
+            if (b != a)
+                blk[m++] = b;
+            if (c != a && c != b)
+                blk[m++] = c;
+            if (m == 3)
+                taut = (a ^ 1) == b || (a ^ 1) == c || (b ^ 1) == c;
+            else if (m == 2)
+                taut = (blk[0] ^ 1) == blk[1];
+        } else if (n > 3) {
+            for (j = 0; j < n; j++) {
+                int32_t lit = src[j];
+                unsigned char bit = (unsigned char)(1 << (lit & 1));
+                unsigned char mark = seen[lit >> 1];
+                if (mark & bit)
+                    continue;
+                if (mark)
+                    taut = 1;
+                seen[lit >> 1] = mark | bit;
+                blk[m++] = lit;
+            }
+            for (j = 0; j < m; j++)
+                seen[blk[j] >> 1] = 0;
+        } else {
+            for (j = 0; j < n; j++)
+                blk[m++] = src[j];
+        }
+        if (m != n)
+            dedup_out[ndedup++] = cur;
+        adata[aused] = taut ? ARENA_INACTIVE : 0;
+        adata[aused + 1] = m;
+        arefs[cur] = aused + 2;
+        aflags[cur] = taut ? ARENA_INACTIVE : 0;
+        aused += 2 + m;
+        if (m > 3) {
+            mdata[mused] = m;
+            mrefs[cur] = mused + 1;
+            memcpy(mdata + mused + 1, blk, (size_t)m * sizeof(int32_t));
+            mused += 1 + m;
+        } else {
+            mrefs[cur] = -1;
+        }
+        if (taut)
+            continue;
+        if (flags & IBF_COUNT) {
+            for (j = 0; j < m; j++)
+                lit_counts[blk[j]]++;
+            nlits += m;
+        }
+        if (!(flags & IBF_OK))
+            continue;
+        if (m < 2) {
+            st[IB_HAND] = cur;
+            ret = 1;
+            break;
+        }
+        for (j = 0; j < m; j++)
+            if (truth[blk[j]] != 2)
+                break;
+        if (j < m) {
+            int32_t first = -1, second = -1;
+            int sat = 0;
+            for (j = 0; j < m; j++) {
+                unsigned char v = truth[blk[j]];
+                if (v == 2) {
+                    if (first < 0)
+                        first = j;
+                    else if (second < 0)
+                        second = j;
+                } else if (v == 1) {
+                    sat = 1;
+                    break;
+                }
+            }
+            if (sat) {
+                if (flags & IBF_PRUNE) {
+                    pruned_out[npruned++] = cur;
+                    attach = 0;
+                }
+            } else if (first < 0) {
+                st[IB_HAND] = cur;
+                ret = 1;
+                break;
+            } else if (second < 0) {
+                int32_t lit = blk[first];
+                to_front(blk, first);
+                truth[lit] = 1;
+                truth[lit ^ 1] = 0;
+                levels[lit >> 1] = 0;
+                reasons[lit >> 1] = cur;
+                trail[trail_len++] = lit;
+                enq++;
+            } else if (m > 3) {
+                to_front(blk, second);
+                to_front(blk, first + 1);
+            }
+        }
+        if (!attach)
+            continue;
+        if (m == 2)
+            bin_out[nbin++] = cur;
+        else if (m == 3)
+            tern_out[ntern++] = cur;
+        else
+            long_out[nlong++] = cur;
+    }
+    st[IB_POS] = pos;
+    st[IB_CID] = cid;
+    st[IB_AUSED] = aused;
+    st[IB_MUSED] = mused;
+    st[IB_NBIN] = nbin;
+    st[IB_NTERN] = ntern;
+    st[IB_NLONG] = nlong;
+    st[IB_NPRUNED] = npruned;
+    st[IB_NDEDUP] = ndedup;
+    st[IB_TRAIL] = trail_len;
+    st[IB_ENQ] = enq;
+    st[IB_LITS] = nlits;
+    return ret;
+}
+
+/* The install batch's literal check: the word index of the first
+   literal of the [n, lit ...] blocks in words[lo:hi] outside
+   [0, limit), or -1. */
+int64_t check_words(const int32_t *words, int64_t lo, int64_t hi,
+                    int32_t limit)
+{
+    int64_t pos = lo;
+    while (pos < hi) {
+        int64_t end = pos + 1 + words[pos];
+        for (pos++; pos < end; pos++)
+            if (words[pos] < 0 || words[pos] >= limit)
+                return pos;
+    }
+    return -1;
+}
 """
 
 #: Memoized build outcome: the loaded extension module, or the reason
@@ -909,6 +1191,8 @@ class NativeKernel(KernelBase):
         self._ants_buf = array("i", bytes(4 * 256))
         self._touched_buf = array("i", bytes(4 * 1024))
         self._zero_buf = array("i", bytes(4 * 256))
+        # install_batch's state slots (IB_*).
+        self._install_state = array("q", bytes(8 * _IB_SLOTS))
         # attach_all's per-literal entry counts (zero between calls),
         # sized to the literal space on use.
         self._counts = array("i")
@@ -942,8 +1226,8 @@ class NativeKernel(KernelBase):
             cols.on_resize = on_resize
 
     def attach_all(
-        self, bin_ids: "Sequence[int]", tern_ids: "Sequence[int]",
-        long_ids: "Sequence[int]",
+        self, bin_ids: "array[int]", tern_ids: "array[int]",
+        long_ids: "array[int]",
     ) -> None:
         arena = self.solver._arena
         ffi = self._ffi
@@ -968,9 +1252,9 @@ class NativeKernel(KernelBase):
             else:
                 cols.reserve(k * k * len(ids))  # one pass: exactly sized
                 scratch = ffi.NULL
-            # cffi passes a list as a temporary C array; an array
-            # (a template's watch IDs) is aliased in place.
-            cids = ids if isinstance(ids, list) else from_buffer("int32_t[]", ids)
+            # Always an array on this kernel (the C install's output or
+            # a template's watch IDs), aliased in place.
+            cids = from_buffer("int32_t[]", ids)
             while True:
                 columns = [
                     from_buffer("int32_t[]", cols.offs),
@@ -989,11 +1273,123 @@ class NativeKernel(KernelBase):
                 cols.reserve(-used)  # pool short: nothing changed
             if scratch is not ffi.NULL:
                 release(scratch)
-            if cids is not ids:
-                release(cids)
+            release(cids)
             cols.used = used
         release(adata)
         release(arefs)
+
+    def install_batch(self, run: "ClauseRun", count_literals: bool):
+        """Install ``run`` through the C ``install_batch``: a generator
+        that yields each clause ID the C loop hands back (a unit, or a
+        clause falsified at the root) for the solver to classify — the
+        next ``next()`` resumes at the following clause — and returns
+        the new watch IDs per table and the literals counted.
+
+        Every array the loop writes is reserved first to the batch's
+        undeduplicated size and cut back to what C used afterwards.
+        The analysis views take the run's tuples, rebuilt deduplicated
+        for the clauses C reports; the mirror blocks C writes bring
+        ``mirror.synced`` to the batch's end."""
+        solver = self.solver
+        arena = solver._arena
+        mirror = self.mirror
+        view = solver._lits_view
+        first = len(arena.refs)
+        count = run.count
+        if mirror.synced != first:
+            mirror.sync(view)  # learned clauses since the last step
+        view.extend(run.tuples)
+        if not count:
+            return ((), (), ()), 0
+        span = run.hi - run.lo
+        adata = arena.data
+        mdata = mirror.data
+        state = self._install_state
+        state[IB_POS] = run.lo
+        state[IB_HI] = run.hi
+        state[IB_CID] = first
+        state[IB_AUSED] = len(adata)
+        state[IB_MUSED] = len(mdata)
+        state[IB_COUNT] = count
+        for slot in (IB_NBIN, IB_NTERN, IB_NLONG, IB_NPRUNED, IB_NDEDUP,
+                     IB_ENQ, IB_LITS):
+            state[slot] = 0
+        state[IB_TRAIL] = solver._trail_len
+        state[IB_FLAGS] = (
+            (IBF_OK if solver._ok else 0)
+            | (IBF_COUNT if count_literals else 0)
+            | (IBF_PRUNE if solver.config.prune_root_satisfied else 0)
+        )
+        adata.frombytes(bytes(4 * (span + (HEADER_WORDS - 1) * count)))
+        arena.refs.frombytes(bytes(8 * count))
+        arena.flags.extend(bytes(count))
+        mdata.frombytes(bytes(4 * span))
+        mirror.refs.frombytes(bytes(8 * count))
+        # Five sections of `count` IDs: binary, ternary and long
+        # watches, root-pruned, deduplicated.
+        out = array("i", bytes(20 * count))
+        deduped = 0
+
+        def rebuild_views(upto: int) -> int:
+            for cid in out[4 * count + deduped:4 * count + upto]:
+                view[cid] = tuple(dict.fromkeys(view[cid]))
+            return upto
+
+        ffi = self._ffi
+        from_buffer = ffi.from_buffer
+        views = [
+            from_buffer("int32_t[]", run.words),
+            from_buffer("int32_t[]", adata),
+            from_buffer("int64_t[]", arena.refs),
+            from_buffer("unsigned char[]", arena.flags),
+            from_buffer("int32_t[]", mdata),
+            from_buffer("int64_t[]", mirror.refs),
+            from_buffer("int32_t[]", solver._lit_counts),
+            from_buffer("unsigned char[]", solver.lit_truth),
+            from_buffer("int32_t[]", solver._levels),
+            from_buffer("int32_t[]", solver._reasons),
+            from_buffer("int32_t[]", solver._trail),
+            from_buffer("unsigned char[]", solver._seen),
+            from_buffer("int32_t[]", out),
+            from_buffer("int64_t[]", state),
+        ]
+        install = self._lib.install_batch
+        try:
+            while install(*views):
+                solver._trail_len = state[IB_TRAIL]
+                # The hand-back may read the views (reason closure).
+                deduped = rebuild_views(state[IB_NDEDUP])
+                yield state[IB_HAND]
+                state[IB_TRAIL] = solver._trail_len
+                if not solver._ok:
+                    state[IB_FLAGS] &= ~IBF_OK
+        finally:
+            for buffer_view in views:
+                ffi.release(buffer_view)
+        del adata[state[IB_AUSED]:]
+        del mdata[state[IB_MUSED]:]
+        mirror.synced = first + count
+        solver._trail_len = state[IB_TRAIL]
+        solver._pending_load_propagations += state[IB_ENQ]
+        pruned = state[IB_NPRUNED]
+        if pruned:
+            solver._root_pruned.update(out[3 * count:3 * count + pruned])
+            solver._pending_root_pruned += pruned
+        rebuild_views(state[IB_NDEDUP])
+        return (
+            out[:state[IB_NBIN]],
+            out[count:count + state[IB_NTERN]],
+            out[2 * count:2 * count + state[IB_NLONG]],
+        ), state[IB_LITS]
+
+    def check_words(self, words: "array[int]", lo: int, hi: int, limit: int) -> int:
+        if lo >= hi:
+            return -1
+        view = self._ffi.from_buffer("int32_t[]", words)
+        try:
+            return self._lib.check_words(view, lo, hi, limit)
+        finally:
+            self._ffi.release(view)
 
     #: Call-list slots re-exported per conflict (the only arrays that
     #: resize on every learned clause): arena.data, arena.refs,

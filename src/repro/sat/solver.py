@@ -109,7 +109,7 @@ from typing import (
     Tuple,
 )
 
-from repro.cnf.formula import CnfFormula
+from repro.cnf.formula import ClauseRun, CnfFormula, flatten_clauses
 from repro.sat.arena import (
     ClauseArena,
     HEADER_WORDS,
@@ -340,7 +340,9 @@ class CdclSolver:
         #: geometrically by :meth:`ensure_num_vars`; ``num_vars`` is the
         #: logical size).
         self._var_capacity = 0
-        self._lit_counts: List[int] = []  # original-clause literal counts
+        #: Original-clause literal counts per literal (an ``array('i')``
+        #: so the native install can count in C).
+        self._lit_counts = array("i")
         #: The trail: a *preallocated* ``array('i')`` of
         #: ``_var_capacity`` slots whose live prefix is ``_trail_len``
         #: (the C scan appends by subscript, it cannot grow a Python
@@ -473,7 +475,7 @@ class CdclSolver:
         if template is not None:
             self._copy_template(template)
             start = template._num_initial
-        self._install(islice(self._formula.iter_literals(), start, None))
+        self._install(self._formula.clause_run(start))
         self._finish_install()
 
     # ------------------------------------------------------------------
@@ -518,7 +520,7 @@ class CdclSolver:
             self._saved_phase.extend([-1] * grow)
             self._seen.extend(bytes(grow))
             self._lbd_stamp.frombytes(bytes(4 * grow))
-            self._lit_counts.extend([0] * (2 * grow))
+            self._lit_counts.frombytes(bytes(8 * grow))
             # Preallocate trail slots to physical capacity (the kernels
             # append by subscript) and size the flat watch columns.
             self._trail.frombytes(bytes(4 * grow))
@@ -546,9 +548,9 @@ class CdclSolver:
         """
         if self._solving:
             raise RuntimeError("add_clause may not be called during solve()")
-        batch = [tuple(lits) for lits in clauses]
-        self._check_literals(batch)
-        return self._install(batch)
+        run = self._run_of(clauses)
+        self._check_literals(run)
+        return self._install(run)
 
     # ------------------------------------------------------------------
     # Learned-clause sharing (the portfolio subsystem's import/export
@@ -577,9 +579,9 @@ class CdclSolver:
                 "add_shared_clause may not be called during solve(); "
                 "set on_learned for mid-solve imports"
             )
-        batch = [tuple(literals)]
-        self._check_literals(batch)
-        cid = self._install(batch, count_literals=False)[0]
+        run = self._run_of((literals,))
+        self._check_literals(run)
+        cid = self._install(run, count_literals=False)[0]
         self._imported_ids.append(cid)
         self._pending_imported += 1
         return cid
@@ -594,7 +596,7 @@ class CdclSolver:
         for lits in clauses:
             count += 1
             self._imported_ids.append(
-                self._install([tuple(lits)], count_literals=False)[0]
+                self._install((lits,), count_literals=False)[0]
             )
             if not self._ok:
                 break
@@ -653,79 +655,151 @@ class CdclSolver:
         if not template._ok:
             self._mark_root_unsat(template._cdg.final_antecedents)
 
-    def _check_literals(self, batch: List[Tuple[int, ...]]) -> None:
-        """Refuse a batch naming a literal of no existing variable,
-        before any of it is installed (constructor formulas are valid
-        by construction and skip this)."""
-        limit = 2 * self.num_vars
-        low = min(map(min, filter(None, batch)), default=0)
-        high = max(map(max, filter(None, batch)), default=-1)
-        if low >= 0 and high < limit:
-            return
-        lit = next(
-            lit for lits in batch for lit in lits if lit < 0 or lit >= limit
-        )
+    def _run_of(self, clauses: Iterable[Sequence[int]]) -> ClauseRun:
+        """``clauses`` as a :class:`ClauseRun`, flattened once unless it
+        is one; a literal too large for a word is refused like any bad
+        literal."""
+        if isinstance(clauses, ClauseRun):
+            return clauses
+        tuples = [tuple(lits) for lits in clauses]
+        try:
+            return ClauseRun(tuples, flatten_clauses(tuples))
+        except OverflowError:
+            limit = 2 * self.num_vars
+            raise self._literal_error(next(
+                lit for lits in tuples for lit in lits if lit < 0 or lit >= limit
+            )) from None
+
+    def _literal_error(self, lit: int) -> ValueError:
         if lit < 0:
-            raise ValueError(f"bad packed literal {lit}")
-        raise ValueError(
+            return ValueError(f"bad packed literal {lit}")
+        return ValueError(
             f"literal references variable {lit >> 1} >= num_vars "
             f"{self.num_vars}; call new_var()/ensure_num_vars first"
         )
 
-    def _check_room(self, batch: List[Tuple[int, ...]]) -> None:
+    def _check_literals(self, run: ClauseRun) -> None:
+        """Refuse a batch naming a literal of no existing variable,
+        before any of it is installed (constructor formulas are valid
+        by construction and skip this).  The kernel scans the words."""
+        bad = self._kernel.check_words(
+            run.words, run.lo, run.hi, 2 * self.num_vars
+        )
+        if bad >= 0:
+            raise self._literal_error(run.words[bad])
+
+    def _check_room(self, run: ClauseRun) -> None:
         """Refuse a batch the arena has no room for, before any of it is
         installed (counted deduplicated, as :meth:`_install` stores
         it)."""
         arena = self._arena
-        words = len(arena.data)
-        if (
-            words + HEADER_WORDS * len(batch) + sum(map(len, batch))
-            <= arena.word_limit
-        ):
+        used = len(arena.data)
+        limit = arena.word_limit
+        # A clause's word block is HEADER_WORDS - 1 words shorter than
+        # its arena block.
+        if used + run.hi - run.lo + (HEADER_WORDS - 1) * run.count <= limit:
             return
-        for lits in batch:
-            words += HEADER_WORDS + len(set(lits))
-            if words > arena.word_limit:
-                raise ClauseArenaFullError(arena.full_message(words))
+        words = run.words
+        pos = run.lo
+        while pos < run.hi:
+            n = words[pos]
+            used += HEADER_WORDS + len(set(words[pos + 1:pos + 1 + n]))
+            if used > limit:
+                raise ClauseArenaFullError(arena.full_message(used))
+            pos += 1 + n
 
     def _install(
-        self, clauses: Iterable[Tuple[int, ...]], count_literals: bool = True
+        self, clauses: Iterable[Sequence[int]], count_literals: bool = True
     ) -> range:
         """Install a batch of original clauses; returns their IDs.
 
-        The one install loop: constructor formulas (the tail past a
-        template's clauses), :meth:`add_clauses` batches and shared-clause
-        imports all run it.  It dedupes (specialized for the 2-3 literal
-        clauses Tseitin encodings consist of), marks tautologies
-        inactive, counts literals (``count_literals=False`` for peer
-        imports: the ``cha_score`` seeds and the 1/64 switch threshold
-        are statistics of the input formula), enqueues root units and
-        classifies clauses that meet root facts.  Arena words and offsets
-        are gathered in Python lists and copied into the typed store
-        once at the end (nothing reads the arena during install).  The
-        new clauses' watches then go to :attr:`_watch_ids` while the
+        The one install entry: constructor formulas (the tail past a
+        template's clauses), :meth:`add_clauses` batches and
+        shared-clause imports all come here, as a :class:`ClauseRun`
+        (other clause iterables are flattened into one first).  Per
+        clause the install dedupes, marks tautologies inactive, counts
+        literals (``count_literals=False`` for peer imports: the
+        ``cha_score`` seeds and the 1/64 switch threshold are statistics
+        of the input formula), stores the arena block, enqueues root
+        units and classifies clauses that meet root facts.  The native
+        kernel does all of it in C over the run's words
+        (:meth:`_install_words`); the python kernel runs the reference
+        loop over its tuples (:meth:`_install_tuples`).  The new
+        clauses' watches then go to :attr:`_watch_ids` while the
         constructor runs, else onto the live watch columns through one
-        ``kernel.attach_all`` call (the native kernel appends the whole
-        batch in C) — per watch table in clause order either way, which
-        is the order one bulk install gives.  The CDG registers a later
-        batch's leaves as one ID range.  Arena room for the whole batch is
-        checked first (:meth:`_check_room`; the public entry points
-        check literals the same way), so a refusal changes nothing.
+        ``kernel.attach_all`` call — per watch table in clause order
+        either way, which is the order one bulk install gives.  The CDG
+        registers a later batch's leaves as one ID range.  Arena room
+        for the whole batch is checked first (:meth:`_check_room`; the
+        public entry points check literals the same way), so a refusal
+        changes nothing.
         """
-        batch = clauses if isinstance(clauses, list) else list(clauses)
-        self._check_room(batch)
+        run = self._run_of(clauses)
+        self._check_room(run)
         self._backtrack(0)
         # The arena and watch pools grow below; the native kernel
         # caches FFI views of them across calls (mid-solve path:
         # shared-clause import at level 0).
         self._kernel.invalidate_views()
         arena = self._arena
-        first = next_cid = len(arena.refs)
+        first = len(arena.refs)
+        count = run.count
         cdg = self._cdg
         if cdg is not None and first >= self._num_initial:
             # Later clauses are CDG leaves; registered up front because a
             # root falsification below cites them as antecedents.
-            cdg.register_originals(first, first + len(batch))
+            cdg.register_originals(first, first + count)
+        if self._kernel.install_batch is None:
+            new_ids, num_literals = self._install_tuples(run, count_literals)
+        else:
+            new_ids, num_literals = self._install_words(run, count_literals)
+        arena.activity.frombytes(bytes(8 * count))
+        self._num_originals += count
+        self._num_original_literals += num_literals
+        watch_ids = self._watch_ids
+        if watch_ids is not None:
+            for ids, new in zip(watch_ids, new_ids):
+                ids.extend(new)
+        else:
+            self._kernel.attach_all(*new_ids)
+        return range(first, first + count)
+
+    def _install_words(
+        self, run: ClauseRun, count_literals: bool
+    ) -> Tuple[Tuple[Sequence[int], Sequence[int], Sequence[int]], int]:
+        """The native install: the kernel's ``install_batch`` runs the
+        per-clause loop in C and hands back, one at a time, the clauses
+        that need solver state it cannot reach — a unit (the
+        ``_root_unit_of`` dict) or a clause falsified at the root (the
+        reason closure and the CDG) — then resumes at the next clause.
+        Returns the new watch IDs per table and the literals counted."""
+        install = self._kernel.install_batch(run, count_literals)
+        data = self._arena.data
+        refs = self._arena.refs
+        while True:
+            try:
+                cid = next(install)
+            except StopIteration as done:
+                return done.value
+            ref = refs[cid]
+            n = data[ref - 1]
+            if n == 1:
+                self._load_unit(cid, data[ref])
+            else:
+                self._root_falsified(cid, data[ref:ref + n])
+
+    def _install_tuples(
+        self, run: ClauseRun, count_literals: bool
+    ) -> Tuple[Tuple[List[int], List[int], List[int]], int]:
+        """The reference install loop (the python kernel's), over the
+        run's tuples; the native ``install_batch`` transliterates it.
+        Dedupe is specialized for the 2-3 literal clauses Tseitin
+        encodings consist of.  Arena words and offsets are gathered in
+        Python lists and copied into the typed store once at the end
+        (nothing reads the arena during install).  Returns the new watch
+        IDs per table and the literals counted."""
+        arena = self._arena
+        next_cid = len(arena.refs)
         word_buf: List[int] = []
         buf_append = word_buf.append
         buf_extend = word_buf.extend
@@ -740,7 +814,7 @@ class CdclSolver:
         long_ids: List[int] = []
         num_literals = 0
         words = len(arena.data)
-        for lits in batch:
+        for lits in run.tuples:
             n = len(lits)
             taut = False
             if n == 2:
@@ -791,7 +865,7 @@ class CdclSolver:
                 elif n == 1:
                     self._load_unit(cid, lits[0])
                 else:
-                    self._mark_root_unsat([cid])
+                    self._root_falsified(cid, ())
             buf_extend(lits)
             if not attach:
                 continue
@@ -803,16 +877,7 @@ class CdclSolver:
                 long_ids.append(cid)
         arena.data.fromlist(word_buf)
         arena.refs.fromlist(ref_buf)
-        arena.activity.frombytes(bytes(8 * len(ref_buf)))
-        self._num_originals += len(batch)
-        self._num_original_literals += num_literals
-        watch_ids = self._watch_ids
-        if watch_ids is not None:
-            for ids, new in zip(watch_ids, (bin_ids, tern_ids, long_ids)):
-                ids.fromlist(new)
-        else:
-            self._kernel.attach_all(bin_ids, tern_ids, long_ids)
-        return range(first, next_cid)
+        return (bin_ids, tern_ids, long_ids), num_literals
 
     def _finish_install(self) -> None:
         """Lay out the watches of every clause the constructor installed,
@@ -855,9 +920,7 @@ class CdclSolver:
                 return False
         else:
             if first_un == -1:  # every literal false at level 0
-                antecedents = [cid]
-                self._reason_closure([lit >> 1 for lit in lits], antecedents)
-                self._mark_root_unsat(antecedents)
+                self._root_falsified(cid, lits)
                 return False
             if second_un == -1:  # effectively unit at level 0
                 lits.remove(first_un)
@@ -870,14 +933,13 @@ class CdclSolver:
                 lits[:0] = (first_un, second_un)
         return True
 
-    def _rewrite_block(self, cid: int, lits: Sequence[int]) -> None:
-        """Write a (possibly reordered) literal sequence back over the
-        clause's arena block (same length — install-time watch
-        positioning)."""
-        data = self._arena.data
-        base = self._arena.refs[cid]
-        for i, lit in enumerate(lits):
-            data[base + i] = lit
+    def _root_falsified(self, cid: int, lits: Sequence[int]) -> None:
+        """A clause every literal of which is false at level 0 (or the
+        empty clause): the solver is UNSAT, with the clause and its
+        literals' reason chains as the final conflict."""
+        antecedents = [cid]
+        self._reason_closure([lit >> 1 for lit in lits], antecedents)
+        self._mark_root_unsat(antecedents)
 
     def _load_unit(self, clause_id: int, lit: int) -> None:
         self._root_unit_of.setdefault(lit >> 1, (lit, clause_id))
@@ -885,9 +947,7 @@ class CdclSolver:
         if value == 1:
             return  # redundant duplicate unit
         if value == 0:
-            antecedents = [clause_id]
-            self._reason_closure([lit >> 1], antecedents)
-            self._mark_root_unsat(antecedents)
+            self._root_falsified(clause_id, (lit,))
             return
         self._enqueue(lit, clause_id)
         self._pending_load_propagations += 1
@@ -918,7 +978,7 @@ class CdclSolver:
     def original_literal_counts(self) -> List[int]:
         """Literal occurrence counts over the original clauses — the
         initial ``cha_score`` values (paper §3.3)."""
-        return self._lit_counts[: 2 * self.num_vars]
+        return self._lit_counts[: 2 * self.num_vars].tolist()
 
     def num_original_literals(self) -> int:
         """Total literal count of the original clauses (the base of the
@@ -1987,9 +2047,9 @@ class InstallTemplate(CdclSolver):
         return self._num_initial
 
     def _finish_install(self) -> None:
-        # Watches stay unlaid (forks copy the ID arrays); the mirror is
-        # synced here so forks copy it rather than rebuild it.
-        self._kernel.sync_mirror()
+        # Watches stay unlaid: forks copy the ID arrays.  (The native
+        # install already wrote the mirror, so forks copy that too.)
+        pass
 
     def check_fork(
         self, formula: CnfFormula, config: SolverConfig, kernel: str

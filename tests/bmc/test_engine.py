@@ -20,6 +20,27 @@ def small_counter(target=5, width=3):
     return c, prop
 
 
+class TestInstallSpan:
+    """Every engine times each depth's install apart from its solve."""
+
+    def test_every_depth_has_an_install_time(self):
+        from repro.bmc import IncrementalBmcEngine, PortfolioBmcEngine
+
+        c, prop = small_counter(target=7)
+        engines = [
+            BmcEngine(c, prop, max_depth=6),
+            IncrementalBmcEngine(c, prop, max_depth=6),
+            PortfolioBmcEngine(c, prop, max_depth=6, deterministic=True,
+                               race_min_clauses=0),
+            PortfolioBmcEngine(c, prop, max_depth=6, deterministic=True),
+        ]
+        for engine in engines:
+            result = engine.run()
+            assert len(result.per_depth) == 7
+            for depth in result.per_depth:
+                assert 0 < depth.install_time < result.total_time
+
+
 class TestDepthLoop:
     def test_failing_property_found_at_exact_depth(self):
         c, prop = small_counter(target=5)

@@ -238,6 +238,17 @@ def _literal_lists(formula):
     return [tuple(c.literals) for c in formula.clauses]
 
 
+def _blocks(words, lo, hi):
+    """The clauses of the ``[n, lit …]`` word blocks ``words[lo:hi]``."""
+    clauses = []
+    while lo < hi:
+        n = words[lo]
+        clauses.append(tuple(words[lo + 1:lo + 1 + n]))
+        lo += 1 + n
+    assert lo == hi
+    return clauses
+
+
 class TestInstanceViews:
     """Depth instances are O(1) views over the unroller's append-only
     clause log; they must equal the copy path clause for clause, even on
@@ -302,6 +313,48 @@ class TestInstanceViews:
             assert [
                 shared.origin_of_clause(i) for i in range(stop)
             ] == origins[:-1]
+
+    def test_word_log_is_the_tuple_log_flattened(self, circuit_and_prop):
+        """At every frame watermark the flat word log holds exactly the
+        tuple log's clauses as ``[n, lit …]`` blocks: one length word
+        per clause and nothing else."""
+        circuit, prop, coi = circuit_and_prop
+        unroller = Unroller(circuit, prop, use_coi=coi)
+        for k in range(self.MAX_DEPTH + 1):
+            prefix, _ = unroller.formula_up_to(k)
+            words, lo, hi = prefix.word_range()
+            clauses = _literal_lists(prefix)
+            assert (lo, hi) == (0, len(words))
+            assert hi == len(clauses) + sum(map(len, clauses))
+            assert _blocks(words, lo, hi) == clauses
+
+    def test_word_ranges_address_the_tuple_indices(self, circuit_and_prop):
+        """Views and slices of a shared unroller that already holds
+        deeper frames address the same clauses by word range as by
+        tuple index."""
+        circuit, prop, coi = circuit_and_prop
+        shared = self._shared(circuit, prop, coi)
+        for k in range(self.MAX_DEPTH + 1):
+            stop = shared.clause_watermark(k)
+            start = shared.clause_watermark(k - 1) if k else 0
+            instance = shared.instance(k).formula
+            clauses = _literal_lists(instance)
+            words, lo, hi = instance.word_range()
+            assert _blocks(words, lo, hi) == clauses[:-1]
+            for first in (0, start, stop):
+                run = instance.clause_run(first)
+                assert list(run) == clauses[first:]
+                assert _blocks(run.words, run.lo, run.hi) == clauses[first:]
+            delta = shared.clauses_since(start, stop)
+            words, lo, hi = delta.word_range()
+            assert _blocks(words, lo, hi) == [c.literals for c, _ in delta]
+            run = delta.literals()
+            assert _blocks(run.words, run.lo, run.hi) == list(run)
+            # An index inside a frame has no recorded offset: it is
+            # derived from the tuples and must agree too.
+            middle = (start + stop) // 2
+            words, lo, hi = shared.clauses_since(middle, stop).word_range()
+            assert _blocks(words, lo, hi) == clauses[middle:stop]
 
     def test_clauses_since_is_fixed_at_call_time(self):
         circuit, prop = instance_by_name("01_b").build()
