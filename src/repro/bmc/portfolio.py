@@ -180,9 +180,7 @@ class PortfolioBmcEngine(BmcEngine):
         #: Per-member row-race reports.
         self.reports: List[MemberReport] = []
         #: Per-depth sharing telemetry:
-        #: (k, winner, raced, epochs, shared_clauses, deliveries,
-        #: wall_time, installed): ``deliveries`` counts clauses queued for
-        #: a peer, ``installed`` those a peer took to install.
+        #: (k, winner, raced, epochs, shared_clauses, deliveries, wall_time).
         self.sharing_log: List[Tuple] = []
 
     def run(self) -> BmcResult:
@@ -204,11 +202,9 @@ class PortfolioBmcEngine(BmcEngine):
             self.reports = [
                 MemberReport(name=lead, status=result.status.value, winner=True)
             ]
-            shared = deliveries = installed = 0
+            shared = deliveries = 0
         else:
-            winner, result, shared, deliveries, installed = (
-                self._run_row_race(width)
-            )
+            winner, result, shared, deliveries = self._run_row_race(width)
         self.reports.extend(
             MemberReport(name=spec, status="skipped")
             for spec in self.member_specs[width:]
@@ -219,7 +215,7 @@ class PortfolioBmcEngine(BmcEngine):
         wall = time.perf_counter() - start
         self.sharing_log.append(
             (result.depth_reached, winner, width > 1, 0, shared, deliveries,
-             wall, installed)
+             wall)
         )
         if width > 1:
             result.total_time = wall
@@ -276,9 +272,7 @@ class PortfolioBmcEngine(BmcEngine):
             _promote_winner_traces(
                 self.trace_dir, self.trace_name, specs, specs[winner]
             )
-        return (
-            specs[winner], result, bus.shared, bus.deliveries, bus.installed
-        )
+        return specs[winner], result, bus.shared, bus.deliveries
 
     def _solve_depth(self, instance: BmcInstance, k: int) -> tuple:
         members = default_bmc_members(
@@ -289,7 +283,7 @@ class PortfolioBmcEngine(BmcEngine):
             outcome, install_time = self._solo(instance, members[0], k)
             winner = f"serial:{members[0].name}"
             self.sharing_log.append((k, winner, False, 0, 0, 0,
-                                     outcome.stats.solve_time, 0))
+                                     outcome.stats.solve_time))
         else:
             # The engine's part of the install: growing the template the
             # members fork (their forks run inside the race).
@@ -325,7 +319,7 @@ class PortfolioBmcEngine(BmcEngine):
             winner = result.winner
             self.sharing_log.append((
                 k, winner, True, result.epochs, result.shared_clauses,
-                result.deliveries, result.wall_time, result.installed,
+                result.deliveries, result.wall_time,
             ))
             if self.trace_dir is not None and winner is not None:
                 # The race itself cannot be traced in place — its
@@ -516,7 +510,6 @@ class IncrementalPortfolioBmc:
         self.reports = [MemberReport(name=member.name) for member in members]
         self.shared_clauses = 0
         self.deliveries = 0
-        self.installed = 0
 
     def _strategy_for(self, index: int):
         member = self._members[index]
@@ -604,6 +597,5 @@ class IncrementalPortfolioBmc:
                 )
         self.shared_clauses = bus.shared
         self.deliveries = bus.deliveries
-        self.installed = bus.installed
         result.total_time = time.perf_counter() - start
         return result

@@ -218,16 +218,6 @@ class CnfFormula:
         formula._log_len = length
         return formula
 
-    def word_range(self) -> Optional[Tuple["array[int]", int, int]]:
-        """``(words, lo, hi)``: the log prefix's clauses as flat blocks
-        ``words[lo:hi]`` (``lo`` is 0), or None when the formula is not
-        a view over a :class:`ClauseLog`.  Clauses in the private tail
-        are not covered."""
-        log = self._words
-        if log is None:
-            return None
-        return log.words, 0, log.word_offset(self._log_len)
-
     def clause_run(self, start: int = 0) -> ClauseRun:
         """Clauses ``start ..`` as a :class:`ClauseRun` — the solver's
         install input.  The log part is a word range of the shared log

@@ -62,9 +62,9 @@ limit)``
     run's tuples (``CdclSolver._install_tuples``); the native kernel
     runs the same loop in C, handing back the few clauses that need
     Python state (see :mod:`repro.sat.kernel.native`).
-    ``check_words`` returns the word index of the first literal outside
-    ``[0, limit)``, or -1 — the literal check a public install batch
-    passes before anything changes.
+    ``check_words`` (shared by both kernels) returns the word index of
+    the first literal outside ``[0, limit)``, or -1 — the literal check
+    a public install batch passes before anything changes.
 
 ``grow(lit_capacity)``
     Called from ``ensure_num_vars`` when the literal space grows;

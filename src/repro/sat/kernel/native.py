@@ -26,8 +26,7 @@ other exports install clauses:
   a unit (the solver records its defining unit in a dict) and a
   clause falsified at the root (the reason closure and the CDG).  A
   batch installed while the solver is UNSAT is only stored, exactly as
-  the reference loop stores it.  ``check_words`` is the literal check
-  a public batch passes first.
+  the reference loop stores it.
 
 All run zero-copy over the solver's typed arrays via
 ``ffi.from_buffer``: ``lit_truth``/``_seen``/arena flags
@@ -187,8 +186,6 @@ int install_batch(const int32_t *words,
                   unsigned char *truth, int32_t *levels, int32_t *reasons,
                   int32_t *trail, unsigned char *seen, int32_t *out,
                   int64_t *st);
-int64_t check_words(const int32_t *words, int64_t lo, int64_t hi,
-                    int32_t limit);
 """
 
 _SOURCE = r"""
@@ -1024,22 +1021,6 @@ int install_batch(const int32_t *words,
     st[IB_LITS] = nlits;
     return ret;
 }
-
-/* The install batch's literal check: the word index of the first
-   literal of the [n, lit ...] blocks in words[lo:hi] outside
-   [0, limit), or -1. */
-int64_t check_words(const int32_t *words, int64_t lo, int64_t hi,
-                    int32_t limit)
-{
-    int64_t pos = lo;
-    while (pos < hi) {
-        int64_t end = pos + 1 + words[pos];
-        for (pos++; pos < end; pos++)
-            if (words[pos] < 0 || words[pos] >= limit)
-                return pos;
-    }
-    return -1;
-}
 """
 
 #: Memoized build outcome: the loaded extension module, or the reason
@@ -1381,15 +1362,6 @@ class NativeKernel(KernelBase):
             out[count:count + state[IB_NTERN]],
             out[2 * count:2 * count + state[IB_NLONG]],
         ), state[IB_LITS]
-
-    def check_words(self, words: "array[int]", lo: int, hi: int, limit: int) -> int:
-        if lo >= hi:
-            return -1
-        view = self._ffi.from_buffer("int32_t[]", words)
-        try:
-            return self._lib.check_words(view, lo, hi, limit)
-        finally:
-            self._ffi.release(view)
 
     #: Call-list slots re-exported per conflict (the only arrays that
     #: resize on every learned clause): arena.data, arena.refs,

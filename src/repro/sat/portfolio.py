@@ -217,9 +217,6 @@ class PortfolioOutcome:
     deliveries: int = 0
     deterministic: bool = False
     wall_time: float = 0.0
-    #: Bus clauses a receiver took to install (of ``deliveries``, the
-    #: clauses queued); left out of :meth:`as_dict`.
-    installed: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready outcome with per-member reports (see
@@ -577,7 +574,6 @@ class PortfolioSolver:
             epochs=epochs,
             shared_clauses=bus.shared,
             deliveries=bus.deliveries,
-            installed=bus.installed,
             deterministic=deterministic,
             wall_time=time.perf_counter() - start,
         )

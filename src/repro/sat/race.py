@@ -201,9 +201,8 @@ class SharedClauseBus:
     literal tuple).  A member never receives a clause it already knows —
     its own exports included — and each distinct clause is counted once
     in :attr:`shared`.  :attr:`deliveries` counts clauses queued for a
-    receiver; :attr:`installed` counts only those a receiver took
-    (:meth:`collect`) — a receiver that finishes first never takes its
-    queue.  Determinism is inherited from the caller: given
+    receiver, whether or not it ever installs them.  Determinism is
+    inherited from the caller: given
     the same ``publish`` call sequence, the pending queues are
     identical (the epoch loop publishes in member-index order).
     """
@@ -218,10 +217,6 @@ class SharedClauseBus:
         self.shared = 0
         #: Clause deliveries queued so far (one per (clause, receiver)).
         self.deliveries = 0
-        #: Queued clauses a receiver has taken to install: the epoch
-        #: loop installs each at once, a race child at its next sharing
-        #: point (unless it finishes first).
-        self.installed = 0
 
     def publish(self, member: int, clauses: Sequence[Sequence[int]]) -> None:
         """Queue ``member``'s exported clauses for every other member."""
@@ -240,11 +235,9 @@ class SharedClauseBus:
                     self.deliveries += 1
 
     def collect(self, member: int) -> List[Tuple[int, ...]]:
-        """Drain the clauses queued for ``member`` (arrival order), for
-        the caller to install."""
+        """Drain the clauses queued for ``member`` (arrival order)."""
         batch = self._pending[member]
         self._pending[member] = []
-        self.installed += len(batch)
         return batch
 
     def route(self, member: int, _tag, clauses) -> List[Tuple[int, Any]]:
@@ -265,8 +258,8 @@ class DepthBuses:
     formula.  :attr:`depths` holds each member's latest depth; a depth
     every member has passed can never be shared into again, so its bus
     is dropped and coordinator memory stays bounded by the depths in
-    flight.  :attr:`shared`, :attr:`deliveries` and :attr:`installed`
-    count over all depths."""
+    flight.  :attr:`shared` and :attr:`deliveries` count over all
+    depths."""
 
     def __init__(self, num_members: int) -> None:
         self._num = num_members
@@ -274,7 +267,6 @@ class DepthBuses:
         self.depths: Dict[int, int] = {}
         self.shared = 0
         self.deliveries = 0
-        self.installed = 0
 
     def route(self, member: int, depth: int, clauses) -> List[Tuple[int, Any]]:
         self.depths[member] = depth
@@ -286,11 +278,10 @@ class DepthBuses:
         bus = self._buses.get(depth)
         if bus is None:
             bus = self._buses[depth] = SharedClauseBus(self._num)
-        shared, deliveries, installed = bus.shared, bus.deliveries, bus.installed
+        shared, deliveries = bus.shared, bus.deliveries
         routed = bus.route(member, depth, clauses)
         self.shared += bus.shared - shared
         self.deliveries += bus.deliveries - deliveries
-        self.installed += bus.installed - installed
         return [(other, (depth, pending)) for other, pending in routed]
 
 

@@ -322,11 +322,13 @@ class TestInstanceViews:
         unroller = Unroller(circuit, prop, use_coi=coi)
         for k in range(self.MAX_DEPTH + 1):
             prefix, _ = unroller.formula_up_to(k)
-            words, lo, hi = prefix.word_range()
+            run = prefix.clause_run(0)
             clauses = _literal_lists(prefix)
-            assert (lo, hi) == (0, len(words))
-            assert hi == len(clauses) + sum(map(len, clauses))
-            assert _blocks(words, lo, hi) == clauses
+            # The view's run is the log itself, not a flattened copy.
+            assert run.words is unroller.clauses_since(0).word_range()[0]
+            assert (run.lo, run.hi) == (0, len(run.words))
+            assert run.hi == len(clauses) + sum(map(len, clauses))
+            assert _blocks(run.words, run.lo, run.hi) == clauses
 
     def test_word_ranges_address_the_tuple_indices(self, circuit_and_prop):
         """Views and slices of a shared unroller that already holds
@@ -339,8 +341,6 @@ class TestInstanceViews:
             start = shared.clause_watermark(k - 1) if k else 0
             instance = shared.instance(k).formula
             clauses = _literal_lists(instance)
-            words, lo, hi = instance.word_range()
-            assert _blocks(words, lo, hi) == clauses[:-1]
             for first in (0, start, stop):
                 run = instance.clause_run(first)
                 assert list(run) == clauses[first:]
