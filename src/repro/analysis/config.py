@@ -48,6 +48,9 @@ def _default_hot_required() -> List[str]:
         "repro.sat.activity_heap::VariableActivityHeap.pop",
         "repro.sat.activity_heap::VariableActivityHeap.increase",
         "repro.sat.activity_heap::VariableActivityHeap.reinsert",
+        "repro.sat.kernel.native::NativeActivityHeap.pop_unassigned",
+        "repro.sat.kernel.native::NativeActivityHeap.reinsert",
+        "repro.sat.kernel.native::NativeActivityHeap.increase",
         "repro.sat.trace::TraceWriter.enqueue_run",
         "repro.sat.trace::TraceSink.sync_trail",
         "repro.metrics.access::AccessStreamWriter.record_block",

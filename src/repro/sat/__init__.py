@@ -7,7 +7,9 @@ Public surface:
 * :class:`SolveOutcome`, :class:`SolveResult` — results.
 * Strategies: :class:`VsidsStrategy`, :class:`RankedStrategy`,
   :class:`BerkMinStrategy`, :class:`FixedOrderStrategy` — heap-backed
-  via :class:`VariableActivityHeap` (see ``repro.sat.heuristics``).
+  via :class:`VariableActivityHeap` on the python kernel and the C
+  ``NativeActivityHeap`` on the native one (see
+  ``repro.sat.heuristics``).
 * :class:`ConflictDependencyGraph` — the paper's §3.1 structure.
 * :func:`check_proof` / :class:`ResolutionProof` — independent UNSAT
   verification.
@@ -27,7 +29,6 @@ from repro.sat.cdg import ConflictDependencyGraph
 from repro.sat.observer import SearchObserver, tee
 from repro.sat.heuristics import (
     BerkMinStrategy,
-    ChaffScores,
     DecisionStrategy,
     FixedOrderStrategy,
     RankedStrategy,
@@ -92,7 +93,6 @@ __all__ = [
     "RankedStrategy",
     "BerkMinStrategy",
     "FixedOrderStrategy",
-    "ChaffScores",
     "ConflictDependencyGraph",
     "ResolutionProof",
     "ProofError",

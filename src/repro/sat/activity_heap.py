@@ -3,9 +3,13 @@
 Every decision pops the maximum unassigned variable under the strategy's
 ordering, and every periodic score update re-keys the literals that
 appeared in learned clauses.  This module keeps that ordering in a
-standard-library :mod:`heapq` min-heap, so each heap operation is one C
-call, in the style of MiniSat's ``order_heap`` (Eén and Sörensson,
-SAT 2003).
+standard-library :mod:`heapq` min-heap, in the style of MiniSat's
+``order_heap`` (Eén and Sörensson, SAT 2003).  It is the python
+kernel's heap and the reference for the native kernel's
+:class:`~repro.sat.kernel.native.NativeActivityHeap`, which keeps the
+same protocol and pop order in a C indexed heap over the same key
+arrays; strategies build whichever their solver's kernel names
+(``KernelBase.heap_class``).
 
 Ordering.  The strategies order literals by ``(rank, score)``
 descending, ties broken toward the lower literal index, where ``rank``
@@ -37,13 +41,16 @@ Bulk builds.  :meth:`rebuild` (every ``solve()`` attach) and
 one comprehension over zipped slices — even and odd score slices, the
 per-variable rank, a per-variable membership flag — then
 ``filter(None, …)`` and ``heapify``.  No Python method runs per
-variable.
+variable, but each member costs one tuple.
 
 Protocol with the strategies:
 
-* variables that BCP assigns while in the heap linger; ``pop`` hands
-  them out and the caller keeps popping until it sees an unassigned
-  one (root facts are discarded the same way);
+* :meth:`rebuild` takes the solver's ``lit_truth`` and
+  :meth:`pop_unassigned` reads it until :meth:`release` (the
+  strategy's ``detach``);
+* variables that BCP assigns while in the heap linger;
+  :meth:`pop_unassigned` discards them on its way to the maximum
+  unassigned one (root facts are discarded the same way);
 * a popped variable leaves the heap; on backtrack the strategy passes
   the undone trail literals to :meth:`reinsert`, which filters out the
   still-present majority in one comprehension and pushes the rest;
@@ -66,7 +73,7 @@ _SLACK = 64
 class VariableActivityHeap:
     """Max-order heap of variables keyed by ``(rank, score, -lit)``."""
 
-    __slots__ = ("_score", "_nrank", "_heap", "_cur", "_size")
+    __slots__ = ("_score", "_nrank", "_heap", "_cur", "_size", "_truth")
 
     def __init__(
         self,
@@ -76,6 +83,7 @@ class VariableActivityHeap:
         self._heap: List[tuple] = []
         self._cur: List[Optional[tuple]] = [None] * (len(score_by_lit) // 2)
         self._size = 0
+        self._truth: Optional[Sequence[int]] = None
         self.set_keys(score_by_lit, rank_by_var)
 
     def set_keys(
@@ -117,8 +125,14 @@ class VariableActivityHeap:
 
     def rebuild(self, lit_truth: Sequence[int]) -> None:
         """Reset membership to the unassigned variables (those whose
-        positive literal's truth is 2)."""
+        positive literal's truth is 2), and keep ``lit_truth`` for
+        :meth:`pop_unassigned` until :meth:`release`."""
+        self._truth = lit_truth
         self._build(lit_truth[0::2])
+
+    def release(self) -> None:
+        """Drop the ``lit_truth`` reference :meth:`rebuild` kept."""
+        self._truth = None
 
     def refresh(self) -> None:
         """Re-key every member after :meth:`set_keys` or an
@@ -193,6 +207,31 @@ class VariableActivityHeap:
                     self._compact()
                 return lit
         return -1
+
+    def pop_unassigned(self) -> int:  # solcheck: hot
+        """Pop until a member whose literal is unassigned in the
+        ``lit_truth`` of the last :meth:`rebuild` (assigned ones leave
+        the heap on the way, root facts included); -1 if none is
+        left."""
+        heap = self._heap
+        cur = self._cur
+        truth = self._truth
+        pop_min = heappop
+        size = self._size
+        while heap:
+            entry = pop_min(heap)
+            lit = entry[2]
+            if cur[lit >> 1] is entry:
+                cur[lit >> 1] = None
+                size -= 1
+                if truth[lit] == 2:
+                    break
+        else:
+            lit = -1
+        self._size = size
+        if len(heap) > size + size + _SLACK:
+            self._compact()
+        return lit
 
     def increase(self, lit: int) -> None:  # solcheck: hot
         """Re-key the literal's variable after its score changed: push a

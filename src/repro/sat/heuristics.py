@@ -19,22 +19,30 @@ paper:
 Decision engine
 ---------------
 
-All production strategies share one ``heapq``-backed heap over variable
-activity (:class:`repro.sat.activity_heap.VariableActivityHeap`):
-``decide()`` pops the maximum variable, keyed by its better polarity,
-and branches on that literal, and the periodic score update re-keys
-only the literals that appeared in learned clauses — there is no full
-rebuild, neither a sort nor a scan, inside a search.  A strategy states
+All production strategies share one heap over variable activity, the
+one their solver's kernel names (``KernelBase.heap_class``): the
+``heapq`` heap :class:`repro.sat.activity_heap.VariableActivityHeap`
+on the python kernel, the C indexed heap
+:class:`repro.sat.kernel.native.NativeActivityHeap` on the native
+one, with the same protocol and pop order.  ``decide()`` is one heap
+call, :meth:`pop_unassigned`, which pops the maximum unassigned
+variable, keyed by its better polarity, and the strategy branches on
+that literal; the periodic score update re-keys only the literals
+that appeared in learned clauses — there is no full rebuild, neither
+a sort nor a scan, inside a search.  A strategy states
 its paper ordering as two keys: an optional per-*variable* rank (the
 ``bmc_score``; :class:`RankedStrategy` is its only user) over the
 per-*literal* scaled ``cha_score``, with ties breaking toward the lower
 literal index.  The heap's order is therefore *identical* to the
 stable-sorted scan order the pre-heap implementation used.
 
-Each ``solve()`` builds the heap in bulk at :meth:`attach`: one
-comprehension over the score slices, the rank and the truth array,
-then ``heapify`` — no Python call per variable.  :class:`RankedStrategy`
-writes its sparse ``var_rank`` into a zero list, O(|rank|).
+Each ``solve()`` builds the heap in bulk at :meth:`attach` from the
+truth array: on the native kernel one O(n) C call over the score and
+rank arrays, read in place, with no Python object per variable; on
+the python kernel one comprehension over their slices, then
+``heapify``.  The keys are ``array('d')`` buffers so the C heap can
+view them.  :class:`RankedStrategy` writes its sparse ``var_rank``
+into a zeroed array, O(|rank|).
 
 The heap's score array holds ``cha_score * 2^u`` (``u`` = number of
 periodic updates so far).  Under the paper's rule
@@ -65,11 +73,11 @@ from __future__ import annotations
 
 import weakref
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence
-
-from repro.sat.activity_heap import VariableActivityHeap
+from array import array
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.sat.activity_heap import VariableActivityHeap
     from repro.sat.solver import CdclSolver
 
 #: How many conflicts between two score halvings / order rebuilds.
@@ -81,28 +89,6 @@ DEFAULT_UPDATE_PERIOD = 256
 #: the heap key array (see the module docstring).  2^333 < 1e101, so
 #: renormalising here keeps every ``K + c * 2^(u+1)`` exact.
 _KEY_RESCALE_LIMIT = 1e100
-
-
-class ChaffScores:
-    """The per-literal ``cha_score`` array with Chaff's decay rule."""
-
-    def __init__(self, num_vars: int, initial_counts: Sequence[int]) -> None:
-        if len(initial_counts) != 2 * num_vars:
-            raise ValueError("initial_counts must have one entry per literal")
-        self.num_vars = num_vars
-        self.score = [float(c) for c in initial_counts]
-        self.new_counts = [0] * (2 * num_vars)
-
-    def on_learned_clause(self, literals: Iterable[int]) -> None:
-        """Count literals of a freshly learned conflict clause."""
-        new_counts = self.new_counts
-        for lit in literals:
-            new_counts[lit] += 1
-
-    def periodic_update(self) -> None:
-        """Apply ``cha_score = cha_score / 2 + new_lit_counts``; reset counts."""
-        self.score = [s * 0.5 + c for s, c in zip(self.score, self.new_counts)]
-        self.new_counts = [0] * len(self.new_counts)
 
 
 class DecisionStrategy(ABC):
@@ -183,7 +169,7 @@ class _HeapOrderStrategy(DecisionStrategy):
         if update_period <= 0:
             raise ValueError("update_period must be positive")
         self._update_period = update_period
-        self._kscore: List[float] = []
+        self._kscore: "array[float]" = array("d")
         self._kinc = 1.0  # 2^u, the current score scale factor
         self._new_counts: List[int] = []
         self._bumped: List[int] = []  # literals with a nonzero new count
@@ -212,21 +198,28 @@ class _HeapOrderStrategy(DecisionStrategy):
         # (beyond ~53 periodic updates the low-order contributions are
         # deliberately absorbed — exact integer sums would tie-break
         # differently from the scan-order reference on long runs).
-        # map(float, ...) is the cheapest C-level conversion.
-        self._kscore = list(map(float, solver.original_literal_counts()))
+        self._kscore = array("d", solver.original_literal_counts())
         self._kinc = 1.0
         self._new_counts = [0] * (2 * solver.num_vars)
         del self._bumped[:]
         # _conflicts_since_update deliberately persists across attaches,
         # matching the scan-order reference (fresh scores, but the decay
         # countdown carries over between solve() calls on one solver).
-        self._heap = VariableActivityHeap(self._kscore, self._rank_by_var())
+        self._heap = solver._kernel.heap_class(
+            self._kscore, self._rank_by_var()
+        )
         # Root facts enqueued before the search starts (unit clauses,
         # incremental re-solves) are permanent: leave their variables
         # out of the heap instead of lazily discarding them later.
         self._heap.rebuild(solver.lit_truth)
 
-    def _rank_by_var(self) -> Optional[List[float]]:
+    def detach(self) -> None:
+        heap = self._heap
+        if heap is not None:
+            heap.release()  # the native heap's lit_truth view
+        super().detach()
+
+    def _rank_by_var(self) -> "Optional[array[float]]":
         """The per-variable primary key, or None for score order
         alone; subclasses override."""
         return None
@@ -282,15 +275,7 @@ class _HeapOrderStrategy(DecisionStrategy):
         heap.reinsert(literals)
 
     def decide(self) -> int:
-        # One subscript per lazily discarded pop: a literal's truth is
-        # 2 exactly when its variable is unassigned (lit < 0 is the
-        # heap's empty sentinel, not a truth value).
-        truth = self._solver.lit_truth
-        pop = self._heap.pop
-        while True:
-            lit = pop()
-            if lit < 0 or truth[lit] == 2:
-                return lit
+        return self._heap.pop_unassigned()
 
 
 class VsidsStrategy(_HeapOrderStrategy):
@@ -325,7 +310,7 @@ class RankedStrategy(_HeapOrderStrategy):
         if switch_divisor <= 0:
             raise ValueError("switch_divisor must be positive")
         self._var_rank = dict(var_rank)
-        self._rank_keys: List[float] = []
+        self._rank_keys: "array[float]" = array("d")
         self._dynamic = dynamic
         self._switch_divisor = switch_divisor
         self._switched = False
@@ -346,14 +331,14 @@ class RankedStrategy(_HeapOrderStrategy):
         """Bind to a solver and compute the dynamic switch threshold."""
         self._switch_threshold = solver.num_original_literals() // self._switch_divisor
         num_vars = solver.num_vars
-        rank_keys = [0.0] * num_vars
+        rank_keys = array("d", bytes(8 * num_vars))
         for var, score in self._var_rank.items():
             if 0 <= var < num_vars:
                 rank_keys[var] = score
         self._rank_keys = rank_keys
         super().attach(solver)
 
-    def _rank_by_var(self) -> Optional[List[float]]:
+    def _rank_by_var(self) -> "Optional[array[float]]":
         # Net order: (bmc_score desc, cha_score desc, literal asc).
         return None if self._switched else self._rank_keys
 

@@ -12,11 +12,15 @@ above the assumption prefix.  Two implementations, selected by
     :class:`~repro.sat.kernel.native.NativeKernel`: the loops compiled
     to C (cffi, built on demand, cached), aliasing the solver's arrays
     zero-copy, fused into one C call (one FFI crossing per conflict).
-    Needs cffi and a C compiler.
+    Its strategies decide from the C decision heap
+    :class:`~repro.sat.kernel.native.NativeActivityHeap`.  Needs cffi
+    and a C compiler.
 ``"python"``
     :class:`~repro.sat.kernel.pykernel.PythonKernel`: the same loops in
-    pure Python, composed in Python.  Always available; the reference
-    the native kernel and the tests are checked against.
+    pure Python, composed in Python, deciding from the ``heapq`` heap
+    :class:`~repro.sat.activity_heap.VariableActivityHeap`.  Always
+    available; the reference the native kernel and the tests are
+    checked against.
 
 ``kernel=None`` (the default) picks ``"native"`` when
 :func:`native_available` is true and ``"python"`` otherwise.
@@ -33,6 +37,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.sat.kernel.base import KernelBase
 from repro.sat.kernel.columns import ClauseLitMirror, WatchColumns
 from repro.sat.kernel.native import (
+    NativeActivityHeap,
     NativeKernel,
     native_available,
     native_unavailable_reason,
@@ -71,6 +76,7 @@ __all__ = [
     "ClauseLitMirror",
     "KERNELS",
     "KernelBase",
+    "NativeActivityHeap",
     "NativeKernel",
     "PythonKernel",
     "WatchColumns",

@@ -91,6 +91,7 @@ import weakref
 from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.sat.activity_heap import VariableActivityHeap
 from repro.sat.kernel.columns import ClauseLitMirror, WatchColumns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -103,6 +104,10 @@ class KernelBase:
 
     #: Config value selecting this kernel (subclasses override).
     name = "base"
+
+    #: The decision heap the heap strategies build at ``attach``:
+    #: Python's ``heapq`` here, the C ``vheap`` on the native kernel.
+    heap_class = VariableActivityHeap
 
     def __init__(self, solver: "CdclSolver") -> None:
         # Weak on purpose: the solver holds its kernel, so a strong

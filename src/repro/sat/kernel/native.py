@@ -8,7 +8,12 @@ resolution walk, reading long-clause literals from the install-order
 mirror) into two static loops, and exports them fused as one
 ``search_step``: propagate, then analyze the conflict without
 returning to Python between them — one FFI crossing per conflict.  The
-other exports install clauses:
+``vheap_*`` exports are the decision heap (:class:`NativeActivityHeap`,
+an indexed binary max-heap over variables whose keys are read in
+place): a bulk O(n) build from ``lit_truth``, a pop that discards
+assigned variables until an unassigned one, a reinsert of a trail
+slice, the increase/update re-key, and the refresh after a key swap
+or rescale.  The other exports install clauses:
 
 * ``fill_columns`` is the bulk watch install: it lays a constructor's
   or fork's empty columns out in exactly sized blocks, and appends a
@@ -186,6 +191,19 @@ int install_batch(const int32_t *words,
                   unsigned char *truth, int32_t *levels, int32_t *reasons,
                   int32_t *trail, unsigned char *seen, int32_t *out,
                   int64_t *st);
+typedef struct {
+    int32_t *heap;
+    int32_t *pos;
+    const double *score;
+    const double *rank;
+    int32_t size;
+    int32_t nvars;
+} vheap;
+void vheap_build(vheap *h, const unsigned char *truth);
+void vheap_refresh(vheap *h);
+int32_t vheap_pop(vheap *h, const unsigned char *truth);
+int32_t vheap_reinsert(vheap *h, const int32_t *lits, int32_t n);
+int32_t vheap_rekey(vheap *h, int32_t lit, int32_t both_ways);
 """
 
 _SOURCE = r"""
@@ -1021,6 +1039,182 @@ int install_batch(const int32_t *words,
     st[IB_LITS] = nlits;
     return ret;
 }
+
+/* The decision heap: an indexed binary max-heap over variables, in
+   the style of MiniSat's order_heap.  heap[0..size) holds the member
+   variables, pos[var] a member's index (-1 for the rest).  Keys are
+   read in place: a variable's best literal is its odd literal only
+   when that literal's score is strictly greater, and variables order
+   by (rank desc, best score desc, variable asc) -- the order of
+   VariableActivityHeap's (-rank, -score, lit) tuples, since a lower
+   variable has the lower best literal.  rank NULL ranks every
+   variable equally. */
+typedef struct {
+    int32_t *heap;
+    int32_t *pos;
+    const double *score;
+    const double *rank;
+    int32_t size;
+    int32_t nvars;
+} vheap;
+
+typedef struct {
+    double rank;
+    double score;
+    int32_t var;
+} vkey;
+
+static vkey vh_key(const vheap *h, int32_t var)
+{
+    vkey k;
+    double sa = h->score[var + var], sb = h->score[var + var + 1];
+    k.rank = h->rank ? h->rank[var] : 0.0;
+    k.score = sb > sa ? sb : sa;
+    k.var = var;
+    return k;
+}
+
+/* 1 when key a orders before key b. */
+static int vh_before(vkey a, vkey b)
+{
+    if (a.rank != b.rank)
+        return a.rank > b.rank;
+    if (a.score != b.score)
+        return a.score > b.score;
+    return a.var < b.var;
+}
+
+static void vh_up(vheap *h, int32_t i)
+{
+    int32_t *heap = h->heap, *pos = h->pos;
+    int32_t var = heap[i];
+    vkey k = vh_key(h, var);
+    while (i > 0) {
+        int32_t parent = (i - 1) >> 1;
+        int32_t pv = heap[parent];
+        if (!vh_before(k, vh_key(h, pv)))
+            break;
+        heap[i] = pv;
+        pos[pv] = i;
+        i = parent;
+    }
+    heap[i] = var;
+    pos[var] = i;
+}
+
+static void vh_down(vheap *h, int32_t i)
+{
+    int32_t *heap = h->heap, *pos = h->pos;
+    int32_t size = h->size, var = heap[i];
+    vkey k = vh_key(h, var);
+    for (;;) {
+        int32_t child = 2 * i + 1;
+        if (child >= size)
+            break;
+        vkey ck = vh_key(h, heap[child]);
+        if (child + 1 < size) {
+            vkey rk = vh_key(h, heap[child + 1]);
+            if (vh_before(rk, ck)) {
+                child++;
+                ck = rk;
+            }
+        }
+        if (!vh_before(ck, k))
+            break;
+        heap[i] = ck.var;
+        pos[ck.var] = i;
+        i = child;
+    }
+    heap[i] = var;
+    pos[var] = i;
+}
+
+static void vh_heapify(vheap *h)
+{
+    for (int32_t i = h->size / 2 - 1; i >= 0; i--)
+        vh_down(h, i);
+}
+
+/* Members := the variables whose positive literal's truth is 2 (none
+   when truth is NULL), heapified in O(nvars). */
+void vheap_build(vheap *h, const unsigned char *truth)
+{
+    int32_t n = h->nvars, size = 0;
+    for (int32_t var = 0; var < n; var++) {
+        if (truth && truth[var + var] == 2) {
+            h->heap[size] = var;
+            h->pos[var] = size++;
+        } else {
+            h->pos[var] = -1;
+        }
+    }
+    h->size = size;
+    vh_heapify(h);
+}
+
+/* Re-heapify the members after a key swap or a uniform rescale. */
+void vheap_refresh(vheap *h)
+{
+    vh_heapify(h);
+}
+
+/* Remove the maximum member and return its best literal; with truth,
+   members whose literal is assigned are removed too and popping goes
+   on until an unassigned one.  -1 when the heap runs empty. */
+int32_t vheap_pop(vheap *h, const unsigned char *truth)
+{
+    while (h->size > 0) {
+        int32_t var = h->heap[0];
+        int32_t last = h->heap[--h->size];
+        h->pos[var] = -1;
+        if (h->size > 0) {
+            h->heap[0] = last;
+            vh_down(h, 0);
+        }
+        int32_t lit = var + var;
+        if (h->score[lit + 1] > h->score[lit])
+            lit++;
+        if (!truth || truth[lit] == 2)
+            return lit;
+    }
+    return -1;
+}
+
+/* Insert the variables of lits[0..n) that are not members.  Returns
+   the index of the first literal outside the heap's variables (having
+   inserted those before it), or -1. */
+int32_t vheap_reinsert(vheap *h, const int32_t *lits, int32_t n)
+{
+    int32_t *heap = h->heap, *pos = h->pos;
+    for (int32_t i = 0; i < n; i++) {
+        int32_t var = lits[i] >> 1;
+        if (lits[i] < 0 || var >= h->nvars)
+            return i;
+        if (pos[var] < 0) {
+            heap[h->size] = var;
+            vh_up(h, h->size++);
+        }
+    }
+    return -1;
+}
+
+/* Restore the order around lit's variable after its score changed:
+   up only when the score grew (increase), both ways otherwise
+   (update).  A no-op for non-members; -1 for a literal outside the
+   heap's variables, else 0. */
+int32_t vheap_rekey(vheap *h, int32_t lit, int32_t both_ways)
+{
+    int32_t var = lit >> 1;
+    if (lit < 0 || var >= h->nvars)
+        return -1;
+    int32_t i = h->pos[var];
+    if (i >= 0) {
+        vh_up(h, i);
+        if (both_ways)
+            vh_down(h, h->pos[var]);
+    }
+    return 0;
+}
 """
 
 #: Memoized build outcome: the loaded extension module, or the reason
@@ -1142,6 +1336,178 @@ def native_unavailable_reason() -> Optional[str]:
     return None if native_available() else _BUILD_ERROR
 
 
+class NativeActivityHeap:
+    """The decision heap of :mod:`repro.sat.activity_heap`, in C.
+
+    The same protocol and pop order as
+    :class:`~repro.sat.activity_heap.VariableActivityHeap`, over the C
+    ``vheap``: an indexed binary max-heap whose ``heap``/``pos`` arrays
+    it owns (allocated once, at the variable count of the first
+    ``score_by_lit``), with keys read in place from ``score_by_lit``
+    and ``rank_by_var`` — ``array('d')`` buffers it views until
+    :meth:`set_keys` replaces them, so their owners must not resize
+    them meanwhile.  :meth:`rebuild` also views ``lit_truth`` for
+    :meth:`pop_unassigned` until :meth:`release`, which the strategies
+    call at ``detach`` so that ``ensure_num_vars`` between solves
+    never meets a pinned buffer.  Trail slices are viewed per call.
+    No Python object is made per variable.
+    """
+
+    __slots__ = (
+        "_ffi", "_lib", "_h", "_heap", "_pos", "_score", "_rank", "_truth",
+        "_pop", "_reinsert", "_rekey", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        score_by_lit: "array[float]",
+        rank_by_var: "Optional[array[float]]" = None,
+    ) -> None:
+        module = _load_module()
+        ffi = self._ffi = module.ffi
+        lib = self._lib = module.lib
+        self._pop = lib.vheap_pop
+        self._reinsert = lib.vheap_reinsert
+        self._rekey = lib.vheap_rekey
+        num_vars = len(score_by_lit) // 2
+        h = self._h = ffi.new("vheap *")
+        self._heap = ffi.new("int32_t[]", num_vars)
+        self._pos = ffi.new("int32_t[]", num_vars)
+        h.heap = self._heap
+        h.pos = self._pos
+        h.nvars = num_vars
+        self._truth = None
+        self.set_keys(score_by_lit, rank_by_var)
+        lib.vheap_build(h, ffi.NULL)
+
+    def set_keys(
+        self,
+        score_by_lit: "array[float]",
+        rank_by_var: "Optional[array[float]]" = None,
+    ) -> None:
+        """View new key arrays; call :meth:`refresh` or :meth:`rebuild`
+        afterwards to re-key the members."""
+        num_vars = self._h.nvars
+        if len(score_by_lit) != 2 * num_vars:
+            raise ValueError("score_by_lit must keep one entry per literal")
+        if rank_by_var is not None and len(rank_by_var) != num_vars:
+            raise ValueError("rank_by_var must have one entry per variable")
+        for keys in (score_by_lit, rank_by_var):
+            if keys is not None and memoryview(keys).format != "d":
+                raise TypeError("heap keys must be array('d') buffers")
+        from_buffer = self._ffi.from_buffer
+        h = self._h
+        self._score = from_buffer("double[]", score_by_lit)
+        h.score = self._score
+        if rank_by_var is None:
+            self._rank = None
+            h.rank = self._ffi.NULL
+        else:
+            self._rank = from_buffer("double[]", rank_by_var)
+            h.rank = self._rank
+
+    def rebuild(self, lit_truth: bytearray) -> None:
+        """Reset membership to the unassigned variables (those whose
+        positive literal's truth is 2), and view ``lit_truth`` for
+        :meth:`pop_unassigned` until :meth:`release`."""
+        if len(lit_truth) < 2 * self._h.nvars:
+            raise ValueError("lit_truth must cover every heap variable")
+        self.release()
+        self._truth = self._ffi.from_buffer("unsigned char[]", lit_truth)
+        self._lib.vheap_build(self._h, self._truth)
+
+    def refresh(self) -> None:
+        """Re-key every member after :meth:`set_keys` or an
+        order-preserving rescaling of the score array."""
+        self._lib.vheap_refresh(self._h)
+
+    def release(self) -> None:
+        """Drop the ``lit_truth`` view :meth:`rebuild` took."""
+        truth = self._truth
+        if truth is not None:
+            self._truth = None
+            self._ffi.release(truth)
+
+    # -- core operations ----------------------------------------------------
+
+    def __len__(self) -> int:
+        return self._h.size
+
+    def __contains__(self, var: int) -> bool:
+        return self._pos[var] >= 0
+
+    def push(self, var: int) -> None:
+        """Insert a variable; no-op if it is already present."""
+        self.reinsert(array("i", [var + var]))
+
+    def reinsert(self, trail_literals: "array[int]") -> None:  # solcheck: hot
+        """Insert the variables of an ``array('i')`` of trail literals
+        that are not members: one C call."""
+        bad = self._reinsert(
+            self._h, self._ffi.from_buffer("int32_t[]", trail_literals),
+            len(trail_literals),
+        )
+        if bad >= 0:
+            raise IndexError(f"literal {trail_literals[bad]} out of range")
+
+    def pop(self) -> int:
+        """Remove the maximum variable; returns its best *literal*, or -1
+        if the heap is empty."""
+        return self._pop(self._h, self._ffi.NULL)
+
+    def pop_unassigned(self) -> int:  # solcheck: hot
+        """Pop until a member whose literal is unassigned in the
+        ``lit_truth`` of the last :meth:`rebuild` (assigned ones leave
+        the heap on the way); -1 if none is left.  One C call."""
+        truth = self._truth
+        if truth is None:
+            raise RuntimeError("pop_unassigned needs rebuild(lit_truth) first")
+        return self._pop(self._h, truth)
+
+    def increase(self, lit: int) -> None:  # solcheck: hot
+        """Restore the order after the literal's score grew."""
+        if self._rekey(self._h, lit, 0):
+            raise IndexError(f"literal {lit} out of range")
+
+    def update(self, lit: int) -> None:
+        """Restore the order after the literal's score moved either way."""
+        if self._rekey(self._h, lit, 1):
+            raise IndexError(f"literal {lit} out of range")
+
+    # -- introspection (tests) ----------------------------------------------
+
+    def check_invariant(self) -> bool:
+        """True iff the member array is heap-ordered under the current
+        keys and ``pos`` indexes exactly the members; used by the
+        property tests."""
+        h = self._h
+        size = h.size
+        heap = self._heap
+        pos = self._pos
+        score = self._score
+        rank = self._rank
+
+        def key(var: int) -> "Tuple[float, float, int]":
+            sa = score[2 * var]
+            sb = score[2 * var + 1]
+            return (
+                0.0 if rank is None else rank[var], max(sa, sb), -var,
+            )
+
+        for i in range(1, size):
+            if key(heap[i]) > key(heap[(i - 1) >> 1]):
+                return False
+        members = 0
+        for var in range(h.nvars):
+            i = pos[var]
+            if i < 0:
+                continue
+            members += 1
+            if i >= size or heap[i] != var:
+                return False
+        return members == size
+
+
 class NativeKernel(KernelBase):
     """BCP and first-UIP analysis as one compiled ``search_step``;
     construction fails cleanly (``RuntimeError``) when the extension
@@ -1155,6 +1521,7 @@ class NativeKernel(KernelBase):
     """
 
     name = "native"
+    heap_class = NativeActivityHeap
 
     def __init__(self, solver: "CdclSolver") -> None:
         module = _load_module()  # raises RuntimeError when unavailable

@@ -76,11 +76,12 @@ these; see ``benchmarks/solver_bench.py`` for the tracking numbers):
   only installed literals.
 * Analysis reuses persistent scratch arrays (``_seen`` plus the
   touched/zero lists) — no per-conflict set allocations.
-* Decisions come from a ``heapq``-backed activity heap
-  (``repro.sat.activity_heap``) — O(log n) per decision and score
-  bump, no periodic order rebuilds; ``_backtrack`` reports the undone
-  literals to the strategy (``on_unassigned``) so popped variables
-  re-enter the heap.
+* Decisions come from the kernel's activity heap — the C indexed heap
+  on the native kernel (``NativeActivityHeap``), the ``heapq`` heap on
+  the python one (``repro.sat.activity_heap``) — O(log n) per decision
+  and score bump, no periodic order rebuilds, one heap call per
+  decision; ``_backtrack`` reports the undone literals to the strategy
+  (``on_unassigned``) so popped variables re-enter the heap.
 * Decision phases follow ``SolverConfig.phase_mode``: by default each
   re-decided variable is re-assigned its last-seen polarity (phase
   saving), captured in ``_backtrack`` as assignments are undone.

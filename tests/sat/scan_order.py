@@ -11,16 +11,34 @@ fuzzer in ``tests/properties/test_solver_differential.py`` check it).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from repro.sat.heuristics import (
-    DEFAULT_UPDATE_PERIOD,
-    ChaffScores,
-    DecisionStrategy,
-)
+from repro.sat.heuristics import DEFAULT_UPDATE_PERIOD, DecisionStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sat.solver import CdclSolver
+
+
+class ChaffScores:
+    """The per-literal ``cha_score`` array with Chaff's decay rule."""
+
+    def __init__(self, num_vars: int, initial_counts: Sequence[int]) -> None:
+        if len(initial_counts) != 2 * num_vars:
+            raise ValueError("initial_counts must have one entry per literal")
+        self.num_vars = num_vars
+        self.score = [float(c) for c in initial_counts]
+        self.new_counts = [0] * (2 * num_vars)
+
+    def on_learned_clause(self, literals: Iterable[int]) -> None:
+        """Count literals of a freshly learned conflict clause."""
+        new_counts = self.new_counts
+        for lit in literals:
+            new_counts[lit] += 1
+
+    def periodic_update(self) -> None:
+        """Apply ``cha_score = cha_score / 2 + new_lit_counts``; reset counts."""
+        self.score = [s * 0.5 + c for s, c in zip(self.score, self.new_counts)]
+        self.new_counts = [0] * len(self.new_counts)
 
 
 class _ScanOrderStrategy(DecisionStrategy):

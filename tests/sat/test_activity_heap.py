@@ -1,17 +1,23 @@
-"""Property tests for the variable activity heap.
+"""Property tests for the variable activity heaps.
 
-Two families:
+Three families:
 
 * structural — after arbitrary push/reinsert/increase/update/refresh/
   set_keys/compaction sequences, every ``pop`` returns the brute-force
   maximum over the current members by ``(rank, score, -lit)``, the
-  lazy-deletion layout stays consistent, and the raw entry array stays
-  within the compaction bound;
+  layout stays consistent and, for the lazy-deletion ``heapq`` heap,
+  the raw entry array stays within the compaction bound.  Each class
+  runs on :class:`VariableActivityHeap` and, through a ``TestNative…``
+  subclass, on the native kernel's indexed heap;
+* differential — the two heaps driven in lockstep through the same
+  random operations return the same literals and keep the same
+  members;
 * semantic — the decide order equals the stable-sorted scan order under
   each strategy's tie-break keys, including equal-activity ties.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -19,8 +25,23 @@ from repro.cnf import CnfFormula, mk_lit
 from repro.sat import CdclSolver, SolverConfig, VariableActivityHeap
 from repro.sat.activity_heap import _SLACK
 from repro.sat.heuristics import BerkMinStrategy, RankedStrategy, VsidsStrategy
+from repro.sat.kernel import NativeActivityHeap, native_available
 from tests.conftest import random_formula
 from tests.sat.scan_order import ScanOrderRankedStrategy, ScanOrderVsidsStrategy
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="the native kernel cannot be built here"
+)
+
+
+def keys(values):
+    """A key array both heaps accept (the native heap views doubles)."""
+    return array("d", values)
+
+
+def lits(values):
+    """A trail slice as the solver hands it over."""
+    return array("i", values)
 
 
 def best_key(score, rank, var):
@@ -47,22 +68,38 @@ def truth_for(members, num_vars):
 
 
 def within_bound(heap):
+    """The lazy heap's compaction bound; the indexed heap keeps no
+    stale entries, so it has none to check."""
+    if not isinstance(heap, VariableActivityHeap):
+        return True
     return len(heap._heap) <= 2 * len(heap) + _SLACK
 
 
-class TestHeapInvariant:
+class StructuralFamily:
+    """The heap class under test; ``lazy`` marks the ``heapq`` layout
+    whose raw entry array the lazy-layout asserts inspect."""
+
+    heap_cls = VariableActivityHeap
+    lazy = True
+
+    def require_lazy(self):
+        if not self.lazy:
+            pytest.skip("asserts the lazy-deletion layout")
+
+
+class TestHeapInvariant(StructuralFamily):
     def test_invariant_under_random_operation_sequences(self):
         """Every pop equals the brute-force oracle, and the lazy layout
         stays consistent, under random operation sequences."""
         rng = random.Random(20040607)
         for trial in range(150):
             n = rng.randint(1, 60)
-            score = [float(rng.randint(0, 6)) for _ in range(2 * n)]
+            score = keys(float(rng.randint(0, 6)) for _ in range(2 * n))
             rank = (
-                [float(rng.randint(0, 3)) for _ in range(n)]
+                keys(float(rng.randint(0, 3)) for _ in range(n))
                 if rng.random() < 0.5 else None
             )
-            heap = VariableActivityHeap(score, rank)
+            heap = self.heap_cls(score, rank)
             members = {v for v in range(n) if rng.random() < 0.75}
             heap.rebuild(truth_for(members, n))
             assert heap.check_invariant()
@@ -82,12 +119,12 @@ class TestHeapInvariant:
                     heap.push(var)
                     members.add(var)
                 elif op < 0.45:
-                    lits = [
+                    undone = lits(
                         2 * v + rng.randint(0, 1)
                         for v in rng.sample(range(n), rng.randint(0, n))
-                    ]
-                    heap.reinsert(lits)
-                    members.update(lit >> 1 for lit in lits)
+                    )
+                    heap.reinsert(undone)
+                    members.update(lit >> 1 for lit in undone)
                 elif op < 0.70:
                     lit = rng.randrange(2 * n)
                     score[lit] += rng.randint(1, 4)
@@ -107,7 +144,7 @@ class TestHeapInvariant:
                     # Comparator swap (the dynamic ranked -> VSIDS
                     # switch, and back).
                     rank = (
-                        [float(rng.randint(0, 3)) for _ in range(n)]
+                        keys(float(rng.randint(0, 3)) for _ in range(n))
                         if rank is None else None
                     )
                     heap.set_keys(score, rank)
@@ -127,10 +164,11 @@ class TestHeapInvariant:
     def test_compaction_keeps_pop_order(self):
         # Re-keying a few members many times piles up stale entries
         # until compaction runs; the pop order is the oracle's.
+        self.require_lazy()
         rng = random.Random(3)
         n = 200
-        score = [float(rng.randint(0, 9)) for _ in range(2 * n)]
-        heap = VariableActivityHeap(score)
+        score = keys(float(rng.randint(0, 9)) for _ in range(2 * n))
+        heap = self.heap_cls(score)
         heap.rebuild(truth_for(range(n), n))
         members = set(range(n))
         for _ in range(150):
@@ -158,8 +196,8 @@ class TestHeapInvariant:
         rng = random.Random(7)
         for trial in range(60):
             n = rng.randint(1, 40)
-            score = [float(rng.randint(0, 3)) for _ in range(2 * n)]
-            heap = VariableActivityHeap(score)
+            score = keys(float(rng.randint(0, 3)) for _ in range(2 * n))
+            heap = self.heap_cls(score)
             members = set(range(n))
             heap.rebuild(truth_for(members, n))
             while members:
@@ -170,8 +208,8 @@ class TestHeapInvariant:
             assert heap.pop() == -1
 
     def test_push_is_idempotent_for_present_vars(self):
-        score = [1.0, 0.0, 5.0, 0.0, 3.0, 0.0]
-        heap = VariableActivityHeap(score)
+        score = keys([1.0, 0.0, 5.0, 0.0, 3.0, 0.0])
+        heap = self.heap_cls(score)
         heap.rebuild(truth_for(range(3), 3))
         heap.push(1)
         heap.push(1)
@@ -179,19 +217,19 @@ class TestHeapInvariant:
         assert [heap.pop() >> 1 for _ in range(3)] == [1, 2, 0]
 
     def test_reinsert_filters_present_variables(self):
-        score = [float(v) for v in range(10)]
-        heap = VariableActivityHeap(score)
+        score = keys(float(v) for v in range(10))
+        heap = self.heap_cls(score)
         heap.rebuild(truth_for(range(5), 5))
         top = heap.pop() >> 1  # var 4 leaves
         assert top == 4
-        heap.reinsert([2 * 4, 2 * 1, 2 * 0])  # 1 and 0 are still present
+        heap.reinsert(lits([2 * 4, 2 * 1, 2 * 0]))  # 1 and 0 are still present
         assert len(heap) == 5
         assert heap.check_invariant()
 
     def test_set_key_arrays_reorders_membership(self):
-        score = [float(lit) for lit in range(8)]
-        rank = [0.0, 9.0, 0.0, 0.0]  # favours var 1
-        heap = VariableActivityHeap(score, rank)
+        score = keys(float(lit) for lit in range(8))
+        rank = keys([0.0, 9.0, 0.0, 0.0])  # favours var 1
+        heap = self.heap_cls(score, rank)
         heap.rebuild(truth_for(range(4), 4))
         assert heap.pop() >> 1 == 1
         heap.set_keys(score)
@@ -202,18 +240,19 @@ class TestHeapInvariant:
     def test_requires_key_arrays(self):
         # The rank array, when given, holds one key per variable.
         with pytest.raises(ValueError):
-            VariableActivityHeap([0.0] * 4, [0.0] * 4)
-        heap = VariableActivityHeap([0.0] * 4, [0.0, 1.0])
+            self.heap_cls(keys([0.0] * 4), keys([0.0] * 4))
+        heap = self.heap_cls(keys([0.0] * 4), keys([0.0, 1.0]))
         with pytest.raises(ValueError):
-            heap.set_keys([0.0] * 4, [0.0])
+            heap.set_keys(keys([0.0] * 4), keys([0.0]))
 
 
-class TestLazyLayout:
+class TestLazyLayout(StructuralFamily):
     def test_raw_entries_stay_within_twice_live_plus_slack(self):
+        self.require_lazy()
         rng = random.Random(11)
         n = 500
-        score = [float(rng.randint(0, 3)) for _ in range(2 * n)]
-        heap = VariableActivityHeap(score)
+        score = keys(float(rng.randint(0, 3)) for _ in range(2 * n))
+        heap = self.heap_cls(score)
         heap.rebuild(truth_for(range(n), n))
         for step in range(20000):
             if rng.random() < 0.1 and len(heap):
@@ -228,8 +267,8 @@ class TestLazyLayout:
         # Stale entries deep in the array must not outlive a heap that
         # shrinks by pops alone.
         n = 300
-        score = [0.0] * (2 * n)
-        heap = VariableActivityHeap(score)
+        score = keys([0.0] * (2 * n))
+        heap = self.heap_cls(score)
         heap.rebuild(truth_for(range(n), n))
         for var in range(n):
             score[2 * var] += 1.0
@@ -240,36 +279,180 @@ class TestLazyLayout:
         assert heap.pop() == -1
 
     def test_len_counts_live_members_not_raw_entries(self):
-        score = [1.0, 0.0, 5.0, 0.0, 3.0, 0.0]
-        heap = VariableActivityHeap(score)
+        score = keys([1.0, 0.0, 5.0, 0.0, 3.0, 0.0])
+        heap = self.heap_cls(score)
         heap.rebuild(truth_for(range(3), 3))
         for bump in range(5):
             score[0] += 10.0
             heap.increase(0)
-        assert len(heap._heap) > 3  # stale entries linger
+        if self.lazy:
+            assert len(heap._heap) > 3  # stale entries linger
         assert len(heap) == 3
         assert heap.pop() == 0
         assert len(heap) == 2
 
     def test_rebuild_takes_membership_from_lit_truth(self):
-        score = [float(lit) for lit in range(8)]
+        score = keys(float(lit) for lit in range(8))
         truth = truth_for({0, 2, 3}, 4)
         truth[2], truth[3] = 1, 0  # var 1 assigned true
-        heap = VariableActivityHeap(score)
+        heap = self.heap_cls(score)
         heap.rebuild(truth)
         assert len(heap) == 3
         assert 1 not in heap and 3 in heap
         assert [heap.pop() >> 1 for _ in range(3)] == [3, 2, 0]
 
     def test_increase_of_the_losing_polarity_pushes_nothing(self):
-        score = [5.0, 1.0, 0.0, 0.0]
-        heap = VariableActivityHeap(score)
+        score = keys([5.0, 1.0, 0.0, 0.0])
+        heap = self.heap_cls(score)
         heap.rebuild(truth_for(range(2), 2))
-        raw = len(heap._heap)
+        raw = len(heap._heap) if self.lazy else None
         score[1] += 1.0  # ~x0 still loses to x0
         heap.increase(1)
-        assert len(heap._heap) == raw
+        if self.lazy:
+            assert len(heap._heap) == raw
         assert heap.check_invariant()
+        assert heap.pop() == 0
+
+
+@needs_native
+class TestNativeHeapInvariant(TestHeapInvariant):
+    heap_cls = NativeActivityHeap
+    lazy = False
+
+
+@needs_native
+class TestNativeLazyLayout(TestLazyLayout):
+    """The lazy-layout family's membership and order checks on the
+    indexed heap (its raw-entry bounds skip)."""
+
+    heap_cls = NativeActivityHeap
+    lazy = False
+
+
+
+#: Score values with many ties, both signed zeros, and magnitudes at and
+#: beyond 2**53, where adding 1.0 is absorbed and keys tie again.
+TIE_SCORES = (0.0, -0.0, 1.0, 2.0, 2.0 ** 53, 2.0 ** 53 + 2.0, 2.0 ** 60)
+TIE_RANKS = (0.0, -0.0, 1.0, 3.0)
+
+
+@needs_native
+class TestLockstep:
+    """The ``heapq`` heap and the native indexed heap, driven through
+    the same random operation stream over shared key arrays and one
+    ``lit_truth``: every returned literal, ``len`` and membership
+    agree."""
+
+    @staticmethod
+    def _same_state(ref, nat, n):
+        assert len(ref) == len(nat)
+        assert [v in ref for v in range(n)] == [v in nat for v in range(n)]
+        assert nat.check_invariant()
+
+    def _run(self, rng, n, steps, check_every=1):
+        score = keys(rng.choice(TIE_SCORES) for _ in range(2 * n))
+        rank = (
+            keys(rng.choice(TIE_RANKS) for _ in range(n))
+            if rng.random() < 0.5 else None
+        )
+        truth = truth_for({v for v in range(n) if rng.random() < 0.7}, n)
+        ref = VariableActivityHeap(score, rank)
+        nat = NativeActivityHeap(score, rank)
+        for heap in (ref, nat):
+            heap.rebuild(truth)
+        trail = array("i")  # literals assigned since the last rebuild
+        for step in range(steps):
+            op = rng.random()
+            if op < 0.2:
+                # BCP assigns some variables behind the heap's back.
+                for var in rng.sample(range(n), rng.randint(0, min(3, n))):
+                    if truth[2 * var] == 2:
+                        lit = 2 * var + rng.randint(0, 1)
+                        truth[lit], truth[lit ^ 1] = 1, 0
+                        trail.append(lit)
+            elif op < 0.4:
+                got = ref.pop_unassigned()
+                assert nat.pop_unassigned() == got, step
+                if got >= 0:
+                    truth[got], truth[got ^ 1] = 1, 0
+                    trail.append(got)
+            elif op < 0.45:
+                assert nat.pop() == ref.pop(), step
+            elif op < 0.6:
+                # Backtrack: unassign a trail suffix, reinsert the slice.
+                cut = rng.randint(0, len(trail))
+                undone = trail[cut:]
+                del trail[cut:]
+                for lit in undone:
+                    truth[lit] = truth[lit ^ 1] = 2
+                ref.reinsert(undone)
+                nat.reinsert(undone)
+            elif op < 0.75:
+                lit = rng.randrange(2 * n)
+                score[lit] += rng.choice((1.0, 2.0, 2.0 ** 53))
+                ref.increase(lit)
+                nat.increase(lit)
+            elif op < 0.85:
+                lit = rng.randrange(2 * n)
+                score[lit] = rng.choice(TIE_SCORES)
+                ref.update(lit)
+                nat.update(lit)
+            elif op < 0.9:
+                scale = rng.choice((0.5, 2.0, 2.0 ** -40))
+                for lit in range(2 * n):
+                    score[lit] *= scale
+                ref.refresh()
+                nat.refresh()
+            elif op < 0.95:
+                rank = (
+                    keys(rng.choice(TIE_RANKS) for _ in range(n))
+                    if rank is None else None
+                )
+                for heap in (ref, nat):
+                    heap.set_keys(score, rank)
+                    heap.refresh()
+            else:
+                del trail[:]
+                for heap in (ref, nat):
+                    heap.rebuild(truth)
+            assert len(ref) == len(nat), step
+            if step % check_every == 0:
+                self._same_state(ref, nat, n)
+        while True:
+            got = ref.pop_unassigned()
+            assert nat.pop_unassigned() == got
+            if got < 0:
+                break
+        self._same_state(ref, nat, n)
+
+    def test_random_operation_streams_agree(self):
+        rng = random.Random(20040610)
+        for _ in range(120):
+            self._run(rng, rng.randint(1, 40), 150)
+
+    def test_large_heap_agrees(self):
+        self._run(random.Random(5), 2000, 3000, check_every=250)
+
+    def test_release_drops_the_truth_view(self):
+        truth = truth_for(range(3), 3)
+        heap = NativeActivityHeap(keys([1.0, 0.0, 2.0, 0.0, 3.0, 0.0]))
+        heap.rebuild(truth)
+        with pytest.raises(BufferError):
+            truth.extend(b"\x02\x02")
+        heap.release()
+        truth.extend(b"\x02\x02")  # no view pins it any more
+        with pytest.raises(RuntimeError):
+            heap.pop_unassigned()
+
+    def test_out_of_range_literals_raise(self):
+        heap = NativeActivityHeap(keys([0.0] * 4))
+        with pytest.raises(IndexError):
+            heap.reinsert(lits([0, 4]))
+        assert 0 in heap  # the literals before the bad one went in
+        with pytest.raises(IndexError):
+            heap.increase(4)
+        with pytest.raises(TypeError):
+            NativeActivityHeap([0.0] * 4)  # keys must be array('d')
 
 
 def collect_decide_order(formula, strategy):

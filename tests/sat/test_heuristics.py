@@ -6,16 +6,18 @@ import pytest
 from repro.cnf import CnfFormula, mk_lit
 from repro.sat import (
     CdclSolver,
-    ChaffScores,
     FixedOrderStrategy,
     RankedStrategy,
     VsidsStrategy,
 )
 from repro.sat.heuristics import DEFAULT_UPDATE_PERIOD
 from tests.conftest import random_formula
+from tests.sat.scan_order import ChaffScores
 
 
 class TestChaffScores:
+    """The scan-order oracle's score rule (``tests/sat/scan_order.py``)."""
+
     def test_initial_scores_are_literal_counts(self):
         scores = ChaffScores(2, [3, 0, 1, 2])
         assert scores.score == [3.0, 0.0, 1.0, 2.0]

@@ -28,9 +28,12 @@ from repro.bmc.engine import BmcEngine
 from repro.bmc.incremental import IncrementalBmcEngine
 from repro.bmc.portfolio import IncrementalPortfolioBmc
 from repro.experiments.runner import make_engine
+from repro.metrics import MetricsRegistry
+from repro.sat.activity_heap import VariableActivityHeap
 from repro.sat.heuristics import DecisionStrategy, RankedStrategy, VsidsStrategy
 from repro.sat.kernel import (
     KernelBase,
+    NativeActivityHeap,
     WatchColumns,
     native_available,
 )
@@ -268,3 +271,85 @@ class TestWarmReattach:
         strategy.attach(second)
         assert strategy._heap is not heap
         assert strategy._kinc == 1.0
+
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="the native kernel cannot be built here"
+)
+
+
+@needs_native
+def test_native_heap_is_freed_with_its_solver_by_refcount():
+    with saved_cyclic_garbage() as found:
+        strategy = RankedStrategy({0: 1.0, 3: 2.0}, dynamic=True)
+        solver = CdclSolver(
+            pigeonhole(4), strategy=strategy,
+            config=SolverConfig(kernel="native"),
+        )
+        assert solver.solve().status is SolveResult.UNSAT
+        heap = strategy._heap
+        assert isinstance(heap, NativeActivityHeap)
+        refs = [weakref.ref(obj) for obj in (solver, strategy, heap)]
+        del solver, strategy, heap
+        assert [ref() for ref in refs] == [None, None, None]
+    assert _leaked(found) == []
+
+
+def _grow_truth(solver: CdclSolver, how: str) -> None:
+    """Resize ``lit_truth`` between solves, the way front ends do: new
+    variables alone, or new variables and a batch over them (whose
+    unit the install enqueues into the grown ``lit_truth``)."""
+    fresh = solver._var_capacity
+    solver.ensure_num_vars(fresh + 2)
+    if how == "add_clauses":
+        solver.add_clauses([[2 * fresh], [2 * fresh + 1, 2 * fresh + 2]])
+
+
+@needs_native
+@pytest.mark.parametrize("persist", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("how", ["ensure_num_vars", "add_clauses"])
+def test_native_heap_pins_no_buffer_between_solves(how, persist):
+    # A heap that kept its lit_truth view past solve() would make the
+    # bytearray's resize raise BufferError.
+    strategy = VsidsStrategy()
+    strategy.persist_activity = persist
+    solver = CdclSolver(
+        pigeonhole(3), strategy=strategy, config=SolverConfig(kernel="native")
+    )
+    assert solver.solve().status is SolveResult.UNSAT
+    _grow_truth(solver, how)
+    assert solver.solve().status is SolveResult.UNSAT
+    assert isinstance(strategy._heap, NativeActivityHeap)
+
+
+@needs_native
+def test_warm_reattach_keeps_the_native_heap_across_a_batch():
+    # persist_activity on one solver: the second solve re-attaches warm
+    # (same heap object) after an add_clauses batch that resized the
+    # solver's clause arrays but not its variable count.
+    strategy = VsidsStrategy()
+    strategy.persist_activity = True
+    solver = CdclSolver(
+        pigeonhole(3), strategy=strategy, config=SolverConfig(kernel="native")
+    )
+    solver.solve()
+    heap = strategy._heap
+    solver.add_clauses([[0, 2, 4]] * 64)
+    assert solver.solve().status is SolveResult.UNSAT
+    assert strategy._heap is heap
+
+
+@pytest.mark.parametrize("plane", PLANES)
+def test_heap_size_gauge_reads_the_heap(plane):
+    registry = MetricsRegistry()
+    strategy = VsidsStrategy()
+    solver = CdclSolver(
+        pigeonhole(4), strategy=strategy,
+        config=SolverConfig(kernel=plane, metrics=registry),
+    )
+    assert solver.solve().status is SolveResult.UNSAT
+    heap = strategy._heap
+    expected = VariableActivityHeap if plane == "python" else NativeActivityHeap
+    assert type(heap) is expected
+    assert 0 < len(heap) <= solver.num_vars
+    assert registry.value("solver_heap_size") == len(heap)
