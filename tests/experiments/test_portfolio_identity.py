@@ -56,6 +56,12 @@ BMC_DIGEST = (
     "344833dc4b02b5ec72e3cb5f85e7eabb4b6e57d14205238c1587d71d2fc10003"
 )
 
+#: SHA-256 over the depth-epochs records of ``_bmc_capture`` alone,
+#: computed by the same code that passes ``BMC_DIGEST``.
+DEPTH_EPOCHS_DIGEST = (
+    "60f2b8028af9074ce896181bd05930de5260c4a2f0191b19d3fc0d2f82785303"
+)
+
 _WALL_KEYS = ("wall_time", "solve_time")
 
 
@@ -141,7 +147,7 @@ def _depth_rows(result):
     ]
 
 
-def _bmc_capture(jobs=None):
+def _bmc_capture(jobs=None, incremental_engine=True):
     rows = {row.name: row for row in small_suite()}
     records = []
     for name in ("17_1_b2", "01_b"):
@@ -158,6 +164,8 @@ def _bmc_capture(jobs=None):
             _depth_rows(result),
             [list(entry[:6]) for entry in engine.sharing_log],
         ])
+        if not incremental_engine:
+            continue
         incremental = IncrementalPortfolioBmc(
             circuit, prop, max_depth=max_depth, epoch_conflicts=64,
         )
@@ -182,3 +190,9 @@ def test_bmc_portfolio_engines_pinned():
 
 def test_bmc_depth_epochs_pinned_under_process_groups():
     assert _digest(_bmc_capture(jobs=2)) == BMC_DIGEST
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_bmc_depth_epochs_records_pinned(jobs):
+    records = _bmc_capture(jobs=jobs, incremental_engine=False)
+    assert _digest(records) == DEPTH_EPOCHS_DIGEST
