@@ -15,7 +15,6 @@ from repro.bmc.induction import (
 from repro.bmc.multi import MultiPropertyBmc, PropertyOutcome
 from repro.bmc.portfolio import (
     BMC_MEMBER_SPECS,
-    IncrementalPortfolioBmc,
     PortfolioBmcEngine,
     default_bmc_members,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "core_overlap",
     "IncrementalBmcEngine",
     "PortfolioBmcEngine",
-    "IncrementalPortfolioBmc",
     "BMC_MEMBER_SPECS",
     "default_bmc_members",
     "MultiPropertyBmc",

@@ -1,26 +1,12 @@
 """Portfolio BMC: race the paper's strategies on every row.
 
 Table 1 shows no strategy dominating — which is exactly the situation a
-portfolio turns into speed.  Two engines share one unroller (one
-circuit build and frame encoding feed every member) and the race driver
-of :mod:`repro.sat.race`:
-
-* :class:`PortfolioBmcEngine` — a wall-clock row race of whole member
-  depth loops, or with ``deterministic=True`` the one-shot depth loop
-  with each depth solved by a deterministic
-  :class:`~repro.sat.portfolio.PortfolioSolver`.
-* :class:`IncrementalPortfolioBmc` — N *persistent* incremental
-  solvers (SATIRE-style: frames streamed once, learned clauses
-  surviving across depths), advanced through the driver's epoch loop
-  per depth.  In-process and byte-reproducible.
-
-Soundness note for the incremental engine: members share learned
-clauses while solving under the depth-``k`` assumption ``not P(V_k)``,
-but CDCL learned clauses never depend on assumption *truth* — analysis
-stops at decision variables, so every learned clause is a consequence
-of the fed frames alone.  All members feed identical frames (the
-watermark-bounded stream of :func:`repro.bmc.incremental.feed_frames`),
-hence every shared clause is sound for every peer at every later depth.
+portfolio turns into speed.  :class:`PortfolioBmcEngine` runs on one
+unroller (one circuit build and frame encoding feed every member) and
+the race driver of :mod:`repro.sat.race`: a wall-clock row race of
+whole member depth loops, or with ``deterministic=True`` the one-shot
+depth loop with each depth solved by a deterministic
+:class:`~repro.sat.portfolio.PortfolioSolver`.
 """
 
 from __future__ import annotations
@@ -29,14 +15,11 @@ import os
 import time
 import weakref
 from dataclasses import replace as dc_replace
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.netlist import Circuit
-from repro.cnf.literals import lit_neg
-from repro.encode.unroll import BmcInstance, Unroller
+from repro.encode.unroll import BmcInstance
 from repro.metrics.access import ACCESS_SUFFIX
-from repro.sat.heuristics import RankedStrategy
 from repro.sat.portfolio import (
     DEFAULT_EPOCH_CONFLICTS,
     DEFAULT_SHARE_MAX_LEN,
@@ -47,19 +30,15 @@ from repro.sat.race import (
     START_METHOD,
     DepthBuses,
     MemberReport,
-    SharedClauseBus,
     race,
     race_width,
-    run_epochs,
-    run_member_epoch,
 )
 from repro.sat.solver import CdclSolver, SolverConfig
 from repro.sat.trace import TRACE_SUFFIX
 from repro.sat.types import SolveOutcome, SolveResult
-from repro.bmc.engine import BmcEngine, resolve_unroller
-from repro.bmc.incremental import decode_trace, feed_frames
+from repro.bmc.engine import BmcEngine
 from repro.bmc.refine import WEIGHTINGS, bmc_score_update
-from repro.bmc.result import BmcResult, BmcStatus, DepthStats
+from repro.bmc.result import BmcResult, BmcStatus
 
 #: Default per-depth portfolio: the paper's Table-1 strategy families.
 #: The ranked members receive the engine's live ``bmc_score`` ranking.
@@ -448,154 +427,3 @@ def _row_member(spec, circuit, property_net, weighting, share_max_len,
     engine.solver_hook = solver_hook
     yield engine.run()
 
-
-def _size(items) -> Optional[int]:
-    return len(items) if items is not None else None
-
-
-class IncrementalPortfolioBmc:
-    """Deterministic incremental portfolio BMC.
-
-    N persistent solvers — one per member — are fed identical frame
-    streams from one (shareable) unroller; each depth is raced in
-    conflict-barrier epochs with learned clauses crossing a
-    :class:`~repro.sat.portfolio.SharedClauseBus` between epochs, so a
-    member benefits from every peer's *entire history* (clauses learned
-    at earlier depths included, the SATIRE transfer channel multiplied
-    by the portfolio width).  Runs in one process; every search-derived
-    number is reproducible.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        property_net: int,
-        max_depth: int,
-        member_specs: Sequence[str] = BMC_MEMBER_SPECS,
-        solver_config: Optional[SolverConfig] = None,
-        use_coi: bool = False,
-        time_budget: Optional[float] = None,
-        verify_traces: bool = True,
-        unroller: Optional[Unroller] = None,
-        share_max_len: Optional[int] = DEFAULT_SHARE_MAX_LEN,
-        epoch_conflicts: int = DEFAULT_EPOCH_CONFLICTS,
-        weighting: str = "linear",
-    ) -> None:
-        if max_depth < 0:
-            raise ValueError("max_depth must be non-negative")
-        if epoch_conflicts <= 0:
-            raise ValueError("epoch_conflicts must be positive")
-        config = solver_config or SolverConfig()
-        _check_members(member_specs, weighting, config)
-        self.circuit = circuit
-        self.property_net = property_net
-        self.max_depth = max_depth
-        self.member_specs = tuple(member_specs)
-        self.solver_config = config
-        self.time_budget = time_budget
-        self.verify_traces = verify_traces
-        self.unroller = resolve_unroller(circuit, property_net, use_coi, unroller)
-        self.share_max_len = share_max_len
-        self.epoch_conflicts = epoch_conflicts
-        self.weighting = weighting
-        self.var_rank: Dict[int, float] = {}
-        members = default_bmc_members(None, member_specs, config)
-        self._members = members
-        self._solvers = [
-            CdclSolver(config=member.overlay_config(config, share_max_len))
-            for member in members
-        ]
-        self._fed = [0] * len(members)
-        #: Cumulative per-member accounting across the whole run.
-        self.reports = [MemberReport(name=member.name) for member in members]
-        self.shared_clauses = 0
-        self.deliveries = 0
-
-    def _strategy_for(self, index: int):
-        member = self._members[index]
-        if member.strategy.startswith("ranked"):
-            strategy = RankedStrategy(
-                self.var_rank, dynamic=(member.strategy == "ranked-dynamic")
-            )
-        else:
-            strategy = member.build_strategy()
-        # A depth's strategy re-attaches at every epoch barrier; keep
-        # the activity it accumulated within the depth.
-        strategy.persist_activity = True
-        return strategy
-
-    def _step(self, assumptions, strategies, work):
-        return [
-            (index,) + run_member_epoch(
-                self._solvers[index], budgets, imports,
-                assumptions=assumptions, strategy=strategies[index],
-            )
-            for index, budgets, imports in work
-        ]
-
-    def run(self) -> BmcResult:
-        """Execute the incremental portfolio depth loop."""
-        start = time.perf_counter()
-        deadline = (
-            None if self.time_budget is None else start + self.time_budget
-        )
-        result = BmcResult(status=BmcStatus.PASSED_BOUNDED, depth_reached=-1)
-        num = len(self._members)
-        bus = SharedClauseBus(num)
-        for k in range(self.max_depth + 1):
-            if deadline is not None and time.perf_counter() > deadline:
-                result.status = BmcStatus.BUDGET_EXHAUSTED
-                break
-            for index, solver in enumerate(self._solvers):
-                self._fed[index] = feed_frames(
-                    solver, self.unroller, k, self._fed[index]
-                )
-            assumption = lit_neg(self.unroller.lit_of(self.property_net, k))
-            strategies = [self._strategy_for(index) for index in range(num)]
-            # Caller-supplied max_conflicts/max_propagations/
-            # max_decisions cap each member's cumulative work per depth
-            # (fresh reports per depth carry that work).
-            reports = [MemberReport(name=member.name) for member in self._members]
-            winner_index, outcome, _epochs = run_epochs(
-                partial(self._step, [assumption], strategies), bus, reports,
-                self.epoch_conflicts, self.solver_config, deadline=deadline,
-                sweep=True,
-            )
-            for total, report in zip(self.reports, reports):
-                if report.stats is not None:
-                    total.absorb(report.stats, report.epochs)
-            if winner_index is None:
-                # Every member exhausted its per-depth cap (or the wall
-                # budget expired): the depth is undecided, exactly like
-                # a budgeted single solve.
-                result.status = BmcStatus.BUDGET_EXHAUSTED
-                break
-            report = reports[winner_index]
-            result.per_depth.append(DepthStats(
-                k=k, status=outcome.status.value,
-                num_vars=self._solvers[winner_index].num_vars,
-                num_clauses=self._fed[winner_index],
-                decisions=report.decisions, propagations=report.propagations,
-                conflicts=report.conflicts, solve_time=report.solve_time,
-                core_clauses=_size(outcome.core_clauses),
-                core_vars=_size(outcome.core_vars),
-                root_pruned=report.stats.root_pruned_clauses,
-                winner=self._members[winner_index].name,
-            ))
-            result.depth_reached = k
-            self.reports[winner_index].status = outcome.status.value
-            if outcome.status is SolveResult.SAT:
-                result.status = BmcStatus.FAILED
-                result.trace = decode_trace(
-                    self.circuit, self.unroller, self.property_net, k,
-                    outcome.model, verify=self.verify_traces,
-                )
-                break
-            if outcome.core_vars is not None:
-                bmc_score_update(
-                    self.var_rank, outcome.core_vars, k, self.weighting
-                )
-        self.shared_clauses = bus.shared
-        self.deliveries = bus.deliveries
-        result.total_time = time.perf_counter() - start
-        return result

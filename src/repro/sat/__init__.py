@@ -39,7 +39,6 @@ from repro.sat.portfolio import (
     PortfolioOutcome,
     PortfolioSolver,
     default_members,
-    solve_portfolio,
 )
 from repro.sat.race import MemberReport, PortfolioWorkerError, SharedClauseBus
 from repro.sat.proof import ProofError, ResolutionProof, check_proof
@@ -112,7 +111,6 @@ __all__ = [
     "PortfolioWorkerError",
     "SharedClauseBus",
     "default_members",
-    "solve_portfolio",
     "SearchObserver",
     "tee",
     "TraceWriter",

@@ -1,11 +1,12 @@
 """The solver's data-plane kernel: BCP and first-UIP analysis.
 
 The solver has one data plane — flat typed arrays for the assignment
-state, the trail, the clause arena and the watch columns — and one
-kernel object that owns the watch columns and runs the loops over it,
-through one hot call, ``search_step(num_assumptions) -> (conflict,
-analysis_or_None)``: propagate, then analyze a conflict that lands
-above the assumption prefix.  Two implementations, selected by
+state, the trail, the clause arena, the watch columns and the
+install-order literal mirror every analysis reads — and one kernel
+object that owns the watch columns and the mirror and runs the loops
+over them, through one hot call, ``search_step(num_assumptions) ->
+(conflict, analysis_or_None)``: propagate, then analyze a conflict
+that lands above the assumption prefix.  Two implementations, selected by
 ``SolverConfig.kernel``, search byte-identically:
 
 ``"native"``

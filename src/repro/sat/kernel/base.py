@@ -71,14 +71,13 @@ limit)``
     backtracking needs no hook (the kernel keeps no per-level state —
     the solver rewinds the shared trail/qhead itself).
 
-``sync_mirror()`` / ``free_clause(cid)``
-    Install-order mirror bookkeeping (see
-    :class:`~repro.sat.kernel.columns.ClauseLitMirror`): analysis
-    iterates clause literals in install order, which for long clauses
-    only the mirror preserves.  ``free_clause`` drops a deleted
-    clause's block at learned-DB reduction.  The pure-Python kernel
-    iterates the solver's ``_lits_view`` directly and never
-    materializes the mirror.
+``mirror``
+    The install-order literal store
+    (:class:`~repro.sat.kernel.columns.ClauseLitMirror`), one block per
+    clause of every length: analysis iterates clause literals in
+    install order, which the arena does not keep.  The install loops
+    write it, the solver appends learned clauses and frees deleted
+    ones, and both kernels' first-UIP walks read it.
 
 ``invalidate_views()`` / ``invalidate_arena_views()``
     Release FFI views cached across ``search_step`` calls (no-ops for
@@ -210,14 +209,6 @@ class KernelBase:
         self.bin.drop_clauses(dropped)
         self.tern.drop_clauses(dropped)
 
-    # -- mirror bookkeeping (no-ops for the pure-Python kernel) ------------
-
-    def sync_mirror(self) -> None:
-        self.mirror.sync(self.solver._lits_view)
-
-    def free_clause(self, cid: int) -> None:
-        self.mirror.free(cid)
-
     # -- cached FFI views (no-ops for the pure-Python kernel) --------------
 
     def invalidate_views(self) -> None:
@@ -235,7 +226,7 @@ class KernelBase:
 
     def invalidate_arena_views(self) -> None:
         """Soft variant of :meth:`invalidate_views` for the per-conflict
-        resizes (arena append in ``_add_learned``, mirror sync): the
+        resizes (the arena and mirror appends in ``_add_learned``): the
         native kernel drops only the arena and mirror exports and keeps
         the other cached views alive.  Watch-pool growth during the
         attach is covered separately (``WatchColumns.on_resize``).

@@ -193,25 +193,25 @@ _MIRROR_COMPACT_MIN_DEAD = 1024
 
 
 class ClauseLitMirror:
-    """Install-order literal blocks of *long* clauses, as flat columns.
+    """Every clause's literals in install order, as flat blocks.
 
     Conflict analysis iterates each visited clause's literals in
-    **install order** (``CdclSolver._lits_view``) — that order decides
-    seen-marking order, hence the learned clause, hence the whole
-    search.  The arena block cannot serve: long-clause (n >= 4) watch
-    moves permute it in place.  The C analysis walk therefore needs a
-    flat install-order copy; this class is that copy, built lazily from
-    the view and never mutated by propagation.
+    **install order** — that order decides seen-marking order, hence the
+    learned clause, hence the whole search.  The arena block cannot
+    serve: long-clause (n >= 4) watch moves permute it in place, and the
+    install moves a clause that meets root facts into its watch-ordered
+    form.  This class is the one install-order store, for every clause
+    length and both kernels: the first-UIP walk (C and Python), the
+    level-0 reason closure and learned-clause minimization all read it.
+    Propagation never touches it.
 
-    Short clauses (n <= 3) are deliberately *not* mirrored
-    (``refs[cid] == -1``): their watches are static, so arena order ==
-    install order for every short clause analysis can visit.  (The one
-    short-block rewrite — ``_install_assigned``'s unit-at-level-0
-    repositioning — only touches clauses that are satisfied or unit at
-    level 0 forever; such a clause can never be a conflict nor the
-    reason of a level>0 variable, so the analysis main loop never reads
-    it.  The Python-side consumers that *do* read such clauses —
-    ``_reason_closure``, minimization — iterate the view directly.)
+    A clause's block is its deduplicated literals in the order they
+    were given, written before anything reorders the arena copy: the
+    install loops (the native ``install_batch`` and the python kernel's
+    ``CdclSolver._install_tuples``) write one per installed clause —
+    tautologies and units included — and ``CdclSolver._add_learned``
+    appends each learned clause (:meth:`append`).  A fork copies its
+    install template's mirror (:meth:`copy_from`).
 
     Block layout (32-bit words), addressed like the arena::
 
@@ -219,69 +219,49 @@ class ClauseLitMirror:
                 ^
                 refs[cid]
 
-    The native install writes the blocks of the clauses it installs
-    directly (advancing :attr:`synced`); ``sync(view)`` appends blocks
-    for clauses added since then — learned clauses, in one pass over the
-    view's new tail, O(1) amortized per clause, called at
-    ``search_step`` entry and before an install.  ``free(cid)`` drops a
-    deleted clause's block (learned-DB reduction); dead words are
-    reclaimed by an arena-style in-place compaction once they reach
-    half the store.  The backing arrays only grow or compact between
-    FFI calls, after the native kernel has released its views of them.
+    :meth:`free` drops a deleted clause's block (learned-DB reduction)
+    and, once dead words reach half the store, reclaims them by an
+    arena-style in-place compaction.  The backing arrays only grow or
+    compact between FFI calls, after the native kernel has released its
+    views of them.
     """
 
-    __slots__ = ("data", "refs", "synced", "dead")
+    __slots__ = ("data", "refs", "dead")
 
     def __init__(self) -> None:
         #: The literal blocks; ``refs[cid]`` points at the first literal
         #: and ``data[refs[cid] - 1]`` holds the length.
         self.data = array("i")
-        #: Per-clause block offset; -1 = not mirrored (short clause,
-        #: tautology's empty slot, or freed).
+        #: Per-clause block offset; -1 once freed.
         self.refs = array("q")
-        #: Number of view entries already mirrored.
-        self.synced = 0
         #: Dead words left behind by :meth:`free`.
         self.dead = 0
 
-    def sync(self, view: Sequence[Tuple[int, ...]]) -> None:
-        """Mirror every clause installed since the last call."""
-        n = len(view)
-        synced = self.synced
-        if synced == n:
-            return
-        if (
-            self.dead >= _MIRROR_COMPACT_MIN_DEAD
-            and 2 * self.dead >= len(self.data)
-        ):
-            self.compact()
+    def append(self, lits: Sequence[int]) -> None:
+        """Add the next clause's block (a learned clause)."""
         data = self.data
-        refs = self.refs
-        for cid in range(synced, n):
-            lits = view[cid]
-            if len(lits) > 3:
-                data.append(len(lits))
-                refs.append(len(data))
-                data.extend(lits)
-            else:
-                refs.append(-1)
-        self.synced = n
+        data.append(len(lits))
+        self.refs.append(len(data))
+        data.extend(lits)
 
     def copy_from(self, other: "ClauseLitMirror") -> None:
         """Make this empty mirror a copy of ``other`` (a fork copying
         its install template's mirror)."""
         self.data.extend(other.data)
         self.refs.extend(other.refs)
-        self.synced = other.synced
         self.dead = other.dead
 
     def free(self, cid: int) -> None:
-        """Drop a deleted clause's block (no-op when not mirrored)."""
-        if cid < self.synced:
-            ref = self.refs[cid]
-            if ref >= 0:
-                self.dead += self.data[ref - 1] + 1
-                self.refs[cid] = -1
+        """Drop a deleted clause's block, compacting once the dead words
+        are worth reclaiming."""
+        ref = self.refs[cid]
+        self.dead += self.data[ref - 1] + 1
+        self.refs[cid] = -1
+        if (
+            self.dead >= _MIRROR_COMPACT_MIN_DEAD
+            and 2 * self.dead >= len(self.data)
+        ):
+            self.compact()
 
     def compact(self) -> int:
         """Slide live blocks left in place; returns words reclaimed.
@@ -307,8 +287,8 @@ class ClauseLitMirror:
         return reclaimed
 
     def entries(self, cid: int) -> Tuple[int, ...]:
-        """The mirrored literal tuple (white-box test surface); ``()``
-        when the clause is not mirrored."""
+        """The clause's literal tuple (white-box test surface); ``()``
+        once freed."""
         ref = self.refs[cid]
         if ref < 0:
             return ()

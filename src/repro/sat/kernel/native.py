@@ -4,7 +4,7 @@ The C code below transliterates
 :meth:`~repro.sat.kernel.pykernel.PythonKernel.propagate` (binary,
 ternary, then the two-phase long scan) and
 :meth:`~repro.sat.kernel.pykernel.PythonKernel.analyze` (the first-UIP
-resolution walk, reading long-clause literals from the install-order
+resolution walk, reading every clause's literals from the install-order
 mirror) into two static loops, and exports them fused as one
 ``search_step``: propagate, then analyze the conflict without
 returning to Python between them — one FFI crossing per conflict.  The
@@ -23,8 +23,7 @@ or rescale.  The other exports install clauses:
   install loop — over a :class:`~repro.cnf.formula.ClauseRun`'s flat
   ``[n, lit_0 … lit_{n-1}]`` words, one call per batch: dedupe,
   tautology flags, literal counts, arena words/refs/flags, the
-  install-order mirror blocks (advancing ``mirror.synced``), per-table
-  watch IDs, and the root-fact classification (root-satisfied clauses
+  install-order mirror blocks, per-table watch IDs, and the root-fact classification (root-satisfied clauses
   pruned into an out-buffer, effectively-unit ones enqueued on the
   trail, long ones reordered to watch two free literals).  It hands a
   clause back to Python, then resumes at the next one, in two cases:
@@ -54,7 +53,7 @@ words it needs instead (Python reserves them and calls again).
 ``install_batch`` never runs short: before the call Python grows every
 array it writes by the batch's undeduplicated size (the run's words
 plus one header word per clause for the arena, the run's words for the
-mirror, one slot per clause for refs and flags, five ID sections of
+mirror, one slot per clause for refs and flags, four ID sections of
 one slot per clause), and afterwards cuts the arena and mirror words
 back to what C used.  ``search_step`` has cooperative return codes:
 
@@ -145,15 +144,14 @@ IB_MUSED = 4        # mirror words written
 IB_COUNT = 5        # clauses in the batch (the out-buffer section size)
 IB_NBIN = 6         # out-buffer section fill counts, in section order:
 IB_NTERN = 7        # binary, ternary and long watch IDs, root-pruned
-IB_NLONG = 8        # IDs, deduplicated IDs
+IB_NLONG = 8        # IDs
 IB_NPRUNED = 9
-IB_NDEDUP = 10
-IB_TRAIL = 11       # the trail length
-IB_ENQ = 12         # effectively-unit clauses enqueued
-IB_LITS = 13        # literals counted
-IB_FLAGS = 14       # IBF_* bits
-IB_HAND = 15        # the clause handed back
-_IB_SLOTS = 16
+IB_TRAIL = 10       # the trail length
+IB_ENQ = 11         # effectively-unit clauses enqueued
+IB_LITS = 12        # literals counted
+IB_FLAGS = 13       # IBF_* bits
+IB_HAND = 14        # the clause handed back
+_IB_SLOTS = 15
 
 IBF_OK = 1          # the solver is not UNSAT: classify and attach
 IBF_COUNT = 2       # count literals (off for peer imports)
@@ -677,19 +675,16 @@ save_grow:
 }
 
 /* First-UIP resolution walk — the PythonKernel.analyze loop.
-   Clause literals come from the install-order mirror when the clause
-   is mirrored (long clauses, whose arena blocks watch moves permute),
-   else straight from the arena block (short clauses: static watches,
-   arena order == install order for every clause analysis can visit).
-   Reads st[ST_ACONFLICT] (the conflicting clause), st[ST_LEVEL] and
-   st[ST_TRAIL_LEN]; fills the four scratch buffers and their ST_*_N
+   Clause literals come from the install-order mirror, which holds every
+   clause (the arena blocks of long clauses are permuted by watch
+   moves).  Reads st[ST_ACONFLICT] (the conflicting clause),
+   st[ST_LEVEL] and st[ST_TRAIL_LEN]; fills the four scratch buffers and their ST_*_N
    counts.  Any buffer overflow unmarks every seen bit set so far and
    returns NEED_ABUF with the buffer index in ST_ABUF — nothing else
    was mutated (bumps are replayed later in Python), so the restarted
    walk is idempotent. */
 static int analyze_uip(const int32_t *levels, const int32_t *reasons,
                        const int32_t *trail,
-                       const int32_t *adata, const int64_t *arefs,
                        const int32_t *mdata, const int64_t *mrefs,
                        unsigned char *seen,
                        int32_t *learned, int32_t *ants,
@@ -712,17 +707,8 @@ static int analyze_uip(const int32_t *levels, const int32_t *reasons,
 
     ants[0] = cid;
     for (;;) {
-        const int32_t *lits;
-        int cn;
-        int64_t mref = mrefs[cid];
-        if (mref >= 0) {
-            lits = mdata + mref;
-            cn = mdata[mref - 1];
-        } else {
-            int64_t cbase = arefs[cid];
-            lits = adata + cbase;
-            cn = adata[cbase - 1];
-        }
+        const int32_t *lits = mdata + mrefs[cid];
+        int cn = lits[-1];
         a_words += cn;
         for (k = 0; k < cn; k++) {
             int q = lits[k];
@@ -807,7 +793,7 @@ int search_step(unsigned char *truth,
 {
     int conflict, r;
     if (st[ST_ACONFLICT] >= 0) {
-        r = analyze_uip(levels, reasons, trail, adata, arefs,
+        r = analyze_uip(levels, reasons, trail,
                         mdata, mrefs, seen, learned, ants,
                         touched, zero, st, prof);
         if (r)
@@ -822,7 +808,7 @@ int search_step(unsigned char *truth,
         return conflict;
     if (st[ST_LEVEL] > st[ST_ASSUME_LVL]) {
         st[ST_ACONFLICT] = conflict;
-        r = analyze_uip(levels, reasons, trail, adata, arefs,
+        r = analyze_uip(levels, reasons, trail,
                         mdata, mrefs, seen, learned, ants,
                         touched, zero, st, prof);
         if (r)
@@ -843,12 +829,11 @@ int search_step(unsigned char *truth,
 #define IB_NTERN 7
 #define IB_NLONG 8
 #define IB_NPRUNED 9
-#define IB_NDEDUP 10
-#define IB_TRAIL 11
-#define IB_ENQ 12
-#define IB_LITS 13
-#define IB_FLAGS 14
-#define IB_HAND 15
+#define IB_TRAIL 10
+#define IB_ENQ 11
+#define IB_LITS 12
+#define IB_FLAGS 13
+#define IB_HAND 14
 #define IBF_OK 1
 #define IBF_COUNT 2
 #define IBF_PRUNE 4
@@ -868,16 +853,15 @@ static void to_front(int32_t *blk, int32_t i)
    Per clause, in order: dedupe (n = 2 and 3 inline, n >= 4 through the
    per-variable `seen` scratch, bit 1 per polarity, cleared again), the
    tautology test (flagged INACTIVE, never counted or attached), the
-   arena block, flags byte and ref, the install-order mirror block (n >= 4
-   after dedupe, else ref -1), literal counts (IBF_COUNT), then — while
-   the solver is not UNSAT (IBF_OK) — the root-fact classification of
-   CdclSolver._classify_assigned: a root-satisfied clause goes to the
+   arena block, flags byte and ref, the install-order mirror block (the
+   deduplicated literals, before any reordering), literal counts
+   (IBF_COUNT), then — while the solver is not UNSAT (IBF_OK) — the
+   root-fact classification of CdclSolver._classify_assigned: a
+   root-satisfied clause goes to the
    pruned section under IBF_PRUNE, an effectively-unit one gets its free
    literal first and is enqueued at level 0, a long one gets two free
    literals moved to the watch positions; every clause still attached
    goes to its table's ID section of `out` (binary, ternary, long).
-   Deduplicated clause IDs go to the last section (Python rebuilds their
-   analysis views).
 
    Python reserves every array to the batch's undeduplicated size first
    (C cannot grow one).  Returns 0 when the batch is done; returns 1
@@ -896,12 +880,11 @@ int install_batch(const int32_t *words,
     int64_t aused = st[IB_AUSED], mused = st[IB_MUSED];
     int64_t count = st[IB_COUNT];
     int64_t nbin = st[IB_NBIN], ntern = st[IB_NTERN], nlong = st[IB_NLONG];
-    int64_t npruned = st[IB_NPRUNED], ndedup = st[IB_NDEDUP];
+    int64_t npruned = st[IB_NPRUNED];
     int64_t trail_len = st[IB_TRAIL], enq = st[IB_ENQ], nlits = st[IB_LITS];
     int64_t flags = st[IB_FLAGS];
     int32_t *bin_out = out, *tern_out = out + count;
     int32_t *long_out = out + 2 * count, *pruned_out = out + 3 * count;
-    int32_t *dedup_out = out + 4 * count;
     int ret = 0;
     while (pos < hi) {
         int32_t n = words[pos], m = 0, j, cur = (int32_t)cid;
@@ -946,21 +929,15 @@ int install_batch(const int32_t *words,
             for (j = 0; j < n; j++)
                 blk[m++] = src[j];
         }
-        if (m != n)
-            dedup_out[ndedup++] = cur;
         adata[aused] = taut ? ARENA_INACTIVE : 0;
         adata[aused + 1] = m;
         arefs[cur] = aused + 2;
         aflags[cur] = taut ? ARENA_INACTIVE : 0;
         aused += 2 + m;
-        if (m > 3) {
-            mdata[mused] = m;
-            mrefs[cur] = mused + 1;
-            memcpy(mdata + mused + 1, blk, (size_t)m * sizeof(int32_t));
-            mused += 1 + m;
-        } else {
-            mrefs[cur] = -1;
-        }
+        mdata[mused] = m;
+        mrefs[cur] = mused + 1;
+        memcpy(mdata + mused + 1, blk, (size_t)m * sizeof(int32_t));
+        mused += 1 + m;
         if (taut)
             continue;
         if (flags & IBF_COUNT) {
@@ -1033,7 +1010,6 @@ int install_batch(const int32_t *words,
     st[IB_NTERN] = ntern;
     st[IB_NLONG] = nlong;
     st[IB_NPRUNED] = npruned;
-    st[IB_NDEDUP] = ndedup;
     st[IB_TRAIL] = trail_len;
     st[IB_ENQ] = enq;
     st[IB_LITS] = nlits;
@@ -1634,19 +1610,12 @@ class NativeKernel(KernelBase):
         the new watch IDs per table and the literals counted.
 
         Every array the loop writes is reserved first to the batch's
-        undeduplicated size and cut back to what C used afterwards.
-        The analysis views take the run's tuples, rebuilt deduplicated
-        for the clauses C reports; the mirror blocks C writes bring
-        ``mirror.synced`` to the batch's end."""
+        undeduplicated size and cut back to what C used afterwards."""
         solver = self.solver
         arena = solver._arena
         mirror = self.mirror
-        view = solver._lits_view
         first = len(arena.refs)
         count = run.count
-        if mirror.synced != first:
-            mirror.sync(view)  # learned clauses since the last step
-        view.extend(run.tuples)
         if not count:
             return ((), (), ()), 0
         span = run.hi - run.lo
@@ -1659,8 +1628,8 @@ class NativeKernel(KernelBase):
         state[IB_AUSED] = len(adata)
         state[IB_MUSED] = len(mdata)
         state[IB_COUNT] = count
-        for slot in (IB_NBIN, IB_NTERN, IB_NLONG, IB_NPRUNED, IB_NDEDUP,
-                     IB_ENQ, IB_LITS):
+        for slot in (IB_NBIN, IB_NTERN, IB_NLONG, IB_NPRUNED, IB_ENQ,
+                     IB_LITS):
             state[slot] = 0
         state[IB_TRAIL] = solver._trail_len
         state[IB_FLAGS] = (
@@ -1673,16 +1642,9 @@ class NativeKernel(KernelBase):
         arena.flags.extend(bytes(count))
         mdata.frombytes(bytes(4 * span))
         mirror.refs.frombytes(bytes(8 * count))
-        # Five sections of `count` IDs: binary, ternary and long
-        # watches, root-pruned, deduplicated.
-        out = array("i", bytes(20 * count))
-        deduped = 0
-
-        def rebuild_views(upto: int) -> int:
-            for cid in out[4 * count + deduped:4 * count + upto]:
-                view[cid] = tuple(dict.fromkeys(view[cid]))
-            return upto
-
+        # Four sections of `count` IDs: binary, ternary and long
+        # watches, root-pruned.
+        out = array("i", bytes(16 * count))
         ffi = self._ffi
         from_buffer = ffi.from_buffer
         views = [
@@ -1705,8 +1667,8 @@ class NativeKernel(KernelBase):
         try:
             while install(*views):
                 solver._trail_len = state[IB_TRAIL]
-                # The hand-back may read the views (reason closure).
-                deduped = rebuild_views(state[IB_NDEDUP])
+                # The hand-back may read the mirror blocks C wrote so
+                # far (reason closure).
                 yield state[IB_HAND]
                 state[IB_TRAIL] = solver._trail_len
                 if not solver._ok:
@@ -1716,14 +1678,12 @@ class NativeKernel(KernelBase):
                 ffi.release(buffer_view)
         del adata[state[IB_AUSED]:]
         del mdata[state[IB_MUSED]:]
-        mirror.synced = first + count
         solver._trail_len = state[IB_TRAIL]
         solver._pending_load_propagations += state[IB_ENQ]
         pruned = state[IB_NPRUNED]
         if pruned:
             solver._root_pruned.update(out[3 * count:3 * count + pruned])
             solver._pending_root_pruned += pruned
-        rebuild_views(state[IB_NDEDUP])
         return (
             out[:state[IB_NBIN]],
             out[count:count + state[IB_NTERN]],
@@ -1848,11 +1808,6 @@ class NativeKernel(KernelBase):
             return -1, None  # nothing queued (keeps empty buffers off FFI)
         long_cols = self.long
         qhead0 = solver._qhead
-        mirror = self.mirror
-        if mirror.synced != len(solver._lits_view):
-            # sync may extend (and compact may shrink) the mirror pool.
-            self.invalidate_arena_views()
-            mirror.sync(solver._lits_view)
         state[ST_QHEAD] = solver._qhead
         state[ST_TRAIL_LEN] = solver._trail_len
         state[ST_LEVEL] = solver._decision_level

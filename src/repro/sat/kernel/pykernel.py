@@ -37,12 +37,11 @@ from repro.sat.profile import (
 class PythonKernel(KernelBase):
     """Flat-array BCP and first-UIP analysis, in pure Python.
 
-    Analysis walks clause literals in install order (``_lits_view``),
-    which decides seen-marking order and so the learned clause.
-    Clause-activity bumps are left to the solver, which replays them
-    from the returned antecedent order.  Iterates ``_lits_view``
-    directly; the install-order mirror stays empty (it exists for the
-    C kernel, which cannot walk tuples).
+    Analysis walks clause literals in install order, read from the
+    install-order mirror exactly as the C walk reads them, which decides
+    seen-marking order and so the learned clause.  Clause-activity
+    bumps are left to the solver, which replays them from the returned
+    antecedent order.
     """
 
     name = "python"
@@ -57,12 +56,6 @@ class PythonKernel(KernelBase):
         if conflict < 0 or self.solver._decision_level <= num_assumptions:
             return conflict, None
         return conflict, self.analyze(conflict)
-
-    def sync_mirror(self) -> None:
-        pass  # analysis iterates the view directly; no flat copy needed
-
-    def free_clause(self, cid: int) -> None:
-        pass
 
     def propagate(self) -> int:  # solcheck: hot
         """Exhaust the implication queue; returns a conflicting clause
@@ -385,7 +378,8 @@ class PythonKernel(KernelBase):
         seen = solver._seen
         levels = solver._levels
         reasons = solver._reasons
-        view = solver._lits_view
+        mdata = self.mirror.data
+        mrefs = self.mirror.refs
         trail = solver._trail
         current = solver._decision_level
         learned: List[int] = [0]
@@ -403,9 +397,10 @@ class PythonKernel(KernelBase):
         acc_words = 0
 
         while True:
-            lits = view[cid]
-            acc_words += len(lits)
-            for q in lits:
+            ref = mrefs[cid]
+            n = mdata[ref - 1]
+            acc_words += n
+            for q in mdata[ref:ref + n]:
                 if q == p:
                     continue
                 var = q >> 1

@@ -577,8 +577,3 @@ class PortfolioSolver:
             deterministic=deterministic,
             wall_time=time.perf_counter() - start,
         )
-
-
-def solve_portfolio(formula: CnfFormula, **kwargs) -> PortfolioOutcome:
-    """Convenience one-call interface: build a portfolio and solve."""
-    return PortfolioSolver(formula, **kwargs).solve()

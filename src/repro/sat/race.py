@@ -16,10 +16,10 @@ and the assembly of their result; the rest is here, written once:
   cross-checked.  A killed member is tolerated while a peer can still
   decide.
 * **Deterministic epoch barrier** (:func:`run_epochs`): budgets carved
-  per epoch, one ``step(work) -> replies`` call (in-process, on
-  persistent process groups via :func:`epoch_step`, or the incremental
-  engine's assumption solve), replies folded and published in
-  member-index order, the lowest-index finisher crowned.
+  per epoch, one ``step(work) -> replies`` call (in-process, or on
+  persistent process groups via :func:`epoch_step`), replies folded
+  and published in member-index order, the lowest-index finisher
+  crowned.
 * **Width** (:func:`race_width`, :func:`epoch_workers`).
 """
 
@@ -489,7 +489,6 @@ def run_epochs(
     limits=None,
     max_epochs: Optional[int] = None,
     deadline: Optional[float] = None,
-    sweep: bool = False,
 ) -> Tuple[Optional[int], Optional[SolveOutcome], int]:
     """The epoch-barrier loop; returns ``(winner, its outcome, epochs)``.
 
@@ -497,11 +496,9 @@ def run_epochs(
     returns ``[(member, exports, outcome), ...]`` in any order.  The
     ``max_conflicts``/``max_propagations``/``max_decisions`` of
     ``limits`` (a :class:`SolverConfig`, or None) cap each member's work
-    summed over this call; epochs are carved out of what remains.  With
-    ``sweep`` the members step one at a time and each one's exports are
-    published before the next collects its imports (the incremental
-    engine's order); otherwise all members step against the same
-    barrier, which makes placement invisible.
+    summed over this call; epochs are carved out of what remains.  All
+    members step against the same barrier, which makes placement
+    invisible.
     """
     caps = (
         (limits.max_conflicts, limits.max_propagations, limits.max_decisions)
@@ -525,18 +522,17 @@ def run_epochs(
         active = [index for index, _budgets in work]
         if not work:
             break  # every member exhausted a cap
-        for batch in ([[item] for item in work] if sweep else [work]):
-            replies = step(
-                [(index, budgets, bus.collect(index)) for index, budgets in batch]
-            )
-            replies.sort(key=lambda reply: reply[0])
-            for index, exports, outcome in replies:
-                report = reports[index]
-                report.absorb(outcome.stats)
-                bus.publish(index, exports)
-                if outcome.status is not SolveResult.UNKNOWN:
-                    report.status = outcome.status.value
-                    finished[index] = outcome
+        replies = step(
+            [(index, budgets, bus.collect(index)) for index, budgets in work]
+        )
+        replies.sort(key=lambda reply: reply[0])
+        for index, exports, outcome in replies:
+            report = reports[index]
+            report.absorb(outcome.stats)
+            bus.publish(index, exports)
+            if outcome.status is not SolveResult.UNKNOWN:
+                report.status = outcome.status.value
+                finished[index] = outcome
         epochs += 1
         if finished:
             break

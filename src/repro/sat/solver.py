@@ -373,17 +373,6 @@ class CdclSolver:
         #: ``kernel="native"`` raises here, cleanly, on hosts without
         #: cffi or a C compiler.
         self._kernel = create_kernel(self, kernel_name)
-        # Analysis-side literal views, one immutable tuple per clause.
-        # Conflict analysis is literal-ORDER-blind (seen-marking makes
-        # duplicates and permutations irrelevant), and a clause's
-        # literal SET never changes after install — watch moves only
-        # permute the arena block — so these views never go stale.
-        # Original clauses share the formula's own tuples (one
-        # reference, no copy); learned clauses pay one tuple while
-        # live, freed at deletion.  The arena stays the store of
-        # record: propagation, watch positions, proofs and
-        # clause_literals() all read it, analysis iterates the view.
-        self._lits_view: List[Tuple[int, ...]] = []
         # Original (non-LEARNED) clauses installed so far; the arena's
         # LEARNED flag is the per-clause authority.
         self._num_originals = 0
@@ -644,7 +633,6 @@ class CdclSolver:
         arena.flags.extend(source.flags)
         arena.activity.extend(source.activity)
         self._kernel.mirror.copy_from(template._kernel.mirror)
-        self._lits_view.extend(template._lits_view)
         for ids, source_ids in zip(self._watch_ids, template._watch_ids):
             ids.extend(source_ids)
         self._num_originals = template._num_originals
@@ -797,8 +785,11 @@ class CdclSolver:
         Dedupe is specialized for the 2-3 literal clauses Tseitin
         encodings consist of.  Arena words and offsets are gathered in
         Python lists and copied into the typed store once at the end
-        (nothing reads the arena during install).  Returns the new watch
-        IDs per table and the literals counted."""
+        (nothing reads the arena during install); the install-order
+        mirror blocks are gathered the same way, and also copied before
+        a clause meeting root facts is classified, because a root
+        falsification's reason closure reads earlier clauses' blocks.
+        Returns the new watch IDs per table and the literals counted."""
         arena = self._arena
         next_cid = len(arena.refs)
         word_buf: List[int] = []
@@ -807,7 +798,20 @@ class CdclSolver:
         ref_buf: List[int] = []
         ref_append = ref_buf.append
         aflags_append = arena.flags.append
-        view_append = self._lits_view.append
+        mirror = self._kernel.mirror
+        mirror_words = len(mirror.data)
+        mirror_buf: List[int] = []
+        mirror_append = mirror_buf.append
+        mirror_extend = mirror_buf.extend
+        mirror_refs: List[int] = []
+        mirror_ref_append = mirror_refs.append
+
+        def flush_mirror() -> None:
+            mirror.data.fromlist(mirror_buf)
+            mirror.refs.fromlist(mirror_refs)
+            mirror_buf.clear()
+            mirror_refs.clear()
+
         lit_counts = self._lit_counts
         truth = self.lit_truth
         bin_ids: List[int] = []
@@ -838,14 +842,17 @@ class CdclSolver:
                 n = len(lits)
                 taut = _is_tautology(lits)
             words += HEADER_WORDS + n
+            mirror_words += 1 + n
             cid = next_cid
             next_cid += 1
-            view_append(lits)
             flags = INACTIVE if taut else 0
             aflags_append(flags)
             buf_append(flags)
             buf_append(n)
             ref_append(words - n)
+            mirror_append(n)
+            mirror_extend(lits)
+            mirror_ref_append(mirror_words - n)
             attach = False
             if not taut:
                 if count_literals:
@@ -859,11 +866,13 @@ class CdclSolver:
                     for lit in lits:
                         if truth[lit] != 2:
                             # The arena stores the watch-ordered form;
-                            # the view keeps install order.
+                            # the mirror keeps install order.
+                            flush_mirror()
                             lits = list(lits)
                             attach = self._classify_assigned(cid, lits)
                             break
                 elif n == 1:
+                    flush_mirror()
                     self._load_unit(cid, lits[0])
                 else:
                     self._root_falsified(cid, ())
@@ -876,6 +885,7 @@ class CdclSolver:
                 tern_ids.append(cid)
             else:
                 long_ids.append(cid)
+        flush_mirror()
         arena.data.fromlist(word_buf)
         arena.refs.fromlist(ref_buf)
         return (bin_ids, tern_ids, long_ids), num_literals
@@ -1089,7 +1099,9 @@ class CdclSolver:
         variable with neither a reason nor a consistent defining unit is
         a genuine internal error.
         """
-        view = self._lits_view
+        mirror = self._kernel.mirror
+        mdata = mirror.data
+        mrefs = mirror.refs
         visited: Set[int] = set()
         stack = list(start_vars)
         while stack:
@@ -1108,7 +1120,8 @@ class CdclSolver:
                 antecedents.append(reason)
                 continue  # a unit clause closes the chain for this var
             antecedents.append(reason)
-            for lit in view[reason]:
+            ref = mrefs[reason]
+            for lit in mdata[ref:ref + mdata[ref - 1]]:
                 other = lit >> 1
                 if other != var:
                     stack.append(other)
@@ -1225,7 +1238,9 @@ class CdclSolver:
         levels = self._levels
         reasons = self._reasons
         seen = self._seen
-        view = self._lits_view
+        mirror = self._kernel.mirror
+        mdata = mirror.data
+        mrefs = mirror.refs
         budget = self.config.minimize_budget
         mask = 0
         for i in range(1, len(learned)):
@@ -1245,7 +1260,8 @@ class CdclSolver:
             # clause or proven covered, 3 = proven (or assumed, after a
             # budget abort) non-redundant — both memoized per conflict.
             verdict = 1  # 1 redundant, 0 not, -1 needs recursion
-            for r in view[reason]:
+            ref = mrefs[reason]
+            for r in mdata[ref:ref + mdata[ref - 1]]:
                 u = r >> 1
                 if u == var:
                     continue
@@ -1305,7 +1321,9 @@ class CdclSolver:
         seen = self._seen
         levels = self._levels
         reasons = self._reasons
-        view = self._lits_view
+        mirror = self._kernel.mirror
+        mdata = mirror.data
+        mrefs = mirror.refs
         touched = self._touched_scratch
         zero = self._zero_scratch
         stack = self._min_stack
@@ -1314,7 +1332,8 @@ class CdclSolver:
         top = len(touched)
         while stack:
             v = stack.pop()
-            for q in view[reasons[v]]:
+            ref = mrefs[reasons[v]]
+            for q in mdata[ref:ref + mdata[ref - 1]]:
                 u = q >> 1
                 if u == v:
                     continue
@@ -1386,7 +1405,7 @@ class CdclSolver:
         # (rare) invalidates itself via the columns' on_resize hook.
         self._kernel.invalidate_arena_views()
         cid = self._arena.add(learned, LEARNED, self._activity_inc)
-        self._lits_view.append(tuple(learned))
+        self._kernel.mirror.append(learned)
         self._learned_ids.append(cid)
         self._num_live_learned += 1
         self.stats.learned_clauses += 1
@@ -1444,17 +1463,16 @@ class CdclSolver:
         candidates.sort(key=lambda cid: (activity[cid], -cid))
         root_pruned = self._root_pruned
         arena = self._arena
-        view = self._lits_view
         kernel = self._kernel
-        # Arena compaction below resizes the word store the native
+        mirror = kernel.mirror
+        # Arena and mirror compaction below resize stores the native
         # kernel holds cached FFI views of.
         kernel.invalidate_views()
         for cid in candidates[: len(candidates) // 2]:
             if cid not in root_pruned:  # pruned clauses are already detached
                 kernel.detach(cid)
             arena.tombstone(cid)
-            view[cid] = ()  # free the analysis view; reasons stay live
-            kernel.free_clause(cid)  # and its install-order mirror block
+            mirror.free(cid)  # reasons are locked, never freed
             self._num_live_learned -= 1
             self.stats.deleted_clauses += 1
         self._maybe_compact_arena()

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bmc import BmcEngine, IncrementalPortfolioBmc, PortfolioBmcEngine
+from repro.bmc import BmcEngine, PortfolioBmcEngine
 from repro.bmc.result import BmcStatus
 from repro.sat import CdclSolver, PortfolioSolver, SolverConfig
 from repro.sat import race as race_module
@@ -292,63 +292,6 @@ class TestRowGranularity:
         ).run()
         assert result.status is BmcStatus.FAILED
         assert result.depth_reached == instance.cex_depth
-
-
-class TestIncrementalPortfolio:
-    def test_matches_baseline_and_shares(self, passing_row, baseline):
-        instance, circuit, prop = passing_row
-        engine = IncrementalPortfolioBmc(
-            circuit, prop, max_depth=instance.max_depth,
-            epoch_conflicts=64,
-        )
-        result = engine.run()
-        assert result.status is baseline.status
-        assert result.depth_reached == baseline.depth_reached
-        assert all(d.winner for d in result.per_depth)
-        assert engine.reports  # per-member accounting exists
-
-    def test_counterexample_with_verified_trace(self, failing_row):
-        instance, circuit, prop = failing_row
-        engine = IncrementalPortfolioBmc(
-            circuit, prop, max_depth=instance.max_depth,
-        )
-        result = engine.run()
-        assert result.status is BmcStatus.FAILED
-        assert result.depth_reached == instance.cex_depth
-        assert result.trace is not None
-
-    def test_reproducible(self, passing_row):
-        instance, circuit, prop = passing_row
-
-        def fingerprint():
-            engine = IncrementalPortfolioBmc(
-                circuit, prop, max_depth=instance.max_depth,
-                epoch_conflicts=64,
-            )
-            result = engine.run()
-            return (
-                engine.shared_clauses,
-                engine.deliveries,
-                tuple(
-                    (d.k, d.status, d.decisions, d.conflicts, d.winner)
-                    for d in result.per_depth
-                ),
-            )
-
-        assert fingerprint() == fingerprint()
-
-    def test_validation(self, passing_row):
-        instance, circuit, prop = passing_row
-        with pytest.raises(ValueError):
-            IncrementalPortfolioBmc(circuit, prop, max_depth=-1)
-        with pytest.raises(ValueError):
-            IncrementalPortfolioBmc(
-                circuit, prop, max_depth=1, member_specs=()
-            )
-        with pytest.raises(ValueError):
-            IncrementalPortfolioBmc(
-                circuit, prop, max_depth=1, epoch_conflicts=0
-            )
 
 
 class TestExperimentIntegration:

@@ -12,10 +12,10 @@ folding) cannot move a single counter unnoticed:
   one anchored digest), plus the cold-activity ``portfolio_race``
   bench cell;
 * per-depth search numbers and the sharing log of the deterministic
-  :class:`PortfolioBmcEngine` and of :class:`IncrementalPortfolioBmc`
-  on one passing and one failing ``small_suite()`` row, the former
-  in-process and under ``jobs=2`` (worker groups forked with the
-  engine's install template) against the one anchored digest.
+  :class:`PortfolioBmcEngine` on one passing and one failing
+  ``small_suite()`` row, in-process and under ``jobs=2`` (worker
+  groups forked with the engine's install template) against the one
+  anchored digest.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 
 import pytest
 
-from repro.bmc import IncrementalPortfolioBmc, PortfolioBmcEngine
+from repro.bmc import PortfolioBmcEngine
 from repro.sat import (
     PortfolioMember, PortfolioSolver, SolverConfig, default_members,
 )
@@ -50,14 +50,10 @@ BENCH_CELL_DIGEST = (
     "273843622743818159f3f7ec298909b16b3bca8376af7eb3cfa621dde8ef19e7"
 )
 
-#: SHA-256 over both BMC engines on the two rows (see
-#: ``_bmc_capture``), captured at the same point.
-BMC_DIGEST = (
-    "344833dc4b02b5ec72e3cb5f85e7eabb4b6e57d14205238c1587d71d2fc10003"
-)
-
-#: SHA-256 over the depth-epochs records of ``_bmc_capture`` alone,
-#: computed by the same code that passes ``BMC_DIGEST``.
+#: SHA-256 over the deterministic BMC engine's records on the two rows
+#: (see ``_bmc_capture``), split out of a digest that also covered a
+#: since-deleted incremental portfolio engine, and computed by the code
+#: that passed that digest.
 DEPTH_EPOCHS_DIGEST = (
     "60f2b8028af9074ce896181bd05930de5260c4a2f0191b19d3fc0d2f82785303"
 )
@@ -147,7 +143,7 @@ def _depth_rows(result):
     ]
 
 
-def _bmc_capture(jobs=None, incremental_engine=True):
+def _bmc_capture(jobs=None):
     rows = {row.name: row for row in small_suite()}
     records = []
     for name in ("17_1_b2", "01_b"):
@@ -164,35 +160,12 @@ def _bmc_capture(jobs=None, incremental_engine=True):
             _depth_rows(result),
             [list(entry[:6]) for entry in engine.sharing_log],
         ])
-        if not incremental_engine:
-            continue
-        incremental = IncrementalPortfolioBmc(
-            circuit, prop, max_depth=max_depth, epoch_conflicts=64,
-        )
-        result = incremental.run()
-        records.append([
-            name, "incremental", result.status.value,
-            _depth_rows(result),
-            [incremental.shared_clauses, incremental.deliveries],
-            [
-                [r.name, r.status, r.winner, r.epochs, r.conflicts,
-                 r.decisions, r.propagations, r.restarts, r.exported,
-                 r.imported]
-                for r in incremental.reports
-            ],
-        ])
     return records
 
 
 def test_bmc_portfolio_engines_pinned():
-    assert _digest(_bmc_capture()) == BMC_DIGEST
+    assert _digest(_bmc_capture()) == DEPTH_EPOCHS_DIGEST
 
 
 def test_bmc_depth_epochs_pinned_under_process_groups():
-    assert _digest(_bmc_capture(jobs=2)) == BMC_DIGEST
-
-
-@pytest.mark.parametrize("jobs", [None, 2])
-def test_bmc_depth_epochs_records_pinned(jobs):
-    records = _bmc_capture(jobs=jobs, incremental_engine=False)
-    assert _digest(records) == DEPTH_EPOCHS_DIGEST
+    assert _digest(_bmc_capture(jobs=2)) == DEPTH_EPOCHS_DIGEST

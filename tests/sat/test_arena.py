@@ -252,7 +252,8 @@ class TestArenaCapacity:
                 len(solver._arena.data),
                 list(solver._lit_counts),
                 list(solver._trail[:solver._trail_len]),
-                len(solver._lits_view),
+                len(solver._kernel.mirror.data),
+                len(solver._kernel.mirror.refs),
             )
 
         before = snapshot()

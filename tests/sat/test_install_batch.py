@@ -5,9 +5,8 @@ native kernel (``install_batch``, over a clause run's flat words) and
 the reference loop in Python on the python kernel
 (``CdclSolver._install_tuples``).  These tests install identical batches
 on both kernels and compare everything an install writes: the arena
-words, refs and flags; the install-order mirror (the python kernel
-keeps none, so its reference is a mirror synced from its analysis
-views); the three per-table watch-ID lists; literal counts; the trail,
+words, refs and flags; the install-order mirror, word for word; the
+three per-table watch-ID lists; literal counts; the trail,
 levels and reasons; root-pruned clauses; pending load propagations and
 the UNSAT flag.  The batches are differential-fuzzer formulas, every
 frame prefix of the pinned ``small_suite()`` rows (as template grows
@@ -28,7 +27,7 @@ from repro.cnf import CnfFormula, lit_neg
 from repro.encode.unroll import Unroller
 from repro.sat import CdclSolver, InstallTemplate, SolverConfig
 from repro.sat.arena import INACTIVE, ClauseArena, ClauseArenaFullError
-from repro.sat.kernel import ClauseLitMirror, native_available
+from repro.sat.kernel import native_available
 from repro.workloads import small_suite
 from tests.properties.test_solver_differential import make_instance
 
@@ -58,23 +57,14 @@ def install_state(solver: CdclSolver, attaches=None) -> dict:
     arena = solver._arena
     nv = solver.num_vars
     mirror = solver._kernel.mirror
-    if solver._kernel.name == "python":
-        mirror = ClauseLitMirror()
-        mirror.sync(solver._lits_view)
     watch_ids = solver._watch_ids
     cdg = solver._cdg
     return {
         "arena.data": arena.data.tolist(),
         "arena.refs": arena.refs.tolist(),
         "arena.flags": bytes(arena.flags),
-        "mirror": [mirror.entries(cid) for cid in range(mirror.synced)],
-        # Freed learned blocks leave dead words the reference lacks;
-        # without them the layouts match word for word.
-        "mirror.raw": (
-            None if mirror.dead
-            else (mirror.data.tolist(), mirror.refs.tolist())
-        ),
-        "mirror.synced": mirror.synced,
+        "mirror": [mirror.entries(cid) for cid in range(len(mirror.refs))],
+        "mirror.raw": (mirror.data.tolist(), mirror.refs.tolist(), mirror.dead),
         "watch_ids": (
             [ids.tolist() for ids in watch_ids] if watch_ids is not None
             else attaches
@@ -84,7 +74,6 @@ def install_state(solver: CdclSolver, attaches=None) -> dict:
         "trail": solver._trail[:solver._trail_len].tolist(),
         "levels": solver._levels[:nv].tolist(),
         "reasons": solver._reasons[:nv].tolist(),
-        "view": list(solver._lits_view),
         "root_pruned": sorted(solver._root_pruned),
         "pending_root_pruned": solver._pending_root_pruned,
         "pending_props": solver._pending_load_propagations,
@@ -99,8 +88,6 @@ def assert_same(states: dict, context) -> None:
     reference = states["python"]
     for kernel, state in states.items():
         for key in reference:
-            if key == "mirror.raw" and None in (state[key], reference[key]):
-                continue
             assert state[key] == reference[key], (context, kernel, key)
 
 
@@ -129,8 +116,8 @@ def test_fuzzer_formulas_as_template_and_fork(prune):
 
 @needs_native
 def test_fuzzer_formulas_as_batches_between_solves():
-    """Live batches with root facts, learned clauses and a lagging
-    mirror: each chunk is added after solving the previous ones."""
+    """Live batches after root facts and learned clauses: each chunk
+    is added after solving the previous ones."""
     for index in range(40):
         formula, _expected = make_instance(index)
         clauses = list(formula.iter_literals())
@@ -267,7 +254,7 @@ def test_duplicates_are_dropped_in_first_occurrence_order():
         assert [_block(solver, cid) for cid in range(4)] == [
             (2,), (4, 6), (4,), (8, 10, 12, 14),
         ]
-        assert solver._lits_view[3] == (8, 10, 12, 14)
+        assert solver._kernel.mirror.entries(3) == (8, 10, 12, 14)
         # (2, 2) and (4, 4, 4) are units: enqueued, not watched.
         assert solver._trail[:solver._trail_len].tolist() == [2, 4]
 
@@ -310,11 +297,9 @@ def test_effectively_unit_and_long_clauses_are_reordered():
         assert _block(solver, first + 1) == (8, 10, 2, 4, 12)
         assert _block(solver, first + 2) == (10, 2, 4)
         assert solver._trail[:solver._trail_len].tolist() == [3, 5, 6, 10]
-        # The analysis view keeps install order.
-        assert solver._lits_view[first + 1] == (2, 8, 4, 10, 12)
-        assert solver._kernel.name == "python" or (
-            solver._kernel.mirror.entries(first + 1) == (2, 8, 4, 10, 12)
-        )
+        # The mirror keeps install order.
+        assert solver._kernel.mirror.entries(first) == (2, 4, 6)
+        assert solver._kernel.mirror.entries(first + 1) == (2, 8, 4, 10, 12)
 
 
 def test_root_falsified_clause_mid_batch():

@@ -3,9 +3,8 @@
 A BMC run installs each encoded clause once into a growing
 :class:`~repro.sat.solver.InstallTemplate` and forks every depth's solver
 from it.  That is only sound if the fork is indistinguishable from
-``CdclSolver(instance.formula)``: the same arena blocks, analysis views,
-literal counts, root facts, per-literal watch order and install-order
-mirror.  These tests pin that on every depth of every ``small_suite()``
+``CdclSolver(instance.formula)``: the same arena blocks, literal
+counts, root facts, per-literal watch order and install-order mirror.  These tests pin that on every depth of every ``small_suite()``
 row, on both kernels, with root-satisfied pruning on and off.
 """
 
@@ -27,7 +26,6 @@ KERNELS = ["python", pytest.param("native", marks=pytest.mark.skipif(
 
 def install_state(solver: CdclSolver) -> dict:
     """Everything an install produces that search can observe."""
-    solver._kernel.sync_mirror()
     arena = solver._arena
     mirror = solver._kernel.mirror
     nv = solver.num_vars
@@ -35,13 +33,12 @@ def install_state(solver: CdclSolver) -> dict:
         "data": bytes(arena.data),
         "refs": bytes(arena.refs),
         "flags": bytes(arena.flags),
-        "view": list(solver._lits_view),
         "lit_counts": list(solver._lit_counts[:2 * nv]),
         "truth": bytes(solver.lit_truth[:2 * nv]),
         "trail": list(solver._trail[:solver._trail_len]),
         "watches": solver._kernel.watch_snapshot(),
         "root_pruned": solver.root_pruned_clauses,
-        "mirror": [mirror.entries(cid) for cid in range(mirror.synced)],
+        "mirror": (mirror.data.tolist(), mirror.refs.tolist()),
         "pending_props": solver._pending_load_propagations,
         "ok": solver._ok,
     }

@@ -6,9 +6,11 @@ and hands back exactly what the solver's Python tail consumes (raw
 learned clause, ordered antecedents, scratch side effects).  Beyond the differential
 fuzzer's search-identity legs, these tests pin:
 
-* the install-order mirror (``ClauseLitMirror``) against the solver's
-  ``_lits_view`` — long clauses mirrored verbatim, short clauses
-  deliberately absent;
+* the install-order mirror (``ClauseLitMirror``), on both kernels:
+  every live clause's block is its deduplicated install-order literals
+  (originals of every shape, root-reordered ones, learned clauses,
+  template forks), and deleted clauses' blocks are freed and compacted
+  away;
 * the C scratch-buffer re-entry protocol (``RET_NEED_ABUF``): shrunken
   buffers force mid-walk restarts that must not change the search;
 * proofs and cores built *through the kernels*: UNSAT answers replay
@@ -26,8 +28,11 @@ from array import array
 import pytest
 
 from repro.cnf import CnfFormula
-from repro.sat import CdclSolver, SolverConfig, check_proof
-from repro.sat.kernel import KERNELS, native_available, resolve_kernel
+from repro.sat import CdclSolver, InstallTemplate, SolverConfig, check_proof
+from repro.sat.arena import TOMBSTONE
+from repro.sat.kernel import (
+    KERNELS, ClauseLitMirror, columns, native_available, resolve_kernel,
+)
 from repro.sat.types import SolveResult
 from repro.workloads.cnf_families import pigeonhole, xor_chain
 from tests.conftest import random_formula
@@ -91,51 +96,131 @@ def test_grid_search_identical_with_lbd(rng):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not native_available(), reason="needs the native kernel")
-def test_mirror_matches_lits_view_install_order():
-    """After a solve, every live long clause's mirror block equals its
-    ``_lits_view`` tuple (install order), and short clauses have no
-    block — arena order serves them."""
-    config = SolverConfig(kernel="native")
-    solver = CdclSolver(pigeonhole(6), config=config)
-    solver.solve()
-    kernel = solver._kernel
-    kernel.sync_mirror()
-    mirror = kernel.mirror
-    view = solver._lits_view
-    assert mirror.synced == len(view)
-    checked_long = checked_short = 0
-    for cid, lits in enumerate(view):
-        ref = mirror.refs[cid]
-        if len(lits) >= 4:
-            assert ref >= 0, f"cid {cid}: long clause missing from mirror"
-            n = mirror.data[ref - 1]
-            assert n == len(lits)
-            assert tuple(mirror.data[ref:ref + n]) == lits, (
-                f"cid {cid}: mirror block is not install order"
-            )
-            checked_long += 1
-        else:
-            assert ref == -1, f"cid {cid}: short clause mirrored"
-            checked_short += 1
-    assert checked_long and checked_short
+def _crafted_formula() -> CnfFormula:
+    """``pigeonhole(6)`` (hard enough to learn clauses) plus, on fresh
+    variables, one clause of each shape the install distinguishes."""
+    php = pigeonhole(6)
+    v = php.num_vars
+    lit = lambda k, sign=0: 2 * (v + k) + sign  # noqa: E731
+    formula = CnfFormula(v + 12)
+    for lits in php.iter_literals():
+        formula.add_clause(lits)
+    # Two root units make lit(0) and lit(1) false.
+    formula.add_clause((lit(0, 1),))
+    formula.add_clause((lit(1, 1),))
+    for lits in [
+        (lit(0), lit(1), lit(2)),        # effectively unit at the root
+        (lit(3), lit(4)),                 # binary
+        (lit(3), lit(5), lit(6)),         # ternary
+        (lit(4), lit(5), lit(6), lit(7)),  # long
+        (lit(7), lit(7), lit(8)),         # deduplicated to a binary
+        (lit(8), lit(9), lit(8), lit(10), lit(9), lit(11)),  # deduplicated
+        (lit(3), lit(3, 1)),              # tautologies
+        (lit(9), lit(10), lit(9, 1), lit(11)),
+    ]:
+        formula.add_clause(lits)
+    return formula
 
 
-@pytest.mark.skipif(not native_available(), reason="needs the native kernel")
-def test_mirror_frees_deleted_clauses():
-    """Learned-DB reduction frees mirror blocks; a freed cid's ref is
-    dead and the dead words are eventually compacted away by sync."""
-    config = SolverConfig(kernel="native", record_cdg=False)
-    solver = CdclSolver(pigeonhole(7), config=config)
-    outcome = solver.solve()
-    assert outcome.stats.deleted_clauses > 0
-    kernel = solver._kernel
-    kernel.sync_mirror()
-    mirror = kernel.mirror
-    view = solver._lits_view
-    for cid, lits in enumerate(view):
-        if not lits:  # deleted (view freed at reduction)
-            assert mirror.refs[cid] == -1, f"cid {cid}: dead clause still mirrored"
+def _install_order(formula: CnfFormula):
+    """Each clause's deduplicated literals in the order given."""
+    return [tuple(dict.fromkeys(lits)) for lits in formula.iter_literals()]
+
+
+def _record_learned(solver: CdclSolver) -> dict:
+    """Wrap ``_add_learned`` to record each learned clause as the
+    analysis tail hands it over, by clause ID."""
+    learned_lits: dict = {}
+    add_learned = solver._add_learned
+
+    def recording(learned, antecedents):
+        lits = tuple(learned)
+        cid = add_learned(learned, antecedents)
+        learned_lits[cid] = lits
+        return cid
+
+    solver._add_learned = recording
+    return learned_lits
+
+
+def _assert_mirror(solver: CdclSolver, expected: dict) -> int:
+    """Every live clause's block is its ``expected`` tuple; every
+    deleted one's is freed; the dead-word count accounts for exactly
+    the words no live block uses.  Returns the live clauses checked."""
+    mirror = solver._kernel.mirror
+    flags = solver._arena.flags
+    assert len(mirror.refs) == len(solver._arena)
+    live_words = 0
+    for cid in range(len(mirror.refs)):
+        if flags[cid] & TOMBSTONE:
+            assert mirror.refs[cid] == -1, f"cid {cid}: deleted clause kept"
+            assert mirror.entries(cid) == ()
+            continue
+        assert mirror.entries(cid) == expected[cid], (
+            f"cid {cid}: mirror block is not install order"
+        )
+        live_words += 1 + len(expected[cid])
+    assert len(mirror.data) == live_words + mirror.dead
+    return sum(1 for cid in range(len(mirror.refs)) if mirror.refs[cid] >= 0)
+
+
+def test_mirror_matches_install_order():
+    """On both kernels, every live clause's mirror block is its
+    deduplicated install-order literals: binary, ternary, long,
+    deduplicated and tautological originals, a ternary clause the
+    install made unit at the root (its arena block is reordered, its
+    mirror block is not), and learned clauses — in a solver built from
+    the formula and in a fork of an install template."""
+    formula = _crafted_formula()
+    originals = _install_order(formula)
+    unit_cid = formula.num_clauses - 8  # the effectively-unit ternary
+    prefix = CnfFormula(formula.num_vars)
+    for lits in list(formula.iter_literals())[:40]:
+        prefix.add_clause(lits)
+    for kernel in _kernels():
+        config = SolverConfig(kernel=kernel)
+        template = InstallTemplate(prefix, config)
+        for solver in (
+            CdclSolver(formula, config=config),
+            CdclSolver(formula, config=config, template=template),
+        ):
+            learned = _record_learned(solver)
+            assert solver._arena.literals(unit_cid) != originals[unit_cid]
+            assert solver._kernel.mirror.entries(unit_cid) == originals[unit_cid]
+            assert solver.solve().status is SolveResult.UNSAT
+            assert learned and max(map(len, learned.values())) >= 4
+            expected = dict(enumerate(originals))
+            expected.update(learned)
+            assert _assert_mirror(solver, expected) == len(expected)
+
+
+def test_mirror_frees_deleted_clauses(monkeypatch):
+    """On both kernels, learned-DB reduction frees the deleted clauses'
+    blocks and compaction reclaims the dead words; every surviving
+    clause keeps its install-order block, at its new offset."""
+    monkeypatch.setattr(columns, "_MIRROR_COMPACT_MIN_DEAD", 64)
+    compactions = []
+    compact = ClauseLitMirror.compact
+
+    def counting(mirror):
+        reclaimed = compact(mirror)
+        compactions.append(reclaimed)
+        return reclaimed
+
+    monkeypatch.setattr(ClauseLitMirror, "compact", counting)
+    formula = pigeonhole(7)
+    for kernel in _kernels():
+        del compactions[:]
+        config = SolverConfig(kernel=kernel, record_cdg=False)
+        solver = CdclSolver(formula, config=config)
+        learned = _record_learned(solver)
+        outcome = solver.solve()
+        assert outcome.stats.deleted_clauses > 0
+        assert compactions and min(compactions) > 0
+        expected = dict(enumerate(_install_order(formula)))
+        expected.update(learned)
+        live = _assert_mirror(solver, expected)
+        assert live == len(expected) - outcome.stats.deleted_clauses
 
 
 # ----------------------------------------------------------------------

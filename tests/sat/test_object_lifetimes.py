@@ -26,7 +26,6 @@ import pytest
 from repro.bmc.cnf_cache import EncodingCache
 from repro.bmc.engine import BmcEngine
 from repro.bmc.incremental import IncrementalBmcEngine
-from repro.bmc.portfolio import IncrementalPortfolioBmc
 from repro.experiments.runner import make_engine
 from repro.metrics import MetricsRegistry
 from repro.sat.activity_heap import VariableActivityHeap
@@ -71,7 +70,6 @@ FORBIDDEN = (
     WatchColumns,
     BmcEngine,
     IncrementalBmcEngine,
-    IncrementalPortfolioBmc,
 )
 
 
