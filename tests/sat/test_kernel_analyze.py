@@ -101,7 +101,10 @@ def _crafted_formula() -> CnfFormula:
     variables, one clause of each shape the install distinguishes."""
     php = pigeonhole(6)
     v = php.num_vars
-    lit = lambda k, sign=0: 2 * (v + k) + sign  # noqa: E731
+
+    def lit(k, sign=0):
+        return 2 * (v + k) + sign
+
     formula = CnfFormula(v + 12)
     for lits in php.iter_literals():
         formula.add_clause(lits)
