@@ -2,9 +2,8 @@
 refine-order algorithm, the Shtrichman baseline, and core-to-abstraction
 mapping."""
 
-from repro.bmc.cegar import CegarBmc, CegarResult, abstract_circuit
 from repro.bmc.cnf_cache import EncodingCache
-from repro.bmc.engine import BmcEngine, StrategyFactory, vsids_factory
+from repro.bmc.engine import BmcEngine, StrategyFactory
 from repro.bmc.incremental import IncrementalBmcEngine
 from repro.bmc.induction import (
     InductionResult,
@@ -13,27 +12,20 @@ from repro.bmc.induction import (
     recurrence_diameter_at_least,
 )
 from repro.bmc.multi import MultiPropertyBmc, PropertyOutcome
-from repro.bmc.portfolio import (
-    BMC_MEMBER_SPECS,
-    PortfolioBmcEngine,
-    default_bmc_members,
-)
+from repro.bmc.portfolio import PortfolioBmcEngine
 from repro.bmc.refine import WEIGHTINGS, RefineOrderBmc, bmc_score_update
 from repro.bmc.result import BmcResult, BmcStatus, DepthStats, Trace
-from repro.bmc.shtrichman import ShtrichmanBmc, shtrichman_factory, shtrichman_rank
+from repro.bmc.shtrichman import ShtrichmanBmc
 from repro.bmc.abstraction import AbstractModel, abstract_model, core_overlap
 
 __all__ = [
     "BmcEngine",
     "EncodingCache",
     "StrategyFactory",
-    "vsids_factory",
     "RefineOrderBmc",
     "bmc_score_update",
     "WEIGHTINGS",
     "ShtrichmanBmc",
-    "shtrichman_factory",
-    "shtrichman_rank",
     "BmcResult",
     "BmcStatus",
     "DepthStats",
@@ -43,15 +35,10 @@ __all__ = [
     "core_overlap",
     "IncrementalBmcEngine",
     "PortfolioBmcEngine",
-    "BMC_MEMBER_SPECS",
-    "default_bmc_members",
     "MultiPropertyBmc",
     "PropertyOutcome",
     "KInductionEngine",
     "InductionResult",
     "InductionStatus",
     "recurrence_diameter_at_least",
-    "CegarBmc",
-    "CegarResult",
-    "abstract_circuit",
 ]

@@ -172,17 +172,10 @@ class CegarBmc:
             if concrete_outcome.status is SolveResult.SAT:
                 status = BmcStatus.FAILED
                 depth_reached = k
-                trace = Trace(
-                    depth=k,
-                    inputs=instance.decode_inputs(concrete_outcome.model),
-                    initial_state=instance.decode_initial_state(concrete_outcome.model),
-                    property_net=self.property_net,
+                trace = Trace.decode(
+                    self._concrete_unroller, k, concrete_outcome.model,
+                    self.property_net,
                 )
-                frames = self.circuit.simulate(
-                    trace.inputs, initial_state=trace.initial_state
-                )
-                if frames[k][self.property_net] != 0:
-                    raise AssertionError("counterexample fails re-simulation")
                 break
             # Spurious: refine from the concrete core's latches.
             model = abstract_model(instance, concrete_outcome.core_clauses)

@@ -1,11 +1,21 @@
 """The BMC depth loop (standard BMC and the paper's Fig. 5 skeleton).
 
-``BmcEngine`` iterates ``k = start_depth .. max_depth``, generating the
-depth-``k`` CNF (Eq. 1) and handing it to the CDCL solver.  A strategy
-factory chooses the decision ordering per instance — plain VSIDS
-reproduces "standard BMC"; the refine-order subclasses in
-``repro.bmc.refine`` implement the paper's algorithm by feeding unsat-core
-variables back into the next instance's ordering.
+``BmcEngine.run`` is the one depth loop every single-property engine
+runs: for ``k = start_depth .. max_depth`` it checks the time budget,
+solves depth ``k``, records a :class:`DepthStats`, publishes the depth
+metrics, decodes and re-simulates a counterexample on SAT, and calls
+the ``on_unsat`` refinement step on UNSAT.  An engine supplies two
+things: ``_solve_depth`` (how one depth is solved — here a solver forked
+from the run's install template; a persistent solver under an
+assumption in ``repro.bmc.incremental``; a strategy portfolio in
+``repro.bmc.portfolio``) and ``on_unsat`` (how its ordering is refined —
+the paper's ``bmc_score`` update in ``repro.bmc.refine``).  A strategy
+factory chooses the decision ordering per instance: plain VSIDS
+reproduces "standard BMC".
+
+Per-run state (the install template, a refinement table, a persistent
+solver) is created by ``_begin_run`` when ``run()`` starts and released
+by ``_end_run`` when it returns, so a second ``run()`` repeats the first.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import gc
 import os
 import time
 from dataclasses import replace as dc_replace
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.circuit.netlist import Circuit
 from repro.encode.unroll import BmcInstance, Unroller
@@ -25,6 +35,10 @@ from repro.sat.solver import CdclSolver, InstallTemplate, SolverConfig
 from repro.sat.trace import TRACE_SUFFIX, TraceWriter
 from repro.sat.types import SolveOutcome, SolveResult
 from repro.bmc.result import BmcResult, BmcStatus, DepthStats, Trace
+
+#: What ``_solve_depth`` returns: the outcome and the record's other
+#: fields (``num_vars`` and ``num_clauses`` always).
+DepthSolve = Tuple[SolveOutcome, Dict[str, Any]]
 
 #: A factory: (instance, k) -> the decision strategy for that SAT call.
 StrategyFactory = Callable[[BmcInstance, int], DecisionStrategy]
@@ -156,20 +170,34 @@ class BmcEngine:
         """The decision strategy for depth ``k`` (default: the factory)."""
         return self.strategy_factory(instance, k)
 
-    # Subclass hook: called after each UNSAT depth with its outcome.
-    def on_unsat(self, k: int, instance: BmcInstance, outcome: SolveOutcome) -> None:
-        """Default: nothing (standard BMC learns nothing across depths)."""
+    def on_unsat(self, k: int, outcome: SolveOutcome) -> Optional[bool]:
+        """The refinement step after each UNSAT depth (default: nothing —
+        standard BMC learns nothing across depths).  A true return value
+        ends the run after depth ``k``."""
+        return None
 
-    def _solve_depth(self, instance: BmcInstance, k: int) -> tuple:
-        """Solve one depth's SAT instance; returns ``(outcome, extras)``.
+    def _begin_run(self) -> None:
+        """Create the per-run state; subclasses add theirs.  The install
+        template itself is grown on demand (:meth:`install_template`)."""
+        if self.solver_config.metrics is not None:
+            self._gc_seen = _gc_counts()
 
-        ``extras`` feeds optional :class:`DepthStats` fields
-        (``switched``, ``winner``, ``install_time``).  Subclasses
-        replace the solving machinery here — the portfolio engine
-        (``repro.bmc.portfolio.PortfolioBmcEngine``) races several
-        strategies per depth — while the depth loop, budgets, statistics
-        and trace handling in :meth:`run` stay shared.
+    def _end_run(self) -> None:
+        """Release what the run held, whether it ended in a verdict, an
+        exhausted budget or an exception."""
+        self._template = None
+
+    def _solve_depth(self, k: int) -> DepthSolve:
+        """Solve depth ``k``; returns ``(outcome, extras)``, ``extras``
+        being the :class:`DepthStats` fields beyond the outcome's.
+
+        Here: a fresh solver for the depth-``k`` instance, forked from
+        the run's install template.  Subclasses replace the solving
+        machinery — the incremental engine solves on a persistent
+        solver, the portfolio engine races several strategies — while
+        the depth loop in :meth:`run` stays shared.
         """
+        instance = self.unroller.instance(k)
         strategy = self.make_strategy(instance, k)
         config = self.capture_config(self.solver_config, k)
         install_start = time.perf_counter()
@@ -177,7 +205,11 @@ class BmcEngine:
             instance.formula, strategy=strategy, config=config,
             template=self.install_template(k),
         )
-        extras = {"install_time": time.perf_counter() - install_start}
+        extras: Dict[str, Any] = {
+            "install_time": time.perf_counter() - install_start,
+            "num_vars": instance.formula.num_vars,
+            "num_clauses": instance.formula.num_clauses,
+        }
         if self.solver_hook is not None:
             self.solver_hook(solver, k)
         outcome = solver.solve()
@@ -216,10 +248,9 @@ class BmcEngine:
     def run(self) -> BmcResult:
         """Execute the depth loop; see :class:`BmcResult`."""
         start = time.perf_counter()
-        if self.solver_config.metrics is not None:
-            self._gc_seen = _gc_counts()
         result = BmcResult(status=BmcStatus.PASSED_BOUNDED, depth_reached=self.start_depth - 1)
         try:
+            self._begin_run()
             for k in range(self.start_depth, self.max_depth + 1):
                 if (
                     self.time_budget is not None
@@ -227,30 +258,8 @@ class BmcEngine:
                 ):
                     result.status = BmcStatus.BUDGET_EXHAUSTED
                     break
-                instance = self.unroller.instance(k)
-                outcome, extras = self._solve_depth(instance, k)
-                depth_stats = DepthStats(
-                    k=k,
-                    status=outcome.status.value,
-                    num_vars=instance.formula.num_vars,
-                    num_clauses=instance.formula.num_clauses,
-                    decisions=outcome.stats.decisions,
-                    propagations=outcome.stats.propagations,
-                    conflicts=outcome.stats.conflicts,
-                    solve_time=outcome.stats.solve_time,
-                    core_clauses=(
-                        len(outcome.core_clauses)
-                        if outcome.core_clauses is not None
-                        else None
-                    ),
-                    core_vars=(
-                        len(outcome.core_vars) if outcome.core_vars is not None else None
-                    ),
-                    switched=extras.get("switched"),
-                    root_pruned=outcome.stats.root_pruned_clauses,
-                    winner=extras.get("winner"),
-                    install_time=extras.get("install_time", 0.0),
-                )
+                outcome, extras = self._solve_depth(k)
+                depth_stats = DepthStats.from_outcome(k, outcome, **extras)
                 result.per_depth.append(depth_stats)
                 self._publish_depth_metrics(depth_stats)
                 if outcome.status is SolveResult.UNKNOWN:
@@ -259,11 +268,15 @@ class BmcEngine:
                 result.depth_reached = k
                 if outcome.status is SolveResult.SAT:
                     result.status = BmcStatus.FAILED
-                    result.trace = self._build_trace(instance, outcome)
+                    result.trace = Trace.decode(
+                        self.unroller, k, outcome.model, self.property_net,
+                        verify=self.verify_traces,
+                    )
                     break
-                self.on_unsat(k, instance, outcome)
+                if self.on_unsat(k, outcome):
+                    break
         finally:
-            self._template = None
+            self._end_run()
         result.total_time = time.perf_counter() - start
         return result
 
@@ -322,18 +335,3 @@ class BmcEngine:
                 labels=gen_labels,
             ).inc(collected - old_k)
         self._gc_seen = seen
-
-    def _build_trace(self, instance: BmcInstance, outcome: SolveOutcome) -> Trace:
-        trace = Trace(
-            depth=instance.k,
-            inputs=instance.decode_inputs(outcome.model),
-            initial_state=instance.decode_initial_state(outcome.model),
-            property_net=self.property_net,
-        )
-        if self.verify_traces:
-            frames = self.circuit.simulate(trace.inputs, initial_state=trace.initial_state)
-            if frames[instance.k][self.property_net] != 0:
-                raise AssertionError(
-                    "internal error: counterexample fails re-simulation"
-                )
-        return trace

@@ -21,22 +21,29 @@ Mechanics:
 Learned-clause reuse is the second transfer channel: VSIDS tie-breaking
 inside the ranked ordering sees conflict clauses from *all* previous
 depths, not just the current one.
+
+The engine runs the shared depth loop, :meth:`BmcEngine.run
+<repro.bmc.engine.BmcEngine.run>` — budgets, per-depth records, metrics,
+counterexample decoding — and supplies only its depth step (feed the
+frame batch, solve under the assumption) and its refinement step.  The
+persistent solver is per-run state: created when ``run()`` starts and
+dropped when it returns, like the one-shot engines' install template.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.circuit.netlist import Circuit
 from repro.cnf.literals import lit_neg
 from repro.encode.unroll import Unroller
 from repro.sat.heuristics import DecisionStrategy, RankedStrategy, VsidsStrategy
 from repro.sat.solver import CdclSolver, SolverConfig
-from repro.sat.types import SolveResult
-from repro.bmc.engine import resolve_unroller
+from repro.sat.types import SolveOutcome
+from repro.bmc.engine import BmcEngine, DepthSolve
 from repro.bmc.refine import WEIGHTINGS, bmc_score_update
-from repro.bmc.result import BmcResult, BmcStatus, DepthStats, Trace
+from repro.bmc.result import BmcResult
 
 _MODES = ("vsids", "static", "dynamic")
 
@@ -60,12 +67,13 @@ def feed_frames(solver: CdclSolver, unroller: Unroller, k: int, fed: int) -> int
     return stop
 
 
-class IncrementalBmcEngine:
+class IncrementalBmcEngine(BmcEngine):
     """Bounded model checking on a single growing SAT instance.
 
     ``mode`` selects the decision ordering: ``"vsids"`` (incremental
     baseline), or ``"static"`` / ``"dynamic"`` for the paper's refined
-    orderings driven by relative unsat cores.
+    orderings driven by relative unsat cores.  ``var_rank`` is the
+    run's ``bmc_score`` table, reset when ``run()`` starts.
     """
 
     def __init__(
@@ -86,140 +94,68 @@ class IncrementalBmcEngine:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         if weighting not in WEIGHTINGS:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-        if max_depth < 0:
-            raise ValueError("max_depth must be non-negative")
         config = solver_config or SolverConfig()
         if mode != "vsids" and not config.record_cdg:
             raise ValueError("refined incremental BMC requires record_cdg=True")
-        self.circuit = circuit
-        self.property_net = property_net
-        self.max_depth = max_depth
+        super().__init__(
+            circuit, property_net, max_depth, solver_config=config,
+            use_coi=use_coi, time_budget=time_budget,
+            verify_traces=verify_traces, unroller=unroller,
+        )
         self.mode = mode
         self.switch_divisor = switch_divisor
         self.weighting = weighting
-        self.solver_config = config
-        self.time_budget = time_budget
-        self.verify_traces = verify_traces
-        self.unroller = resolve_unroller(circuit, property_net, use_coi, unroller)
         self.var_rank: Dict[int, float] = {}
-        self._solver = CdclSolver(config=config)
+        # The run's persistent solver and its clause watermark.
+        self._solver: Optional[CdclSolver] = None
         self._clauses_fed = 0
 
-    def _feed_frames(self, k: int) -> None:
-        """Stream frames up to ``k`` into the persistent solver (the
-        shared :func:`feed_frames` helper, watermark kept per engine)."""
-        self._clauses_fed = feed_frames(
-            self._solver, self.unroller, k, self._clauses_fed
-        )
-
-    def _strategy_for_depth(self) -> DecisionStrategy:
-        if self.mode == "vsids":
-            return VsidsStrategy()
-        return RankedStrategy(
-            self.var_rank,
-            dynamic=(self.mode == "dynamic"),
-            switch_divisor=self.switch_divisor,
-        )
-
     def run(self) -> BmcResult:
-        """Execute the incremental depth loop; see :class:`BmcResult`."""
-        start = time.perf_counter()
-        result = BmcResult(status=BmcStatus.PASSED_BOUNDED, depth_reached=-1)
-        for k in range(self.max_depth + 1):
-            if (
-                self.time_budget is not None
-                and time.perf_counter() - start > self.time_budget
-            ):
-                result.status = BmcStatus.BUDGET_EXHAUSTED
-                break
-            # Encode first, so the install span times the batch alone.
-            self.unroller.ensure_frames(k)
-            install_start = time.perf_counter()
-            self._feed_frames(k)
-            install_time = time.perf_counter() - install_start
-            property_lit = self.unroller.lit_of(self.property_net, k)
-            strategy = self._strategy_for_depth()
-            outcome = self._solver.solve(
-                assumptions=[lit_neg(property_lit)], strategy=strategy
+        """The shared depth loop on one persistent solver; see
+        :meth:`BmcEngine.run` (kept in this class so the incremental
+        engine's runs can be timed apart from the one-shot engines')."""
+        return super().run()
+
+    def _begin_run(self) -> None:
+        super()._begin_run()
+        self.var_rank = {}
+        self._solver = CdclSolver(config=self.solver_config)
+        self._clauses_fed = 0
+
+    def _end_run(self) -> None:
+        super()._end_run()
+        self._solver = None
+
+    def _solve_depth(self, k: int) -> DepthSolve:
+        solver = self._solver
+        assert solver is not None
+        # Encode first, so the install span times the batch alone.
+        self.unroller.ensure_frames(k)
+        install_start = time.perf_counter()
+        self._clauses_fed = feed_frames(solver, self.unroller, k, self._clauses_fed)
+        install_time = time.perf_counter() - install_start
+        strategy: DecisionStrategy
+        if self.mode == "vsids":
+            strategy = VsidsStrategy()
+        else:
+            strategy = RankedStrategy(
+                self.var_rank,
+                dynamic=(self.mode == "dynamic"),
+                switch_divisor=self.switch_divisor,
             )
-            depth_stats = DepthStats(
-                k=k,
-                status=outcome.status.value,
-                num_vars=self._solver.num_vars,
-                num_clauses=self._clauses_fed,
-                decisions=outcome.stats.decisions,
-                propagations=outcome.stats.propagations,
-                conflicts=outcome.stats.conflicts,
-                solve_time=outcome.stats.solve_time,
-                core_clauses=(
-                    len(outcome.core_clauses)
-                    if outcome.core_clauses is not None
-                    else None
-                ),
-                core_vars=(
-                    len(outcome.core_vars) if outcome.core_vars is not None else None
-                ),
-                switched=(
-                    strategy.switched if isinstance(strategy, RankedStrategy) else None
-                ),
-                root_pruned=outcome.stats.root_pruned_clauses,
-                install_time=install_time,
-            )
-            result.per_depth.append(depth_stats)
-            if outcome.status is SolveResult.UNKNOWN:
-                result.status = BmcStatus.BUDGET_EXHAUSTED
-                break
-            result.depth_reached = k
-            if outcome.status is SolveResult.SAT:
-                result.status = BmcStatus.FAILED
-                result.trace = self._build_trace(k, outcome.model)
-                break
-            if self.mode != "vsids" and outcome.core_vars is not None:
-                bmc_score_update(self.var_rank, outcome.core_vars, k, self.weighting)
-        result.total_time = time.perf_counter() - start
-        return result
-
-    def _build_trace(self, k: int, model) -> Trace:
-        return decode_trace(
-            self.circuit, self.unroller, self.property_net, k, model,
-            verify=self.verify_traces,
-        )
-
-
-def decode_trace(
-    circuit: Circuit,
-    unroller: Unroller,
-    property_net: int,
-    k: int,
-    model,
-    verify: bool = True,
-) -> Trace:
-    """Decode a depth-``k`` model from an incremental unroller into a
-    :class:`Trace` (shared by the incremental and portfolio engines);
-    optionally re-simulate the counterexample before returning it."""
-    inputs = [
-        {
-            net: model[unroller.lit_of(net, frame) >> 1]
-            ^ (unroller.lit_of(net, frame) & 1)
-            for net in unroller.nets_inputs
+        property_lit = self.unroller.lit_of(self.property_net, k)
+        outcome = solver.solve(assumptions=[lit_neg(property_lit)], strategy=strategy)
+        extras: Dict[str, Any] = {
+            "num_vars": solver.num_vars,
+            "num_clauses": self._clauses_fed,
+            "install_time": install_time,
         }
-        for frame in range(k + 1)
-    ]
-    initial_state = {
-        net: model[unroller.lit_of(net, 0) >> 1]
-        ^ (unroller.lit_of(net, 0) & 1)
-        for net in unroller.nets_latches
-    }
-    trace = Trace(
-        depth=k,
-        inputs=inputs,
-        initial_state=initial_state,
-        property_net=property_net,
-    )
-    if verify:
-        frames = circuit.simulate(inputs, initial_state=initial_state)
-        if frames[k][property_net] != 0:
-            raise AssertionError(
-                "internal error: counterexample fails re-simulation"
-            )
-    return trace
+        if isinstance(strategy, RankedStrategy):
+            extras["switched"] = strategy.switched
+        return outcome, extras
+
+    def on_unsat(self, k: int, outcome: SolveOutcome) -> None:
+        """The ``bmc_score`` update from the relative core (refined
+        modes only)."""
+        if self.mode != "vsids" and outcome.core_vars is not None:
+            bmc_score_update(self.var_rank, outcome.core_vars, k, self.weighting)

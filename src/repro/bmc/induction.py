@@ -19,6 +19,13 @@ step path must be pairwise distinct, which guarantees termination at the
 recurrence diameter.  Implemented as pairwise difference clauses over the
 latch variables, with XOR-defined difference bits.
 
+The base cases are the depths of one :class:`~repro.bmc.engine.BmcEngine`
+run over one unroller and one growing install template, so each base
+frame is encoded and installed once per run; the step case at ``k`` runs
+after the UNSAT base case at ``k`` (the engine's ``on_unsat`` step) and
+ends the run when it proves the property or exhausts its budget.  The
+step cases share one unroller without the initial-state constraint.
+
 The recurrence-diameter query of Biere et al. (completeness thresholds)
 is exposed separately as :func:`recurrence_diameter_at_least`.
 """
@@ -37,7 +44,7 @@ from repro.encode.tseitin import gate_clauses
 from repro.encode.unroll import Unroller
 from repro.circuit.netlist import GateOp
 from repro.sat.solver import CdclSolver, SolverConfig
-from repro.sat.types import SolveResult
+from repro.sat.types import SolveOutcome, SolveResult
 from repro.bmc.engine import BmcEngine
 from repro.bmc.result import BmcStatus, DepthStats, Trace
 
@@ -95,8 +102,9 @@ class KInductionEngine:
     """Prove or refute an invariant with temporal induction.
 
     ``unique_states=True`` (default) adds simple-path constraints to the
-    step case, which makes the method complete.  The base case reuses the
-    plain BMC engine; a SAT base case yields a verified counterexample.
+    step case, which makes the method complete.  The base case is the
+    plain BMC depth loop; a SAT base case yields a verified
+    counterexample.
     """
 
     def __init__(
@@ -117,13 +125,10 @@ class KInductionEngine:
         self.solver_config = solver_config or SolverConfig()
         self.time_budget = time_budget
         # Base unroller (with init); step unroller (without).
-        self._base_engine = BmcEngine(
-            circuit, property_net, max_depth=max_k,
-            solver_config=self.solver_config,
-        )
+        self._base_unroller = Unroller(circuit, property_net)
         self._step_unroller = Unroller(circuit, property_net, constrain_init=False)
 
-    def _step_case_holds(self, k: int) -> Optional[bool]:
+    def _step_case_holds(self, k: int, step_stats: List[DepthStats]) -> Optional[bool]:
         """True if P is (k+1)-inductive; None on budget exhaustion."""
         unroller = self._step_unroller
         formula, _ = unroller.formula_up_to(k + 1)
@@ -136,74 +141,61 @@ class KInductionEngine:
         assumptions.append(lit_neg(unroller.lit_of(self.property_net, k + 1)))
         solver = CdclSolver(formula, config=self.solver_config)
         outcome = solver.solve(assumptions=assumptions)
-        self._record_step_stats(k, formula, outcome)
+        # A step-case record carries no core or pruning counts.
+        step_stats.append(
+            DepthStats.from_outcome(
+                k, outcome, formula.num_vars, formula.num_clauses,
+                core_clauses=None, core_vars=None, root_pruned=0,
+            )
+        )
         if outcome.status is SolveResult.UNKNOWN:
             return None
         return outcome.status is SolveResult.UNSAT
 
-    def _record_step_stats(self, k, formula, outcome) -> None:
-        self._step_stats.append(
-            DepthStats(
-                k=k,
-                status=outcome.status.value,
-                num_vars=formula.num_vars,
-                num_clauses=formula.num_clauses,
-                decisions=outcome.stats.decisions,
-                propagations=outcome.stats.propagations,
-                conflicts=outcome.stats.conflicts,
-                solve_time=outcome.stats.solve_time,
-            )
-        )
-
     def run(self) -> InductionResult:
         """Interleave base and step cases for k = 0..max_k."""
         start = time.perf_counter()
-        self._step_stats: List[DepthStats] = []
-        base_stats: List[DepthStats] = []
-        status = InductionStatus.UNKNOWN
-        trace = None
-        concluded_k = self.max_k
-
-        for k in range(self.max_k + 1):
-            if (
-                self.time_budget is not None
-                and time.perf_counter() - start > self.time_budget
-            ):
-                concluded_k = k - 1
-                break
-            # Base case at exactly depth k.
-            base = BmcEngine(
-                self.circuit, self.property_net, max_depth=k, start_depth=k,
-                solver_config=self.solver_config,
-            )
-            base_result = base.run()
-            base_stats.extend(base_result.per_depth)
-            if base_result.status is BmcStatus.FAILED:
-                status = InductionStatus.FAILED
-                trace = base_result.trace
-                concluded_k = k
-                break
-            if base_result.status is BmcStatus.BUDGET_EXHAUSTED:
-                concluded_k = k
-                break
-            # Step case: P holds on frames 0..k, fails at k+1?
-            step = self._step_case_holds(k)
-            if step is None:
-                concluded_k = k
-                break
-            if step:
-                status = InductionStatus.PROVED
-                concluded_k = k
-                break
-
+        base = _BaseCases(self)
+        base_result = base.run()
+        if base_result.status is BmcStatus.FAILED:
+            status = InductionStatus.FAILED
+        elif base.step_holds:
+            status = InductionStatus.PROVED
+        else:
+            status = InductionStatus.UNKNOWN
+        per_depth = base_result.per_depth
         return InductionResult(
             status=status,
-            k=concluded_k,
-            trace=trace,
-            base_stats=base_stats,
-            step_stats=self._step_stats,
+            # The last base case run: the refuting or proving depth, the
+            # one whose budget ran out, or max_k.
+            k=per_depth[-1].k if per_depth else -1,
+            trace=base_result.trace,
+            base_stats=per_depth,
+            step_stats=base.step_stats,
             total_time=time.perf_counter() - start,
         )
+
+
+class _BaseCases(BmcEngine):
+    """The base cases of one k-induction run: the BMC depth loop over
+    ``k = 0..max_k``, whose refinement step is the step case at ``k``.
+    A step case that proves the property (``step_holds``) or exhausts
+    its budget ends the run."""
+
+    def __init__(self, induction: KInductionEngine) -> None:
+        super().__init__(
+            induction.circuit, induction.property_net, induction.max_k,
+            solver_config=induction.solver_config,
+            time_budget=induction.time_budget,
+            unroller=induction._base_unroller,
+        )
+        self._step_case_holds = induction._step_case_holds
+        self.step_stats: List[DepthStats] = []
+        self.step_holds: Optional[bool] = False
+
+    def on_unsat(self, k: int, outcome: SolveOutcome) -> bool:
+        self.step_holds = self._step_case_holds(k, self.step_stats)
+        return self.step_holds is not False
 
 
 def recurrence_diameter_at_least(

@@ -10,11 +10,20 @@ properties, on top of the per-depth amortisation of
 Each property keeps its own ``varRank`` (cores differ per property), so
 the paper's refinement applies per property while sharing everything
 else.
+
+Because it answers several properties at each depth, this engine keeps
+its own per-property loop instead of :meth:`BmcEngine.run
+<repro.bmc.engine.BmcEngine.run>`, but shares that loop's parts: frames
+reach the solver through :func:`~repro.bmc.incremental.feed_frames`,
+records are built by :meth:`DepthStats.from_outcome
+<repro.bmc.result.DepthStats.from_outcome>` and counterexamples are
+decoded and re-simulated by :meth:`Trace.decode
+<repro.bmc.result.Trace.decode>`.  The solver and ``var_ranks`` are
+per-run state, created when ``run()`` starts.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -24,6 +33,7 @@ from repro.encode.unroll import Unroller
 from repro.sat.heuristics import RankedStrategy, VsidsStrategy
 from repro.sat.solver import CdclSolver, SolverConfig
 from repro.sat.types import SolveResult
+from repro.bmc.incremental import feed_frames
 from repro.bmc.refine import bmc_score_update
 from repro.bmc.result import BmcStatus, DepthStats, Trace
 
@@ -77,19 +87,7 @@ class MultiPropertyBmc:
         # One unroller for the whole model: encode the union of cones
         # (i.e. the full model, per Eq. 1), shared by all properties.
         self.unroller = Unroller(circuit, self.property_nets[0])
-        self.var_ranks: Dict[int, Dict[int, float]] = {
-            net: {} for net in self.property_nets
-        }
-        self._solver = CdclSolver(config=config)
-        self._clauses_fed = 0
-
-    def _feed_frames(self, k: int) -> None:
-        self.unroller.ensure_frames(k)
-        self._solver.ensure_num_vars(self.unroller.num_encoded_vars)
-        self._solver.add_clauses(
-            self.unroller.clauses_since(self._clauses_fed).literals()
-        )
-        self._clauses_fed = self.unroller.num_encoded_clauses
+        self.var_ranks: Dict[int, Dict[int, float]] = {}
 
     def _strategy(self, net: int):
         if self.mode == "vsids":
@@ -104,34 +102,28 @@ class MultiPropertyBmc:
             net: PropertyOutcome(property_net=net, status=BmcStatus.PASSED_BOUNDED)
             for net in self.property_nets
         }
+        self.var_ranks = {net: {} for net in self.property_nets}
+        solver = CdclSolver(config=self.solver_config)
+        fed = 0
         open_properties = list(self.property_nets)
         for k in range(self.max_depth + 1):
             if not open_properties:
                 break
-            self._feed_frames(k)
+            fed = feed_frames(solver, self.unroller, k, fed)
             still_open = []
             for net in open_properties:
                 property_lit = self.unroller.lit_of(net, k)
-                result = self._solver.solve(
+                result = solver.solve(
                     assumptions=[lit_neg(property_lit)],
                     strategy=self._strategy(net),
                 )
                 outcome = outcomes[net]
+                # A multi-property record carries the core's clause
+                # count only.
                 outcome.per_depth.append(
-                    DepthStats(
-                        k=k,
-                        status=result.status.value,
-                        num_vars=self._solver.num_vars,
-                        num_clauses=self._clauses_fed,
-                        decisions=result.stats.decisions,
-                        propagations=result.stats.propagations,
-                        conflicts=result.stats.conflicts,
-                        solve_time=result.stats.solve_time,
-                        core_clauses=(
-                            len(result.core_clauses)
-                            if result.core_clauses is not None
-                            else None
-                        ),
+                    DepthStats.from_outcome(
+                        k, result, solver.num_vars, fed,
+                        core_vars=None, root_pruned=0,
                     )
                 )
                 if result.status is SolveResult.UNKNOWN:
@@ -140,30 +132,13 @@ class MultiPropertyBmc:
                 outcome.depth_reached = k
                 if result.status is SolveResult.SAT:
                     outcome.status = BmcStatus.FAILED
-                    outcome.trace = self._build_trace(net, k, result.model)
+                    outcome.trace = Trace.decode(
+                        self.unroller, k, result.model, net,
+                        verify=self.verify_traces,
+                    )
                 else:
                     still_open.append(net)
                     if self.mode != "vsids" and result.core_vars is not None:
                         bmc_score_update(self.var_ranks[net], result.core_vars, k)
             open_properties = still_open
         return outcomes
-
-    def _build_trace(self, net: int, k: int, model) -> Trace:
-        lit_of = self.unroller.lit_of
-        inputs = [
-            {
-                inp: model[lit_of(inp, frame) >> 1] ^ (lit_of(inp, frame) & 1)
-                for inp in self.unroller.nets_inputs
-            }
-            for frame in range(k + 1)
-        ]
-        initial_state = {
-            latch: model[lit_of(latch, 0) >> 1] ^ (lit_of(latch, 0) & 1)
-            for latch in self.unroller.nets_latches
-        }
-        trace = Trace(depth=k, inputs=inputs, initial_state=initial_state, property_net=net)
-        if self.verify_traces:
-            frames = self.circuit.simulate(inputs, initial_state=initial_state)
-            if frames[k][net] != 0:
-                raise AssertionError("counterexample fails re-simulation")
-        return trace

@@ -36,7 +36,7 @@ from repro.sat.race import (
 from repro.sat.solver import CdclSolver, SolverConfig
 from repro.sat.trace import TRACE_SUFFIX
 from repro.sat.types import SolveOutcome, SolveResult
-from repro.bmc.engine import BmcEngine
+from repro.bmc.engine import BmcEngine, DepthSolve
 from repro.bmc.refine import WEIGHTINGS, bmc_score_update
 from repro.bmc.result import BmcResult, BmcStatus
 
@@ -162,6 +162,11 @@ class PortfolioBmcEngine(BmcEngine):
         #: (k, winner, raced, epochs, shared_clauses, deliveries, wall_time).
         self.sharing_log: List[Tuple] = []
 
+    def _begin_run(self) -> None:
+        super()._begin_run()
+        self.var_rank = {}
+        self.sharing_log = []
+
     def run(self) -> BmcResult:
         width = 0 if self.deterministic else race_width(
             len(self.member_specs), self.jobs
@@ -169,6 +174,9 @@ class PortfolioBmcEngine(BmcEngine):
         if width == 0:
             return super().run()
         start = time.perf_counter()
+        # The row race bypasses BmcEngine.run but starts from fresh
+        # per-run state all the same.
+        self._begin_run()
         if width == 1:
             # Single CPU or jobs=1: the lead member's engine runs
             # in-process — no children, no bus, no overhead.
@@ -253,7 +261,8 @@ class PortfolioBmcEngine(BmcEngine):
             )
         return specs[winner], result, bus.shared, bus.deliveries
 
-    def _solve_depth(self, instance: BmcInstance, k: int) -> tuple:
+    def _solve_depth(self, k: int) -> DepthSolve:
+        instance = self.unroller.instance(k)
         members = default_bmc_members(
             self.var_rank, self.member_specs, self.solver_config
         )
@@ -313,12 +322,17 @@ class PortfolioBmcEngine(BmcEngine):
                 self._solo(
                     instance, next(m for m in members if m.name == winner), k
                 )
-        if (
-            outcome.status is SolveResult.UNSAT
-            and outcome.core_vars is not None
-        ):
+        return outcome, {
+            "winner": winner, "install_time": install_time,
+            "num_vars": instance.formula.num_vars,
+            "num_clauses": instance.formula.num_clauses,
+        }
+
+    def on_unsat(self, k: int, outcome: SolveOutcome) -> None:
+        """The shared ``bmc_score`` update from the winner's core, which
+        seeds the ranked members of the next depth."""
+        if outcome.core_vars is not None:
             bmc_score_update(self.var_rank, outcome.core_vars, k, self.weighting)
-        return outcome, {"winner": winner, "install_time": install_time}
 
     def _solo(self, instance: BmcInstance, member: PortfolioMember, k: int):
         """Solve depth ``k`` with ``member`` alone, captured to the

@@ -132,7 +132,11 @@ class RefineOrderBmc(BmcEngine):
             switch_divisor=self.switch_divisor,
         )
 
-    def on_unsat(self, k: int, instance: BmcInstance, outcome: SolveOutcome) -> None:
+    def _begin_run(self) -> None:
+        super()._begin_run()
+        self.var_rank = {}
+
+    def on_unsat(self, k: int, outcome: SolveOutcome) -> None:
         """Fig. 5's ``update_ranking`` step."""
         if outcome.core_vars is None:
             raise AssertionError("UNSAT outcome without a core (CDG disabled?)")

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.sat.stats import SolverStats
+from repro.sat.types import SolveOutcome
+
+if TYPE_CHECKING:
+    from repro.encode.unroll import Unroller
 
 
 class BmcStatus(enum.Enum):
@@ -30,6 +33,34 @@ class Trace:
     inputs: List[Dict[int, int]]
     initial_state: Dict[int, int]
     property_net: int
+
+    @classmethod
+    def decode(
+        cls,
+        unroller: "Unroller",
+        k: int,
+        model: Sequence[int],
+        property_net: int,
+        verify: bool = True,
+    ) -> "Trace":
+        """The depth-``k`` counterexample in a satisfying ``model`` over
+        ``unroller``'s variables (a one-shot instance's or a persistent
+        solver's).  With ``verify`` it is re-simulated first."""
+        trace = cls(
+            depth=k,
+            inputs=unroller.decode_inputs(model, k),
+            initial_state=unroller.decode_initial_state(model),
+            property_net=property_net,
+        )
+        if verify:
+            frames = unroller.circuit.simulate(
+                trace.inputs, initial_state=trace.initial_state
+            )
+            if frames[k][property_net] != 0:
+                raise AssertionError(
+                    "internal error: counterexample fails re-simulation"
+                )
+        return trace
 
 
 @dataclass
@@ -64,6 +95,41 @@ class DepthStats:
     root_pruned: int = 0
     winner: Optional[str] = None
     install_time: float = 0.0
+
+    @classmethod
+    def from_outcome(
+        cls,
+        k: int,
+        outcome: SolveOutcome,
+        num_vars: int,
+        num_clauses: int,
+        **extras: Any,
+    ) -> "DepthStats":
+        """The record of depth ``k``'s solve over ``num_vars`` variables
+        and ``num_clauses`` clauses: status, work counters, core sizes
+        and root pruning from ``outcome``; ``extras`` set the engine's
+        own fields (``switched``, ``winner``, ``install_time``) and may
+        override the outcome's."""
+        stats = outcome.stats
+        fields: Dict[str, Any] = dict(
+            core_clauses=(
+                None if outcome.core_clauses is None else len(outcome.core_clauses)
+            ),
+            core_vars=None if outcome.core_vars is None else len(outcome.core_vars),
+            root_pruned=stats.root_pruned_clauses,
+        )
+        fields.update(extras)
+        return cls(
+            k=k,
+            status=outcome.status.value,
+            num_vars=num_vars,
+            num_clauses=num_clauses,
+            decisions=stats.decisions,
+            propagations=stats.propagations,
+            conflicts=stats.conflicts,
+            solve_time=stats.solve_time,
+            **fields,
+        )
 
 
 @dataclass

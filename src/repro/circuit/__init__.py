@@ -6,26 +6,16 @@ from repro.circuit.ops import (
     CircuitStats,
     circuit_stats,
     cone_of_influence,
-    fanout_counts,
-    logic_levels,
     transitive_fanin,
 )
-from repro.circuit.blif import BlifError, blif_str, parse_blif, parse_blif_file, write_blif
-from repro.circuit.aiger import (
-    AigerError,
-    aiger_str,
-    parse_aiger,
-    parse_aiger_file,
-    write_aiger,
-)
+from repro.circuit.blif import BlifError, parse_blif_file, write_blif
+from repro.circuit.aiger import AigerError, parse_aiger_file, write_aiger
 from repro.circuit.random_sim import RandomSimResult, random_screen
-from repro.circuit.vcd import trace_to_vcd, vcd_str, write_vcd
+from repro.circuit.vcd import trace_to_vcd
 from repro.circuit import words
 
 __all__ = [
-    "write_vcd",
     "trace_to_vcd",
-    "vcd_str",
     "random_screen",
     "RandomSimResult",
     "Circuit",
@@ -35,17 +25,11 @@ __all__ = [
     "circuit_stats",
     "cone_of_influence",
     "transitive_fanin",
-    "logic_levels",
-    "fanout_counts",
-    "parse_blif",
     "parse_blif_file",
     "write_blif",
-    "blif_str",
     "BlifError",
-    "parse_aiger",
     "parse_aiger_file",
     "write_aiger",
-    "aiger_str",
     "AigerError",
     "words",
 ]

@@ -53,17 +53,6 @@ def logic_levels(circuit: Circuit) -> List[int]:
     return levels
 
 
-def fanout_counts(circuit: Circuit) -> List[int]:
-    """Combinational fanout count per net (next-state uses included)."""
-    counts = [0] * circuit.num_nets
-    for net in range(circuit.num_nets):
-        for fanin in circuit.fanins_of(net):
-            counts[fanin] += 1
-    for latch in circuit.latches:
-        counts[circuit.next_of(latch)] += 1
-    return counts
-
-
 @dataclass(frozen=True)
 class CircuitStats:
     """Size summary of a circuit."""

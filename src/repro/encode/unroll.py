@@ -209,19 +209,6 @@ class BmcInstance:
         """Provenance of a clause of this instance's formula."""
         return self.origins[clause_index]
 
-    def decode_inputs(self, model: Sequence[int]) -> List[Dict[int, int]]:
-        """Input vectors per frame, suitable for ``Circuit.simulate``."""
-        return [
-            {net: self.value_of(model, net, frame) for net in self.unroller.nets_inputs}
-            for frame in range(self.k + 1)
-        ]
-
-    def decode_initial_state(self, model: Sequence[int]) -> Dict[int, int]:
-        """Latch values at frame 0 (relevant for ``init=None`` latches)."""
-        return {
-            net: self.value_of(model, net, 0) for net in self.unroller.nets_latches
-        }
-
 
 class Unroller:
     """Monotone unroller for one circuit + property pair.
@@ -298,6 +285,24 @@ class Unroller:
                 f"net {net} at frame {frame} is not encoded "
                 f"(frames built: {self._frames_built}, coi={self.use_coi})"
             ) from None
+
+    def value_of(self, model: Sequence[int], net: int, frame: int) -> int:
+        """Value of ``net`` at ``frame`` under a model over this
+        unroller's variables."""
+        lit = self.lit_of(net, frame)
+        return model[lit >> 1] ^ (lit & 1)
+
+    def decode_inputs(self, model: Sequence[int], k: int) -> List[Dict[int, int]]:
+        """Input vectors of frames ``0..k``, suitable for
+        ``Circuit.simulate``."""
+        return [
+            {net: self.value_of(model, net, frame) for net in self.nets_inputs}
+            for frame in range(k + 1)
+        ]
+
+    def decode_initial_state(self, model: Sequence[int]) -> Dict[int, int]:
+        """Latch values at frame 0 (relevant for ``init=None`` latches)."""
+        return {net: self.value_of(model, net, 0) for net in self.nets_latches}
 
     def var_frame(self, var: int) -> int:
         """The frame a CNF variable was allocated in (−1 for the constant).

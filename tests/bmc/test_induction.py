@@ -161,3 +161,52 @@ class TestRecurrenceDiameter:
             circuit, prop, 5, solver_config=SolverConfig(max_propagations=1)
         )
         assert result is None
+
+
+class TestBaseCaseEncoding:
+    def test_base_cases_encoded_and_installed_once_per_run(self, monkeypatch):
+        """The base cases are the depths of one BMC run: one unroller
+        and one growing install template serve every k, so each base
+        frame is encoded once and each base clause installed once (plus
+        one property clause per depth).  The step cases keep their own
+        unroller."""
+        from repro.encode.unroll import Unroller
+        from repro.sat import CdclSolver
+        from repro.workloads import instance_by_name
+
+        unrollers, frames, installed = [], [], []
+        in_step = []
+        init, build_frame = Unroller.__init__, Unroller._build_frame
+        install, step_case = CdclSolver._install, KInductionEngine._step_case_holds
+
+        def counting_init(unroller, *args, **kwargs):
+            unrollers.append(1)
+            init(unroller, *args, **kwargs)
+
+        def counting_build_frame(unroller, frame):
+            frames.append(frame)
+            build_frame(unroller, frame)
+
+        def counting_install(solver, clauses, *args, **kwargs):
+            batch = list(clauses)
+            if not in_step:
+                installed.append(len(batch))
+            return install(solver, batch, *args, **kwargs)
+
+        def flagged_step_case(engine, *args, **kwargs):
+            in_step.append(1)
+            try:
+                return step_case(engine, *args, **kwargs)
+            finally:
+                in_step.pop()
+
+        monkeypatch.setattr(Unroller, "__init__", counting_init)
+        monkeypatch.setattr(Unroller, "_build_frame", counting_build_frame)
+        monkeypatch.setattr(CdclSolver, "_install", counting_install)
+        monkeypatch.setattr(KInductionEngine, "_step_case_holds", flagged_step_case)
+        circuit, prop = instance_by_name("02_1_b2").build()
+        result = KInductionEngine(circuit, prop, max_k=10).run()
+        assert [d.k for d in result.base_stats] == list(range(11))
+        assert len(unrollers) == 2  # one base, one step unroller
+        assert len(frames) == 11 + 12  # base frames 0..10, step 0..11
+        assert sum(installed) == 15174

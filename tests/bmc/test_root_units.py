@@ -11,6 +11,7 @@ keeping cores and proofs complete.
 
 import pytest
 
+from repro.bmc import incremental
 from repro.bmc.incremental import IncrementalBmcEngine
 from repro.bmc.result import BmcStatus
 from repro.cnf import CnfFormula, mk_lit
@@ -83,7 +84,7 @@ class TestIncrementalBmcWithRootUnits:
             assert depth.status == "unsat"
             assert depth.core_clauses and depth.core_clauses > 0
 
-    def test_incremental_with_discharged_root_reasons(self):
+    def test_incremental_with_discharged_root_reasons(self, monkeypatch):
         # Adversarial variant: discharge every level-0 trail reason that
         # has a defining unit between depths, as an aggressive front end
         # might after compacting its own implication log.
@@ -92,12 +93,12 @@ class TestIncrementalBmcWithRootUnits:
             distractor_width=4, seed=6,
         )
         engine = IncrementalBmcEngine(circuit, prop, max_depth=5, mode="static")
+        original_feed = incremental.feed_frames
+        fed_solvers = []
 
-        original_feed = engine._feed_frames
-
-        def feed_and_discharge(k):
-            original_feed(k)
-            solver = engine._solver
+        def feed_and_discharge(solver, unroller, k, fed):
+            fed = original_feed(solver, unroller, k, fed)
+            fed_solvers.append(solver)
             for var, (lit, _cid) in solver._root_unit_of.items():
                 if (
                     solver._levels[var] == 0
@@ -105,8 +106,11 @@ class TestIncrementalBmcWithRootUnits:
                     and solver.value_of(lit) == 1
                 ):
                     solver._reasons[var] = -1
+            return fed
 
-        engine._feed_frames = feed_and_discharge
+        monkeypatch.setattr(incremental, "feed_frames", feed_and_discharge)
         result = engine.run()
+        assert len(fed_solvers) == 6  # one batch a depth ...
+        assert len(set(map(id, fed_solvers))) == 1  # ... into one solver
         assert result.status is BmcStatus.PASSED_BOUNDED
         assert result.depth_reached == 5

@@ -1,6 +1,7 @@
 """Tests for the Shtrichman time-frame ordering baseline."""
 
-from repro.bmc import BmcEngine, BmcStatus, ShtrichmanBmc, shtrichman_rank
+from repro.bmc import BmcEngine, BmcStatus, ShtrichmanBmc
+from repro.bmc.shtrichman import shtrichman_rank
 from repro.encode import Unroller
 from repro.workloads import counter_tripwire
 

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from repro.circuit import Circuit, aiger_str, parse_aiger
+from repro.circuit import Circuit
+from repro.circuit.aiger import aiger_str, parse_aiger
 from repro.circuit.aiger import AigerError
 
 

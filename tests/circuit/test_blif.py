@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.circuit import Circuit, blif_str, parse_blif
+from repro.circuit import Circuit
+from repro.circuit.blif import blif_str, parse_blif
 from repro.circuit.blif import BlifError
 
 

@@ -1,13 +1,12 @@
-"""Structural-analysis tests: cones of influence, levels, fanouts."""
+"""Structural-analysis tests: cones of influence, levels, statistics."""
 
 from repro.circuit import (
     Circuit,
     circuit_stats,
     cone_of_influence,
-    fanout_counts,
-    logic_levels,
     transitive_fanin,
 )
+from repro.circuit.ops import logic_levels
 
 
 def two_cone_circuit():
@@ -77,18 +76,6 @@ class TestLevels:
         levels = logic_levels(c)
         assert levels[n1] == 1
         assert levels[n2] == 2
-
-
-class TestFanout:
-    def test_counts_include_next_state(self):
-        c = Circuit()
-        a = c.add_input()
-        q = c.add_latch("q")
-        g = c.g_not(a)
-        c.set_next(q, g)
-        counts = fanout_counts(c)
-        assert counts[g] == 1  # used as next-state
-        assert counts[a] == 1  # used by the NOT gate
 
 
 class TestStats:

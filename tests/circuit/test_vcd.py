@@ -3,7 +3,8 @@
 import io
 
 from repro.bmc import BmcEngine, BmcStatus
-from repro.circuit import Circuit, vcd_str, trace_to_vcd
+from repro.circuit import Circuit, trace_to_vcd
+from repro.circuit.vcd import vcd_str
 from repro.circuit.vcd import _identifier
 from repro.workloads import counter_tripwire
 

@@ -73,7 +73,7 @@ class TestBasicSemantics:
         # so violation needs q=1 at frame 0).
         outcome = CdclSolver(instance.formula).solve()
         assert outcome.is_sat
-        assert instance.decode_initial_state(outcome.model)[q] == 1
+        assert instance.unroller.decode_initial_state(outcome.model)[q] == 1
 
 
 class TestPrefixStability:

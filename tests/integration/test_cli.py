@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.circuit import blif_str, write_blif
+from repro.circuit import write_blif
+from repro.circuit.blif import blif_str
 from repro.cli import main
 from repro.cnf.dimacs import write_dimacs
 from repro.cnf import CnfFormula, mk_lit

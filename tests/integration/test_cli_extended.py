@@ -3,7 +3,7 @@ incremental, trim)."""
 
 import pytest
 
-from repro.circuit import blif_str
+from repro.circuit.blif import blif_str
 from repro.cli import main
 from repro.cnf import CnfFormula, mk_lit
 from repro.cnf.dimacs import write_dimacs

@@ -1,13 +1,31 @@
 """Cross-engine fuzzing on random circuits: every engine family must
 agree with exhaustive simulation and with each other on arbitrary small
-sequential circuits (not just the curated workloads)."""
+sequential circuits (not just the curated workloads).
+
+The single-property engines (one-shot, refined, Shtrichman, incremental,
+per-depth portfolio) and a one-property multi-property run must report
+the oracle's first violation depth with a counterexample that
+re-simulates, or pass the bound when there is none.  k-induction must
+refute at the oracle's depth, and never refute when the oracle finds no
+violation (it may then prove the property or give up).
+"""
 
 import itertools
 import random
 
 import pytest
 
-from repro.bmc import BmcEngine, BmcStatus, IncrementalBmcEngine, RefineOrderBmc
+from repro.bmc import (
+    BmcEngine,
+    BmcStatus,
+    IncrementalBmcEngine,
+    InductionStatus,
+    KInductionEngine,
+    MultiPropertyBmc,
+    PortfolioBmcEngine,
+    RefineOrderBmc,
+    ShtrichmanBmc,
+)
 from repro.circuit import Circuit
 
 
@@ -64,18 +82,46 @@ def test_all_engines_match_exhaustive_oracle(seed):
         ("plain", lambda c, p: BmcEngine(c, p, max_depth=MAX_DEPTH)),
         ("static", lambda c, p: RefineOrderBmc(c, p, MAX_DEPTH, mode="static")),
         ("dynamic", lambda c, p: RefineOrderBmc(c, p, MAX_DEPTH, mode="dynamic")),
+        ("shtrichman", lambda c, p: ShtrichmanBmc(c, p, MAX_DEPTH)),
+        ("incr-vsids", lambda c, p: IncrementalBmcEngine(c, p, MAX_DEPTH, mode="vsids")),
+        ("incr-static", lambda c, p: IncrementalBmcEngine(c, p, MAX_DEPTH, mode="static")),
         ("incr", lambda c, p: IncrementalBmcEngine(c, p, MAX_DEPTH, mode="dynamic")),
+        ("portfolio", lambda c, p: PortfolioBmcEngine(
+            c, p, MAX_DEPTH, deterministic=True, race_min_clauses=0)),
     ]
     for label, make in engines:
         result = make(circuit, prop).run()
-        if oracle is None:
-            assert result.status is BmcStatus.PASSED_BOUNDED, (label, seed)
-        else:
-            assert result.status is BmcStatus.FAILED, (label, seed)
-            # Engines check exact-length instances from depth 0 upward,
-            # so they must find the *earliest* violating depth.
-            assert result.depth_reached == oracle, (label, seed)
-            frames = circuit.simulate(
-                result.trace.inputs, initial_state=result.trace.initial_state
-            )
-            assert frames[oracle][prop] == 0, (label, seed)
+        _check_verdict(
+            circuit, prop, oracle, (label, seed),
+            result.status, result.depth_reached, result.trace,
+        )
+
+    multi = MultiPropertyBmc(circuit, [prop], MAX_DEPTH).run()[prop]
+    _check_verdict(
+        circuit, prop, oracle, ("multi", seed),
+        multi.status, multi.depth_reached, multi.trace,
+    )
+
+    induction = KInductionEngine(circuit, prop, max_k=MAX_DEPTH).run()
+    if oracle is None:
+        assert induction.status is not InductionStatus.FAILED, seed
+    else:
+        assert induction.status is InductionStatus.FAILED, seed
+        assert induction.k == induction.trace.depth == oracle, seed
+        _check_trace(circuit, prop, oracle, induction.trace, ("induction", seed))
+
+
+def _check_verdict(circuit, prop, oracle, label, status, depth_reached, trace):
+    if oracle is None:
+        assert status is BmcStatus.PASSED_BOUNDED, label
+    else:
+        assert status is BmcStatus.FAILED, label
+        # Engines check exact-length instances from depth 0 upward,
+        # so they must find the *earliest* violating depth.
+        assert depth_reached == oracle, label
+        _check_trace(circuit, prop, oracle, trace, label)
+
+
+def _check_trace(circuit, prop, oracle, trace, label):
+    frames = circuit.simulate(trace.inputs, initial_state=trace.initial_state)
+    assert frames[oracle][prop] == 0, label

@@ -7,11 +7,11 @@ import pytest
 from repro.bmc import (
     BmcEngine,
     BmcStatus,
-    CegarBmc,
     IncrementalBmcEngine,
     RefineOrderBmc,
     ShtrichmanBmc,
 )
+from repro.bmc.cegar import CegarBmc
 from repro.encode import Unroller
 from repro.sat import CdclSolver
 from repro.workloads import (

@@ -3,7 +3,8 @@
 import io
 
 from repro.bmc import BmcEngine, BmcStatus, RefineOrderBmc
-from repro.circuit import aiger_str, blif_str, parse_aiger, parse_blif
+from repro.circuit.aiger import aiger_str, parse_aiger
+from repro.circuit.blif import blif_str, parse_blif
 from repro.cnf import parse_dimacs
 from repro.cnf.dimacs import dimacs_str
 from repro.encode import Unroller

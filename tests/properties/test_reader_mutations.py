@@ -24,9 +24,8 @@ import random
 
 import pytest
 
-from repro.circuit import aiger_str, blif_str, parse_aiger, parse_blif
-from repro.circuit.aiger import AigerError
-from repro.circuit.blif import BlifError
+from repro.circuit.aiger import AigerError, aiger_str, parse_aiger
+from repro.circuit.blif import BlifError, blif_str, parse_blif
 from repro.cnf.dimacs import DimacsError, parse_dimacs
 from repro.metrics.access import (
     SID_ARENA,

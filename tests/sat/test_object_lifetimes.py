@@ -7,9 +7,10 @@ lists, arena and heap.  These tests run each engine flavour with the
 cyclic collector off and ``gc.DEBUG_SAVEALL`` on, then collect once:
 anything the collector finds unreachable lands in ``gc.garbage``, and no
 solver, template, fork, strategy, kernel, watch column or engine may be
-among it.  No engine may hold its template once ``run()`` has returned,
-whether it ended in a verdict, an exhausted budget or an exception.  The
-native plane runs when the C kernel can be built.
+among it.  No engine may hold its template, nor the incremental engine
+its persistent solver, once ``run()`` has returned, whether it ended in
+a verdict, an exhausted budget or an exception.  The native plane runs
+when the C kernel can be built.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ FLAVOURS = [
 #: A failing row (counterexample at depth 7): every flavour runs UNSAT
 #: depths, a SAT depth and the trace decode.
 ROW = "01_b"
-
-#: The flavours that fork per-depth solvers from an install template.
-FORKING = [flavour for flavour in FLAVOURS if flavour != "incremental"]
 
 FORBIDDEN = (
     CdclSolver,
@@ -115,7 +113,13 @@ def _run(flavour: str, plane: str) -> None:
     result = engine.run()
     assert result.status.value == "failed"
     assert result.trace.depth == instance_by_name(ROW).cex_depth
-    assert getattr(engine, "_template", None) is None
+    _assert_released(engine)
+
+
+def _assert_released(engine) -> None:
+    """The run's install template and persistent solver are gone."""
+    assert engine._template is None
+    assert getattr(engine, "_solver", None) is None
 
 
 def _leaked(found):
@@ -139,7 +143,7 @@ def test_no_solver_strategy_kernel_or_engine_in_cyclic_garbage(flavour, plane):
 
 
 @pytest.mark.parametrize("plane", PLANES)
-@pytest.mark.parametrize("flavour", FORKING)
+@pytest.mark.parametrize("flavour", FLAVOURS)
 def test_budget_exhausted_run_drops_its_template(flavour, plane):
     with saved_cyclic_garbage() as found:
         engine = _engine(
@@ -147,14 +151,14 @@ def test_budget_exhausted_run_drops_its_template(flavour, plane):
         )
         result = engine.run()
         assert result.status.value == "budget-exhausted"
-        assert result.per_depth  # a depth was forked before the budget ran out
-        assert engine._template is None
+        assert result.per_depth  # a depth was solved before the budget ran out
+        _assert_released(engine)
         del engine
     assert _leaked(found) == []
 
 
 @pytest.mark.parametrize("plane", PLANES)
-@pytest.mark.parametrize("flavour", FORKING)
+@pytest.mark.parametrize("flavour", FLAVOURS)
 def test_raising_run_drops_its_template(flavour, plane, monkeypatch):
     calls = itertools.count()
     solve = CdclSolver.solve
@@ -169,7 +173,7 @@ def test_raising_run_drops_its_template(flavour, plane, monkeypatch):
         engine = _engine(flavour, plane)
         with pytest.raises(RuntimeError, match="injected"):
             engine.run()
-        assert engine._template is None
+        _assert_released(engine)
         del engine
     assert _leaked(found) == []
 
