@@ -51,6 +51,9 @@ def _default_hot_required() -> List[str]:
         "repro.sat.kernel.native::NativeActivityHeap.pop_unassigned",
         "repro.sat.kernel.native::NativeActivityHeap.reinsert",
         "repro.sat.kernel.native::NativeActivityHeap.increase",
+        "repro.sat.kernel.native::NativeKernel.search_step",
+        "repro.sat.kernel.native::NativeKernel.backtrack",
+        "repro.sat.kernel.base::KernelBase.backtrack",
         "repro.sat.trace::TraceWriter.enqueue_run",
         "repro.sat.trace::TraceSink.sync_trail",
         "repro.metrics.access::AccessStreamWriter.record_block",

@@ -62,7 +62,13 @@ cross-checks heap and scan-order searches on thousands of instances.
 
 Protocol note: the solver tells strategies which literals a backtrack
 unassigned (:meth:`DecisionStrategy.on_unassigned`) so heap strategies
-can re-insert popped variables.  A strategy
+can re-insert popped variables.  A heap strategy also names its heap
+(:meth:`DecisionStrategy.decision_heap`): the native kernel then does
+the re-insert itself, in its C backtrack, and makes the decisions
+:meth:`DecisionStrategy.pop_budget` declares plain pops inside its
+search step, reporting them through :meth:`DecisionStrategy.on_popped`
+(VSIDS always; the ranked orderings up to the dynamic switch; BerkMin
+never, since its ``decide()`` scans recent clauses first).  A strategy
 is bound to its solver only for the length of one ``solve()`` call
 (:meth:`DecisionStrategy.attach` at search entry,
 :meth:`DecisionStrategy.detach` at exit), so strategy and solver never
@@ -74,7 +80,7 @@ from __future__ import annotations
 import weakref
 from abc import ABC, abstractmethod
 from array import array
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sat.activity_heap import VariableActivityHeap
@@ -89,6 +95,10 @@ DEFAULT_UPDATE_PERIOD = 256
 #: the heap key array (see the module docstring).  2^333 < 1e101, so
 #: renormalising here keeps every ``K + c * 2^(u+1)`` exact.
 _KEY_RESCALE_LIMIT = 1e100
+
+#: :meth:`DecisionStrategy.pop_budget` for "no limit of my own" (the
+#: largest value the native kernel's ``int32`` budget slot holds).
+NO_POP_LIMIT = 2**31 - 1
 
 
 class DecisionStrategy(ABC):
@@ -159,6 +169,26 @@ class DecisionStrategy(ABC):
         undone (heap strategies re-insert their variables; the default —
         and every scan strategy — ignores it)."""
 
+    # -- in-kernel decisions (see repro.sat.kernel.base) -------------------
+
+    def decision_heap(self) -> "Optional[VariableActivityHeap]":
+        """The heap :meth:`on_unassigned` re-inserts into, when that is
+        all it does, or None.  A kernel holding it re-inserts
+        backtracked variables itself and skips :meth:`on_unassigned`."""
+        return None
+
+    def pop_budget(self) -> int:
+        """How many of the next decisions are plain pops of
+        :meth:`decision_heap` — nothing counted, switched or chosen
+        otherwise — so a kernel may make them itself and report them
+        through :meth:`on_popped`.  0, the default, sends every decision
+        through :meth:`decide`; :data:`NO_POP_LIMIT` means no limit."""
+        return 0
+
+    def on_popped(self, count: int) -> None:
+        """Account for ``count`` decisions a kernel popped from
+        :meth:`decision_heap` in place of :meth:`decide`."""
+
 
 class _HeapOrderStrategy(DecisionStrategy):
     """Shared heap mechanics: scaled activity keys + the activity heap
@@ -171,8 +201,10 @@ class _HeapOrderStrategy(DecisionStrategy):
         self._update_period = update_period
         self._kscore: "array[float]" = array("d")
         self._kinc = 1.0  # 2^u, the current score scale factor
-        self._new_counts: List[int] = []
-        self._bumped: List[int] = []  # literals with a nonzero new count
+        # The paper's new_lit_counts, for the literals bumped since the
+        # last update only, in first-bump order (the order the periodic
+        # update re-keys them in).
+        self._new_counts: Dict[int, int] = {}
         self._heap: Optional[VariableActivityHeap] = None
         self._conflicts_since_update = 0
 
@@ -198,10 +230,9 @@ class _HeapOrderStrategy(DecisionStrategy):
         # (beyond ~53 periodic updates the low-order contributions are
         # deliberately absorbed — exact integer sums would tie-break
         # differently from the scan-order reference on long runs).
-        self._kscore = array("d", solver.original_literal_counts())
+        self._kscore = solver.original_literal_keys()
         self._kinc = 1.0
-        self._new_counts = [0] * (2 * solver.num_vars)
-        del self._bumped[:]
+        self._new_counts = {}
         # _conflicts_since_update deliberately persists across attaches,
         # matching the scan-order reference (fresh scores, but the decay
         # countdown carries over between solve() calls on one solver).
@@ -224,13 +255,14 @@ class _HeapOrderStrategy(DecisionStrategy):
         alone; subclasses override."""
         return None
 
+    def decision_heap(self) -> "Optional[VariableActivityHeap]":
+        return self._heap
+
     def on_conflict(self, learned_literals: Sequence[int]) -> None:
         counts = self._new_counts
-        bumped = self._bumped
+        get = counts.get
         for lit in learned_literals:
-            if not counts[lit]:
-                bumped.append(lit)
-            counts[lit] += 1
+            counts[lit] = get(lit, 0) + 1
         self._conflicts_since_update += 1
         if self._conflicts_since_update >= self._update_period:
             self._conflicts_since_update = 0
@@ -248,11 +280,10 @@ class _HeapOrderStrategy(DecisionStrategy):
         kscore = self._kscore
         counts = self._new_counts
         heap = self._heap
-        for lit in self._bumped:
-            kscore[lit] += counts[lit] * kinc
-            counts[lit] = 0
+        for lit, count in counts.items():
+            kscore[lit] += count * kinc
             heap.increase(lit)
-        del self._bumped[:]
+        counts.clear()
 
     def _renormalise(self) -> None:
         """Divide the whole key array by the scale factor (back to the
@@ -284,6 +315,9 @@ class VsidsStrategy(_HeapOrderStrategy):
     deterministic)."""
 
     name = "vsids"
+
+    def pop_budget(self) -> int:
+        return NO_POP_LIMIT
 
 
 class RankedStrategy(_HeapOrderStrategy):
@@ -328,19 +362,35 @@ class RankedStrategy(_HeapOrderStrategy):
         return self._switched
 
     def attach(self, solver: "CdclSolver") -> None:
-        """Bind to a solver and compute the dynamic switch threshold."""
+        """Bind to a solver and compute the dynamic switch threshold.
+        The rank keys depend only on the variable count (``var_rank``
+        is a private copy), so re-attaches at the same count — epoch
+        slicing — keep the array the last attach built."""
         self._switch_threshold = solver.num_original_literals() // self._switch_divisor
         num_vars = solver.num_vars
-        rank_keys = array("d", bytes(8 * num_vars))
-        for var, score in self._var_rank.items():
-            if 0 <= var < num_vars:
-                rank_keys[var] = score
-        self._rank_keys = rank_keys
+        if len(self._rank_keys) != num_vars:
+            rank_keys = array("d", bytes(8 * num_vars))
+            for var, score in self._var_rank.items():
+                if 0 <= var < num_vars:
+                    rank_keys[var] = score
+            self._rank_keys = rank_keys
         super().attach(solver)
 
     def _rank_by_var(self) -> "Optional[array[float]]":
         # Net order: (bmc_score desc, cha_score desc, literal asc).
         return None if self._switched else self._rank_keys
+
+    def pop_budget(self) -> int:
+        """Unlimited, except that a dynamic strategy's switch must
+        happen in :meth:`decide`: the pops left before the decision at
+        which ``max(decisions, _decide_calls)`` passes the threshold."""
+        if not self._dynamic or self._switched:
+            return NO_POP_LIMIT
+        count = max(self._solver.stats.decisions, self._decide_calls)
+        return max(0, self._switch_threshold - count + 1)
+
+    def on_popped(self, count: int) -> None:
+        self._decide_calls += count
 
     def decide(self) -> int:
         """Next branch literal; may trigger the dynamic VSIDS fallback.

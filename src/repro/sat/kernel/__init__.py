@@ -4,18 +4,21 @@ The solver has one data plane — flat typed arrays for the assignment
 state, the trail, the clause arena, the watch columns and the
 install-order literal mirror every analysis reads — and one kernel
 object that owns the watch columns and the mirror and runs the loops
-over them, through one hot call, ``search_step(num_assumptions) ->
-(conflict, analysis_or_None)``: propagate, then analyze a conflict
-that lands above the assumption prefix.  Two implementations, selected by
+over them, through one hot call, ``search_step(num_assumptions,
+budget=0) -> (conflict, analysis_or_None)``: propagate (on the native
+kernel, deciding and propagating again within ``budget``), then
+analyze a conflict that lands above the assumption prefix.  Two
+implementations, selected by
 ``SolverConfig.kernel``, search byte-identically:
 
 ``"native"``
     :class:`~repro.sat.kernel.native.NativeKernel`: the loops compiled
     to C (cffi, built on demand, cached), aliasing the solver's arrays
-    zero-copy, fused into one C call (one FFI crossing per conflict).
-    Its strategies decide from the C decision heap
-    :class:`~repro.sat.kernel.native.NativeActivityHeap`.  Needs cffi
-    and a C compiler.
+    zero-copy, fused into one C call (one FFI crossing per conflict)
+    that also makes the decisions that are plain pops of the C decision
+    heap :class:`~repro.sat.kernel.native.NativeActivityHeap`, within
+    the budget the solver passes; backtracking is one C call too.
+    Needs cffi and a C compiler.
 ``"python"``
     :class:`~repro.sat.kernel.pykernel.PythonKernel`: the same loops in
     pure Python, composed in Python, deciding from the ``heapq`` heap

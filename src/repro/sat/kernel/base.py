@@ -5,22 +5,32 @@ A *kernel* owns the watch state (three :class:`~repro.sat.kernel
 the solver's two data-plane loops — boolean constraint propagation and
 the first-UIP resolution walk — over its flat typed state:
 ``lit_truth``/``_seen`` (``bytearray``), ``_levels``/``_reasons``/
-``_trail`` (``array('i')``) and the compact
+``_trail``/``_trail_lim`` (``array('i')``), ``_saved_phase``
+(``array('b')``) and the compact
 :class:`~repro.sat.arena.ClauseArena` word store, all aliased, never
-copied.  Everything else — decisions, the analysis tail (bump replay,
-minimization, LBD, the level-0 closure), proofs, CDG, strategies —
-stays in ``CdclSolver`` and talks to the kernel only through this
-seam:
+copied.  The native kernel also makes the decisions that are plain
+pops of the strategy's decision heap, and backtracks.  Everything else
+— every other decision, restarts, learned-DB reduction, the analysis
+tail (bump replay, minimization, LBD, the level-0 closure), proofs,
+CDG, strategies — stays in ``CdclSolver`` and talks to the kernel only
+through this seam:
 
-``search_step(num_assumptions) -> (conflict, analysis_or_None)``
+``search_step(num_assumptions, budget=0) -> (conflict, analysis_or_None)``
     The one hot call.  Exhaust the implication queue from
     ``solver._qhead``: assign implied literals (truth/levels/reasons/
     trail), advance ``solver._qhead``/``solver._trail_len`` and add the
-    propagation count to ``solver.stats``.  ``conflict`` is the
-    conflicting clause ID or -1.  When a conflict lands above the
-    assumption prefix (``decision_level > num_assumptions``), run
-    first-UIP from it before returning; ``analysis`` is then the pair
-    ``(learned, antecedents)``:
+    propagation count to ``solver.stats``.  Then, while ``budget``
+    allows, the trail is not full and the bound decision heap (see
+    ``bind_decisions``) has an unassigned variable, make the next
+    decision exactly as ``CdclSolver._search``'s decision branch would
+    — pop, phase policy, open a level in ``_trail_lim``, assign — and
+    propagate again; ``solver._decision_level``,
+    ``stats.decisions``/``max_decision_level`` and the strategy
+    (``on_popped``) are brought up to date.  Stop at the first
+    conflict.  ``conflict`` is the conflicting clause ID or -1.  When a
+    conflict lands above the assumption prefix (``decision_level >
+    num_assumptions``), run first-UIP from it before returning;
+    ``analysis`` is then the pair ``(learned, antecedents)``:
 
     * ``learned`` is the raw (pre-minimization) clause with the
       asserting literal at position 0, remaining literals in discovery
@@ -39,6 +49,26 @@ seam:
     ``analysis`` is None when there is no conflict, or when the level
     mandates a terminal Python path (level-0 UNSAT, assumption-prefix
     conflicts), which leaves ``_seen`` and the scratch lists untouched.
+
+    The budget rule: the solver passes 0 — one propagation, and the
+    next decision made by its own decision branch — whenever anything
+    but a heap pop is due before the next decision: a restart, a
+    learned-DB reduction, an assumption level, the ``max_decisions``
+    cap, the dynamic ranked strategy's switch, a strategy whose
+    ``decide()`` is more than a pop (``pop_budget() == 0``), or an
+    attached observer or access profile.  All of these change only on
+    a conflict or at such a budget point, so otherwise it passes the
+    number of decisions up to the next point.  The python kernel
+    takes no decisions (``decides`` is False) and is the reference.
+
+``bind_decisions(heap)`` / ``backtrack(limit)``
+    ``bind_decisions`` binds the strategy's decision heap for one
+    search (None unbinds).  ``backtrack`` unassigns
+    ``trail[limit:_trail_len]``, saves each variable's polarity in
+    ``_saved_phase`` and re-inserts the variables into the decision
+    heap — through the strategy's ``on_unassigned``, or, on the native
+    kernel with a heap bound, in the same C call; the solver rewinds
+    ``_trail_len``/``_qhead``/the level itself.
 
 ``attach(cid, lits)`` / ``attach_all(...)`` / ``detach(cid)`` /
 ``drop_clauses(dropped)``
@@ -67,9 +97,7 @@ limit)``
     a public install batch passes before anything changes.
 
 ``grow(lit_capacity)``
-    Called from ``ensure_num_vars`` when the literal space grows;
-    backtracking needs no hook (the kernel keeps no per-level state —
-    the solver rewinds the shared trail/qhead itself).
+    Called from ``ensure_num_vars`` when the literal space grows.
 
 ``mirror``
     The install-order literal store
@@ -107,6 +135,10 @@ class KernelBase:
     #: The decision heap the heap strategies build at ``attach``:
     #: Python's ``heapq`` here, the C ``vheap`` on the native kernel.
     heap_class = VariableActivityHeap
+
+    #: Whether :meth:`search_step` makes heap decisions (a nonzero
+    #: ``budget``); False here, where the solver decides every time.
+    decides = False
 
     def __init__(self, solver: "CdclSolver") -> None:
         # Weak on purpose: the solver holds its kernel, so a strong
@@ -235,9 +267,28 @@ class KernelBase:
     # -- the hot seam ------------------------------------------------------
 
     def search_step(
-        self, num_assumptions: int
+        self, num_assumptions: int, budget: int = 0
     ) -> Tuple[int, Optional[Tuple[List[int], List[int]]]]:
         raise NotImplementedError
+
+    def bind_decisions(self, heap: "Optional[object]") -> None:
+        """Bind the search's decision heap (None unbinds); only a
+        kernel that :attr:`decides` uses it."""
+
+    def backtrack(self, limit: int) -> None:  # solcheck: hot
+        """Unassign ``trail[limit:_trail_len]``: save each variable's
+        polarity, reset its truth, and hand the undone literals to the
+        strategy's ``on_unassigned`` (the reference loop; the native
+        kernel runs it in C)."""
+        solver = self.solver
+        truth = solver.lit_truth
+        saved = solver._saved_phase
+        undone = solver._trail[limit:solver._trail_len]
+        for lit in undone:
+            saved[lit >> 1] = 1 ^ (lit & 1)
+            truth[lit] = 2
+            truth[lit ^ 1] = 2
+        solver.strategy.on_unassigned(undone)
 
     # -- introspection -----------------------------------------------------
 

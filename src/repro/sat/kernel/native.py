@@ -6,14 +6,19 @@ ternary, then the two-phase long scan) and
 :meth:`~repro.sat.kernel.pykernel.PythonKernel.analyze` (the first-UIP
 resolution walk, reading every clause's literals from the install-order
 mirror) into two static loops, and exports them fused as one
-``search_step``: propagate, then analyze the conflict without
-returning to Python between them — one FFI crossing per conflict.  The
-``vheap_*`` exports are the decision heap (:class:`NativeActivityHeap`,
-an indexed binary max-heap over variables whose keys are read in
-place): a bulk O(n) build from ``lit_truth``, a pop that discards
-assigned variables until an unassigned one, a reinsert of a trail
-slice, the increase/update re-key, and the refresh after a key swap
-or rescale.  The other exports install clauses:
+``search_step``: propagate, then — within the decision budget Python
+passes — pop the next decision from the bound decision heap, assign it
+and propagate again, and analyze the conflict that ends the run,
+without returning to Python in between: one FFI crossing per conflict
+(see :mod:`repro.sat.kernel.base` for the budget rule).  ``backtrack``
+is ``CdclSolver._backtrack``'s loop — truth reset, saved phases, the
+heap re-insert — in one call.  The ``vheap_*`` exports are the
+decision heap (:class:`NativeActivityHeap`, an indexed binary max-heap
+over variables whose keys are read in place): a bulk O(n) build from
+``lit_truth``, a pop that discards assigned variables until an
+unassigned one, a reinsert of a trail slice, the increase/update
+re-key, and the refresh after a key swap or rescale.  The other
+exports install clauses:
 
 * ``fill_columns`` is the bulk watch install: it lays a constructor's
   or fork's empty columns out in exactly sized blocks, and appends a
@@ -34,13 +39,14 @@ or rescale.  The other exports install clauses:
 
 All run zero-copy over the solver's typed arrays via
 ``ffi.from_buffer``: ``lit_truth``/``_seen``/arena flags
-(``unsigned char`` bytearrays), levels/reasons/trail/watch
-columns/literal counts/arena and mirror words (``int32_t``), arena and
-mirror refs (``int64_t``).  The install exports acquire their views
-per call (``install_batch`` keeps them across its hand-backs, which
-resize nothing) and release them before returning.  ``search_step`` instead
-caches its 26 views across calls (most steps are decision-only, so
-re-exporting every buffer per step would dominate the crossing): the
+(``unsigned char`` bytearrays), saved phases (``signed char``),
+levels/reasons/trail/level starts/watch columns/arena and mirror words
+(``int32_t``), arena and mirror refs (``int64_t``), literal counts
+(``double``).  The install exports acquire their views per call
+(``install_batch`` keeps them across its hand-backs, which resize
+nothing) and release them before returning.  ``search_step`` and
+``backtrack`` instead share 28 views cached across calls (re-exporting
+every buffer per step would dominate the crossing): the
 solver releases them before anything that can resize a viewed array
 (:meth:`~repro.sat.kernel.base.KernelBase.invalidate_views`), the
 watch columns release them through their ``on_resize`` hook, and cffi
@@ -132,7 +138,16 @@ ST_TOUCHED_CAP = 20
 ST_ZERO_CAP = 21
 ST_ABUF = 22
 ST_ANALYZED = 23
-_STATE_SLOTS = 24
+# In-kernel decision slots (see search_step).
+ST_BUDGET = 24
+ST_DECIDED = 25
+ST_MAX_LEVEL = 26
+ST_NUM_VARS = 27
+ST_PHASE = 28
+_STATE_SLOTS = 29
+
+#: ``ST_PHASE`` value per ``SolverConfig.phase_mode``.
+_PHASES = {"default": 0, "save": 1, "inverted": 2}
 
 #: install_batch state slots (an ``int64`` array Python fills, C
 #: advances and Python reads back at every return).
@@ -164,6 +179,14 @@ RET_NEED_PEND = -3
 RET_NEED_ABUF = -4
 
 _CDEF = """
+typedef struct {
+    int32_t *heap;
+    int32_t *pos;
+    const double *score;
+    const double *rank;
+    int32_t size;
+    int32_t nvars;
+} vheap;
 int64_t fill_columns(const int32_t *adata, const int64_t *arefs,
                      const int32_t *cids, int32_t ncids, int32_t k,
                      int32_t *off, int32_t *size, int32_t *cap,
@@ -182,21 +205,16 @@ int search_step(unsigned char *truth,
                 unsigned char *seen,
                 int32_t *learned, int32_t *ants,
                 int32_t *touched, int32_t *zero,
+                const signed char *saved, int32_t *trail_lim, vheap *h,
                 int32_t *st, int64_t *prof);
+void backtrack(unsigned char *truth, signed char *saved,
+               const int32_t *trail, int32_t lo, int32_t hi, vheap *h);
 int install_batch(const int32_t *words,
                   int32_t *adata, int64_t *arefs, unsigned char *aflags,
-                  int32_t *mdata, int64_t *mrefs, int32_t *lit_counts,
+                  int32_t *mdata, int64_t *mrefs, double *lit_counts,
                   unsigned char *truth, int32_t *levels, int32_t *reasons,
                   int32_t *trail, unsigned char *seen, int32_t *out,
                   int64_t *st);
-typedef struct {
-    int32_t *heap;
-    int32_t *pos;
-    const double *score;
-    const double *rank;
-    int32_t size;
-    int32_t nvars;
-} vheap;
 void vheap_build(vheap *h, const unsigned char *truth);
 void vheap_refresh(vheap *h);
 int32_t vheap_pop(vheap *h, const unsigned char *truth);
@@ -233,6 +251,16 @@ _SOURCE = r"""
 #define ST_ZERO_CAP 21
 #define ST_ABUF 22
 #define ST_ANALYZED 23
+#define ST_BUDGET 24
+#define ST_DECIDED 25
+#define ST_MAX_LEVEL 26
+#define ST_NUM_VARS 27
+#define ST_PHASE 28
+
+/* st[ST_PHASE] values: SolverConfig.phase_mode "default", "save",
+   "inverted". */
+#define PHASE_SAVE 1
+#define PHASE_INVERTED 2
 
 /* Raw access-profile slots (repro/sat/profile.py); the scan counters
    accumulate in locals and flush at the exit labels, so the loops pay
@@ -247,6 +275,19 @@ _SOURCE = r"""
 #define PROF_ARENA 4
 #define PROF_AWORDS 7
 #define PROF_ATRAIL 8
+
+/* The decision heap (defined at the end of this source) and the two
+   operations the search step and backtrack call. */
+typedef struct {
+    int32_t *heap;
+    int32_t *pos;
+    const double *score;
+    const double *rank;
+    int32_t size;
+    int32_t nvars;
+} vheap;
+int32_t vheap_pop(vheap *h, const unsigned char *truth);
+int32_t vheap_reinsert(vheap *h, const int32_t *lits, int32_t n);
 
 /* A relocated block's capacity: double the old one (4 from empty), or
    what it must hold if that is more. */
@@ -767,15 +808,57 @@ rollback:
     return -4;
 }
 
-/* The fused step: propagate, and when the conflict lands above the
-   assumption prefix (st[ST_LEVEL] > st[ST_ASSUME_LVL] — level 0 and
-   assumption-prefix conflicts take terminal Python paths), run the
-   resolution walk before returning — one FFI crossing per conflict.
+/* One in-kernel decision: CdclSolver._search's decision branch for a
+   strategy whose decide() is a plain heap pop.  Pops the best
+   unassigned variable, applies the phase policy (st[ST_PHASE]: the
+   saved polarity when one exists, or the complement of the heap's
+   literal), opens a level (trail_lim, ST_LEVEL, ST_MAX_LEVEL) and
+   assigns the literal with no reason.  Returns 0, changing nothing
+   else, when the heap holds no unassigned variable. */
+static int decide(unsigned char *truth, int32_t *levels, int32_t *reasons,
+                  int32_t *trail, const signed char *saved,
+                  int32_t *trail_lim, vheap *h, int32_t *st)
+{
+    int32_t lit, var, level, tl;
+    if (!h || (lit = vheap_pop(h, truth)) < 0)
+        return 0;
+    var = lit >> 1;
+    if (st[ST_PHASE] == PHASE_SAVE) {
+        if (saved[var] >= 0)
+            lit = (var << 1) | (saved[var] ^ 1);
+    } else if (st[ST_PHASE] == PHASE_INVERTED) {
+        lit ^= 1;
+    }
+    tl = st[ST_TRAIL_LEN];
+    level = st[ST_LEVEL];
+    trail_lim[level++] = tl;
+    st[ST_LEVEL] = level;
+    if (level > st[ST_MAX_LEVEL])
+        st[ST_MAX_LEVEL] = level;
+    truth[lit] = 1;
+    truth[lit ^ 1] = 0;
+    levels[var] = level;
+    reasons[var] = -1;
+    trail[tl] = lit;
+    st[ST_TRAIL_LEN] = tl + 1;
+    st[ST_DECIDED]++;
+    st[ST_BUDGET]--;
+    return 1;
+}
+
+/* The fused step: propagate, then decide and propagate again while
+   st[ST_BUDGET] allows, the trail is not full (st[ST_NUM_VARS]) and the
+   heap has an unassigned variable; stop at the first conflict.  When
+   the conflict lands above the assumption prefix (st[ST_LEVEL] >
+   st[ST_ASSUME_LVL] — level 0 and assumption-prefix conflicts take
+   terminal Python paths), run the resolution walk before returning —
+   one FFI crossing per conflict.  A budget of 0 propagates once.
    Re-entry: scan-side NEED_GROW/NEED_PEND resume through bcp_scan's
-   own ST_RESUME machinery (st[ST_ACONFLICT] still < 0); an analysis
-   NEED_ABUF leaves the conflict in ST_ACONFLICT so the next call
-   skips straight to the (idempotent) walk.  st[ST_ANALYZED] tells
-   Python whether the returned conflict comes with analysis results. */
+   own ST_RESUME machinery (st[ST_ACONFLICT] still < 0), with the
+   decisions made so far kept in the state slots; an analysis NEED_ABUF
+   leaves the conflict in ST_ACONFLICT so the next call skips straight
+   to the (idempotent) walk.  st[ST_ANALYZED] tells Python whether the
+   returned conflict comes with analysis results. */
 int search_step(unsigned char *truth,
                 int32_t *levels, int32_t *reasons, int32_t *trail,
                 int32_t *adata, int64_t *arefs,
@@ -789,6 +872,7 @@ int search_step(unsigned char *truth,
                 unsigned char *seen,
                 int32_t *learned, int32_t *ants,
                 int32_t *touched, int32_t *zero,
+                const signed char *saved, int32_t *trail_lim, vheap *h,
                 int32_t *st, int64_t *prof)
 {
     int conflict, r;
@@ -801,9 +885,17 @@ int search_step(unsigned char *truth,
         st[ST_ANALYZED] = 1;
         return st[ST_ACONFLICT];
     }
-    conflict = bcp_scan(truth, levels, reasons, trail, adata, arefs,
-                        b_off, b_size, b_data, t_off, t_size, t_data,
-                        l_off, l_size, l_cap, l_data, pend, st, prof);
+    for (;;) {
+        conflict = bcp_scan(truth, levels, reasons, trail, adata, arefs,
+                            b_off, b_size, b_data, t_off, t_size, t_data,
+                            l_off, l_size, l_cap, l_data, pend, st, prof);
+        if (conflict != -1)
+            break;
+        if (st[ST_BUDGET] <= 0 || st[ST_TRAIL_LEN] >= st[ST_NUM_VARS]
+            || !decide(truth, levels, reasons, trail, saved, trail_lim,
+                       h, st))
+            return -1;
+    }
     if (conflict < 0)
         return conflict;
     if (st[ST_LEVEL] > st[ST_ASSUME_LVL]) {
@@ -816,6 +908,23 @@ int search_step(unsigned char *truth,
         st[ST_ANALYZED] = 1;
     }
     return conflict;
+}
+
+/* Unassign trail[lo..hi) — CdclSolver._backtrack's loop: save each
+   variable's polarity, reset both literals' truth — then, with a heap,
+   re-insert the variables that are not members, in trail order (the
+   strategy's on_unassigned). */
+void backtrack(unsigned char *truth, signed char *saved,
+               const int32_t *trail, int32_t lo, int32_t hi, vheap *h)
+{
+    for (int32_t i = lo; i < hi; i++) {
+        int32_t lit = trail[i];
+        saved[lit >> 1] = (signed char)(1 ^ (lit & 1));
+        truth[lit] = 2;
+        truth[lit ^ 1] = 2;
+    }
+    if (h)
+        vheap_reinsert(h, trail + lo, hi - lo);
 }
 
 /* install_batch state slots and flags; keep in sync with native.py. */
@@ -871,7 +980,7 @@ static void to_front(int32_t *blk, int32_t i)
    st[IB_TRAIL] and IBF_OK, which its handling may change). */
 int install_batch(const int32_t *words,
                   int32_t *adata, int64_t *arefs, unsigned char *aflags,
-                  int32_t *mdata, int64_t *mrefs, int32_t *lit_counts,
+                  int32_t *mdata, int64_t *mrefs, double *lit_counts,
                   unsigned char *truth, int32_t *levels, int32_t *reasons,
                   int32_t *trail, unsigned char *seen, int32_t *out,
                   int64_t *st)
@@ -1024,16 +1133,7 @@ int install_batch(const int32_t *words,
    by (rank desc, best score desc, variable asc) -- the order of
    VariableActivityHeap's (-rank, -score, lit) tuples, since a lower
    variable has the lower best literal.  rank NULL ranks every
-   variable equally. */
-typedef struct {
-    int32_t *heap;
-    int32_t *pos;
-    const double *score;
-    const double *rank;
-    int32_t size;
-    int32_t nvars;
-} vheap;
-
+   variable equally.  (The vheap type is declared at the top.) */
 typedef struct {
     double rank;
     double score;
@@ -1485,11 +1585,12 @@ class NativeActivityHeap:
 
 
 class NativeKernel(KernelBase):
-    """BCP and first-UIP analysis as one compiled ``search_step``;
+    """BCP, heap decisions and first-UIP analysis as one compiled
+    ``search_step``, and backtracking as one compiled ``backtrack``;
     construction fails cleanly (``RuntimeError``) when the extension
     cannot be built, and callers fall back or skip.
 
-    Owns a 24-slot state array shared with C, the pending watch-move
+    Owns a 29-slot state array shared with C, the pending watch-move
     buffer and four analysis scratch buffers.  Scratch buffers grow by
     doubling on ``RET_NEED_ABUF`` (``ST_ABUF`` names the one that
     overflowed); the C side unmarks ``seen`` before asking, so the
@@ -1498,6 +1599,7 @@ class NativeKernel(KernelBase):
 
     name = "native"
     heap_class = NativeActivityHeap
+    decides = True
 
     def __init__(self, solver: "CdclSolver") -> None:
         module = _load_module()  # raises RuntimeError when unavailable
@@ -1548,6 +1650,10 @@ class NativeKernel(KernelBase):
 
         for cols in (self.bin, self.tern, self.long):
             cols.on_resize = on_resize
+        # The decision heap bound for one search (bind_decisions), and
+        # its C handle: NULL when unbound.
+        self._heap: Optional[NativeActivityHeap] = None
+        self._heap_ptr = self._ffi.NULL
 
     def attach_all(
         self, bin_ids: "array[int]", tern_ids: "array[int]",
@@ -1654,7 +1760,7 @@ class NativeKernel(KernelBase):
             from_buffer("unsigned char[]", arena.flags),
             from_buffer("int32_t[]", mdata),
             from_buffer("int64_t[]", mirror.refs),
-            from_buffer("int32_t[]", solver._lit_counts),
+            from_buffer("double[]", solver._lit_counts),
             from_buffer("unsigned char[]", solver.lit_truth),
             from_buffer("int32_t[]", solver._levels),
             from_buffer("int32_t[]", solver._reasons),
@@ -1695,13 +1801,20 @@ class NativeKernel(KernelBase):
     #: mirror.data, mirror.refs.
     _VOLATILE = (4, 5, 17, 18)
 
+    #: Call-list slots ``backtrack`` reuses (truth, trail, saved
+    #: phases), and the slot of the bound heap's handle (not a view).
+    _TRUTH_SLOT = 0
+    _TRAIL_SLOT = 3
+    _SAVED_SLOT = 24
+    _HEAP_SLOT = 26
+
     def invalidate_views(self) -> None:
         views = self._views
         if views is not None:
             self._views = None
             release = self._ffi.release
-            for view in views:
-                if view is not None:
+            for i, view in enumerate(views):
+                if view is not None and i != self._HEAP_SLOT:
                     release(view)
 
     def invalidate_arena_views(self) -> None:
@@ -1728,8 +1841,9 @@ class NativeKernel(KernelBase):
             views[18] = from_buffer("int64_t[]", mirror.refs)
 
     def _build_views(self) -> List[object]:
-        """(Re)export the 26 buffer views of ``search_step`` and cache
-        them.  Order matches the C signature exactly.  The capacity
+        """(Re)export the 28 buffer views of ``search_step`` and cache
+        them, with the bound heap's handle in slot ``_HEAP_SLOT``.
+        Order matches the C signature exactly.  The capacity
         state slots are set here, not per call: a viewed array cannot
         resize while its export is live, so the capacities are
         constant for the lifetime of the cache."""
@@ -1762,6 +1876,9 @@ class NativeKernel(KernelBase):
             from_buffer("int32_t[]", self._ants_buf),
             from_buffer("int32_t[]", self._touched_buf),
             from_buffer("int32_t[]", self._zero_buf),
+            from_buffer("signed char[]", solver._saved_phase),
+            from_buffer("int32_t[]", solver._trail_lim),
+            self._heap_ptr,
             from_buffer("int32_t[]", self._state),
             from_buffer("int64_t[]", self._prof_buf),
         ]
@@ -1799,51 +1916,95 @@ class NativeKernel(KernelBase):
             solver._zero_scratch.extend(self._zero_buf[:zn])
         return learned, antecedents
 
-    def search_step(
-        self, num_assumptions: int
+    def bind_decisions(self, heap: "Optional[object]") -> None:
+        """Bind the decision heap :meth:`search_step` pops and
+        :meth:`backtrack` refills, with the per-search constants the
+        in-kernel decisions read (variable count, phase policy); None
+        unbinds.  A heap that is not a :class:`NativeActivityHeap`
+        binds as None."""
+        if not isinstance(heap, NativeActivityHeap):
+            heap = None
+        self._heap = heap
+        self._heap_ptr = self._ffi.NULL if heap is None else heap._h
+        if self._views is not None:
+            self._views[self._HEAP_SLOT] = self._heap_ptr
+        if heap is not None:
+            solver = self.solver
+            state = self._state
+            state[ST_NUM_VARS] = solver.num_vars
+            state[ST_PHASE] = _PHASES[solver.config.phase_mode]
+
+    def _current_views(self) -> List[object]:
+        """The cached call list, exported or refreshed as needed."""
+        views = self._views
+        if views is None:
+            return self._build_views()
+        if views[4] is None or views[17] is None:
+            self._refresh_views(views)
+        return views
+
+    def _regrow(self, result: int) -> None:
+        """Serve a cooperative return code: un-export, then grow the
+        long watch pool, the pending buffer or an analysis buffer."""
+        self.invalidate_views()
+        state = self._state
+        if result == RET_NEED_GROW:
+            long_cols = self.long
+            long_cols.used = state[ST_LONG_USED]
+            long_cols.reserve(state[ST_LONG_USED] + state[ST_GROW])
+        elif result == RET_NEED_PEND:
+            pend = self._pend
+            need = 3 * state[ST_GROW]
+            have = len(pend)
+            pend.frombytes(bytes(4 * (max(need, 2 * have) - have)))
+        else:
+            self._grow_abuf()
+
+    def search_step(  # solcheck: hot
+        self, num_assumptions: int, budget: int = 0
     ) -> "Tuple[int, Optional[Tuple[List[int], List[int]]]]":
+        """The seam's step (see :mod:`repro.sat.kernel.base`), with up
+        to ``budget`` decisions popped from the bound heap in C."""
         solver = self.solver
         state = self._state
-        if solver._qhead >= solver._trail_len:
-            return -1, None  # nothing queued (keeps empty buffers off FFI)
+        trail_len = solver._trail_len
+        if solver._qhead >= trail_len and (
+            not budget or trail_len >= solver.num_vars
+        ):
+            # Nothing queued and nothing to decide (keeps empty buffers
+            # off FFI).
+            return -1, None
+        stats = solver.stats
         long_cols = self.long
         qhead0 = solver._qhead
-        state[ST_QHEAD] = solver._qhead
-        state[ST_TRAIL_LEN] = solver._trail_len
+        state[ST_QHEAD] = qhead0
+        state[ST_TRAIL_LEN] = trail_len
         state[ST_LEVEL] = solver._decision_level
         state[ST_ASSUME_LVL] = num_assumptions
         state[ST_PROPS] = 0
         state[ST_ANALYZED] = 0
         state[ST_LONG_USED] = long_cols.used
+        state[ST_BUDGET] = budget
+        state[ST_DECIDED] = 0
+        state[ST_MAX_LEVEL] = stats.max_decision_level
         step = self._lib.search_step
-        pend = self._pend
+        current_views = self._current_views
+        regrow = self._regrow
         while True:
-            views = self._views
-            if views is None:
-                views = self._build_views()
-            elif views[4] is None or views[17] is None:
-                self._refresh_views(views)
-            result = step(*views)
-            if result == RET_NEED_GROW:
-                self.invalidate_views()  # un-export before the resize
-                long_cols.used = state[ST_LONG_USED]
-                long_cols.reserve(state[ST_LONG_USED] + state[ST_GROW])
-                continue
-            if result == RET_NEED_PEND:
-                self.invalidate_views()
-                need = 3 * state[ST_GROW]
-                have = len(pend)
-                pend.frombytes(bytes(4 * (max(need, 2 * have) - have)))
-                continue
-            if result == RET_NEED_ABUF:
-                self.invalidate_views()
-                self._grow_abuf()
-                continue
-            break
+            result = step(*current_views())
+            if result >= -1:  # a conflict, or RET_NO_CONFLICT
+                break
+            regrow(result)
         long_cols.used = state[ST_LONG_USED]
         solver._qhead = state[ST_QHEAD]
         solver._trail_len = state[ST_TRAIL_LEN]
-        solver.stats.propagations += state[ST_PROPS]
+        stats.propagations += state[ST_PROPS]
+        decided = state[ST_DECIDED]
+        if decided:
+            solver._decision_level = state[ST_LEVEL]
+            stats.decisions += decided
+            stats.max_decision_level = state[ST_MAX_LEVEL]
+            solver.strategy.on_popped(decided)
         profile = solver._profile
         if profile is not None:
             # Enqueue/dequeue counts derive from the state slots (the C
@@ -1857,3 +2018,20 @@ class NativeKernel(KernelBase):
             state[ST_ANALYZED] = 0
             return result, self._extract()
         return result, None
+
+    def backtrack(self, limit: int) -> None:  # solcheck: hot
+        """Unassign ``trail[limit:_trail_len]`` in one C call over the
+        cached views: saved phases, truth, and the bound heap's
+        re-insert.  With no heap bound the strategy's ``on_unassigned``
+        gets the undone literals.  Outside a search the only callers
+        are ``solve()``, whose teardown releases the views, and clause
+        install, which releases them before it resizes anything."""
+        solver = self.solver
+        hi = solver._trail_len
+        views = self._current_views()
+        self._lib.backtrack(
+            views[self._TRUTH_SLOT], views[self._SAVED_SLOT],
+            views[self._TRAIL_SLOT], limit, hi, self._heap_ptr,
+        )
+        if self._heap is None:
+            solver.strategy.on_unassigned(solver._trail[limit:hi])

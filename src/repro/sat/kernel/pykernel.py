@@ -47,11 +47,13 @@ class PythonKernel(KernelBase):
     name = "python"
 
     def search_step(
-        self, num_assumptions: int
+        self, num_assumptions: int, budget: int = 0
     ) -> Tuple[int, Optional[Tuple[List[int], List[int]]]]:
         """:meth:`propagate`, then :meth:`analyze` when the conflict
         lands above the assumption prefix (the seam contract, see
-        :mod:`repro.sat.kernel.base`)."""
+        :mod:`repro.sat.kernel.base`).  Makes no decisions, whatever
+        the ``budget``: the solver's own decision branch is the
+        reference the native kernel's decisions are checked against."""
         conflict = self.propagate()
         if conflict < 0 or self.solver._decision_level <= num_assumptions:
             return conflict, None

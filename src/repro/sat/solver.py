@@ -334,23 +334,33 @@ class CdclSolver:
         self._levels = array("i")
         self._reasons = array("i")
         # Last value each variable held before it was unassigned
-        # (-1 = never assigned); the phase_mode="save" source.
-        self._saved_phase: List[int] = []
+        # (-1 = never assigned); the phase_mode="save" source.  An
+        # ``array('b')`` the native kernel writes on backtrack and
+        # reads for its in-kernel decisions.
+        self._saved_phase = array("b")
         self._seen = bytearray()
         #: Physical size of the per-var/per-lit arrays (grown
         #: geometrically by :meth:`ensure_num_vars`; ``num_vars`` is the
         #: logical size).
         self._var_capacity = 0
-        #: Original-clause literal counts per literal (an ``array('i')``
-        #: so the native install can count in C).
-        self._lit_counts = array("i")
+        #: Original-clause literal counts per literal: an ``array('d')``
+        #: so the native install can count in C and the heap strategies
+        #: seed their float scores with one slice copy.  Counts are
+        #: small integers, exact in a double.
+        self._lit_counts = array("d")
         #: The trail: a *preallocated* ``array('i')`` of
         #: ``_var_capacity`` slots whose live prefix is ``_trail_len``
         #: (the C scan appends by subscript, it cannot grow a Python
         #: list).
         self._trail = array("i")
         self._trail_len = 0
-        self._trail_lim: List[int] = []
+        #: Trail length at the start of each decision level: like the
+        #: trail, a preallocated ``array('i')`` (the native kernel opens
+        #: levels by subscript) whose live prefix is ``_decision_level``
+        #: entries long.  It holds at least ``num_vars`` slots, and
+        #: ``solve()`` adds one per assumption (every level but the
+        #: assumption levels assigns a new variable).
+        self._trail_lim = array("i")
         self._qhead = 0
         self._decision_level = 0
 
@@ -507,10 +517,11 @@ class CdclSolver:
             self.lit_truth.extend(b"\x02" * (2 * grow))
             self._levels.extend(unassigned)
             self._reasons.extend(unassigned)
-            self._saved_phase.extend([-1] * grow)
+            self._saved_phase.frombytes(b"\xff" * grow)
+            self._trail_lim.frombytes(bytes(4 * grow))
             self._seen.extend(bytes(grow))
             self._lbd_stamp.frombytes(bytes(4 * grow))
-            self._lit_counts.frombytes(bytes(8 * grow))
+            self._lit_counts.frombytes(bytes(16 * grow))
             # Preallocate trail slots to physical capacity (the kernels
             # append by subscript) and size the flat watch columns.
             self._trail.frombytes(bytes(4 * grow))
@@ -989,7 +1000,13 @@ class CdclSolver:
     def original_literal_counts(self) -> List[int]:
         """Literal occurrence counts over the original clauses — the
         initial ``cha_score`` values (paper §3.3)."""
-        return self._lit_counts[: 2 * self.num_vars].tolist()
+        return list(map(int, self._lit_counts[: 2 * self.num_vars]))
+
+    def original_literal_keys(self) -> "array[float]":
+        """:meth:`original_literal_counts` as a fresh ``array('d')`` —
+        the heap strategies' score seed, copied without a Python object
+        per literal."""
+        return self._lit_counts[: 2 * self.num_vars]
 
     def num_original_literals(self) -> int:
         """Total literal count of the original clauses (the base of the
@@ -1052,14 +1069,10 @@ class CdclSolver:
         if self._decision_level <= level:
             return
         limit = self._trail_lim[level]
-        truth = self.lit_truth
-        saved = self._saved_phase
-        trail = self._trail
-        undone = trail[limit:self._trail_len]
-        for lit in undone:
-            saved[lit >> 1] = 1 ^ (lit & 1)
-            truth[lit] = 2
-            truth[lit ^ 1] = 2
+        undone = self._trail_len - limit
+        # Truth reset, saved phases and the heap re-insert: one kernel
+        # call (see KernelBase.backtrack).
+        self._kernel.backtrack(limit)
         # _levels/_reasons are deliberately left stale: every consumer
         # reads them only for *assigned* variables (conflict and reason
         # clauses contain assigned literals by construction; the
@@ -1067,18 +1080,17 @@ class CdclSolver:
         # overwritten by the next assignment.  Level-0 entries are
         # never undone, so a stale level is always >= 1 and can never
         # masquerade as a root fact.  Trail entries past _trail_len
-        # are dead capacity, the next assignments overwrite them.
+        # are dead capacity, the next assignments overwrite them, and
+        # so are _trail_lim entries past the level.
         self._trail_len = limit
-        del self._trail_lim[level:]
         self._qhead = limit
         self._decision_level = level
-        self.strategy.on_unassigned(undone)
         self.strategy.on_backtrack()
         profile = self._profile
         if profile is not None:
             # Heap reinserts: every unassigned variable is offered back
             # to the decision heap (pops are counted at decision sites).
-            profile[PROF_HEAP] += len(undone)
+            profile[PROF_HEAP] += undone
 
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP) with complete antecedent recording.
@@ -1522,7 +1534,7 @@ class CdclSolver:
         not lost — they stay below the watermark and count toward the
         next batch).
         """
-        limit = self._trail_lim[0] if self._trail_lim else self._trail_len
+        limit = self._trail_lim[0] if self._decision_level else self._trail_len
         if limit - self._root_prune_watermark < _PRUNE_MIN_NEW_FACTS:
             return
         self._root_prune_watermark = limit
@@ -1580,6 +1592,11 @@ class CdclSolver:
                 raise ValueError(f"bad assumption literal {lit}")
         if strategy is not None:
             self.strategy = strategy
+        # Room for one level per assumption on top of the decision
+        # levels (at most one per variable).
+        missing = self.num_vars + len(assumptions) - len(self._trail_lim)
+        if missing > 0:
+            self._trail_lim.frombytes(bytes(4 * missing))
         self._solving = True
         self._assumptions = list(assumptions)
         self.failed_assumptions = None
@@ -1604,6 +1621,7 @@ class CdclSolver:
             # The strategy holds the solver only inside solve(): a
             # binding kept past it would be a strategy <-> solver cycle,
             # freed by the cyclic collector instead of by refcount.
+            self._kernel.bind_decisions(None)
             self.strategy.detach()
             # Release the kernel's cached views so between-solve
             # mutations (ensure_num_vars, add_clause) never hit a
@@ -1648,7 +1666,8 @@ class CdclSolver:
         if not self._ok:
             return self._unsat_outcome()
         config = self.config
-        self.strategy.attach(self)
+        strategy = self.strategy
+        strategy.attach(self)
         restart_epoch = 1
         conflicts_in_epoch = 0
         epoch_limit = config.restart_base * luby(restart_epoch)
@@ -1677,8 +1696,8 @@ class CdclSolver:
         stats = self.stats
         num_vars = self.num_vars
         num_assumptions = len(self._assumptions)
-        decide = self.strategy.decide
-        on_conflict = self.strategy.on_conflict
+        decide = strategy.decide
+        on_conflict = strategy.on_conflict
         profile = self._profile
         # The one capture hook (None when detached: one `is not None`
         # test per event site).  Capture lives at search level, never
@@ -1689,10 +1708,46 @@ class CdclSolver:
         # assumption prefix) the first-UIP walk, in one kernel call.
         # Both kernels produce identical analyses — the fuzzer and the
         # Table-1 pin hold them byte-identical.
-        search_step = self._kernel.search_step
+        kernel = self._kernel
+        search_step = kernel.search_step
+        heap = strategy.decision_heap()
+        kernel.bind_decisions(heap)
+        # In-kernel decisions: a kernel that decides may also make the
+        # decisions that are plain pops of the strategy's heap, up to a
+        # budget per step.  The budget is 0 whenever the decision branch
+        # below has anything else to do first (restart, reduction,
+        # assumption level, the max_decisions cap, the strategy's own
+        # limit such as the dynamic switch) or anything watches each
+        # decision (observer, access profile); those conditions change
+        # only on a conflict or at the budget's end, where the kernel
+        # hands the search back.
+        pop_budget = (
+            strategy.pop_budget
+            if kernel.decides and heap is not None
+            and observer is None and profile is None
+            else None
+        )
+        use_restarts = config.use_restarts
+        clause_deletion = config.clause_deletion
+        max_decisions = config.max_decisions
+        budget = 0
 
         while True:
-            conflict, analysis = search_step(num_assumptions)
+            if pop_budget is not None:
+                if (
+                    (use_restarts and conflicts_in_epoch >= epoch_limit)
+                    or (clause_deletion and self._num_live_learned > max_learned)
+                    or self._decision_level < num_assumptions
+                ):
+                    budget = 0
+                else:
+                    budget = pop_budget()
+                    if (
+                        max_decisions is not None
+                        and max_decisions - stats.decisions < budget
+                    ):
+                        budget = max_decisions - stats.decisions
+            conflict, analysis = search_step(num_assumptions, budget)
             if conflict != -1:
                 stats.conflicts += 1
                 conflicts_in_epoch += 1
@@ -1734,7 +1789,7 @@ class CdclSolver:
                 continue
 
             if (
-                config.use_restarts
+                use_restarts
                 and conflicts_in_epoch >= epoch_limit
                 and self._decision_level > num_assumptions
             ):
@@ -1763,7 +1818,7 @@ class CdclSolver:
                         if not self._ok:
                             return self._unsat_outcome()
                 continue
-            if config.clause_deletion and self._num_live_learned > max_learned:
+            if clause_deletion and self._num_live_learned > max_learned:
                 deleted_before = stats.deleted_clauses
                 self._reduce_learned_db()
                 if observer is not None:
@@ -1780,7 +1835,7 @@ class CdclSolver:
                     observer.on_assume(self, lit)
                 # Open a level even if already true, so level indices and
                 # assumption indices stay aligned.
-                self._trail_lim.append(self._trail_len)
+                self._trail_lim[self._decision_level] = self._trail_len
                 self._decision_level += 1
                 if value == 2:
                     self._enqueue(lit, -1)
@@ -1813,11 +1868,11 @@ class CdclSolver:
                 # backtrack time).
                 profile[PROF_HEAP] += 1
             if (
-                config.max_decisions is not None
-                and stats.decisions > config.max_decisions
+                max_decisions is not None
+                and stats.decisions > max_decisions
             ):
                 return SolveOutcome(status=SolveResult.UNKNOWN)
-            self._trail_lim.append(self._trail_len)
+            self._trail_lim[self._decision_level] = self._trail_len
             self._decision_level += 1
             if self._decision_level > self.stats.max_decision_level:
                 self.stats.max_decision_level = self._decision_level

@@ -8,6 +8,13 @@ the oracle's first violation depth with a counterexample that
 re-simulates, or pass the bound when there is none.  k-induction must
 refute at the oracle's depth, and never refute when the oracle finds no
 violation (it may then prove the property or give up).
+
+Seeds 0-11 all violate at depth 0 or 1.  The deeper seeds reach the
+other exits of the depth loop: a first violation at depth 2 (found
+after two UNSAT depths), and no violation within ``MAX_DEPTH`` at all —
+every engine's bounded pass, and a k-induction proof.  With two latches
+no seed of this generator first violates at depth 3 (none in the first
+4000).
 """
 
 import itertools
@@ -71,12 +78,21 @@ def exhaustive_first_violation(circuit, inputs, prop, max_depth):
 
 MAX_DEPTH = 3
 
+#: The oracle's answer on the deeper seeds (see the module docstring),
+#: pinned so the coverage cannot drift away with the generator.
+DEEP_SEEDS = {
+    12: 2, 441: 2, 469: 2, 477: 2,
+    26: None, 32: None, 37: None, 44: None,
+}
 
-@pytest.mark.parametrize("seed", range(12))
+
+@pytest.mark.parametrize("seed", list(range(12)) + list(DEEP_SEEDS))
 def test_all_engines_match_exhaustive_oracle(seed):
     rng = random.Random(1000 + seed)
     circuit, inputs, prop = random_circuit(rng)
     oracle = exhaustive_first_violation(circuit, inputs, prop, MAX_DEPTH)
+    if seed in DEEP_SEEDS:
+        assert oracle == DEEP_SEEDS[seed], seed
 
     engines = [
         ("plain", lambda c, p: BmcEngine(c, p, max_depth=MAX_DEPTH)),
@@ -105,6 +121,9 @@ def test_all_engines_match_exhaustive_oracle(seed):
     induction = KInductionEngine(circuit, prop, max_k=MAX_DEPTH).run()
     if oracle is None:
         assert induction.status is not InductionStatus.FAILED, seed
+        if seed in DEEP_SEEDS:
+            # k-induction proves these four within MAX_DEPTH.
+            assert induction.status is InductionStatus.PROVED, seed
     else:
         assert induction.status is InductionStatus.FAILED, seed
         assert induction.k == induction.trace.depth == oracle, seed
